@@ -4,8 +4,9 @@ the cross-verification suites.
 Machine-readable JSON goes to stdout and is byte-for-byte deterministic for
 fixed flags and version; wall-clock timings and the human-readable table go
 to stderr.  The process exits 0 iff every executed non-experimental check
-matched (capacity skips do not fail; the experimental suite never affects
-the exit code).
+matched (capacity skips do not fail; a case that raises is reported with
+status "error" and fails; the experimental suite never affects the exit
+code).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .series import TruncatedSeries, first_mismatch
@@ -413,17 +415,25 @@ def _dispatch_case(case: dict):
             )
         raise ValueError(f"unknown case kind: {kind}")
     except CapacityError as exc:
-        return (
-            {
-                "case": case["id"],
-                "methods": [],
-                "status": "capacity-skip",
-                "experimental": case.get("experimental", False),
-                "witness": None,
-                "detail": str(exc),
-            },
-            {},
-        )
+        return _failed_case(case, "capacity-skip", str(exc))
+    except Exception as exc:  # one broken case must not abort the suite
+        traceback.print_exc(file=sys.stderr)
+        return _failed_case(case, "error", f"{type(exc).__name__}: {exc}")
+
+
+def _failed_case(case: dict, status: str, detail: str):
+    """Report for a case that produced no comparison."""
+    return (
+        {
+            "case": case["id"],
+            "methods": [],
+            "status": status,
+            "experimental": case.get("experimental", False),
+            "witness": None,
+            "detail": detail,
+        },
+        {},
+    )
 
 
 def _build_cases(suite: str, args) -> list[dict]:
@@ -595,10 +605,22 @@ def _expected_pair_exponents(family: str, k: int, name_a: str, name_b: str):
     return max(0, a + b - k), 0
 
 
+def _worker_count(n_cases: int) -> int:
+    """Pool size from the environment, clamped to the CPUs and the cases."""
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
+    return min(workers, os.cpu_count() or 1, n_cases)
+
+
 def cmd_verify(args) -> int:
     cases = _build_cases(args.suite, args)
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1 and len(cases) > 1:
+    workers = _worker_count(len(cases))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_case, cases))
     else:
@@ -620,9 +642,13 @@ def cmd_verify(args) -> int:
         print(line, file=sys.stderr)
         if rep["status"] == "mismatch" and rep["witness"]:
             print(f"{' ' * width}  witness: {rep['witness']}", file=sys.stderr)
+        if rep["status"] == "error":
+            print(f"{' ' * width}  detail: {rep['detail']}", file=sys.stderr)
 
     failed = [
-        r for r in reports if r["status"] == "mismatch" and not r["experimental"]
+        r
+        for r in reports
+        if r["status"] in ("mismatch", "error") and not r["experimental"]
     ]
     return 1 if failed else 0
 

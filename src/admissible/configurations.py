@@ -4,8 +4,14 @@ A configuration is a finitely supported sequence a_0, a_1, ... of non-negative
 integers in which every window of r consecutive entries sums to at most k,
 subject to initial caps a_0 <= b_0, a_0 + a_1 <= b_1, ..., up to b_{r-2}.
 Each configuration is weighted q^(sum j*a_j) z^(sum a_j); summing the weights
-over all configurations within a truncation window gives the character by
-direct enumeration, the ground truth every formula here is checked against.
+over all configurations within a truncation window gives the character, the
+ground truth every formula here is checked against.
+
+``character_direct`` computes that sum by a transfer-matrix DP over positions
+whose state is the last r-1 entries (Stanley, Enumerative Combinatorics I,
+section 4.7).  ``enumerate_configs`` walks the configurations one at a time by
+depth-first search; it is the enumeration API and the brute-force check of
+the DP.
 """
 
 from __future__ import annotations
@@ -118,13 +124,42 @@ def enumerate_configs(k: int, r: int, b, q_max: int, z_max: int):
 
 
 def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeries:
-    """Character of admissible configurations by direct summation.
+    """Character of admissible configurations by a transfer-matrix DP.
 
     Coefficient of q^i z^j counts configurations with q-degree i and
     z-degree j; the constant term is 1 (the empty configuration).
+
+    Positions j = 0, 1, ... are filled one at a time.  The state is the last
+    r-1 entries, which fixes the room left in the next window; for j <= r-2
+    it still holds the whole prefix, so the initial caps b apply to it too.
+    Each state carries its (q-degree, z-degree) -> count terms.  A term that
+    can take no further nonzero entry within the window (z == z_max, or
+    q + j + 1 > q_max) is moved to the finished total, and the walk stops
+    when no active term is left.  ``enumerate_configs`` is the brute-force
+    check of this count.
     """
-    coeffs: dict[tuple[int, int], int] = {}
-    for _, qdeg, zdeg in _walk(k, r, b, q_max, z_max):
-        key = (qdeg, zdeg)
-        coeffs[key] = coeffs.get(key, 0) + 1
-    return TruncatedSeries(coeffs, q_max, z_max)
+    b = validate_b(k, r, b)
+    if q_max < 0 or z_max < 0:
+        raise ValueError("q_max and z_max must be non-negative")
+    total: dict[tuple[int, int], int] = {}
+    active = {(0,) * (r - 1): {(0, 0): 1}}
+    j = 0
+    while active:
+        step: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+        for state, terms in active.items():
+            used = sum(state)
+            room = k - used
+            if j <= r - 2:
+                room = min(room, b[j] - used)
+            tail = state[1:]
+            children = [step.setdefault(tail + (v,), {}) for v in range(room + 1)]
+            for (q, z), c in terms.items():
+                for v in range(room + 1):
+                    q2, z2 = q + j * v, z + v
+                    if q2 > q_max or z2 > z_max:
+                        break
+                    out = total if z2 == z_max or q2 + j + 1 > q_max else children[v]
+                    out[q2, z2] = out.get((q2, z2), 0) + c
+        active = {state: terms for state, terms in step.items() if terms}
+        j += 1
+    return TruncatedSeries(total, q_max, z_max)

@@ -232,6 +232,85 @@ class TestVerify:
         assert serial.returncode == pooled.returncode == 0
         assert serial.stdout == pooled.stdout
 
+    def test_worker_count_is_clamped(self, capsys, monkeypatch):
+        import admissible.cli as cli
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        argv = ["verify", "r2", "--kmax", "2", "--qmax", "6", "--zmax", "3"]
+        monkeypatch.setenv("ADMISSIBLE_WORKERS", "1")
+        _, serial, _ = run_cli(capsys, *argv)
+        assert sizes == []
+        monkeypatch.setenv("ADMISSIBLE_WORKERS", "100000")
+        code, pooled, _ = run_cli(capsys, *argv)
+        assert code == 0 and pooled == serial
+        assert sizes == [4]  # 5 cases, 4 CPUs
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        run_cli(capsys, *argv)
+        assert sizes == [4, 5]  # 5 cases, 64 CPUs
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "2.5", ""])
+    def test_bad_worker_count_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("ADMISSIBLE_WORKERS", value)
+        code, out, err = run_cli(
+            capsys, "verify", "r2", "--kmax", "1", "--qmax", "4", "--zmax", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ADMISSIBLE_WORKERS") and err.count("\n") == 1
+
+    def test_raising_case_is_reported_not_fatal(self, capsys, monkeypatch):
+        import admissible.cli as cli
+
+        real = cli.fermionic_r2
+
+        def broken(k, b0, qmax, zmax):
+            if (k, b0) == (2, 1):
+                raise AssertionError("exactness check failed")
+            return real(k, b0, qmax, zmax)
+
+        monkeypatch.setattr(cli, "fermionic_r2", broken)
+        code, out, err = run_cli(
+            capsys, "verify", "r2", "--kmax", "2", "--qmax", "6", "--zmax", "3"
+        )
+        assert code == 1
+        reports = {r["case"]: r for r in json.loads(out)["reports"]}
+        assert len(reports) == 5
+        bad = reports.pop("r2 k=2 b0=1")
+        assert bad["status"] == "error"
+        assert bad["detail"] == "AssertionError: exactness check failed"
+        assert bad["params"] == {"k": 2, "b0": 1, "qmax": 6, "zmax": 3}
+        assert all(r["status"] == "match" for r in reports.values())
+        assert "detail: AssertionError" in err
+
+    def test_raising_experimental_case_does_not_fail_exit(self, capsys, monkeypatch):
+        import admissible.cli as cli
+
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "character_from_oracle_r3", broken)
+        code, out, _ = run_cli(capsys, "verify", "conjecture-10.2", "--nmax", "1")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r["status"] for r in reports] == ["error", "error"]
+        assert all(r["experimental"] for r in reports)
+
     def test_mismatch_witness_is_replayable(self, capsys):
         # witness terms reference q/z exponents recomputable via cmd_char
         from admissible.series import first_mismatch

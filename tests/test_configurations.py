@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admissible.configurations import (
     AdmissibleConfig,
@@ -138,6 +140,69 @@ class TestCharacter:
     def test_all_coefficients_non_negative(self):
         chi = character_direct(3, 2, (1,), 12, 6)
         assert all(c > 0 for c in chi.coeffs.values())
+
+
+def dfs_tally(k, r, b, qmax, zmax):
+    """(q-degree, z-degree) -> count over the brute-force enumeration."""
+    tally = {}
+    for cfg in enumerate_configs(k, r, b, qmax, zmax):
+        key = (cfg.q_degree, cfg.z_degree)
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+@st.composite
+def windows(draw):
+    k = draw(st.integers(1, 4))
+    r = draw(st.integers(2, 4))
+    b = tuple(sorted(draw(st.lists(st.integers(0, k), min_size=r - 1, max_size=r - 1))))
+    return k, r, b, draw(st.integers(0, 25)), draw(st.integers(0, 12))
+
+
+class TestTransferMatrixAgainstEnumeration:
+    """The DP in character_direct against the DFS in enumerate_configs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(windows())
+    def test_random_windows(self, window):
+        k, r, b, qmax, zmax = window
+        chi = character_direct(k, r, b, qmax, zmax)
+        assert (chi.q_order, chi.z_order) == (qmax, zmax)
+        assert chi.coeffs == dfs_tally(k, r, b, qmax, zmax)
+
+    @pytest.mark.parametrize(
+        "k, r, b", [(1, 2, (0,)), (3, 2, (3,)), (2, 3, (1, 2)), (4, 4, (4, 4, 4))]
+    )
+    def test_empty_window_is_the_constant_one(self, k, r, b):
+        chi = character_direct(k, r, b, 0, 0)
+        assert (chi.coeffs, chi.q_order, chi.z_order) == ({(0, 0): 1}, 0, 0)
+        assert character_direct(k, r, b, 9, 0).coeffs == {(0, 0): 1}
+
+    def test_q_max_zero_keeps_only_position_zero(self):
+        # a_0 = v carries weight z^v q^0, capped by b_0
+        chi = character_direct(3, 3, (2, 3), 0, 5)
+        assert chi.coeffs == {(0, 0): 1, (0, 1): 1, (0, 2): 1}
+
+    @pytest.mark.parametrize("b", [(0, 1, 3), (1, 1, 2), (1, 2, 3), (2, 2, 2)])
+    def test_rank4_prefix_caps(self, b):
+        chi = character_direct(3, 4, b, 14, 7)
+        assert chi.coeffs == dfs_tally(3, 4, b, 14, 7)
+        # the prefix a_0 + a_1 + a_2 never exceeds b_2
+        for cfg in enumerate_configs(3, 4, b, 14, 7):
+            assert sum(cfg.entries[:3]) <= b[2]
+
+    @pytest.mark.parametrize("k, r, b", [(2, 2, (0,)), (3, 3, (0, 0)), (2, 4, (0, 0, 0))])
+    def test_zero_initial_caps(self, k, r, b):
+        chi = character_direct(k, r, b, 16, 8)
+        assert chi.coeffs == dfs_tally(k, r, b, 16, 8)
+        assert all(dq >= r - 1 for dq, dz in chi.coeffs if dz)
+
+    @pytest.mark.parametrize(
+        "args", [(0, 2, (0,), 4, 2), (2, 1, (), 4, 2), (2, 2, (3,), 4, 2), (2, 2, (1,), -1, 2)]
+    )
+    def test_bad_input_raises(self, args):
+        with pytest.raises(ValueError):
+            character_direct(*args)
 
 
 def partitions_at_most_n_parts(d, n):
