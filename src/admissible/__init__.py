@@ -37,15 +37,14 @@ from .fermionic import (
 from .polyspaces import (
     CapacityError,
     Condition,
-    GordonWeight,
     VanishingSpec,
     character_from_oracle_r2,
     character_from_oracle_r3,
-    expand_gordon_weight,
     graded_dimension,
     vanishing_spec_r2,
     vanishing_spec_r3_pair,
     vanishing_spec_r3_signed,
+    weight_degree,
 )
 from .vertexops import (
     FactoredMatrixElement,

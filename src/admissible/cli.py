@@ -18,6 +18,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from .series import TruncatedSeries, first_mismatch
 from .configurations import character_direct, validate_b
@@ -41,11 +42,12 @@ from .polyspaces import (
     CapacityError,
     character_from_oracle_r2,
     character_from_oracle_r3,
-    expand_gordon_weight,
     graded_dimension,
+    regrade_pair_sectors,
     vanishing_spec_r2,
     vanishing_spec_r3_pair,
     vanishing_spec_r3_signed,
+    weight_degree,
 )
 from .vertexops import build_family, closed_form_series, pair_function
 
@@ -182,56 +184,38 @@ def cmd_table(args) -> int:
 # dims
 
 def cmd_dims(args) -> int:
-    if args.r == 2:
-        dims = graded_dimension(vanishing_spec_r2(args.n, args.k, args.b0, args.cap))
-        char = character_from_oracle_r2(args.n, args.k, args.b0, args.cap)
-        payload = {
-            "r": 2,
-            "k": args.k,
-            "b0": args.b0,
-            "n": args.n,
-            "degree_cap": args.cap,
-            "dims": dims,
-            "char": char.to_json_obj(),
-        }
-    elif args.r == 3 and args.variant == "pair":
+    payload = {
+        "r": args.r,
+        "k": args.k,
+        "b0": args.b0,
+        "n": args.n,
+        "degree_cap": args.cap,
+    }
+    if args.r == 3 and args.variant == "pair":
         b1 = args.b1 if args.b1 is not None else args.k
-        sectors = []
-        for l2 in range(args.n + 1):
-            l1 = args.n - l2
-            dims = graded_dimension(
-                vanishing_spec_r3_pair(l1, l2, args.k, args.b0, b1, args.cap)
+        sector_dims = [
+            graded_dimension(
+                vanishing_spec_r3_pair(args.n - l2, l2, args.k, args.b0, b1, args.cap)
             )
-            sectors.append({"l1": l1, "l2": l2, "dims": dims})
-        char = character_from_oracle_r3(args.n, args.k, args.b0, b1, args.cap)
-        payload = {
-            "r": 3,
-            "variant": "pair",
-            "k": args.k,
-            "b0": args.b0,
-            "b1": b1,
-            "n": args.n,
-            "degree_cap": args.cap,
-            "dims": sectors,
-            "char": char.to_json_obj(),
-        }
-    elif args.r == 3 and args.variant == "signed":
-        dims = graded_dimension(
-            vanishing_spec_r3_signed(args.n, args.k, args.b0, args.cap)
-        )
-        char = TruncatedSeries({(d, 0): c for d, c in enumerate(dims)}, args.cap, 0)
-        payload = {
-            "r": 3,
-            "variant": "signed",
-            "k": args.k,
-            "b0": args.b0,
-            "n": args.n,
-            "degree_cap": args.cap,
-            "dims": dims,
-            "char": char.to_json_obj(),
-        }
+            for l2 in range(args.n + 1)
+        ]
+        char = regrade_pair_sectors(sector_dims, args.cap)
+        payload["variant"] = "pair"
+        payload["b1"] = b1
+        payload["dims"] = [
+            {"l1": args.n - l2, "l2": l2, "dims": dims}
+            for l2, dims in enumerate(sector_dims)
+        ]
     else:
-        raise ValueError("dims supports r = 2 or r = 3")
+        if args.r == 2:
+            spec = vanishing_spec_r2(args.n, args.k, args.b0, args.cap)
+        else:
+            spec = vanishing_spec_r3_signed(args.n, args.k, args.b0, args.cap)
+            payload["variant"] = "signed"
+        dims = graded_dimension(spec)
+        char = TruncatedSeries({(d, 0): c for d, c in enumerate(dims)}, args.cap, 0)
+        payload["dims"] = dims
+    payload["char"] = char.to_json_obj()
     print(_dump(payload))
     return 0
 
@@ -314,10 +298,12 @@ def _scalar_case(case_id, lhs_name, rhs_name, lhs_value, rhs_value, experimental
 
 def _run_case(case: dict):
     report, times = _dispatch_case(case)
-    report["params"] = {
-        key: value for key, value in case.items() if key not in ("kind", "id")
-    }
+    report["params"] = _case_params(case)
     return report, times
+
+
+def _case_params(case: dict) -> dict:
+    return {key: value for key, value in case.items() if key not in ("kind", "id")}
 
 
 def _dispatch_case(case: dict):
@@ -388,9 +374,14 @@ def _dispatch_case(case: dict):
             else:
                 data = gordon_data_r3_special(k)
             weight = quadratic_exponent(data, part.multiplicities)
-            expanded = expand_gordon_weight(part, variant, k, b0)
+            # The label is kept so that the report bytes stay the same; the
+            # degree is the sum of the factor exponents, nothing is expanded.
             return _scalar_case(
-                case["id"], "quadratic-form", "expanded-product", weight, expanded.degree
+                case["id"],
+                "quadratic-form",
+                "expanded-product",
+                weight,
+                weight_degree(part, variant, k, b0),
             )
         if kind == "pair-function":
             family, order = case["family"], case["order"]
@@ -431,6 +422,7 @@ def _failed_case(case: dict, status: str, detail: str):
             "experimental": case.get("experimental", False),
             "witness": None,
             "detail": detail,
+            "params": _case_params(case),
         },
         {},
     )
@@ -621,8 +613,17 @@ def cmd_verify(args) -> int:
     cases = _build_cases(args.suite, args)
     workers = _worker_count(len(cases))
     if workers > 1:
+        results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_case, cases))
+            try:
+                for result in pool.map(_run_case, cases):
+                    results.append(result)
+            except BrokenProcessPool as exc:
+                # a dead worker ends the map: keep what finished, report the rest
+                detail = f"{type(exc).__name__}: {exc}"
+                results.extend(
+                    _failed_case(case, "error", detail) for case in cases[len(results):]
+                )
     else:
         results = [_run_case(c) for c in cases]
     reports = [r for r, _ in results]

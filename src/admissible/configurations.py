@@ -21,10 +21,16 @@ from dataclasses import dataclass
 from .series import TruncatedSeries
 
 
-def validate_b(k: int, r: int, b) -> tuple[int, ...]:
-    """Check the initial-condition vector: length r-1, monotone, within [0, k]."""
+def validate_k(k: int) -> None:
+    """Check the level: a positive integer."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
+
+
+def validate_b(k: int, r: int, b) -> tuple[int, ...]:
+    """Check k, r and the initial-condition vector: length r-1, monotone,
+    within [0, k].  The one validator of every k, r, b input."""
+    validate_k(k)
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
     b = tuple(int(x) for x in b)

@@ -11,18 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .configurations import validate_b, validate_k
 from .series import TruncatedSeries, _pochhammer_inverse_coeffs
 
 
 def gordon_a2(k: int) -> list[list[int]]:
     """k x k matrix with entries 2*min(a, b)."""
-    _check_k(k)
+    validate_k(k)
     return [[2 * min(a, b) for b in range(1, k + 1)] for a in range(1, k + 1)]
 
 
 def gordon_b3(k: int) -> list[list[int]]:
     """k x k matrix with entries max(0, a + b - k)."""
-    _check_k(k)
+    validate_k(k)
     return [[max(0, a + b - k) for b in range(1, k + 1)] for a in range(1, k + 1)]
 
 
@@ -44,20 +45,13 @@ def gordon_b(k: int) -> list[list[int]]:
 
 def boundary_c2(k: int, b0: int) -> list[int]:
     """Length-k vector (0, ..., 0, 1, 2, ..., k - b0) with b0 leading zeros."""
-    _check_k(k)
-    if not 0 <= b0 <= k:
-        raise ValueError(f"b0 must lie in [0, {k}], got {b0}")
+    validate_b(k, 2, (b0,))
     return [0] * b0 + list(range(1, k - b0 + 1))
 
 
 def boundary_c3(k: int, b0: int) -> list[int]:
     """Length-2k vector: boundary_c2(k, b0) followed by k zeros."""
     return boundary_c2(k, b0) + [0] * k
-
-
-def _check_k(k: int):
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
 
 
 @dataclass(frozen=True)
@@ -202,18 +196,20 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
             )
             if shift > q_max:
                 continue
-            poch = {0: 1}
-            for mi in m:
-                if mi:
-                    poch = _dict_mul_q(
-                        poch,
-                        _pochhammer_inverse_coeffs(mi, data.q_step, q_max - shift),
-                        q_max - shift,
-                    )
+            poch = _pochhammer_inverse_product(m, data.q_step, q_max - shift)
             for d, c in poch.items():
                 key = (d + shift, n)
                 coeffs[key] = coeffs.get(key, 0) + c
     return TruncatedSeries(coeffs, q_max, z_max)
+
+
+def _pochhammer_inverse_product(m, step: int, q_max: int) -> dict[int, int]:
+    """Coefficients of prod_i 1/(q^step; q^step)_{m_i} through q^q_max."""
+    poch = {0: 1}
+    for mi in m:
+        if mi:
+            poch = _dict_mul_q(poch, _pochhammer_inverse_coeffs(mi, step, q_max), q_max)
+    return poch
 
 
 def _dict_mul_q(a: dict[int, int], b: dict[int, int], q_max: int) -> dict[int, int]:
@@ -283,7 +279,7 @@ class RestrictedPartition:
 
 def level_restricted_partitions(n: int, k: int):
     """All partitions of n with parts at most k, as RestrictedPartition."""
-    _check_k(k)
+    validate_k(k)
     for m in _multiplicity_vectors(tuple(range(1, k + 1)), n):
         yield RestrictedPartition(m)
 
@@ -305,12 +301,5 @@ def partition_term(
     weight = quadratic_exponent(data, m)
     if weight > q_max:
         return TruncatedSeries.zero(q_max)
-    poch = {0: 1}
-    for mi in m:
-        if mi:
-            poch = _dict_mul_q(
-                poch,
-                _pochhammer_inverse_coeffs(mi, data.q_step, q_max - weight),
-                q_max - weight,
-            )
+    poch = _pochhammer_inverse_product(m, data.q_step, q_max - weight)
     return TruncatedSeries({(d + weight, 0): c for d, c in poch.items()}, q_max, 0)

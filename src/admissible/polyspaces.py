@@ -10,22 +10,24 @@ constraint per surviving monomial, and computing the kernel dimension with
 fraction-free integer elimination.  No floating point is involved anywhere,
 so rank decisions are exact.
 
-The same module expands the product-formula weights attached to restricted
-partitions, giving an independent check of the quadratic-form exponents used
-by the fermionic sums.
+The same module builds the product-formula weights attached to restricted
+partitions as lists of monomial and binomial factors.  A product of nonzero
+homogeneous integer polynomials is nonzero and homogeneous, so its degree is
+the sum of the factor exponents; comparing that sum with the quadratic-form
+exponents used by the fermionic sums is an independent check of the matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
+from .configurations import validate_b
 from .series import TruncatedSeries
 
 MAX_VARS = 8
 MAX_DEGREE_CAP = 16
-EXPAND_VAR_LIMIT = 6
 
 
 class CapacityError(Exception):
@@ -269,7 +271,7 @@ def vanishing_spec_r2(n: int, k: int, b0: int, degree_cap: int) -> VanishingSpec
     """Symmetric polynomials in n variables vanishing on the (k+1)-fold
     diagonal and when b0+1 variables are set to zero.  Patterns that need
     more variables than n are skipped (no constraint)."""
-    _check_kb(k, b0)
+    validate_b(k, 2, (b0,))
     conds = []
     if k + 1 <= n:
         conds.append(Condition(((k + 1, 0, 0),)))
@@ -285,9 +287,7 @@ def vanishing_spec_r3_pair(
     a value (a + b = k + 1), and when b0+1 x's are zero.  For b1 < k the
     conjectural combined zero conditions (s x's and t y's zero, s + t = b1+1)
     are added as well."""
-    _check_kb(k, b0)
-    if not b0 <= b1 <= k:
-        raise ValueError(f"b1 must lie in [b0, k], got {b1}")
+    validate_b(k, 3, (b0, b1))
     conds = []
     for a in range(k + 2):
         b = k + 1 - a
@@ -307,7 +307,7 @@ def vanishing_spec_r3_signed(n: int, k: int, b0: int, degree_cap: int) -> Vanish
     """Single-family space with signed diagonals: vanishing when a leading
     variables equal t and the next k+1-a equal -t (all a), and when b0+1
     variables are zero."""
-    _check_kb(k, b0)
+    validate_b(k, 2, (b0,))
     conds = []
     if k + 1 <= n:
         for a in range(k + 2):
@@ -317,41 +317,38 @@ def vanishing_spec_r3_signed(n: int, k: int, b0: int, degree_cap: int) -> Vanish
     return VanishingSpec((n,), tuple(conds), degree_cap)
 
 
-def _check_kb(k: int, b0: int):
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if not 0 <= b0 <= k:
-        raise ValueError(f"b0 must lie in [0, {k}], got {b0}")
-
-
 # ---------------------------------------------------------------------------
 # Oracle characters
 
-def character_from_oracle_r2(
-    n: int, k: int, b0: int, degree_cap: int, **limits
-) -> TruncatedSeries:
+def character_from_oracle_r2(n: int, k: int, b0: int, degree_cap: int) -> TruncatedSeries:
     """q-character of the n-variable rank-2 vanishing space, through degree_cap."""
-    dims = graded_dimension(vanishing_spec_r2(n, k, b0, degree_cap), **limits)
+    dims = graded_dimension(vanishing_spec_r2(n, k, b0, degree_cap))
     return TruncatedSeries({(d, 0): c for d, c in enumerate(dims)}, degree_cap, 0)
 
 
 def character_from_oracle_r3(
-    n: int, k: int, b0: int, b1: int, degree_cap: int, **limits
+    n: int, k: int, b0: int, b1: int, degree_cap: int
 ) -> TruncatedSeries:
-    """q-character of the z-degree-n block assembled from the two-family spaces.
+    """q-character of the z-degree-n block assembled from the two-family spaces."""
+    sector_dims = [
+        graded_dimension(vanishing_spec_r3_pair(n - l2, l2, k, b0, b1, degree_cap))
+        for l2 in range(n + 1)
+    ]
+    return regrade_pair_sectors(sector_dims, degree_cap)
 
-    The pair space graded in its own degree enters regraded: the (l1, l2)
-    summand contributes q^l2 times its character evaluated at q^2.  With
-    each pair space computed through degree_cap, the assembled series is
-    exact through q-degree 2*degree_cap + 1.
+
+def regrade_pair_sectors(sector_dims, degree_cap: int) -> TruncatedSeries:
+    """Assemble the rank-3 block character from the pair-space dimensions.
+
+    sector_dims[l2] holds the graded dimensions of the (n - l2, l2) pair
+    space through degree_cap.  The pair space graded in its own degree enters
+    regraded: the (l1, l2) summand contributes q^l2 times its character
+    evaluated at q^2.  With each pair space computed through degree_cap, the
+    assembled series is exact through q-degree 2*degree_cap + 1.
     """
     q_order = 2 * degree_cap + 1
     coeffs: dict[tuple[int, int], int] = {}
-    for l2 in range(n + 1):
-        l1 = n - l2
-        dims = graded_dimension(
-            vanishing_spec_r3_pair(l1, l2, k, b0, b1, degree_cap), **limits
-        )
+    for l2, dims in enumerate(sector_dims):
         for d, c in enumerate(dims):
             dq = 2 * d + l2
             if c and dq <= q_order:
@@ -361,16 +358,6 @@ def character_from_oracle_r3(
 
 # ---------------------------------------------------------------------------
 # Product-formula weights
-
-@dataclass(frozen=True)
-class GordonWeight:
-    """Total degree of an expanded weight product, with the monomial count
-    when the full symbolic expansion was performed (None above the size
-    limit, where only a nonvanishing witness is evaluated)."""
-
-    degree: int
-    monomial_count: int | None
-
 
 def _group_vars(multiplicities) -> list[tuple[int, int]]:
     return [
@@ -383,13 +370,13 @@ def _group_vars(multiplicities) -> list[tuple[int, int]]:
 def _weight_factors(variant: str, k: int, b0: int, lam, mu=None):
     """Factor list for a weight product, over a flat variable list.
 
-    Returns (variables, monomial_powers, binomials) where monomial_powers is
-    a per-variable exponent list and binomials are (i, j, sign, exponent)
-    with sign +1 for (x_i + x_j) and -1 for (x_i - x_j).
+    Returns (monomial_powers, binomials) where monomial_powers is a
+    per-variable exponent list and binomials are (i, j, sign, exponent) with
+    sign +1 for (x_i + x_j) and -1 for (x_i - x_j).
     """
     if variant not in ("G2", "G3", "G_pair"):
         raise ValueError(f"unknown weight variant: {variant}")
-    _check_kb(k, b0)
+    validate_b(k, 2, (b0,))
     lam_vars = _group_vars(lam.multiplicities)
     if variant == "G_pair":
         if mu is None:
@@ -420,66 +407,14 @@ def _weight_factors(variant: str, k: int, b0: int, lam, mu=None):
             else:
                 if a + b > k:
                     binomials.append((vi, vj, -1, a + b - k))
-    return variables, mono, binomials
+    return mono, binomials
 
 
-def expand_gordon_weight(
-    lam,
-    variant: str,
-    k: int,
-    b0: int,
-    mu=None,
-    expand_limit: int = EXPAND_VAR_LIMIT,
-) -> GordonWeight:
+def weight_degree(lam, variant: str, k: int, b0: int, mu=None) -> int:
     """Total degree of the weight product attached to a restricted partition.
 
-    The degree is the sum of the factor exponents.  When the variable count
-    is within expand_limit the product is fully expanded and the degree and
-    monomial count are read off the expansion; above the limit the product
-    is certified nonzero by exact evaluation at a generic integer point and
-    only the degree is returned.
+    Every factor is a nonzero homogeneous integer polynomial, so the product
+    is too, and its degree is the sum of the factor exponents.
     """
-    variables, mono, binomials = _weight_factors(variant, k, b0, lam, mu)
-    degree = sum(mono) + sum(e for _, _, _, e in binomials)
-    nvars = len(variables)
-    if nvars > expand_limit:
-        point = list(range(1, nvars + 1))  # distinct positive: no factor vanishes
-        for vi, e in enumerate(mono):
-            assert point[vi] ** e != 0
-        for vi, vj, sign, e in binomials:
-            base = point[vi] + sign * point[vj]
-            assert base != 0
-        return GordonWeight(degree, None)
-
-    poly: dict[tuple[int, ...], int] = {tuple(mono): 1}
-    for vi, vj, sign, e in binomials:
-        if e == 0:
-            continue
-        factor: dict[tuple[int, ...], int] = {}
-        for t in range(e + 1):
-            expo = [0] * nvars
-            expo[vi] = e - t
-            expo[vj] = t
-            factor[tuple(expo)] = comb(e, t) * (sign**t)
-        poly = _poly_mul(poly, factor)
-    if not poly:
-        raise AssertionError("weight product expanded to zero")
-    degrees = {sum(e) for e in poly}
-    if degrees != {degree}:
-        raise AssertionError(
-            f"expanded degree {degrees} disagrees with factor total {degree}"
-        )
-    return GordonWeight(degree, len(poly))
-
-
-def _poly_mul(p, q):
-    out: dict[tuple[int, ...], int] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            v = out.get(e, 0) + c1 * c2
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
+    mono, binomials = _weight_factors(variant, k, b0, lam, mu)
+    return sum(mono) + sum(e for _, _, _, e in binomials)

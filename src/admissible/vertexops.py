@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .configurations import validate_b, validate_k
+
 
 class PairingUndefined(KeyError):
     """No pairing stored for a generator pair (for instance an irrational one)."""
@@ -314,7 +316,7 @@ class VOFamily:
 def family_r2(k: int, b0: int) -> VOFamily:
     """Constant specs gamma_a built from an orthogonal norm-2 basis, with the
     boundary vector pairing to 0 on the first b0 generators and 1 after."""
-    _check_kb(k, b0)
+    validate_b(k, 2, (b0,))
     pairings = {}
     for a in range(1, k + 1):
         for b in range(a, k + 1):
@@ -331,7 +333,7 @@ def family_r2(k: int, b0: int) -> VOFamily:
 def family_r3_split(k: int, b0: int) -> VOFamily:
     """Two constant families gamma_a^+ and gamma_a^- over paired 2-dimensional
     blocks; the minus family accumulates generators from the top index down."""
-    _check_kb(k, b0)
+    validate_b(k, 2, (b0,))
     pairings = {}
     for j in range(1, k + 1):
         pairings[(f"eps{j}+", f"eps{j}+")] = 2
@@ -363,8 +365,7 @@ def family_r3_mixed(k: int) -> VOFamily:
     for odd k, a middle spec whose even modes use the norm-3 composite
     generator.  The irrational cross pairing of the two middle generators is
     deliberately absent from the table."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    validate_k(k)
     half = k // 2
     pairings = {}
     for j in range(1, half + 1):
@@ -429,10 +430,3 @@ def build_family(name: str, k: int, b0: int = 0) -> VOFamily:
             raise ValueError("r3-even-k requires even k")
         return family_r3_mixed(k)
     raise ValueError(f"unknown family: {name}")
-
-
-def _check_kb(k: int, b0: int):
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if not 0 <= b0 <= k:
-        raise ValueError(f"b0 must lie in [0, {k}], got {b0}")

@@ -8,6 +8,7 @@ import pytest
 
 from admissible.cli import main
 from admissible.configurations import character_direct
+from admissible.polyspaces import vanishing_spec_r2, vanishing_spec_r3_pair
 from admissible.series import TruncatedSeries
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -157,6 +158,41 @@ class TestDims:
         got = TruncatedSeries.from_json_obj(payload["char"])
         assert got == character_direct(2, 3, (1, 2), 6, 2).z_block(2)
 
+    @pytest.mark.parametrize(
+        "argv,specs",
+        [
+            (
+                ("--r", "2", "--k", "1", "--b0", "0", "--n", "2", "--cap", "8"),
+                [vanishing_spec_r2(2, 1, 0, 8)],
+            ),
+            (
+                ("--r", "3", "--k", "2", "--b0", "1", "--n", "3", "--cap", "5"),
+                [vanishing_spec_r3_pair(3 - l2, l2, 2, 1, 2, 5) for l2 in range(4)],
+            ),
+        ],
+        ids=["r2", "r3-pair"],
+    )
+    def test_one_rank_per_nonempty_degree(self, capsys, monkeypatch, argv, specs):
+        import admissible.polyspaces as polyspaces
+
+        real_rank = polyspaces._bareiss_rank
+        calls = []
+
+        def counting_rank(rows):
+            calls.append(len(rows))
+            return real_rank(rows)
+
+        monkeypatch.setattr(polyspaces, "_bareiss_rank", counting_rank)
+        code, _, _ = run_cli(capsys, "dims", *argv)
+        assert code == 0
+        nonempty = sum(
+            1
+            for spec in specs
+            for d in range(spec.degree_cap + 1)
+            if polyspaces._basis(spec, d)
+        )
+        assert len(calls) == nonempty
+
     def test_capacity_error_exit(self, capsys):
         code, _, err = run_cli(
             capsys, "dims", "--r", "2", "--k", "1", "--b0", "0", "--n", "9",
@@ -297,6 +333,40 @@ class TestVerify:
         assert bad["params"] == {"k": 2, "b0": 1, "qmax": 6, "zmax": 3}
         assert all(r["status"] == "match" for r in reports.values())
         assert "detail: AssertionError" in err
+
+    def test_broken_pool_reports_unfinished_cases(self, capsys, monkeypatch):
+        import admissible.cli as cli
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BreakingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                yield fn(next(iter(items)))
+                raise BrokenProcessPool("worker died")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", BreakingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("ADMISSIBLE_WORKERS", "2")
+        code, out, err = run_cli(
+            capsys, "verify", "r2", "--kmax", "2", "--qmax", "6", "--zmax", "3"
+        )
+        assert code == 1
+        reports = {r["case"]: r for r in json.loads(out)["reports"]}
+        assert len(reports) == 5
+        assert reports.pop("r2 k=1 b0=0")["status"] == "match"
+        for rep in reports.values():
+            assert rep["status"] == "error"
+            assert rep["detail"] == "BrokenProcessPool: worker died"
+        assert reports["r2 k=2 b0=1"]["params"] == {"k": 2, "b0": 1, "qmax": 6, "zmax": 3}
+        assert "detail: BrokenProcessPool" in err
 
     def test_raising_experimental_case_does_not_fail_exit(self, capsys, monkeypatch):
         import admissible.cli as cli

@@ -7,7 +7,11 @@ from admissible.configurations import (
     character_direct,
     enumerate_configs,
     is_admissible,
+    validate_b,
 )
+from admissible.fermionic import boundary_c2, gordon_a2
+from admissible.polyspaces import vanishing_spec_r2
+from admissible.vertexops import family_r2, family_r3_mixed
 
 
 class TestIsAdmissible:
@@ -230,3 +234,29 @@ class TestStaircase:
                     partitions_at_most_n_parts(d - n * n, n) if d >= n * n else 0
                 )
                 assert block.coefficient(d) == expect, (n, d)
+
+
+# Every entry point that takes k (and b0) checks it through validate_b or
+# validate_k: the error is the validator's own.
+_ENTRY_POINTS = {
+    "gordon_a2": lambda k, b0: gordon_a2(k),
+    "family_r3_mixed": lambda k, b0: family_r3_mixed(k),
+    "boundary_c2": lambda k, b0: boundary_c2(k, b0),
+    "vanishing_spec_r2": lambda k, b0: vanishing_spec_r2(3, k, b0, 4),
+    "family_r2": lambda k, b0: family_r2(k, b0),
+    "character_direct": lambda k, b0: character_direct(k, 2, (b0,), 4, 2),
+}
+_K_ONLY = ("gordon_a2", "family_r3_mixed")
+
+
+@pytest.mark.parametrize(
+    "name,k,b0",
+    [(name, 0, 0) for name in _ENTRY_POINTS]
+    + [(name, 2, 3) for name in _ENTRY_POINTS if name not in _K_ONLY],
+)
+def test_entry_points_share_the_validator(name, k, b0):
+    with pytest.raises(ValueError) as expected:
+        validate_b(k, 2, (b0,))
+    with pytest.raises(ValueError) as got:
+        _ENTRY_POINTS[name](k, b0)
+    assert str(got.value) == str(expected.value)

@@ -24,12 +24,12 @@ from admissible.polyspaces import (
     _substitute_monomial,
     character_from_oracle_r2,
     character_from_oracle_r3,
-    expand_gordon_weight,
     graded_dimension,
     partitions_max_parts,
     vanishing_spec_r2,
     vanishing_spec_r3_pair,
     vanishing_spec_r3_signed,
+    weight_degree,
 )
 from admissible.series import TruncatedSeries, first_mismatch
 
@@ -213,14 +213,11 @@ class TestFiltrationTelescoping:
 
 class TestGordonWeights:
     def test_empty_partition(self):
-        w = expand_gordon_weight(RestrictedPartition((0, 0)), "G2", 2, 0)
-        assert w.degree == 0 and w.monomial_count == 1
+        assert weight_degree(RestrictedPartition((0, 0)), "G2", 2, 0) == 0
 
     def test_spec_example_degree_3(self):
         part = RestrictedPartition.from_parts((2, 1), 3)
-        w = expand_gordon_weight(part, "G2", 3, 1)
-        assert w.degree == 3
-        assert w.monomial_count is not None
+        assert weight_degree(part, "G2", 3, 1) == 3
 
     def test_weight_matches_quadratic_form_small(self):
         for k in (1, 2, 3):
@@ -228,8 +225,8 @@ class TestGordonWeights:
                 data = gordon_data_r2(k, b0)
                 for n in range(6):
                     for part in level_restricted_partitions(n, k):
-                        w = expand_gordon_weight(part, "G2", k, b0)
-                        assert w.degree == quadratic_exponent(
+                        w = weight_degree(part, "G2", k, b0)
+                        assert w == quadratic_exponent(
                             data, part.multiplicities
                         ), (k, b0, part)
 
@@ -239,8 +236,8 @@ class TestGordonWeights:
             data = gordon_data_r3_special(k)
             for n in range(6):
                 for part in level_restricted_partitions(n, k):
-                    w = expand_gordon_weight(part, "G3", k, b0)
-                    assert w.degree == quadratic_exponent(
+                    w = weight_degree(part, "G3", k, b0)
+                    assert w == quadratic_exponent(
                         data, part.multiplicities
                     ), (k, part)
 
@@ -260,31 +257,22 @@ class TestGordonWeights:
                     for n2 in range(4):
                         for lam in level_restricted_partitions(n1, k):
                             for mu in level_restricted_partitions(n2, k):
-                                w = expand_gordon_weight(
-                                    lam, "G_pair", k, b0, mu=mu
-                                )
+                                w = weight_degree(lam, "G_pair", k, b0, mu=mu)
                                 m = lam.multiplicities + mu.multiplicities
-                                assert w.degree == quadratic_exponent(data, m)
+                                assert w == quadratic_exponent(data, m)
 
-    def test_witness_path_above_expansion_limit(self):
+    def test_seven_variable_degree(self):
         part = RestrictedPartition.from_parts((1,) * 7, 1)
-        w = expand_gordon_weight(part, "G2", 1, 0)
-        assert w.monomial_count is None
-        assert w.degree == quadratic_exponent(
+        assert weight_degree(part, "G2", 1, 0) == quadratic_exponent(
             gordon_data_r2(1, 0), part.multiplicities
         )
-
-    def test_expansion_limit_is_configurable(self):
-        part = RestrictedPartition.from_parts((1, 1, 1), 1)
-        w = expand_gordon_weight(part, "G2", 1, 0, expand_limit=2)
-        assert w.monomial_count is None
 
     def test_variant_validation(self):
         part = RestrictedPartition((1,))
         with pytest.raises(ValueError):
-            expand_gordon_weight(part, "G9", 1, 0)
+            weight_degree(part, "G9", 1, 0)
         with pytest.raises(ValueError):
-            expand_gordon_weight(part, "G_pair", 1, 0)  # needs mu
+            weight_degree(part, "G_pair", 1, 0)  # needs mu
 
 
 class TestConjectureEvidence:
