@@ -103,24 +103,16 @@ def _compute_char(method, k, r, b, qmax, zmax) -> TruncatedSeries:
             raise ValueError(f"fermionic-r3-special fixes b = {expected}")
         return fermionic_r3_special(k, qmax, zmax)
     if method == "oracle":
-        coeffs = {}
         if r == 2:
             (b0,) = validate_b(k, 2, b)
-            for n in range(zmax + 1):
-                block = character_from_oracle_r2(n, k, b0, qmax)
-                for (dq, _), c in block.coeffs.items():
-                    coeffs[(dq, n)] = c
+            blocks = [character_from_oracle_r2(n, k, b0, qmax) for n in range(zmax + 1)]
         elif r == 3:
             b0, b1 = validate_b(k, 3, b)
-            cap = qmax // 2
-            for n in range(zmax + 1):
-                block = character_from_oracle_r3(n, k, b0, b1, cap)
-                for (dq, _), c in block.coeffs.items():
-                    if dq <= qmax:
-                        coeffs[(dq, n)] = c
+            blocks = [character_from_oracle_r3(n, k, b0, b1, qmax // 2) for n in range(zmax + 1)]
         else:
             raise ValueError("oracle supports r = 2 or r = 3")
-        return TruncatedSeries(coeffs, qmax, zmax)
+        rows = [[block.coefficient(d) for d in range(qmax + 1)] for block in blocks]
+        return TruncatedSeries.from_blocks(rows, qmax, zmax)
     raise ValueError(f"unknown method: {method}")
 
 
@@ -206,6 +198,8 @@ def cmd_dims(args) -> int:
             {"l1": args.n - l2, "l2": l2, "dims": dims}
             for l2, dims in enumerate(sector_dims)
         ]
+    elif args.b1 is not None:
+        raise ValueError("--b1 applies to --r 3 --variant pair only")
     else:
         if args.r == 2:
             spec = vanishing_spec_r2(args.n, args.k, args.b0, args.cap)
@@ -213,7 +207,7 @@ def cmd_dims(args) -> int:
             spec = vanishing_spec_r3_signed(args.n, args.k, args.b0, args.cap)
             payload["variant"] = "signed"
         dims = graded_dimension(spec)
-        char = TruncatedSeries({(d, 0): c for d, c in enumerate(dims)}, args.cap, 0)
+        char = TruncatedSeries.from_blocks([dims], args.cap)
         payload["dims"] = dims
     payload["char"] = char.to_json_obj()
     print(_dump(payload))
@@ -694,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dims.add_argument("--r", type=int, required=True, choices=[2, 3])
     p_dims.add_argument("--k", type=int, required=True)
     p_dims.add_argument("--b0", type=int, required=True)
-    p_dims.add_argument("--b1", type=int, default=None, help="r=3 only; defaults to k")
+    p_dims.add_argument("--b1", type=int, default=None, help="r=3 pair only; defaults to k")
     p_dims.add_argument("--n", type=int, required=True)
     p_dims.add_argument("--cap", type=int, required=True, help="degree cap")
     p_dims.add_argument(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .configurations import validate_b, validate_k
-from .series import TruncatedSeries, _pochhammer_inverse_coeffs
+from .series import TruncatedSeries, _mul_q, _pochhammer_inverse_coeffs
 
 
 def gordon_a2(k: int) -> list[list[int]]:
@@ -188,8 +188,9 @@ def _multiplicity_vectors(weights, total):
 
 def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSeries:
     """Evaluate the fermionic sum as a truncated series in (q, z)."""
-    coeffs: dict[tuple[int, int], int] = {}
+    rows = []
     for n in range(z_max + 1):
+        row = [0] * (q_max + 1)
         for m in _multiplicity_vectors(data.z_weights, n):
             shift = quadratic_exponent(data, m) + sum(
                 w * x for w, x in zip(data.extra_q_weights, m)
@@ -197,29 +198,19 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
             if shift > q_max:
                 continue
             poch = _pochhammer_inverse_product(m, data.q_step, q_max - shift)
-            for d, c in poch.items():
-                key = (d + shift, n)
-                coeffs[key] = coeffs.get(key, 0) + c
-    return TruncatedSeries(coeffs, q_max, z_max)
+            for d, c in enumerate(poch, shift):
+                row[d] += c
+        rows.append(row)
+    return TruncatedSeries.from_blocks(rows, q_max, z_max)
 
 
-def _pochhammer_inverse_product(m, step: int, q_max: int) -> dict[int, int]:
-    """Coefficients of prod_i 1/(q^step; q^step)_{m_i} through q^q_max."""
-    poch = {0: 1}
+def _pochhammer_inverse_product(m, step: int, q_max: int) -> list[int]:
+    """Dense coefficients of prod_i 1/(q^step; q^step)_{m_i} through q^q_max."""
+    poch = [1]
     for mi in m:
         if mi:
-            poch = _dict_mul_q(poch, _pochhammer_inverse_coeffs(mi, step, q_max), q_max)
+            poch = _mul_q(poch, _pochhammer_inverse_coeffs(mi, step, q_max), q_max)
     return poch
-
-
-def _dict_mul_q(a: dict[int, int], b: dict[int, int], q_max: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for da, ca in a.items():
-        for db, cb in b.items():
-            d = da + db
-            if d <= q_max:
-                out[d] = out.get(d, 0) + ca * cb
-    return out
 
 
 def fermionic_r2(k: int, b0: int, q_max: int, z_max: int) -> TruncatedSeries:
@@ -302,4 +293,4 @@ def partition_term(
     if weight > q_max:
         return TruncatedSeries.zero(q_max)
     poch = _pochhammer_inverse_product(m, data.q_step, q_max - weight)
-    return TruncatedSeries({(d + weight, 0): c for d, c in poch.items()}, q_max, 0)
+    return TruncatedSeries.from_blocks([[0] * weight + poch], q_max)

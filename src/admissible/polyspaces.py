@@ -323,7 +323,7 @@ def vanishing_spec_r3_signed(n: int, k: int, b0: int, degree_cap: int) -> Vanish
 def character_from_oracle_r2(n: int, k: int, b0: int, degree_cap: int) -> TruncatedSeries:
     """q-character of the n-variable rank-2 vanishing space, through degree_cap."""
     dims = graded_dimension(vanishing_spec_r2(n, k, b0, degree_cap))
-    return TruncatedSeries({(d, 0): c for d, c in enumerate(dims)}, degree_cap, 0)
+    return TruncatedSeries.from_blocks([dims], degree_cap)
 
 
 def character_from_oracle_r3(
@@ -347,13 +347,12 @@ def regrade_pair_sectors(sector_dims, degree_cap: int) -> TruncatedSeries:
     assembled series is exact through q-degree 2*degree_cap + 1.
     """
     q_order = 2 * degree_cap + 1
-    coeffs: dict[tuple[int, int], int] = {}
+    row = [0] * (q_order + 1)
     for l2, dims in enumerate(sector_dims):
         for d, c in enumerate(dims):
-            dq = 2 * d + l2
-            if c and dq <= q_order:
-                coeffs[(dq, 0)] = coeffs.get((dq, 0), 0) + c
-    return TruncatedSeries(coeffs, q_order, 0)
+            if 2 * d + l2 <= q_order:
+                row[2 * d + l2] += c
+    return TruncatedSeries.from_blocks([row], q_order)
 
 
 # ---------------------------------------------------------------------------

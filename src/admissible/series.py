@@ -4,6 +4,9 @@ Every series carries explicit truncation orders: coefficients of q^i z^j with
 i > q_order or j > z_order are unknown (not zero).  Arithmetic keeps exact
 int coefficients and propagates truncation as the componentwise minimum of
 the operand windows, so "equal up to order" is a total, decidable relation.
+``_mul_q`` (dense q-lists) is the one truncated-product loop, used per z-row
+by ``TruncatedSeries.__mul__`` and by the fermionic sums; other modules build
+series from dense rows with ``TruncatedSeries.from_blocks``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ class TruncatedSeries:
         self.coeffs = clean
         self.q_order = q_order
         self.z_order = z_order
+
+    @classmethod
+    def from_blocks(cls, blocks, q_order: int, z_order: int = 0) -> "TruncatedSeries":
+        """Series with coefficient blocks[dz][dq] at q^dq z^dz; rows may be ragged."""
+        terms = {(dq, dz): c for dz, row in enumerate(blocks) for dq, c in enumerate(row)}
+        return cls(terms, q_order, z_order)
 
     @classmethod
     def zero(cls, q_order: int, z_order: int = 0) -> "TruncatedSeries":
@@ -104,33 +113,19 @@ class TruncatedSeries:
             return NotImplemented
         q = min(self.q_order, other.q_order)
         z = min(self.z_order, other.z_order)
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[tuple[int, int], int] = {}
-        for (aq, az), ca in a.items():
-            if aq > q or az > z:
-                continue
-            for (bq, bz), cb in b.items():
-                eq, ez = aq + bq, az + bz
-                if eq > q or ez > z:
-                    continue
-                key = (eq, ez)
-                out[key] = out.get(key, 0) + ca * cb
-        return TruncatedSeries(out, q, z)
+        a = [[self.coeffs.get((dq, dz), 0) for dq in range(q + 1)] for dz in range(z + 1)]
+        b = [[other.coeffs.get((dq, dz), 0) for dq in range(q + 1)] for dz in range(z + 1)]
+        out = [[0] * (q + 1) for _ in range(z + 1)]
+        for az, ra in enumerate(a):
+            for bz, rb in enumerate(b[: z + 1 - az]):
+                for d, c in enumerate(_mul_q(ra, rb, q)):
+                    out[az + bz][d] += c
+        return TruncatedSeries.from_blocks(out, q, z)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        q = min(self.q_order, other.q_order)
-        z = min(self.z_order, other.z_order)
-        for (dq, dz), c in self.coeffs.items():
-            if dq <= q and dz <= z and other.coeffs.get((dq, dz), 0) != c:
-                return False
-        for (dq, dz), c in other.coeffs.items():
-            if dq <= q and dz <= z and self.coeffs.get((dq, dz), 0) != c:
-                return False
-        return True
+        return first_mismatch(self, other) is None
 
     __hash__ = None  # window-relative equality is incompatible with hashing
 
@@ -211,26 +206,37 @@ def pochhammer_inverse(
         raise ValueError("m must be non-negative")
     if step < 1:
         raise ValueError("step must be positive")
-    coeffs = _pochhammer_inverse_coeffs(m, step, q_order)
-    return TruncatedSeries(
-        {(d, 0): c for d, c in coeffs.items()}, q_order, z_order
+    return TruncatedSeries.from_blocks(
+        [_pochhammer_inverse_coeffs(m, step, q_order)], q_order, z_order
     )
 
 
-def _pochhammer_inverse_coeffs(m: int, step: int, q_order: int) -> dict[int, int]:
-    # 1/(1 - q^(step*j)) is the geometric series in q^(step*j).
-    out = {0: 1}
+def _pochhammer_inverse_coeffs(m: int, step: int, q_order: int) -> list[int]:
+    # 1/(1 - q^(step*j)) is the geometric series in q^(step*j); multiplying
+    # by it in place, in increasing degree, is out[d] += out[d - stride].
+    out = [1] + [0] * q_order
     for j in range(1, m + 1):
         stride = step * j
         if stride > q_order:
-            continue
-        new = dict(out)
-        # multiply by sum_{t>=1} q^(stride*t), accumulate in increasing degree
+            break
         for d in range(stride, q_order + 1):
-            lower = new.get(d - stride)
+            lower = out[d - stride]
             if lower:
-                new[d] = new.get(d, 0) + lower
-        out = new
+                out[d] += lower
+    return out
+
+
+def _mul_q(a: list[int], b: list[int], q_order: int) -> list[int]:
+    """Product of dense q-coefficient lists through q^q_order; zero entries cost nothing."""
+    size = min(len(a) + len(b) - 1, q_order + 1)
+    out = [0] * size
+    b_terms = [(j, cb) for j, cb in enumerate(b[:size]) if cb]
+    for i, ca in enumerate(a[:size]):
+        if ca:
+            for j, cb in b_terms:
+                if i + j >= size:
+                    break
+                out[i + j] += ca * cb
     return out
 
 

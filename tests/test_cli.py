@@ -200,6 +200,24 @@ class TestDims:
         )
         assert code == 2 and "exceeds" in err
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("--r", "2", "--k", "1", "--b0", "0", "--b1", "1"), 2),
+            (("--r", "3", "--variant", "signed", "--k", "2", "--b0", "1", "--b1", "0"), 2),
+            (("--r", "3", "--variant", "pair", "--k", "2", "--b0", "1", "--b1", "2"), 0),
+        ],
+        ids=["r2", "r3-signed", "r3-pair"],
+    )
+    def test_b1_only_with_pair_variant(self, capsys, argv, code):
+        got, out, err = run_cli(capsys, "dims", *argv, "--n", "2", "--cap", "3")
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == "error: --b1 applies to --r 3 --variant pair only\n"
+        else:
+            assert json.loads(out)["b1"] == 2
+
 
 class TestPairs:
     def test_family_output_shape(self, capsys):
