@@ -5,6 +5,13 @@ multiplicity vectors m of q^(quadratic form in m) divided by a product of
 finite q-Pochhammer factors.  GordonData packages the matrix, the linear
 boundary term, the Pochhammer step, and the sector bookkeeping so that a
 single audited evaluator covers all of them.
+
+That evaluator walks the multiplicity vectors depth first and prunes: every
+entry of the matrix, the boundary vector and the sector weights is >= 0 and
+every z-weight is >= 1 (GordonData enforces this), so raising any m_i never
+lowers the q-exponent or the z-degree, and a vector past the window has no
+descendant inside it.  The Pochhammer inverse of each vector is its previous
+sibling's divided by one more factor, so no per-vector product is formed.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .configurations import validate_b, validate_k
-from .series import TruncatedSeries, _mul_q, _pochhammer_inverse_coeffs
+from .series import TruncatedSeries, _divide_by_one_minus
 
 
 def gordon_a2(k: int) -> list[list[int]]:
@@ -88,6 +95,13 @@ class GordonData:
             raise ValueError("vector dimensions must match the matrix")
         if self.q_step < 1:
             raise ValueError("q_step must be positive")
+        # The pruned walk of evaluate_gordon_sum is exact only on this data.
+        if any(c < 0 for c in self.boundary):
+            raise ValueError("boundary entries must be non-negative")
+        if any(w < 0 for w in self.extra_q_weights):
+            raise ValueError("extra_q_weights entries must be non-negative")
+        if any(w < 1 for w in self.z_weights):
+            raise ValueError("z_weights entries must be at least 1")
 
 
 def _freeze(matrix) -> tuple[tuple[int, ...], ...]:
@@ -187,29 +201,55 @@ def _multiplicity_vectors(weights, total):
 
 
 def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSeries:
-    """Evaluate the fermionic sum as a truncated series in (q, z)."""
-    rows = []
-    for n in range(z_max + 1):
-        row = [0] * (q_max + 1)
-        for m in _multiplicity_vectors(data.z_weights, n):
-            shift = quadratic_exponent(data, m) + sum(
-                w * x for w, x in zip(data.extra_q_weights, m)
-            )
-            if shift > q_max:
-                continue
-            poch = _pochhammer_inverse_product(m, data.q_step, q_max - shift)
-            for d, c in enumerate(poch, shift):
-                row[d] += c
-        rows.append(row)
+    """Evaluate the fermionic sum as a truncated series in (q, z).
+
+    A depth-first walk over the coordinates 0..n-1 visits each multiplicity
+    vector in the window once: from a vector whose coordinates past i are 0,
+    each later coordinate j > i is raised in a run m_j = 1, 2, ...  The shift
+    quadratic_exponent(m) + extra_q_weights.m and the z-degree never
+    decrease when a coordinate is raised (every entry of the matrix, the
+    boundary and the weights is non-negative, and every z-weight is at least
+    1), so a run stops at its first vector past the window: neither that
+    vector's later siblings nor its descendants can lie inside it.  The
+    Pochhammer inverse of m_j = v is that of m_j = v - 1, truncated at
+    q_max - shift and divided by the one new factor (1 - q^(step*v)).
+    """
+    n = len(data.matrix)
+    rows = [[0] * (q_max + 1) for _ in range(z_max + 1)]
+    m = [0] * n
+
+    def walk(first, z, extra, shift, poch):
+        row = rows[z]
+        for d, c in enumerate(poch, shift):
+            row[d] += c
+        for j in range(first, n):
+            cz, cx, cur = z, extra, poch
+            for v in range(1, z_max + 1):
+                cz += data.z_weights[j]
+                if cz > z_max:
+                    break
+                m[j] = v
+                cx += data.extra_q_weights[j]
+                cshift = quadratic_exponent(data, m) + cx
+                if cshift > q_max:
+                    break
+                cur = cur[: q_max - cshift + 1]
+                _divide_by_one_minus(cur, data.q_step * v)
+                walk(j + 1, cz, cx, cshift, cur)
+            m[j] = 0
+
+    root_shift = quadratic_exponent(data, m)
+    if root_shift <= q_max:
+        walk(0, 0, 0, root_shift, [1] + [0] * (q_max - root_shift))
     return TruncatedSeries.from_blocks(rows, q_max, z_max)
 
 
 def _pochhammer_inverse_product(m, step: int, q_max: int) -> list[int]:
     """Dense coefficients of prod_i 1/(q^step; q^step)_{m_i} through q^q_max."""
-    poch = [1]
+    poch = [1] + [0] * q_max
     for mi in m:
-        if mi:
-            poch = _mul_q(poch, _pochhammer_inverse_coeffs(mi, step, q_max), q_max)
+        for j in range(1, mi + 1):
+            _divide_by_one_minus(poch, step * j)
     return poch
 
 

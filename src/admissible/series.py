@@ -5,8 +5,9 @@ i > q_order or j > z_order are unknown (not zero).  Arithmetic keeps exact
 int coefficients and propagates truncation as the componentwise minimum of
 the operand windows, so "equal up to order" is a total, decidable relation.
 ``_mul_q`` (dense q-lists) is the one truncated-product loop, used per z-row
-by ``TruncatedSeries.__mul__`` and by the fermionic sums; other modules build
-series from dense rows with ``TruncatedSeries.from_blocks``.
+by ``TruncatedSeries.__mul__``; every Pochhammer inverse is built by
+``_divide_by_one_minus``, one geometric factor at a time.  Other modules
+build series from dense rows with ``TruncatedSeries.from_blocks``.
 """
 
 from __future__ import annotations
@@ -212,18 +213,22 @@ def pochhammer_inverse(
 
 
 def _pochhammer_inverse_coeffs(m: int, step: int, q_order: int) -> list[int]:
-    # 1/(1 - q^(step*j)) is the geometric series in q^(step*j); multiplying
-    # by it in place, in increasing degree, is out[d] += out[d - stride].
     out = [1] + [0] * q_order
-    for j in range(1, m + 1):
-        stride = step * j
-        if stride > q_order:
-            break
-        for d in range(stride, q_order + 1):
-            lower = out[d - stride]
-            if lower:
-                out[d] += lower
+    for j in range(1, min(m, q_order // step) + 1):
+        _divide_by_one_minus(out, step * j)
     return out
+
+
+def _divide_by_one_minus(coeffs: list[int], stride: int) -> None:
+    """Divide the dense q-list by (1 - q^stride) in place, keeping its length.
+
+    1/(1 - q^stride) is the geometric series in q^stride; multiplying by it
+    in increasing degree is coeffs[d] += coeffs[d - stride].
+    """
+    for d in range(stride, len(coeffs)):
+        lower = coeffs[d - stride]
+        if lower:
+            coeffs[d] += lower
 
 
 def _mul_q(a: list[int], b: list[int], q_order: int) -> list[int]:

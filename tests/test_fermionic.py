@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from admissible import fermionic
 from admissible.configurations import character_direct
 from admissible.fermionic import (
     GordonData,
@@ -21,6 +24,7 @@ from admissible.fermionic import (
     partition_term,
     quadratic_exponent,
     _multiplicity_vectors,
+    _pochhammer_inverse_product,
 )
 from admissible.series import TruncatedSeries, pochhammer_inverse
 
@@ -115,6 +119,28 @@ class TestExponent:
                 z_weights=(1, 2),
                 extra_q_weights=(0, 0),
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("boundary", (-3,)),
+            ("extra_q_weights", (-1,)),
+            ("z_weights", (0,)),
+            ("z_weights", (-1,)),
+        ],
+    )
+    def test_data_outside_the_walk_precondition_rejected(self, field, value):
+        fields = dict(
+            matrix=((2,),),
+            boundary=(0,),
+            q_step=1,
+            halved=True,
+            z_weights=(1,),
+            extra_q_weights=(0,),
+        )
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            GordonData(**fields)
 
 
 class TestFermionicR2:
@@ -262,3 +288,79 @@ class TestEvaluatorPlumbing:
 
     def test_evaluate_zero_window(self):
         assert evaluate_gordon_sum(gordon_data_r2(2, 2), 0, 0) == TruncatedSeries.one(0, 0)
+
+
+def brute_force_sum(data, q_max, z_max):
+    """Every vector of each z-degree, priced and expanded on its own."""
+    rows = []
+    for n in range(z_max + 1):
+        row = [0] * (q_max + 1)
+        for m in _multiplicity_vectors(data.z_weights, n):
+            shift = quadratic_exponent(data, m) + sum(
+                w * x for w, x in zip(data.extra_q_weights, m)
+            )
+            if shift <= q_max:
+                poch = _pochhammer_inverse_product(m, data.q_step, q_max - shift)
+                for d, c in enumerate(poch, shift):
+                    row[d] += c
+        rows.append(row)
+    return TruncatedSeries.from_blocks(rows, q_max, z_max)
+
+
+@st.composite
+def sum_windows(draw):
+    n = draw(st.integers(1, 4))
+    upper = [[draw(st.integers(0, 4)) for _ in range(n)] for _ in range(n)]
+    matrix = tuple(
+        tuple(upper[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)
+    )
+
+    def vector(lo, hi):
+        return tuple(draw(st.integers(lo, hi)) for _ in range(n))
+
+    data = GordonData(
+        matrix=matrix,
+        boundary=vector(0, 3),
+        q_step=draw(st.integers(1, 2)),
+        halved=draw(st.booleans()),
+        z_weights=vector(1, 3),
+        extra_q_weights=vector(0, 2),
+    )
+    return data, draw(st.integers(0, 25)), draw(st.integers(0, 10))
+
+
+class TestPrunedWalkAgainstBruteForce:
+    @settings(max_examples=60, deadline=None)
+    @given(sum_windows())
+    def test_random_sum_data(self, case):
+        data, q_max, z_max = case
+        assert evaluate_gordon_sum(data, q_max, z_max) == brute_force_sum(data, q_max, z_max)
+
+    @pytest.mark.parametrize(
+        "data",
+        [gordon_data_r2(3, 1), gordon_data_r3(2, 0), gordon_data_r3_special(3)],
+        ids=["r2", "r3", "r3-special"],
+    )
+    @pytest.mark.parametrize("q_max, z_max", [(0, 6), (12, 0), (0, 0)])
+    def test_degenerate_windows(self, data, q_max, z_max):
+        assert evaluate_gordon_sum(data, q_max, z_max) == brute_force_sum(data, q_max, z_max)
+
+    def test_vector_with_shift_exactly_q_max_is_kept(self):
+        data = gordon_data_r2(2, 1)
+        assert quadratic_exponent(data, (5, 0)) == 20
+        assert evaluate_gordon_sum(data, 20, 5) == brute_force_sum(data, 20, 5)
+
+    def test_pruning_stays_on(self, monkeypatch):
+        calls = 0
+        price = fermionic.quadratic_exponent
+
+        def counted(data, m):
+            nonlocal calls
+            calls += 1
+            return price(data, m)
+
+        monkeypatch.setattr(fermionic, "quadratic_exponent", counted)
+        fermionic_r2(6, 1, 100, 50)
+        weights = tuple(range(1, 7))
+        brute = sum(1 for n in range(51) for _ in _multiplicity_vectors(weights, n))
+        assert 0 < calls < brute // 10
