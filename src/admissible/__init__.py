@@ -7,7 +7,7 @@ The package exists to evaluate all of them and check that they agree to any
 requested truncation order.
 """
 
-from .series import TruncatedSeries, first_mismatch, monomial, pochhammer, pochhammer_inverse
+from .series import TruncatedSeries, first_mismatch, pochhammer, pochhammer_inverse
 from .configurations import (
     AdmissibleConfig,
     character_direct,
@@ -48,12 +48,10 @@ from .polyspaces import (
 )
 from .vertexops import (
     FactoredMatrixElement,
-    GroupedPolynomial,
     PairFunction,
     PairingTable,
     VOFamily,
     VOSpec,
-    apply_powersum,
     build_family,
     closed_form_series,
     family_r2,

@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  (see below)
 import os
+import shutil  # noqa: F401  (see below)
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+
+# argparse imports locale (through gettext) and shutil (for the help width)
+# on first use, which every command reaches; importing them here keeps that
+# fixed cost in start-up instead of in each command's own run time.
 
 from .series import TruncatedSeries, first_mismatch
 from .configurations import character_direct, validate_b
@@ -43,9 +47,9 @@ from .polyspaces import (
     character_from_oracle_r2,
     character_from_oracle_r3,
     graded_dimension,
+    pair_sector_dims,
     regrade_pair_sectors,
     vanishing_spec_r2,
-    vanishing_spec_r3_pair,
     vanishing_spec_r3_signed,
     weight_degree,
 )
@@ -185,12 +189,7 @@ def cmd_dims(args) -> int:
     }
     if args.r == 3 and args.variant == "pair":
         b1 = args.b1 if args.b1 is not None else args.k
-        sector_dims = [
-            graded_dimension(
-                vanishing_spec_r3_pair(args.n - l2, l2, args.k, args.b0, b1, args.cap)
-            )
-            for l2 in range(args.n + 1)
-        ]
+        sector_dims = pair_sector_dims(args.n, args.k, args.b0, b1, args.cap)
         char = regrade_pair_sectors(sector_dims, args.cap)
         payload["variant"] = "pair"
         payload["b1"] = b1
@@ -607,12 +606,15 @@ def cmd_verify(args) -> int:
     cases = _build_cases(args.suite, args)
     workers = _worker_count(len(cases))
     if workers > 1:
+        # imported here so that a serial run never loads the process-pool machinery
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
         results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 for result in pool.map(_run_case, cases):
                     results.append(result)
-            except BrokenProcessPool as exc:
+            except BrokenExecutor as exc:
                 # a dead worker ends the map: keep what finished, report the rest
                 detail = f"{type(exc).__name__}: {exc}"
                 results.extend(

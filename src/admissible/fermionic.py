@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .configurations import validate_b, validate_k
-from .series import TruncatedSeries, _divide_by_one_minus
+from .series import TruncatedSeries, _divide_by_one_minus, _pochhammer_inverse_coeffs
 
 
 def gordon_a2(k: int) -> list[list[int]]:
@@ -244,15 +244,6 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     return TruncatedSeries.from_blocks(rows, q_max, z_max)
 
 
-def _pochhammer_inverse_product(m, step: int, q_max: int) -> list[int]:
-    """Dense coefficients of prod_i 1/(q^step; q^step)_{m_i} through q^q_max."""
-    poch = [1] + [0] * q_max
-    for mi in m:
-        for j in range(1, mi + 1):
-            _divide_by_one_minus(poch, step * j)
-    return poch
-
-
 def fermionic_r2(k: int, b0: int, q_max: int, z_max: int) -> TruncatedSeries:
     """Fermionic character for rank 2, initial cap b0."""
     return evaluate_gordon_sum(gordon_data_r2(k, b0), q_max, z_max)
@@ -332,5 +323,5 @@ def partition_term(
     weight = quadratic_exponent(data, m)
     if weight > q_max:
         return TruncatedSeries.zero(q_max)
-    poch = _pochhammer_inverse_product(m, data.q_step, q_max - weight)
+    poch = _pochhammer_inverse_coeffs(m, data.q_step, q_max - weight)
     return TruncatedSeries.from_blocks([[0] * weight + poch], q_max)

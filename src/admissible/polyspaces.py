@@ -232,24 +232,20 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def graded_dimension(
-    spec: VanishingSpec,
-    max_vars: int = MAX_VARS,
-    max_degree_cap: int = MAX_DEGREE_CAP,
-) -> list[int]:
+def graded_dimension(spec: VanishingSpec) -> list[int]:
     """Dimension of each graded piece, degrees 0..degree_cap.
 
-    Refuses (CapacityError) rather than degrade when the problem exceeds the
-    configured size limits.
+    Refuses (CapacityError) rather than degrade when the problem exceeds
+    MAX_VARS or MAX_DEGREE_CAP.
     """
     total_vars = sum(spec.family_sizes)
-    if total_vars > max_vars:
+    if total_vars > MAX_VARS:
         raise CapacityError(
-            f"{total_vars} variables exceeds the limit of {max_vars}"
+            f"{total_vars} variables exceeds the limit of {MAX_VARS}"
         )
-    if spec.degree_cap > max_degree_cap:
+    if spec.degree_cap > MAX_DEGREE_CAP:
         raise CapacityError(
-            f"degree cap {spec.degree_cap} exceeds the limit of {max_degree_cap}"
+            f"degree cap {spec.degree_cap} exceeds the limit of {MAX_DEGREE_CAP}"
         )
     dims = []
     for d in range(spec.degree_cap + 1):
@@ -330,11 +326,15 @@ def character_from_oracle_r3(
     n: int, k: int, b0: int, b1: int, degree_cap: int
 ) -> TruncatedSeries:
     """q-character of the z-degree-n block assembled from the two-family spaces."""
-    sector_dims = [
+    return regrade_pair_sectors(pair_sector_dims(n, k, b0, b1, degree_cap), degree_cap)
+
+
+def pair_sector_dims(n: int, k: int, b0: int, b1: int, degree_cap: int) -> list[list[int]]:
+    """Graded dimensions of the (n - l2, l2) pair spaces, indexed by l2 = 0..n."""
+    return [
         graded_dimension(vanishing_spec_r3_pair(n - l2, l2, k, b0, b1, degree_cap))
         for l2 in range(n + 1)
     ]
-    return regrade_pair_sectors(sector_dims, degree_cap)
 
 
 def regrade_pair_sectors(sector_dims, degree_cap: int) -> TruncatedSeries:

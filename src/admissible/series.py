@@ -62,12 +62,6 @@ class TruncatedSeries:
             )
         return self.coeffs.get((dq, dz), 0)
 
-    def restrict(self, q_order: int, z_order: int) -> "TruncatedSeries":
-        """Truncate down to a smaller window."""
-        q = min(self.q_order, q_order)
-        z = min(self.z_order, z_order)
-        return TruncatedSeries(self.coeffs, q, z)
-
     def z_block(self, n: int) -> "TruncatedSeries":
         """The q-series multiplying z^n, as a series with z_order 0."""
         if n > self.z_order:
@@ -81,15 +75,6 @@ class TruncatedSeries:
             self.q_order,
             self.z_order,
         )
-
-    def shift(self, dq: int, dz: int = 0) -> "TruncatedSeries":
-        """Multiply by the monomial q^dq z^dz, keeping the same window."""
-        out = {}
-        for (eq, ez), c in self.coeffs.items():
-            fq, fz = eq + dq, ez + dz
-            if fq <= self.q_order and fz <= self.z_order:
-                out[(fq, fz)] = c
-        return TruncatedSeries(out, self.q_order, self.z_order)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -129,9 +114,6 @@ class TruncatedSeries:
         return first_mismatch(self, other) is None
 
     __hash__ = None  # window-relative equality is incompatible with hashing
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def terms(self):
         """Nonzero terms as (dq, dz, coeff), sorted by (dz, dq)."""
@@ -178,23 +160,6 @@ class TruncatedSeries:
         return cls.from_json_obj(json.loads(text))
 
 
-def monomial(
-    q_exp: int,
-    z_exp: int,
-    coefficient: int,
-    q_order: int | None = None,
-    z_order: int | None = None,
-) -> TruncatedSeries:
-    """Single-term series; the window defaults to the monomial's own exponents."""
-    if q_order is None:
-        q_order = q_exp
-    if z_order is None:
-        z_order = z_exp
-    if q_exp > q_order or z_exp > z_order:
-        raise ValueError("monomial exponents exceed the declared truncation")
-    return TruncatedSeries({(q_exp, z_exp): coefficient}, q_order, z_order)
-
-
 def pochhammer_inverse(
     m: int, step: int, q_order: int, z_order: int = 0
 ) -> TruncatedSeries:
@@ -208,14 +173,16 @@ def pochhammer_inverse(
     if step < 1:
         raise ValueError("step must be positive")
     return TruncatedSeries.from_blocks(
-        [_pochhammer_inverse_coeffs(m, step, q_order)], q_order, z_order
+        [_pochhammer_inverse_coeffs((m,), step, q_order)], q_order, z_order
     )
 
 
-def _pochhammer_inverse_coeffs(m: int, step: int, q_order: int) -> list[int]:
+def _pochhammer_inverse_coeffs(ms, step: int, q_order: int) -> list[int]:
+    """Dense coefficients of prod_i 1/(q^step; q^step)_{ms[i]} through q^q_order."""
     out = [1] + [0] * q_order
-    for j in range(1, min(m, q_order // step) + 1):
-        _divide_by_one_minus(out, step * j)
+    for m in ms:
+        for j in range(1, min(m, q_order // step) + 1):
+            _divide_by_one_minus(out, step * j)
     return out
 
 

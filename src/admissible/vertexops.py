@@ -72,10 +72,6 @@ def _vec_add(u: dict, v: dict) -> dict:
     return out
 
 
-def _vec_scale(u: dict, factor) -> dict:
-    return {g: c * factor for g, c in u.items() if c * factor}
-
-
 @dataclass(frozen=True, eq=False)
 class VOSpec:
     """A 2-periodic operator spec: mode vectors by parity plus a zero mode.
@@ -92,9 +88,6 @@ class VOSpec:
     @classmethod
     def constant(cls, vec: dict) -> "VOSpec":
         return cls(dict(vec), dict(vec), dict(vec))
-
-    def is_constant(self) -> bool:
-        return self.even == self.odd
 
 
 @dataclass(frozen=True)
@@ -154,12 +147,13 @@ class FactoredMatrixElement:
     Per group a with multiplicity m_a: each variable carries the power
     var_powers[a]; each unordered pair of groups (and each pair of variables
     within a group) carries a (z-w)^p (z+w)^s factor recorded in
-    pair_factors, keyed by group names in spec-list order.
+    pair_factors, keyed by group names in spec-list order.  Only these
+    exponents are kept, not the specs: total_degree() is the degree of the
+    factored form, the vertex-operator route to the fermionic q-exponent.
     """
 
     group_names: tuple[str, ...]
     multiplicities: dict
-    specs: dict
     var_powers: dict
     pair_factors: dict
 
@@ -180,13 +174,6 @@ class FactoredMatrixElement:
                 p, s = self.pair_factors[(a, b)]
                 deg += self.multiplicities[a] * self.multiplicities[b] * (p + s)
         return deg
-
-    def variables(self) -> list[tuple[str, int]]:
-        return [
-            (name, j)
-            for name in self.group_names
-            for j in range(self.multiplicities[name])
-        ]
 
 
 def matrix_element_F1(specs, beta, table: PairingTable) -> FactoredMatrixElement:
@@ -230,73 +217,7 @@ def matrix_element_F1(specs, beta, table: PairingTable) -> FactoredMatrixElement
                     f"expected {p + s}; closed form unavailable"
                 )
             pair_factors[(a, b)] = (int(p), int(s))
-    return FactoredMatrixElement(names, mult, spec_map, var_powers, pair_factors)
-
-
-@dataclass(frozen=True, eq=False)
-class GroupedPolynomial:
-    """Polynomial in the grouped variables x^(a)_j of a matrix element."""
-
-    variables: tuple[tuple[str, int], ...]
-    terms: dict
-
-    def is_symmetric_within_groups(self) -> bool:
-        """True if invariant under swapping any two variables of one group."""
-        index = {v: i for i, v in enumerate(self.variables)}
-        groups: dict[str, list[int]] = {}
-        for (name, j), i in index.items():
-            groups.setdefault(name, []).append(i)
-        for positions in groups.values():
-            positions.sort()
-            for a_pos, b_pos in zip(positions, positions[1:]):
-                for expo, c in self.terms.items():
-                    swapped = list(expo)
-                    swapped[a_pos], swapped[b_pos] = swapped[b_pos], swapped[a_pos]
-                    if self.terms.get(tuple(swapped), 0) != c:
-                        return False
-        return True
-
-    def total_degrees(self) -> set[int]:
-        return {sum(e) for e in self.terms}
-
-
-def apply_powersum(h, f1: FactoredMatrixElement, table: PairingTable) -> GroupedPolynomial:
-    """Expand the power-sum multiplier attached to a list of raising modes.
-
-    h is a list of (r, gamma) with r >= 1 and gamma a generator name or
-    sparse vector.  Each entry contributes the factor
-    sum_a <gamma, alpha_{a,-r}> p_r^(a); the product is returned expanded in
-    the grouped variables, so the full matrix element is multiplier * F(1).
-    """
-    variables = tuple(f1.variables())
-    nvars = len(variables)
-    terms: dict[tuple[int, ...], Fraction] = {(0,) * nvars: Fraction(1)}
-    for r, gamma in h:
-        if r < 1:
-            raise ValueError(f"mode order must be positive, got {r}")
-        gamma_vec = {gamma: 1} if isinstance(gamma, str) else gamma
-        factor: dict[tuple[int, ...], Fraction] = {}
-        for i, (name, _) in enumerate(variables):
-            spec = f1.specs[name]
-            mode_vec = spec.odd if r % 2 else spec.even
-            coeff = table.pairing(gamma_vec, mode_vec)
-            if not coeff:
-                continue
-            expo = [0] * nvars
-            expo[i] = r
-            key = tuple(expo)
-            factor[key] = factor.get(key, Fraction(0)) + coeff
-        new_terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in terms.items():
-            for e2, c2 in factor.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = new_terms.get(e, Fraction(0)) + c1 * c2
-                if v:
-                    new_terms[e] = v
-                elif e in new_terms:
-                    del new_terms[e]
-        terms = new_terms
-    return GroupedPolynomial(variables, terms)
+    return FactoredMatrixElement(names, mult, var_powers, pair_factors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -286,6 +287,16 @@ class TestVerify:
         assert serial.returncode == pooled.returncode == 0
         assert serial.stdout == pooled.stdout
 
+    def test_cli_import_leaves_process_pool_unloaded(self):
+        code = (
+            "import sys, admissible.cli; "
+            "print('concurrent.futures.process' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "False\n"
+
     def test_worker_count_is_clamped(self, capsys, monkeypatch):
         import admissible.cli as cli
 
@@ -304,7 +315,7 @@ class TestVerify:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         argv = ["verify", "r2", "--kmax", "2", "--qmax", "6", "--zmax", "3"]
         monkeypatch.setenv("ADMISSIBLE_WORKERS", "1")
@@ -370,7 +381,7 @@ class TestVerify:
                 yield fn(next(iter(items)))
                 raise BrokenProcessPool("worker died")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", BreakingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BreakingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         monkeypatch.setenv("ADMISSIBLE_WORKERS", "2")
         code, out, err = run_cli(

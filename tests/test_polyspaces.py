@@ -90,9 +90,9 @@ class TestSpecValidation:
             VanishingSpec((1, 1, 1), (), 4)
 
     def test_capacity_errors_are_explicit(self):
-        spec = VanishingSpec((3,), (), 4)
-        with pytest.raises(CapacityError):
-            graded_dimension(spec, max_vars=2)
+        spec = VanishingSpec((9,), (), 4)
+        with pytest.raises(CapacityError, match="9 variables"):
+            graded_dimension(spec)
         with pytest.raises(CapacityError):
             graded_dimension(VanishingSpec((2,), (), 20))
 

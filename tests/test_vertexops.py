@@ -3,12 +3,10 @@ from fractions import Fraction
 import pytest
 
 from admissible.fermionic import gordon_data_r2, quadratic_exponent
-from admissible.polyspaces import _bareiss_rank
 from admissible.vertexops import (
     PairingTable,
     PairingUndefined,
     VOSpec,
-    apply_powersum,
     build_family,
     closed_form_series,
     family_r2,
@@ -131,7 +129,7 @@ class TestMatrixElementF1:
         fam = family_r2(2, 0)
         f1 = matrix_element_F1([], "beta0", fam.table)
         assert f1.total_degree() == 0
-        assert f1.variables() == []
+        assert f1.group_names == ()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_degree_equals_fermionic_exponent(self, k):
@@ -165,99 +163,6 @@ class TestMatrixElementF1:
             matrix_element_F1([("g", spec, 1)], "beta", t)
 
 
-class TestApplyPowersum:
-    def test_empty_h_is_one(self):
-        fam = family_r2(2, 0)
-        f1 = matrix_element_F1(
-            [(name, spec, 2) for name, spec in fam.specs], "beta0", fam.table
-        )
-        mult = apply_powersum([], f1, fam.table)
-        assert mult.terms == {(0, 0, 0, 0): Fraction(1)}
-
-    def test_single_mode_spec_example(self):
-        # <eps1, gamma_a> = 2 for every a >= 1: multiplier 2 * sum of p_1
-        fam = family_r2(3, 0)
-        f1 = matrix_element_F1(
-            [
-                (name, spec, mult)
-                for (name, spec), mult in zip(fam.specs, (2, 1, 1))
-            ],
-            "beta0",
-            fam.table,
-        )
-        mult = apply_powersum([(1, "eps1")], f1, fam.table)
-        nvars = len(mult.variables)
-        assert nvars == 4
-        for i in range(nvars):
-            expo = tuple(1 if j == i else 0 for j in range(nvars))
-            assert mult.terms[expo] == 2
-
-    def test_parity_sensitive_coefficients(self):
-        # alternating spec: odd and even modes pair differently
-        fam = family_r3_mixed(2)
-        spec_map = dict(fam.specs)
-        f1 = matrix_element_F1([("gamma2", spec_map["gamma2"], 1)], None, fam.table)
-        odd = apply_powersum([(1, "eps1-")], f1, fam.table)
-        even = apply_powersum([(2, "eps1-")], f1, fam.table)
-        # gamma2 has odd part eps1+ - eps1-, even part eps1+ + eps1-
-        assert odd.terms == {(1,): Fraction(-1)}
-        assert even.terms == {(2,): Fraction(3)}
-
-    def test_output_symmetric_within_groups(self):
-        fam = family_r2(2, 1)
-        f1 = matrix_element_F1(
-            [(name, spec, 2) for name, spec in fam.specs], "beta0", fam.table
-        )
-        mult = apply_powersum([(1, "eps1"), (2, "eps2"), (1, "eps2")], f1, fam.table)
-        assert mult.is_symmetric_within_groups()
-        assert mult.total_degrees() == {4}
-
-    def test_spanning_rank_at_small_size(self):
-        # multipliers for modes r = 1..D over all generators span every
-        # polynomial of the grouped space up to degree D
-        D = 3
-        fam = family_r2(2, 0)
-        f1 = matrix_element_F1(
-            [(name, spec, 1) for name, spec in fam.specs], "beta0", fam.table
-        )
-        gens = ["eps1", "eps2"]
-
-        def monomials_up_to(nvars, deg):
-            if nvars == 0:
-                return [()]
-            out = []
-            for lead in range(deg + 1):
-                for rest in monomials_up_to(nvars - 1, deg - lead):
-                    out.append((lead,) + rest)
-            return out
-
-        basis = monomials_up_to(2, D)
-        index = {mono: i for i, mono in enumerate(basis)}
-
-        def products(budget, start):
-            yield []
-            for i in range(start, len(choices)):
-                r, g = choices[i]
-                if r <= budget:
-                    for rest in products(budget - r, i):
-                        yield [(r, g)] + rest
-
-        choices = [(r, g) for r in range(1, D + 1) for g in gens]
-        rows = []
-        for h in products(D, 0):
-            poly = apply_powersum(h, f1, fam.table)
-            row = [0] * len(basis)
-            ok = True
-            for expo, c in poly.terms.items():
-                if sum(expo) > D:
-                    ok = False
-                    break
-                row[index[expo]] = int(c)
-            if ok:
-                rows.append(row)
-        assert _bareiss_rank(rows) == len(basis)
-
-
 class TestFamilies:
     def test_build_family_dispatch(self):
         assert build_family("r2", 2, 1).name == "r2"
@@ -279,5 +184,5 @@ class TestFamilies:
     def test_middle_spec_is_not_constant(self):
         fam = family_r3_mixed(3)
         spec_map = dict(fam.specs)
-        assert not spec_map["gamma2"].is_constant()
-        assert spec_map["gamma1"].is_constant()
+        assert spec_map["gamma2"].even != spec_map["gamma2"].odd
+        assert spec_map["gamma1"].even == spec_map["gamma1"].odd
