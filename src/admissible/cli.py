@@ -1,12 +1,17 @@
 """Command-line front end: compute characters, print Gordon tables, and run
 the cross-verification suites.
 
+Each series check of ``verify`` compares two ``char`` methods on one window
+(k, r, b, qmax, zmax), whole or on one z-block, through the same function
+that ``char`` uses; a mismatch prints one replay ``admissible char`` command
+per side on stderr.  The weights and pair-functions suites compare scalars.
+
 Machine-readable JSON goes to stdout and is byte-for-byte deterministic for
 fixed flags and version; wall-clock timings and the human-readable table go
 to stderr.  The process exits 0 iff every executed non-experimental check
 matched (capacity skips do not fail; a case that raises is reported with
 status "error" and fails; the experimental suite never affects the exit
-code).
+code), and 2 on bad input, before any case runs.
 """
 
 from __future__ import annotations
@@ -58,18 +63,6 @@ from .vertexops import build_family, closed_form_series, pair_function
 WORKERS_ENV = "ADMISSIBLE_WORKERS"
 REPORT_SCHEMA = 1
 
-SUITES = (
-    "r2",
-    "r3",
-    "special-equality",
-    "oracle-r2",
-    "oracle-r3",
-    "weights",
-    "pair-functions",
-    "conjecture-10.2",
-)
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -83,6 +76,18 @@ def _parse_b(text: str) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # char
+
+def _oracle_block(k, r, b, qmax, n) -> TruncatedSeries:
+    """The z^n block of the oracle character through q^qmax, as a q-series."""
+    if r == 2:
+        (b0,) = validate_b(k, 2, b)
+        return character_from_oracle_r2(n, k, b0, qmax)
+    if r == 3:
+        b0, b1 = validate_b(k, 3, b)
+        # the rank-3 block at degree cap c is exact through q^(2c + 1)
+        return character_from_oracle_r3(n, k, b0, b1, qmax // 2)
+    raise ValueError("oracle supports r = 2 or r = 3")
+
 
 def _compute_char(method, k, r, b, qmax, zmax) -> TruncatedSeries:
     if method == "direct":
@@ -107,14 +112,7 @@ def _compute_char(method, k, r, b, qmax, zmax) -> TruncatedSeries:
             raise ValueError(f"fermionic-r3-special fixes b = {expected}")
         return fermionic_r3_special(k, qmax, zmax)
     if method == "oracle":
-        if r == 2:
-            (b0,) = validate_b(k, 2, b)
-            blocks = [character_from_oracle_r2(n, k, b0, qmax) for n in range(zmax + 1)]
-        elif r == 3:
-            b0, b1 = validate_b(k, 3, b)
-            blocks = [character_from_oracle_r3(n, k, b0, b1, qmax // 2) for n in range(zmax + 1)]
-        else:
-            raise ValueError("oracle supports r = 2 or r = 3")
+        blocks = [_oracle_block(k, r, b, qmax, n) for n in range(zmax + 1)]
         rows = [[block.coefficient(d) for d in range(qmax + 1)] for block in blocks]
         return TruncatedSeries.from_blocks(rows, qmax, zmax)
     raise ValueError(f"unknown method: {method}")
@@ -246,158 +244,103 @@ def cmd_pairs(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify
+#
+# A case is a dict with its "kind" (series, weight or pair-function), its
+# "id" and the "params" its report echoes.  A series case also names two
+# char "methods", one char "window" (k, r, b, qmax, zmax) for both, and the
+# z-block "n" it compares, or None to compare the whole window.
 
-def _series_case(case_id, lhs_name, rhs_name, lhs, rhs, experimental=False):
+def _report(case_id, methods, witness=None, status=None, **detail) -> dict:
+    """One case's report; witness is the first differing term
+    (q_exp, z_exp, lhs, rhs) of a comparison, or None."""
+    if status is None:
+        status = "match" if witness is None else "mismatch"
+    if witness is not None:
+        q_exp, z_exp, lhs, rhs = witness
+        witness = {"q_exp": q_exp, "z_exp": z_exp, "lhs": str(lhs), "rhs": str(rhs)}
+    return {
+        "case": case_id,
+        "methods": methods,
+        "status": status,
+        "experimental": False,
+        "witness": witness,
+        **detail,
+    }
+
+
+def _series_case(case_id, lhs_name, rhs_name, lhs, rhs):
     t0 = time.perf_counter()
     a = lhs()
     t1 = time.perf_counter()
     b = rhs()
     t2 = time.perf_counter()
-    witness = first_mismatch(a, b)
-    report = {
-        "case": case_id,
-        "methods": [lhs_name, rhs_name],
-        "status": "match" if witness is None else "mismatch",
-        "experimental": experimental,
-        "witness": None
-        if witness is None
-        else {
-            "q_exp": witness[0],
-            "z_exp": witness[1],
-            "lhs": str(witness[2]),
-            "rhs": str(witness[3]),
-        },
-    }
+    report = _report(case_id, [lhs_name, rhs_name], first_mismatch(a, b))
     return report, {lhs_name: t1 - t0, rhs_name: t2 - t1}
 
 
-def _scalar_case(case_id, lhs_name, rhs_name, lhs_value, rhs_value, experimental=False):
-    report = {
-        "case": case_id,
-        "methods": [lhs_name, rhs_name],
-        "status": "match" if lhs_value == rhs_value else "mismatch",
-        "experimental": experimental,
-        "witness": None
-        if lhs_value == rhs_value
-        else {
-            "q_exp": None,
-            "z_exp": None,
-            "lhs": str(lhs_value),
-            "rhs": str(rhs_value),
-        },
-    }
-    return report, {}
+def _char_side(method, window, n) -> TruncatedSeries:
+    """One side of a series case: the char of the window, or its z^n block."""
+    if n is None:
+        return _compute_char(method, *window)
+    if method == "oracle":  # the oracle builds the one block alone
+        return _oracle_block(*window[:4], n)
+    return _compute_char(method, *window).z_block(n)
+
+
+def _with_params(case: dict, report: dict) -> dict:
+    """The report with its case's params and experimental flag."""
+    params = case["params"]
+    return {**report, "experimental": params.get("experimental", False), "params": params}
+
+
+def _failed_case(case: dict, status: str, detail: str):
+    """Report for a case that produced no comparison."""
+    return _with_params(case, _report(case["id"], [], status=status, detail=detail)), {}
 
 
 def _run_case(case: dict):
-    report, times = _dispatch_case(case)
-    report["params"] = _case_params(case)
-    return report, times
-
-
-def _case_params(case: dict) -> dict:
-    return {key: value for key, value in case.items() if key not in ("kind", "id")}
-
-
-def _dispatch_case(case: dict):
-    kind = case["kind"]
+    """Report and per-method times of one case; a case that raises is
+    reported as a capacity skip or an error and does not end the run."""
+    kind, p = case["kind"], case["params"]
     try:
-        if kind == "r2":
-            k, b0, qmax, zmax = case["k"], case["b0"], case["qmax"], case["zmax"]
-            return _series_case(
+        if kind == "series":
+            lhs, rhs = case["methods"]
+            window, n = case["window"], case["n"]
+            report, times = _series_case(
                 case["id"],
-                "direct",
-                "fermionic-r2",
-                lambda: character_direct(k, 2, (b0,), qmax, zmax),
-                lambda: fermionic_r2(k, b0, qmax, zmax),
+                lhs,
+                rhs,
+                lambda: _char_side(lhs, window, n),
+                lambda: _char_side(rhs, window, n),
             )
-        if kind == "r3":
-            k, b0, qmax, zmax = case["k"], case["b0"], case["qmax"], case["zmax"]
-            return _series_case(
-                case["id"],
-                "direct",
-                "fermionic-r3",
-                lambda: character_direct(k, 3, (b0, k), qmax, zmax),
-                lambda: fermionic_r3(k, b0, qmax, zmax),
-            )
-        if kind == "special-pair":
-            k, qmax, zmax = case["k"], case["qmax"], case["zmax"]
-            return _series_case(
-                case["id"],
-                "fermionic-r3-special",
-                "fermionic-r3",
-                lambda: fermionic_r3_special(k, qmax, zmax),
-                lambda: fermionic_r3(k, (k + 1) // 2, qmax, zmax),
-            )
-        if kind == "special-direct":
-            k, qmax, zmax = case["k"], case["qmax"], case["zmax"]
-            return _series_case(
-                case["id"],
-                "fermionic-r3-special",
-                "direct",
-                lambda: fermionic_r3_special(k, qmax, zmax),
-                lambda: character_direct(k, 3, ((k + 1) // 2, k), qmax, zmax),
-            )
-        if kind == "oracle-r2":
-            k, b0, n, cap = case["k"], case["b0"], case["n"], case["cap"]
-            return _series_case(
-                case["id"],
-                "oracle",
-                "direct",
-                lambda: character_from_oracle_r2(n, k, b0, cap),
-                lambda: character_direct(k, 2, (b0,), cap, n).z_block(n),
-            )
-        if kind == "oracle-r3":
-            k, b0, b1, n, cap = case["k"], case["b0"], case["b1"], case["n"], case["cap"]
-            return _series_case(
-                case["id"],
-                "oracle",
-                "direct",
-                lambda: character_from_oracle_r3(n, k, b0, b1, cap),
-                lambda: character_direct(
-                    k, 3, (b0, b1), 2 * cap + 1, n
-                ).z_block(n),
-                experimental=case.get("experimental", False),
-            )
+            return _with_params(case, report), times
         if kind == "weight":
-            k, b0, mult, variant = case["k"], case["b0"], case["mult"], case["variant"]
-            part = RestrictedPartition(tuple(mult))
-            if variant == "G2":
-                data = gordon_data_r2(k, b0)
+            if p["variant"] == "G2":
+                data = gordon_data_r2(p["k"], p["b0"])
             else:
-                data = gordon_data_r3_special(k)
-            weight = quadratic_exponent(data, part.multiplicities)
+                data = gordon_data_r3_special(p["k"])
+            part = RestrictedPartition(tuple(p["mult"]))
             # The label is kept so that the report bytes stay the same; the
             # degree is the sum of the factor exponents, nothing is expanded.
-            return _scalar_case(
-                case["id"],
-                "quadratic-form",
-                "expanded-product",
-                weight,
-                weight_degree(part, variant, k, b0),
-            )
-        if kind == "pair-function":
-            family, order = case["family"], case["order"]
-            k, b0 = case["k"], case["b0"]
-            fam = build_family(family, k, b0)
+            names = ["quadratic-form", "expanded-product"]
+            lhs = quadratic_exponent(data, part.multiplicities)
+            rhs = weight_degree(part, p["variant"], p["k"], p["b0"])
+        elif kind == "pair-function":
+            fam = build_family(p["family"], p["k"], p["b0"])
             spec_map = dict(fam.specs)
-            name_a, name_b = case["name_a"], case["name_b"]
-            pf = pair_function(spec_map[name_a], spec_map[name_b], fam.table, order)
-            p_exp, s_exp = case["p"], case["s"]
-            expected = closed_form_series(p_exp, s_exp, order)
+            a, b = spec_map[p["name_a"]], spec_map[p["name_b"]]
+            pf = pair_function(a, b, fam.table, p["order"])
             ok = (
-                pf.closed_form == (p_exp, s_exp)
-                and list(pf.coeffs) == expected
-                and pf.z_power == p_exp + s_exp
+                pf.closed_form == (p["p"], p["s"])
+                and list(pf.coeffs) == closed_form_series(p["p"], p["s"], p["order"])
+                and pf.z_power == p["p"] + p["s"]
             )
-            return _scalar_case(
-                case["id"],
-                "exponential-expansion",
-                "closed-form",
-                "ok" if ok else f"closed={pf.closed_form}",
-                "ok",
-            )
-        raise ValueError(f"unknown case kind: {kind}")
+            names = ["exponential-expansion", "closed-form"]
+            lhs, rhs = "ok" if ok else f"closed={pf.closed_form}", "ok"
+        else:
+            raise ValueError(f"unknown case kind: {kind}")
+        witness = None if lhs == rhs else (None, None, lhs, rhs)
+        return _with_params(case, _report(case["id"], names, witness)), {}
     except CapacityError as exc:
         return _failed_case(case, "capacity-skip", str(exc))
     except Exception as exc:  # one broken case must not abort the suite
@@ -405,172 +348,117 @@ def _dispatch_case(case: dict):
         return _failed_case(case, "error", f"{type(exc).__name__}: {exc}")
 
 
-def _failed_case(case: dict, status: str, detail: str):
-    """Report for a case that produced no comparison."""
-    return (
-        {
-            "case": case["id"],
-            "methods": [],
-            "status": status,
-            "experimental": case.get("experimental", False),
-            "witness": None,
-            "detail": detail,
-            "params": _case_params(case),
-        },
-        {},
-    )
+def _replay_lines(case: dict, witness: dict) -> list[str]:
+    """One `admissible char` command per side of a series mismatch, each
+    naming the coefficient that differs."""
+    k, r, b, qmax, zmax = case["window"]
+    z_exp = witness["z_exp"] if case["n"] is None else case["n"]
+    b_text = ",".join(str(x) for x in b)
+    return [
+        f"replay: admissible char --method {method} --k {k} --r {r} --b {b_text}"
+        f" --qmax {qmax} --zmax {zmax}  # coefficient of q^{witness['q_exp']} z^{z_exp}"
+        for method in case["methods"]
+    ]
 
 
-def _build_cases(suite: str, args) -> list[dict]:
-    cases = []
-    if suite == "r2":
-        for k in range(1, args.kmax + 1):
-            for b0 in range(k + 1):
-                cases.append(
-                    {
-                        "kind": "r2",
-                        "id": f"r2 k={k} b0={b0}",
-                        "k": k,
-                        "b0": b0,
-                        "qmax": args.qmax,
-                        "zmax": args.zmax,
-                    }
-                )
-    elif suite == "r3":
-        for k in range(1, args.kmax + 1):
-            for b0 in range(k + 1):
-                cases.append(
-                    {
-                        "kind": "r3",
-                        "id": f"r3 k={k} b0={b0}",
-                        "k": k,
-                        "b0": b0,
-                        "qmax": args.qmax,
-                        "zmax": args.zmax,
-                    }
-                )
-    elif suite == "special-equality":
-        for k in range(1, args.kmax + 1):
-            cases.append(
-                {
-                    "kind": "special-pair",
-                    "id": f"special k={k} vs-fermionic",
-                    "k": k,
-                    "qmax": args.qmax,
-                    "zmax": args.zmax,
-                }
-            )
-            if k <= 2:
-                cases.append(
-                    {
-                        "kind": "special-direct",
-                        "id": f"special k={k} vs-direct",
-                        "k": k,
-                        "qmax": args.qmax,
-                        "zmax": args.zmax,
-                    }
-                )
-    elif suite == "oracle-r2":
-        for k in range(1, args.kmax + 1):
-            for b0 in range(k + 1):
-                for n in range(args.nmax + 1):
-                    cases.append(
-                        {
-                            "kind": "oracle-r2",
-                            "id": f"oracle-r2 k={k} b0={b0} n={n}",
-                            "k": k,
-                            "b0": b0,
-                            "n": n,
-                            "cap": args.cap,
-                        }
-                    )
-    elif suite == "oracle-r3":
-        for k in range(1, args.kmax + 1):
-            for b0 in range(k + 1):
-                for n in range(args.nmax + 1):
-                    cases.append(
-                        {
-                            "kind": "oracle-r3",
-                            "id": f"oracle-r3 k={k} b0={b0} n={n}",
-                            "k": k,
-                            "b0": b0,
-                            "b1": k,
-                            "n": n,
-                            "cap": args.cap,
-                        }
-                    )
-    elif suite == "weights":
-        for k in range(1, args.kmax + 1):
-            for size in range(args.sizemax + 1):
-                for part in level_restricted_partitions(size, k):
-                    mult = list(part.multiplicities)
-                    for b0 in range(k + 1):
-                        cases.append(
-                            {
-                                "kind": "weight",
-                                "id": f"weight-G2 k={k} b0={b0} m={mult}",
-                                "k": k,
-                                "b0": b0,
-                                "mult": mult,
-                                "variant": "G2",
-                            }
-                        )
-            for size in range(args.sizemax3 + 1):
-                for part in level_restricted_partitions(size, k):
-                    mult = list(part.multiplicities)
-                    cases.append(
-                        {
-                            "kind": "weight",
-                            "id": f"weight-G3 k={k} m={mult}",
-                            "k": k,
-                            "b0": (k + 1) // 2,
-                            "mult": mult,
-                            "variant": "G3",
-                        }
-                    )
-    elif suite == "pair-functions":
-        for k in range(1, args.kmax + 1):
-            fams = [("r2", 0)]
-            fams.append(("r3-odd-k", None) if k % 2 else ("r3-even-k", None))
-            fams.append(("r3-split", 0))
-            for family, b0 in fams:
-                b0 = 0 if b0 is None else b0
-                fam = build_family(family, k, b0)
-                names = [name for name, _ in fam.specs]
-                for i, name_a in enumerate(names):
-                    for name_b in names[i:]:
-                        p, s = _expected_pair_exponents(family, k, name_a, name_b)
-                        cases.append(
-                            {
-                                "kind": "pair-function",
-                                "id": f"pair {family} k={k} {name_a},{name_b}",
-                                "family": family,
-                                "k": k,
-                                "b0": b0,
-                                "name_a": name_a,
-                                "name_b": name_b,
-                                "order": args.order,
-                                "p": p,
-                                "s": s,
-                            }
-                        )
-    elif suite == "conjecture-10.2":
-        for n in range(args.nmax + 1):
-            cases.append(
-                {
-                    "kind": "oracle-r3",
-                    "id": f"conjecture-10.2 k=2 b=(1,1) n={n}",
-                    "k": 2,
-                    "b0": 1,
-                    "b1": 1,
-                    "n": n,
-                    "cap": args.cap,
-                    "experimental": True,
-                }
-            )
+def _series(case_id, methods, window, params, n=None) -> dict:
+    return {
+        "kind": "series",
+        "id": case_id,
+        "methods": methods,
+        "window": window,
+        "n": n,
+        "params": params,
+    }
+
+
+def _k_b0(args):
+    return [(k, b0) for k in range(1, args.kmax + 1) for b0 in range(k + 1)]
+
+
+def _fermionic_cases(suite, args):
+    """direct against the fermionic formula of rank r, at b = (b0,) or (b0, k)."""
+    r = int(suite[-1])  # the suite name ends in its rank
+    for k, b0 in _k_b0(args):
+        b = (b0,) if r == 2 else (b0, k)
+        params = {"k": k, "b0": b0, "qmax": args.qmax, "zmax": args.zmax}
+        window = (k, r, b, args.qmax, args.zmax)
+        yield _series(f"{suite} k={k} b0={b0}", ("direct", f"fermionic-r{r}"), window, params)
+
+
+def _special_cases(suite, args):
+    """The b = ((k+1)/2, k) special formula against fermionic-r3, and
+    against direct where direct is cheap."""
+    for k in range(1, args.kmax + 1):
+        params = {"k": k, "qmax": args.qmax, "zmax": args.zmax}
+        window = (k, 3, ((k + 1) // 2, k), args.qmax, args.zmax)
+        methods = ("fermionic-r3-special", "fermionic-r3")
+        yield _series(f"special k={k} vs-fermionic", methods, window, params)
+        if k <= 2:
+            methods = ("fermionic-r3-special", "direct")
+            yield _series(f"special k={k} vs-direct", methods, window, params)
+
+
+def _oracle_cases(suite, args):
+    """Each z^n block of the vanishing-space oracle against direct, n <= nmax.
+    conjecture-10.2 is the b1 < k block the fermionic formula does not cover."""
+    if suite == "conjecture-10.2":
+        r, blocks = 3, [(f"{suite} k=2 b=(1,1)", 2, (1, 1))]
     else:
-        raise ValueError(f"unknown suite: {suite}")
-    return cases
+        r = int(suite[-1])  # the suite name ends in its rank
+        blocks = [
+            (f"{suite} k={k} b0={b0}", k, (b0,) if r == 2 else (b0, k))
+            for k, b0 in _k_b0(args)
+        ]
+    qmax = args.cap if r == 2 else 2 * args.cap + 1
+    for label, k, b in blocks:
+        for n in range(args.nmax + 1):
+            params = {"k": k, **dict(zip(("b0", "b1"), b)), "n": n, "cap": args.cap}
+            if suite == "conjecture-10.2":
+                params["experimental"] = True
+            window = (k, r, b, qmax, n)
+            yield _series(f"{label} n={n}", ("oracle", "direct"), window, params, n)
+
+
+def _weight_cases(suite, args):
+    """The quadratic-form weight of each level-restricted partition against
+    the degree of its product form, G2 at every b0 and G3 at b0 = (k+1)/2."""
+    for k in range(1, args.kmax + 1):
+        for size in range(args.sizemax + 1):
+            for part in level_restricted_partitions(size, k):
+                mult = list(part.multiplicities)
+                for b0 in range(k + 1):
+                    params = {"k": k, "b0": b0, "mult": mult, "variant": "G2"}
+                    case_id = f"weight-G2 k={k} b0={b0} m={mult}"
+                    yield {"kind": "weight", "id": case_id, "params": params}
+        for size in range(args.sizemax3 + 1):
+            for part in level_restricted_partitions(size, k):
+                mult = list(part.multiplicities)
+                params = {"k": k, "b0": (k + 1) // 2, "mult": mult, "variant": "G3"}
+                yield {"kind": "weight", "id": f"weight-G3 k={k} m={mult}", "params": params}
+
+
+def _pair_cases(suite, args):
+    """Each pair function of the built-in families against its closed form."""
+    for k in range(1, args.kmax + 1):
+        for family in ("r2", "r3-odd-k" if k % 2 else "r3-even-k", "r3-split"):
+            fam = build_family(family, k, 0)
+            names = [name for name, _ in fam.specs]
+            for i, name_a in enumerate(names):
+                for name_b in names[i:]:
+                    p, s = _expected_pair_exponents(family, k, name_a, name_b)
+                    params = {
+                        "family": family,
+                        "k": k,
+                        "b0": 0,
+                        "name_a": name_a,
+                        "name_b": name_b,
+                        "order": args.order,
+                        "p": p,
+                        "s": s,
+                    }
+                    case_id = f"pair {family} k={k} {name_a},{name_b}"
+                    yield {"kind": "pair-function", "id": case_id, "params": params}
 
 
 def _expected_pair_exponents(family: str, k: int, name_a: str, name_b: str):
@@ -590,6 +478,20 @@ def _expected_pair_exponents(family: str, k: int, name_a: str, name_b: str):
     return max(0, a + b - k), 0
 
 
+# suite: (case builder, defaults of the flags it reads)
+SUITES = {
+    "r2": (_fermionic_cases, {"kmax": 3, "qmax": 30, "zmax": 12}),
+    "r3": (_fermionic_cases, {"kmax": 2, "qmax": 20, "zmax": 10}),
+    "special-equality": (_special_cases, {"kmax": 4, "qmax": 20, "zmax": 10}),
+    "oracle-r2": (_oracle_cases, {"kmax": 3, "nmax": 5, "cap": 12}),
+    "oracle-r3": (_oracle_cases, {"kmax": 2, "nmax": 4, "cap": 8}),
+    "weights": (_weight_cases, {"kmax": 3, "sizemax": 8, "sizemax3": 6}),
+    "pair-functions": (_pair_cases, {"kmax": 4, "order": 12}),
+    "conjecture-10.2": (_oracle_cases, {"nmax": 3, "cap": 6}),
+}
+VERIFY_FLAGS = ("kmax", "qmax", "zmax", "nmax", "cap", "order", "sizemax", "sizemax3")
+
+
 def _worker_count(n_cases: int) -> int:
     """Pool size from the environment, clamped to the CPUs and the cases."""
     text = os.environ.get(WORKERS_ENV, "1")
@@ -603,7 +505,15 @@ def _worker_count(n_cases: int) -> int:
 
 
 def cmd_verify(args) -> int:
-    cases = _build_cases(args.suite, args)
+    build, defaults = SUITES[args.suite]
+    for name in VERIFY_FLAGS:
+        value = getattr(args, name)
+        least = 1 if name == "kmax" else 0
+        if value is None:
+            setattr(args, name, defaults.get(name))
+        elif value < least:
+            raise ValueError(f"--{name} must be at least {least}, got {value}")
+    cases = list(build(args.suite, args))
     workers = _worker_count(len(cases))
     if workers > 1:
         # imported here so that a serial run never loads the process-pool machinery
@@ -622,23 +532,24 @@ def cmd_verify(args) -> int:
                 )
     else:
         results = [_run_case(c) for c in cases]
-    reports = [r for r, _ in results]
-    timings = [t for _, t in results]
-    order = sorted(range(len(reports)), key=lambda i: reports[i]["case"])
-    reports = [reports[i] for i in order]
-    timings = [timings[i] for i in order]
+    order = sorted(range(len(results)), key=lambda i: results[i][0]["case"])
+    reports = [results[i][0] for i in order]
 
     payload = {"schema": REPORT_SCHEMA, "suite": args.suite, "reports": reports}
     print(_dump(payload))
 
     width = max((len(r["case"]) for r in reports), default=4)
-    for rep, times in zip(reports, timings):
+    for i in order:
+        rep, times = results[i]
         t = " ".join(f"{name}={dt:.3f}s" for name, dt in times.items())
         flag = " [experimental]" if rep["experimental"] else ""
         line = f"{rep['case'].ljust(width)}  {rep['status']}{flag}  {t}"
         print(line, file=sys.stderr)
         if rep["status"] == "mismatch" and rep["witness"]:
             print(f"{' ' * width}  witness: {rep['witness']}", file=sys.stderr)
+            if cases[i]["kind"] == "series":
+                for replay in _replay_lines(cases[i], rep["witness"]):
+                    print(f"{' ' * width}  {replay}", file=sys.stderr)
         if rep["status"] == "error":
             print(f"{' ' * width}  detail: {rep['detail']}", file=sys.stderr)
 
@@ -674,14 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a cross-check suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--kmax", type=int, default=None)
-    p_verify.add_argument("--qmax", type=int, default=None)
-    p_verify.add_argument("--zmax", type=int, default=None)
-    p_verify.add_argument("--nmax", type=int, default=None)
-    p_verify.add_argument("--cap", type=int, default=None)
-    p_verify.add_argument("--order", type=int, default=12)
-    p_verify.add_argument("--sizemax", type=int, default=8)
-    p_verify.add_argument("--sizemax3", type=int, default=6)
+    for name in VERIFY_FLAGS:  # unset flags take the suite's defaults
+        p_verify.add_argument(f"--{name}", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_dims = sub.add_parser(
@@ -723,29 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SUITE_DEFAULTS = {
-    "r2": {"kmax": 3, "qmax": 30, "zmax": 12},
-    "r3": {"kmax": 2, "qmax": 20, "zmax": 10},
-    "special-equality": {"kmax": 4, "qmax": 20, "zmax": 10},
-    "oracle-r2": {"kmax": 3, "nmax": 5, "cap": 12},
-    "oracle-r3": {"kmax": 2, "nmax": 4, "cap": 8},
-    "weights": {"kmax": 3},
-    "pair-functions": {"kmax": 4},
-    "conjecture-10.2": {"nmax": 3, "cap": 6},
-}
-
-
-def _apply_suite_defaults(args):
-    for name, value in _SUITE_DEFAULTS.get(getattr(args, "suite", ""), {}).items():
-        if getattr(args, name, None) is None:
-            setattr(args, name, value)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        _apply_suite_defaults(args)
     try:
         return args.func(args)
     except (ValueError, CapacityError) as exc:

@@ -111,8 +111,14 @@ def _pair_exponents(a: VOSpec, b: VOSpec, table: PairingTable):
     return c_even, c_odd, z_power
 
 
+def _check_order(trunc: int) -> None:
+    if trunc < 0:
+        raise ValueError(f"truncation order must be non-negative, got {trunc}")
+
+
 def pair_function(a: VOSpec, b: VOSpec, table: PairingTable, trunc: int) -> PairFunction:
     """Contraction scalar of two operator specs, to order trunc in w/z."""
+    _check_order(trunc)
     c_even, c_odd, z_power = _pair_exponents(a, b, table)
     # exp(sum L_m x^m) with L_m = -c_m/m via the log-derivative recurrence
     coeffs = [Fraction(1)]
@@ -132,6 +138,7 @@ def pair_function(a: VOSpec, b: VOSpec, table: PairingTable, trunc: int) -> Pair
 
 def closed_form_series(p: int, s: int, trunc: int) -> list[Fraction]:
     """Coefficients of (1 - x)^p (1 + x)^s through order trunc."""
+    _check_order(trunc)
     out = [Fraction(0)] * (trunc + 1)
     for i in range(min(p, trunc) + 1):
         ci = comb(p, i) * (-1) ** i

@@ -237,6 +237,13 @@ class TestPairs:
             }
         ]
 
+    def test_negative_order_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "pairs", "--family", "r2", "--k", "2", "--order", "-1"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: truncation order") and err.count("\n") == 1
+
     def test_parity_mismatch_is_an_error(self, capsys):
         code, _, err = run_cli(
             capsys, "pairs", "--family", "r3-even-k", "--k", "3"
@@ -410,13 +417,98 @@ class TestVerify:
         assert [r["status"] for r in reports] == ["error", "error"]
         assert all(r["experimental"] for r in reports)
 
-    def test_mismatch_witness_is_replayable(self, capsys):
-        # witness terms reference q/z exponents recomputable via cmd_char
-        from admissible.series import first_mismatch
+    def replay_witness(self, capsys, err, witness, z_exp):
+        """Run both replay lines of the first mismatch through main and
+        check that they reproduce the witness's two coefficients."""
+        replays = [
+            line.split("replay: ", 1)[1] for line in err.splitlines() if "replay:" in line
+        ]
+        for replay, side in zip(replays[:2], ("lhs", "rhs")):
+            command, note = replay.split("  # coefficient of ")
+            assert note == f"q^{witness['q_exp']} z^{z_exp}"
+            argv = command.split()
+            assert argv[0] == "admissible"
+            code, out, _ = run_cli(capsys, *argv[1:])
+            assert code == 0
+            got = TruncatedSeries.from_json(out).coefficient(witness["q_exp"], z_exp)
+            assert str(got) == witness[side]
+        return replays
 
-        a = TruncatedSeries({(2, 1): 3}, 5, 3)
-        b = TruncatedSeries({(2, 1): 4}, 5, 3)
-        assert first_mismatch(a, b) == (2, 1, 3, 4)
+    def test_mismatch_replay_lines_reproduce_the_witness(self, capsys, monkeypatch):
+        import admissible.cli as cli
+
+        real = cli.fermionic_r2
+
+        def off_by_one(k, b0, qmax, zmax):
+            series = real(k, b0, qmax, zmax)
+            if (k, b0) != (2, 1):
+                return series
+            coeffs = dict(series.coeffs)
+            coeffs[(3, 1)] = coeffs.get((3, 1), 0) + 1
+            return TruncatedSeries(coeffs, series.q_order, series.z_order)
+
+        monkeypatch.setattr(cli, "fermionic_r2", off_by_one)
+        code, out, err = run_cli(
+            capsys, "verify", "r2", "--kmax", "2", "--qmax", "6", "--zmax", "3"
+        )
+        assert code == 1
+        reports = {r["case"]: r for r in json.loads(out)["reports"]}
+        witness = reports["r2 k=2 b0=1"]["witness"]
+        assert (witness["q_exp"], witness["z_exp"]) == (3, 1)
+        replays = self.replay_witness(capsys, err, witness, 1)
+        assert replays == [
+            f"admissible char --method {method} --k 2 --r 2 --b 1 --qmax 6 --zmax 3"
+            "  # coefficient of q^3 z^1"
+            for method in ("direct", "fermionic-r2")
+        ]
+
+    def test_block_mismatch_replays_the_oracle_block(self, capsys, monkeypatch):
+        import admissible.cli as cli
+
+        real = cli.character_from_oracle_r3
+
+        def shifted(n, k, b0, b1, cap):
+            block = real(n, k, b0, b1, cap)
+            if (n, b0) != (2, 0):
+                return block
+            coeffs = dict(block.coeffs)
+            coeffs[(5, 0)] = coeffs.get((5, 0), 0) + 1
+            return TruncatedSeries(coeffs, block.q_order, block.z_order)
+
+        monkeypatch.setattr(cli, "character_from_oracle_r3", shifted)
+        code, out, err = run_cli(
+            capsys, "verify", "oracle-r3", "--kmax", "1", "--nmax", "2", "--cap", "4"
+        )
+        assert code == 1
+        reports = {r["case"]: r for r in json.loads(out)["reports"]}
+        witness = reports["oracle-r3 k=1 b0=0 n=2"]["witness"]
+        assert (witness["q_exp"], witness["z_exp"]) == (5, 0)
+        replays = self.replay_witness(capsys, err, witness, 2)
+        # the rank-3 block at cap 4 is exact through q^9
+        assert replays == [
+            f"admissible char --method {method} --k 1 --r 3 --b 0,1 --qmax 9 --zmax 2"
+            "  # coefficient of q^5 z^2"
+            for method in ("oracle", "direct")
+        ]
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--kmax", "0"),
+            ("--qmax", "-1"),
+            ("--zmax", "-1"),
+            ("--nmax", "-1"),
+            ("--cap", "-1"),
+            ("--order", "-1"),
+            ("--sizemax", "-1"),
+            ("--sizemax3", "-1"),
+        ],
+    )
+    def test_bad_flag_exits_2_before_any_case(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "verify", "r2", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be at least {int(value) + 1}, got {value}\n"
 
     def test_series_case_report_shape_on_mismatch(self):
         from admissible.cli import _series_case
@@ -462,6 +554,26 @@ GOLDEN_CASES = {
         "--b", "0,2", "--qmax", "8", "--zmax", "3",
     ],
     "table_A_k3.json": ["table", "--k", "3", "--which", "A", "--format", "json"],
+    "verify_r2_k2.json": ["verify", "r2", "--kmax", "2", "--qmax", "8", "--zmax", "4"],
+    "verify_r3_k2.json": ["verify", "r3", "--kmax", "2", "--qmax", "8", "--zmax", "4"],
+    "verify_special_k3.json": [
+        "verify", "special-equality", "--kmax", "3", "--qmax", "8", "--zmax", "4",
+    ],
+    "verify_oracle_r2_k2.json": [
+        "verify", "oracle-r2", "--kmax", "2", "--nmax", "2", "--cap", "6",
+    ],
+    # n = 9 exceeds the oracle's variable limit: pins the capacity-skip report
+    "verify_oracle_r2_skip.json": [
+        "verify", "oracle-r2", "--kmax", "1", "--nmax", "9", "--cap", "2",
+    ],
+    "verify_oracle_r3_k1.json": [
+        "verify", "oracle-r3", "--kmax", "1", "--nmax", "2", "--cap", "4",
+    ],
+    "verify_conjecture_n2.json": ["verify", "conjecture-10.2", "--nmax", "2", "--cap", "4"],
+    "verify_weights_k1.json": [
+        "verify", "weights", "--kmax", "1", "--sizemax", "3", "--sizemax3", "2",
+    ],
+    "verify_pairs_k2.json": ["verify", "pair-functions", "--kmax", "2", "--order", "4"],
     "table_c2_k3_b1.json": [
         "table", "--k", "3", "--which", "c2", "--b0", "1", "--format", "json",
     ],

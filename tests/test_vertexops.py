@@ -62,6 +62,14 @@ class TestPairFunction:
         assert pf.closed_form == (0, 1)
         assert list(pf.coeffs) == [1, 1, 0, 0, 0, 0]
 
+    def test_negative_order_rejected(self):
+        t = PairingTable({("e", "e"): 2})
+        spec = VOSpec.constant({"e": 1})
+        with pytest.raises(ValueError, match="non-negative"):
+            pair_function(spec, spec, t, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            closed_form_series(2, 0, -1)
+
     def test_half_integer_exponents_have_no_closed_form(self):
         t = PairingTable({("a", "a"): 2, ("d", "d"): 1, ("a", "d"): 0})
         spec = VOSpec(even={"a": 1}, odd={"d": 1}, zero_mode={"a": 1})
