@@ -1,7 +1,8 @@
 """Command-line front end: compute characters, print Gordon tables, and run
 the cross-verification suites.
 
-Each series check of ``verify`` compares two ``char`` methods on one window
+``verify`` runs its cases one by one in this process and reports them sorted
+by case id.  Each series check compares two ``char`` methods on one window
 (k, r, b, qmax, zmax), whole or on one z-block, through the same function
 that ``char`` uses; a mismatch prints one replay ``admissible char`` command
 per side on stderr.  The weights and pair-functions suites compare scalars.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import locale  # noqa: F401  (see below)
-import os
 import shutil  # noqa: F401  (see below)
 import sys
 import time
@@ -60,7 +60,6 @@ from .polyspaces import (
 )
 from .vertexops import build_family, closed_form_series, pair_function
 
-WORKERS_ENV = "ADMISSIBLE_WORKERS"
 REPORT_SCHEMA = 1
 
 def _dump(obj) -> str:
@@ -167,9 +166,12 @@ def _format_table(rows, fmt: str) -> str:
 
 
 def cmd_table(args) -> int:
-    if args.which in ("c2", "c3") and args.b0 is None:
+    boundary = args.which in ("c2", "c3")
+    if boundary and args.b0 is None:
         raise ValueError(f"--b0 is required for {args.which}")
-    rows = _matrix_for(args.which, args.k, args.b0 if args.b0 is not None else 0)
+    if not boundary and args.b0 is not None:
+        raise ValueError("--b0 applies to --which c2 or c3 only")
+    rows = _matrix_for(args.which, args.k, args.b0)
     print(_format_table(rows, args.format))
     return 0
 
@@ -262,7 +264,6 @@ def _report(case_id, methods, witness=None, status=None, **detail) -> dict:
         "case": case_id,
         "methods": methods,
         "status": status,
-        "experimental": False,
         "witness": witness,
         **detail,
     }
@@ -291,11 +292,6 @@ def _with_params(case: dict, report: dict) -> dict:
     """The report with its case's params and experimental flag."""
     params = case["params"]
     return {**report, "experimental": params.get("experimental", False), "params": params}
-
-
-def _failed_case(case: dict, status: str, detail: str):
-    """Report for a case that produced no comparison."""
-    return _with_params(case, _report(case["id"], [], status=status, detail=detail)), {}
 
 
 def _run_case(case: dict):
@@ -342,10 +338,11 @@ def _run_case(case: dict):
         witness = None if lhs == rhs else (None, None, lhs, rhs)
         return _with_params(case, _report(case["id"], names, witness)), {}
     except CapacityError as exc:
-        return _failed_case(case, "capacity-skip", str(exc))
+        status, detail = "capacity-skip", str(exc)
     except Exception as exc:  # one broken case must not abort the suite
         traceback.print_exc(file=sys.stderr)
-        return _failed_case(case, "error", f"{type(exc).__name__}: {exc}")
+        status, detail = "error", f"{type(exc).__name__}: {exc}"
+    return _with_params(case, _report(case["id"], [], status=status, detail=detail)), {}
 
 
 def _replay_lines(case: dict, witness: dict) -> list[str]:
@@ -492,18 +489,6 @@ SUITES = {
 VERIFY_FLAGS = ("kmax", "qmax", "zmax", "nmax", "cap", "order", "sizemax", "sizemax3")
 
 
-def _worker_count(n_cases: int) -> int:
-    """Pool size from the environment, clamped to the CPUs and the cases."""
-    text = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
-    return min(workers, os.cpu_count() or 1, n_cases)
-
-
 def cmd_verify(args) -> int:
     build, defaults = SUITES[args.suite]
     for name in VERIFY_FLAGS:
@@ -514,50 +499,31 @@ def cmd_verify(args) -> int:
         elif value < least:
             raise ValueError(f"--{name} must be at least {least}, got {value}")
     cases = list(build(args.suite, args))
-    workers = _worker_count(len(cases))
-    if workers > 1:
-        # imported here so that a serial run never loads the process-pool machinery
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-        results = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                for result in pool.map(_run_case, cases):
-                    results.append(result)
-            except BrokenExecutor as exc:
-                # a dead worker ends the map: keep what finished, report the rest
-                detail = f"{type(exc).__name__}: {exc}"
-                results.extend(
-                    _failed_case(case, "error", detail) for case in cases[len(results):]
-                )
-    else:
-        results = [_run_case(c) for c in cases]
-    order = sorted(range(len(results)), key=lambda i: results[i][0]["case"])
-    reports = [results[i][0] for i in order]
+    runs = sorted(
+        ((case, *_run_case(case)) for case in cases), key=lambda run: run[1]["case"]
+    )
+    reports = [report for _, report, _ in runs]
 
     payload = {"schema": REPORT_SCHEMA, "suite": args.suite, "reports": reports}
     print(_dump(payload))
 
     width = max((len(r["case"]) for r in reports), default=4)
-    for i in order:
-        rep, times = results[i]
+    for case, rep, times in runs:
         t = " ".join(f"{name}={dt:.3f}s" for name, dt in times.items())
         flag = " [experimental]" if rep["experimental"] else ""
         line = f"{rep['case'].ljust(width)}  {rep['status']}{flag}  {t}"
         print(line, file=sys.stderr)
         if rep["status"] == "mismatch" and rep["witness"]:
             print(f"{' ' * width}  witness: {rep['witness']}", file=sys.stderr)
-            if cases[i]["kind"] == "series":
-                for replay in _replay_lines(cases[i], rep["witness"]):
+            if case["kind"] == "series":
+                for replay in _replay_lines(case, rep["witness"]):
                     print(f"{' ' * width}  {replay}", file=sys.stderr)
         if rep["status"] == "error":
             print(f"{' ' * width}  detail: {rep['detail']}", file=sys.stderr)
 
-    failed = [
-        r
-        for r in reports
-        if r["status"] in ("mismatch", "error") and not r["experimental"]
-    ]
+    failed = any(
+        r["status"] in ("mismatch", "error") and not r["experimental"] for r in reports
+    )
     return 1 if failed else 0
 
 
@@ -619,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="print a Gordon matrix or boundary vector")
     p_table.add_argument("--k", type=int, required=True)
     p_table.add_argument("--which", required=True, choices=["A2", "B3", "A", "B", "c2", "c3"])
-    p_table.add_argument("--b0", type=int, default=None)
+    p_table.add_argument("--b0", type=int, default=None, help="c2 and c3 only")
     p_table.add_argument(
         "--format", default="grid", choices=["grid", "json", "csv", "latex"]
     )

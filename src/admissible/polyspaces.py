@@ -10,11 +10,11 @@ constraint per surviving monomial, and computing the kernel dimension with
 fraction-free integer elimination.  No floating point is involved anywhere,
 so rank decisions are exact.
 
-The same module builds the product-formula weights attached to restricted
-partitions as lists of monomial and binomial factors.  A product of nonzero
-homogeneous integer polynomials is nonzero and homogeneous, so its degree is
-the sum of the factor exponents; comparing that sum with the quadratic-form
-exponents used by the fermionic sums is an independent check of the matrices.
+The same module gives the degree of the product-formula weight attached to a
+restricted partition.  A product of nonzero homogeneous integer polynomials
+is nonzero and homogeneous, so its degree is the sum of the factor exponents;
+comparing that sum with the quadratic-form exponents used by the fermionic
+sums is an independent check of the matrices.
 """
 
 from __future__ import annotations
@@ -331,6 +331,8 @@ def character_from_oracle_r3(
 
 def pair_sector_dims(n: int, k: int, b0: int, b1: int, degree_cap: int) -> list[list[int]]:
     """Graded dimensions of the (n - l2, l2) pair spaces, indexed by l2 = 0..n."""
+    if n < 0:
+        raise ValueError("variable counts must be non-negative")
     return [
         graded_dimension(vanishing_spec_r3_pair(n - l2, l2, k, b0, b1, degree_cap))
         for l2 in range(n + 1)
@@ -358,62 +360,39 @@ def regrade_pair_sectors(sector_dims, degree_cap: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # Product-formula weights
 
-def _group_vars(multiplicities) -> list[tuple[int, int]]:
-    return [
-        (a + 1, i)
-        for a, m in enumerate(multiplicities)
-        for i in range(m)
-    ]
+def weight_degree(lam, variant: str, k: int, b0: int, mu=None) -> int:
+    """Total degree of the weight product attached to a restricted partition.
 
-
-def _weight_factors(variant: str, k: int, b0: int, lam, mu=None):
-    """Factor list for a weight product, over a flat variable list.
-
-    Returns (monomial_powers, binomials) where monomial_powers is a
-    per-variable exponent list and binomials are (i, j, sign, exponent) with
-    sign +1 for (x_i + x_j) and -1 for (x_i - x_j).
+    Each part a of lam is a variable x (of mu, for G_pair, a variable y).  The
+    factors are x^(a - b0) and, per pair of variables of parts a and b,
+    (x - x')^(2 min(a, b)) and, for G3, (x + x')^(a + b - k) in one family,
+    and (x - y)^(a + b - k) across; none where the exponent is not positive.
+    Every factor is a nonzero homogeneous integer polynomial, so the product
+    is too, and its degree is the sum of the factor exponents.
     """
     if variant not in ("G2", "G3", "G_pair"):
         raise ValueError(f"unknown weight variant: {variant}")
     validate_b(k, 2, (b0,))
-    lam_vars = _group_vars(lam.multiplicities)
+    families = [lam.multiplicities]
     if variant == "G_pair":
         if mu is None:
             raise ValueError("G_pair needs a second partition")
-        mu_vars = _group_vars(mu.multiplicities)
-        variables = [("x", a, i) for a, i in lam_vars] + [
-            ("y", b, i) for b, i in mu_vars
-        ]
-    else:
-        if mu is not None:
-            raise ValueError(f"{variant} takes a single partition")
-        variables = [("x", a, i) for a, i in lam_vars]
-    mono = [0] * len(variables)
-    binomials: list[tuple[int, int, int, int]] = []
-
-    for vi, (fam, a, _) in enumerate(variables):
-        if fam == "x" and a > b0:
-            mono[vi] = a - b0
-
-    for vi in range(len(variables)):
-        for vj in range(vi + 1, len(variables)):
-            fam_i, a, _ = variables[vi]
-            fam_j, b, _ = variables[vj]
-            if fam_i == fam_j:
-                binomials.append((vi, vj, -1, 2 * min(a, b)))
+        families.append(mu.multiplicities)
+    elif mu is not None:
+        raise ValueError(f"{variant} takes a single partition")
+    variables = [
+        (f, a + 1)
+        for f, multiplicities in enumerate(families)
+        for a, m in enumerate(multiplicities)
+        for _ in range(m)
+    ]
+    degree = sum(a - b0 for f, a in variables if f == 0 and a > b0)
+    for i, (f, a) in enumerate(variables):
+        for g, b in variables[i + 1:]:
+            if f == g:
+                degree += 2 * min(a, b)
                 if variant == "G3" and a + b > k:
-                    binomials.append((vi, vj, +1, a + b - k))
-            else:
-                if a + b > k:
-                    binomials.append((vi, vj, -1, a + b - k))
-    return mono, binomials
-
-
-def weight_degree(lam, variant: str, k: int, b0: int, mu=None) -> int:
-    """Total degree of the weight product attached to a restricted partition.
-
-    Every factor is a nonzero homogeneous integer polynomial, so the product
-    is too, and its degree is the sum of the factor exponents.
-    """
-    mono, binomials = _weight_factors(variant, k, b0, lam, mu)
-    return sum(mono) + sum(e for _, _, _, e in binomials)
+                    degree += a + b - k
+            elif a + b > k:
+                degree += a + b - k
+    return degree

@@ -258,19 +258,27 @@ def family_r2(k: int, b0: int) -> VOFamily:
     return VOFamily("r2", k, table, specs, "beta0")
 
 
+def _paired_block_pairings(n: int) -> dict:
+    """Pairings of the paired blocks eps{j}+, eps{j}- for j = 1..n: norm 2,
+    1 between the two halves of a block, 0 across blocks."""
+    pairings = {}
+    for j in range(1, n + 1):
+        pairings[(f"eps{j}+", f"eps{j}+")] = 2
+        pairings[(f"eps{j}-", f"eps{j}-")] = 2
+        pairings[(f"eps{j}+", f"eps{j}-")] = 1
+        for j2 in range(j + 1, n + 1):
+            for s1 in "+-":
+                for s2 in "+-":
+                    pairings[(f"eps{j}{s1}", f"eps{j2}{s2}")] = 0
+    return pairings
+
+
 def family_r3_split(k: int, b0: int) -> VOFamily:
     """Two constant families gamma_a^+ and gamma_a^- over paired 2-dimensional
     blocks; the minus family accumulates generators from the top index down."""
     validate_b(k, 2, (b0,))
-    pairings = {}
+    pairings = _paired_block_pairings(k)
     for j in range(1, k + 1):
-        pairings[(f"eps{j}+", f"eps{j}+")] = 2
-        pairings[(f"eps{j}-", f"eps{j}-")] = 2
-        pairings[(f"eps{j}+", f"eps{j}-")] = 1
-        for j2 in range(j + 1, k + 1):
-            for s1 in "+-":
-                for s2 in "+-":
-                    pairings[(f"eps{j}{s1}", f"eps{j2}{s2}")] = 0
         pairings[(f"eps{j}+", "gamma0")] = 0 if j <= b0 else 1
         pairings[(f"eps{j}-", "gamma0")] = 0
     table = PairingTable(pairings)
@@ -295,15 +303,7 @@ def family_r3_mixed(k: int) -> VOFamily:
     deliberately absent from the table."""
     validate_k(k)
     half = k // 2
-    pairings = {}
-    for j in range(1, half + 1):
-        pairings[(f"eps{j}+", f"eps{j}+")] = 2
-        pairings[(f"eps{j}-", f"eps{j}-")] = 2
-        pairings[(f"eps{j}+", f"eps{j}-")] = 1
-        for j2 in range(j + 1, half + 1):
-            for s1 in "+-":
-                for s2 in "+-":
-                    pairings[(f"eps{j}{s1}", f"eps{j2}{s2}")] = 0
+    pairings = _paired_block_pairings(half)
     if k % 2:
         pairings[("eps0", "eps0")] = 1
         pairings[("sqrt3_eps0", "sqrt3_eps0")] = 3
