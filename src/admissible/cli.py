@@ -2,10 +2,12 @@
 the cross-verification suites.
 
 ``verify`` runs its cases one by one in this process and reports them sorted
-by case id.  Each series check compares two ``char`` methods on one window
-(k, r, b, qmax, zmax), whole or on one z-block, through the same function
-that ``char`` uses; a mismatch prints one replay ``admissible char`` command
-per side on stderr.  The weights and pair-functions suites compare scalars.
+by case id.  Every case is two named computations of one quantity, compared
+as series or as scalars.  A series case computes two ``char`` methods on one
+window (k, r, b, qmax, zmax), whole or on one z-block, through the same
+function that ``char`` uses; a mismatch prints one replay ``admissible char``
+command per side on stderr.  The weights and pair-functions suites compare
+scalars.
 
 Machine-readable JSON goes to stdout and is byte-for-byte deterministic for
 fixed flags and version; wall-clock timings and the human-readable table go
@@ -24,15 +26,15 @@ import shutil  # noqa: F401  (see below)
 import sys
 import time
 import traceback
+from functools import partial
 
 # argparse imports locale (through gettext) and shutil (for the help width)
 # on first use, which every command reaches; importing them here keeps that
 # fixed cost in start-up instead of in each command's own run time.
 
 from .series import TruncatedSeries, first_mismatch
-from .configurations import character_direct, validate_b
+from .configurations import character_direct, validate_b, validate_window
 from .fermionic import (
-    RestrictedPartition,
     boundary_c2,
     boundary_c3,
     fermionic_r2,
@@ -89,6 +91,7 @@ def _oracle_block(k, r, b, qmax, n) -> TruncatedSeries:
 
 
 def _compute_char(method, k, r, b, qmax, zmax) -> TruncatedSeries:
+    validate_window(qmax, zmax)
     if method == "direct":
         return character_direct(k, r, b, qmax, zmax)
     if method == "fermionic-r2":
@@ -247,37 +250,11 @@ def cmd_pairs(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 #
-# A case is a dict with its "kind" (series, weight or pair-function), its
-# "id" and the "params" its report echoes.  A series case also names two
-# char "methods", one char "window" (k, r, b, qmax, zmax) for both, and the
-# z-block "n" it compares, or None to compare the whole window.
-
-def _report(case_id, methods, witness=None, status=None, **detail) -> dict:
-    """One case's report; witness is the first differing term
-    (q_exp, z_exp, lhs, rhs) of a comparison, or None."""
-    if status is None:
-        status = "match" if witness is None else "mismatch"
-    if witness is not None:
-        q_exp, z_exp, lhs, rhs = witness
-        witness = {"q_exp": q_exp, "z_exp": z_exp, "lhs": str(lhs), "rhs": str(rhs)}
-    return {
-        "case": case_id,
-        "methods": methods,
-        "status": status,
-        "witness": witness,
-        **detail,
-    }
-
-
-def _series_case(case_id, lhs_name, rhs_name, lhs, rhs):
-    t0 = time.perf_counter()
-    a = lhs()
-    t1 = time.perf_counter()
-    b = rhs()
-    t2 = time.perf_counter()
-    report = _report(case_id, [lhs_name, rhs_name], first_mismatch(a, b))
-    return report, {lhs_name: t1 - t0, rhs_name: t2 - t1}
-
+# A case is two named computations of one quantity: a dict with its "id",
+# the "params" its report echoes, its two "methods" and their "sides", the
+# zero-argument functions that compute them.  A series case also keeps the
+# char "window" (k, r, b, qmax, zmax) of both sides and the z-block "n" they
+# compare, or None for the whole window, for its replay lines.
 
 def _char_side(method, window, n) -> TruncatedSeries:
     """One side of a series case: the char of the window, or its z^n block."""
@@ -288,61 +265,42 @@ def _char_side(method, window, n) -> TruncatedSeries:
     return _compute_char(method, *window).z_block(n)
 
 
-def _with_params(case: dict, report: dict) -> dict:
-    """The report with its case's params and experimental flag."""
-    params = case["params"]
-    return {**report, "experimental": params.get("experimental", False), "params": params}
-
-
 def _run_case(case: dict):
-    """Report and per-method times of one case; a case that raises is
-    reported as a capacity skip or an error and does not end the run."""
-    kind, p = case["kind"], case["params"]
+    """Report and per-method times of one case: both sides are computed,
+    timed and compared, series by their first differing term (q_exp, z_exp,
+    lhs, rhs) and scalars by equality.  A case that raises is reported as a
+    capacity skip or an error and does not end the run."""
+    params = case["params"]
+    report = {
+        "case": case["id"],
+        "methods": [],
+        "witness": None,
+        "experimental": params.get("experimental", False),
+        "params": params,
+    }
     try:
-        if kind == "series":
-            lhs, rhs = case["methods"]
-            window, n = case["window"], case["n"]
-            report, times = _series_case(
-                case["id"],
-                lhs,
-                rhs,
-                lambda: _char_side(lhs, window, n),
-                lambda: _char_side(rhs, window, n),
-            )
-            return _with_params(case, report), times
-        if kind == "weight":
-            if p["variant"] == "G2":
-                data = gordon_data_r2(p["k"], p["b0"])
-            else:
-                data = gordon_data_r3_special(p["k"])
-            part = RestrictedPartition(tuple(p["mult"]))
-            # The label is kept so that the report bytes stay the same; the
-            # degree is the sum of the factor exponents, nothing is expanded.
-            names = ["quadratic-form", "expanded-product"]
-            lhs = quadratic_exponent(data, part.multiplicities)
-            rhs = weight_degree(part, p["variant"], p["k"], p["b0"])
-        elif kind == "pair-function":
-            fam = build_family(p["family"], p["k"], p["b0"])
-            spec_map = dict(fam.specs)
-            a, b = spec_map[p["name_a"]], spec_map[p["name_b"]]
-            pf = pair_function(a, b, fam.table, p["order"])
-            ok = (
-                pf.closed_form == (p["p"], p["s"])
-                and list(pf.coeffs) == closed_form_series(p["p"], p["s"], p["order"])
-                and pf.z_power == p["p"] + p["s"]
-            )
-            names = ["exponential-expansion", "closed-form"]
-            lhs, rhs = "ok" if ok else f"closed={pf.closed_form}", "ok"
+        values, times = [], {}
+        for method, side in zip(case["methods"], case["sides"]):
+            t0 = time.perf_counter()
+            values.append(side())
+            times[method] = time.perf_counter() - t0
+        lhs, rhs = values
+        if isinstance(lhs, TruncatedSeries):
+            witness = first_mismatch(lhs, rhs)
         else:
-            raise ValueError(f"unknown case kind: {kind}")
-        witness = None if lhs == rhs else (None, None, lhs, rhs)
-        return _with_params(case, _report(case["id"], names, witness)), {}
+            witness = None if lhs == rhs else (None, None, lhs, rhs)
+        if witness is not None:
+            q_exp, z_exp, lhs, rhs = witness
+            witness = {"q_exp": q_exp, "z_exp": z_exp, "lhs": str(lhs), "rhs": str(rhs)}
+        status = "match" if witness is None else "mismatch"
+        report.update(methods=list(case["methods"]), status=status, witness=witness)
+        return report, times
     except CapacityError as exc:
-        status, detail = "capacity-skip", str(exc)
+        report.update(status="capacity-skip", detail=str(exc))
     except Exception as exc:  # one broken case must not abort the suite
         traceback.print_exc(file=sys.stderr)
-        status, detail = "error", f"{type(exc).__name__}: {exc}"
-    return _with_params(case, _report(case["id"], [], status=status, detail=detail)), {}
+        report.update(status="error", detail=f"{type(exc).__name__}: {exc}")
+    return report, {}
 
 
 def _replay_lines(case: dict, witness: dict) -> list[str]:
@@ -360,12 +318,12 @@ def _replay_lines(case: dict, witness: dict) -> list[str]:
 
 def _series(case_id, methods, window, params, n=None) -> dict:
     return {
-        "kind": "series",
         "id": case_id,
+        "params": params,
         "methods": methods,
+        "sides": [partial(_char_side, method, window, n) for method in methods],
         "window": window,
         "n": n,
-        "params": params,
     }
 
 
@@ -423,16 +381,30 @@ def _weight_cases(suite, args):
     for k in range(1, args.kmax + 1):
         for size in range(args.sizemax + 1):
             for part in level_restricted_partitions(size, k):
-                mult = list(part.multiplicities)
                 for b0 in range(k + 1):
-                    params = {"k": k, "b0": b0, "mult": mult, "variant": "G2"}
-                    case_id = f"weight-G2 k={k} b0={b0} m={mult}"
-                    yield {"kind": "weight", "id": case_id, "params": params}
+                    case_id = f"weight-G2 k={k} b0={b0} m={list(part.multiplicities)}"
+                    data = partial(gordon_data_r2, k, b0)
+                    yield _weight(case_id, "G2", k, b0, part, data)
         for size in range(args.sizemax3 + 1):
             for part in level_restricted_partitions(size, k):
-                mult = list(part.multiplicities)
-                params = {"k": k, "b0": (k + 1) // 2, "mult": mult, "variant": "G3"}
-                yield {"kind": "weight", "id": f"weight-G3 k={k} m={mult}", "params": params}
+                case_id = f"weight-G3 k={k} m={list(part.multiplicities)}"
+                data = partial(gordon_data_r3_special, k)
+                yield _weight(case_id, "G3", k, (k + 1) // 2, part, data)
+
+
+def _weight(case_id, variant, k, b0, part, data) -> dict:
+    """One weight case; data() builds the variant's Gordon sum data."""
+    return {
+        "id": case_id,
+        "params": {"k": k, "b0": b0, "mult": list(part.multiplicities), "variant": variant},
+        # The label is kept so that the report bytes stay the same; the
+        # degree is the sum of the factor exponents, nothing is expanded.
+        "methods": ["quadratic-form", "expanded-product"],
+        "sides": [
+            lambda: quadratic_exponent(data(), part.multiplicities),
+            partial(weight_degree, part, variant, k, b0),
+        ],
+    }
 
 
 def _pair_cases(suite, args):
@@ -454,8 +426,26 @@ def _pair_cases(suite, args):
                         "p": p,
                         "s": s,
                     }
-                    case_id = f"pair {family} k={k} {name_a},{name_b}"
-                    yield {"kind": "pair-function", "id": case_id, "params": params}
+                    yield {
+                        "id": f"pair {family} k={k} {name_a},{name_b}",
+                        "params": params,
+                        "methods": ["exponential-expansion", "closed-form"],
+                        "sides": [partial(_pair_check, params), lambda: "ok"],
+                    }
+
+
+def _pair_check(p) -> str:
+    """"ok" if the pair function of the two named specs has the expected
+    closed form, z power and series, else its closed form."""
+    fam = build_family(p["family"], p["k"], p["b0"])
+    spec_map = dict(fam.specs)
+    pf = pair_function(spec_map[p["name_a"]], spec_map[p["name_b"]], fam.table, p["order"])
+    ok = (
+        pf.closed_form == (p["p"], p["s"])
+        and list(pf.coeffs) == closed_form_series(p["p"], p["s"], p["order"])
+        and pf.z_power == p["p"] + p["s"]
+    )
+    return "ok" if ok else f"closed={pf.closed_form}"
 
 
 def _expected_pair_exponents(family: str, k: int, name_a: str, name_b: str):
@@ -498,6 +488,8 @@ def cmd_verify(args) -> int:
             setattr(args, name, defaults.get(name))
         elif value < least:
             raise ValueError(f"--{name} must be at least {least}, got {value}")
+        elif name not in defaults:
+            raise ValueError(f"--{name} does not apply to suite {args.suite}")
     cases = list(build(args.suite, args))
     runs = sorted(
         ((case, *_run_case(case)) for case in cases), key=lambda run: run[1]["case"]
@@ -515,7 +507,7 @@ def cmd_verify(args) -> int:
         print(line, file=sys.stderr)
         if rep["status"] == "mismatch" and rep["witness"]:
             print(f"{' ' * width}  witness: {rep['witness']}", file=sys.stderr)
-            if case["kind"] == "series":
+            if "window" in case:
                 for replay in _replay_lines(case, rep["witness"]):
                     print(f"{' ' * width}  {replay}", file=sys.stderr)
         if rep["status"] == "error":

@@ -43,6 +43,12 @@ def validate_b(k: int, r: int, b) -> tuple[int, ...]:
     return b
 
 
+def validate_window(q_max: int, z_max: int) -> None:
+    """Check a truncation window: both orders non-negative."""
+    if q_max < 0 or z_max < 0:
+        raise ValueError("q_max and z_max must be non-negative")
+
+
 @dataclass(frozen=True)
 class AdmissibleConfig:
     """One admissible configuration; entries beyond the stored vector are 0."""
@@ -79,22 +85,22 @@ def is_admissible(a, k: int, r: int, b) -> bool:
     return True
 
 
-def _walk(k, r, b, q_max, z_max):
-    """DFS over configurations in lexicographic order.
+def enumerate_configs(k: int, r: int, b, q_max: int, z_max: int):
+    """Every admissible configuration with q-degree <= q_max and z-degree <= z_max.
 
-    Yields (entries, q_degree, z_degree).  Each recursion step appends the next
+    Each configuration is yielded exactly once, in lexicographic order on the
+    entry vectors, by a depth-first search.  Each step appends the next
     nonzero entry; positions are tried from high to low so that the overall
     yield order is lexicographic on the (zero-padded) vectors.  Window sums are
     enforced on the window ending at each placed position, which covers every
     window once all entries are placed.
     """
     b = validate_b(k, r, b)
-    if q_max < 0 or z_max < 0:
-        raise ValueError("q_max and z_max must be non-negative")
+    validate_window(q_max, z_max)
     stack = [((), 0, 0, 0)]
     while stack:
         acc, start, qdeg, zdeg = stack.pop()
-        yield acc, qdeg, zdeg
+        yield AdmissibleConfig(acc, k, r, b)
         if zdeg >= z_max:
             continue
         children = []
@@ -118,17 +124,6 @@ def _walk(k, r, b, q_max, z_max):
         stack.extend(reversed(children))
 
 
-def enumerate_configs(k: int, r: int, b, q_max: int, z_max: int):
-    """Every admissible configuration with q-degree <= q_max and z-degree <= z_max.
-
-    Each configuration is yielded exactly once, in lexicographic order on the
-    entry vectors.
-    """
-    b = validate_b(k, r, b)
-    for entries, _, _ in _walk(k, r, b, q_max, z_max):
-        yield AdmissibleConfig(entries, k, r, b)
-
-
 def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeries:
     """Character of admissible configurations by a transfer-matrix DP.
 
@@ -145,8 +140,7 @@ def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeri
     check of this count.
     """
     b = validate_b(k, r, b)
-    if q_max < 0 or z_max < 0:
-        raise ValueError("q_max and z_max must be non-negative")
+    validate_window(q_max, z_max)
     total: dict[tuple[int, int], int] = {}
     active = {(0,) * (r - 1): {(0, 0): 1}}
     j = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .configurations import validate_b, validate_k
+from .configurations import validate_b, validate_k, validate_window
 from .series import TruncatedSeries, _divide_by_one_minus, _pochhammer_inverse_coeffs
 
 
@@ -214,6 +214,7 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     Pochhammer inverse of m_j = v is that of m_j = v - 1, truncated at
     q_max - shift and divided by the one new factor (1 - q^(step*v)).
     """
+    validate_window(q_max, z_max)
     n = len(data.matrix)
     rows = [[0] * (q_max + 1) for _ in range(z_max + 1)]
     m = [0] * n

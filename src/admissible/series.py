@@ -69,13 +69,6 @@ class TruncatedSeries:
         block = {(dq, 0): c for (dq, dz), c in self.coeffs.items() if dz == n}
         return TruncatedSeries(block, self.q_order, 0)
 
-    def scale(self, factor: int) -> "TruncatedSeries":
-        return TruncatedSeries(
-            {e: factor * c for e, c in self.coeffs.items()},
-            self.q_order,
-            self.z_order,
-        )
-
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -85,14 +78,6 @@ class TruncatedSeries:
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
         return TruncatedSeries(out, q, z)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -32,17 +32,13 @@ class PairingTable:
 
     def __init__(self, pairings: dict):
         table = {}
-        names = set()
         for (g, h), value in pairings.items():
-            names.add(g)
-            names.add(h)
             value = Fraction(value)
             key = (g, h) if g <= h else (h, g)
             if key in table and table[key] != value:
                 raise ValueError(f"conflicting pairings for {key}")
             table[key] = value
         self._table = table
-        self.names = frozenset(names)
 
     def pairing_of(self, g: str, h: str) -> Fraction:
         key = (g, h) if g <= h else (h, g)
@@ -235,10 +231,8 @@ class VOFamily:
     """A named collection of operator specs sharing one pairing table."""
 
     name: str
-    k: int
     table: PairingTable
     specs: tuple
-    boundary: str | None
 
 
 def family_r2(k: int, b0: int) -> VOFamily:
@@ -255,7 +249,7 @@ def family_r2(k: int, b0: int) -> VOFamily:
         (f"gamma{a}", VOSpec.constant({f"eps{j}": 1 for j in range(1, a + 1)}))
         for a in range(1, k + 1)
     )
-    return VOFamily("r2", k, table, specs, "beta0")
+    return VOFamily("r2", table, specs)
 
 
 def _paired_block_pairings(n: int) -> dict:
@@ -293,7 +287,7 @@ def family_r3_split(k: int, b0: int) -> VOFamily:
         )
         for a in range(1, k + 1)
     )
-    return VOFamily("r3-split", k, table, plus + minus, "gamma0")
+    return VOFamily("r3-split", table, plus + minus)
 
 
 def family_r3_mixed(k: int) -> VOFamily:
@@ -340,7 +334,7 @@ def family_r3_mixed(k: int) -> VOFamily:
             (f"gamma{a}", VOSpec(dict(even_acc), dict(odd_acc), dict(zero_acc)))
         )
     name = "r3-odd-k" if k % 2 else "r3-even-k"
-    return VOFamily(name, k, table, tuple(specs), None)
+    return VOFamily(name, table, tuple(specs))
 
 
 def build_family(name: str, k: int, b0: int = 0) -> VOFamily:

@@ -78,6 +78,22 @@ class TestChar:
         assert code == 2
         assert "--b is required" in err
 
+    def test_negative_window_exits_2(self, capsys):
+        methods = {
+            "direct": ["--r", "2", "--b", "1"],
+            "fermionic-r2": ["--r", "2", "--b", "1"],
+            "fermionic-r3": ["--r", "3", "--b", "1,2"],
+            "fermionic-r3-special": ["--r", "3"],
+            "oracle": ["--r", "2", "--b", "1"],
+        }
+        for method, rb in methods.items():
+            for window in (["--qmax", "-1", "--zmax", "2"], ["--qmax", "3", "--zmax", "-1"]):
+                argv = ["char", "--method", method, "--k", "2", *rb, *window]
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out, err) == (
+                    2, "", "error: q_max and z_max must be non-negative\n"
+                ), argv
+
     def test_special_fills_in_b(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -437,14 +453,45 @@ class TestVerify:
         assert out == ""
         assert err == f"error: {flag} must be at least {int(value) + 1}, got {value}\n"
 
+    @pytest.mark.parametrize(
+        "suite,flag",
+        [
+            ("r2", "--cap"),
+            ("r2", "--nmax"),
+            ("weights", "--qmax"),
+            ("pair-functions", "--zmax"),
+            ("conjecture-10.2", "--kmax"),
+            ("oracle-r3", "--qmax"),
+        ],
+    )
+    def test_flag_outside_suite_exits_2(self, capsys, suite, flag):
+        code, out, err = run_cli(capsys, "verify", suite, flag, "3")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} does not apply to suite {suite}\n"
+
     def test_series_case_report_shape_on_mismatch(self):
-        from admissible.cli import _series_case
+        from admissible.cli import _run_case
 
         a = TruncatedSeries({(1, 0): 1}, 4, 2)
         b = TruncatedSeries({(1, 0): 2}, 4, 2)
-        report, times = _series_case("demo", "m1", "m2", lambda: a, lambda: b)
+        case = {
+            "id": "demo", "params": {}, "methods": ["m1", "m2"], "sides": [lambda: a, lambda: b],
+        }
+        report, times = _run_case(case)
         assert report["status"] == "mismatch"
         assert report["witness"] == {"q_exp": 1, "z_exp": 0, "lhs": "1", "rhs": "2"}
+        assert set(times) == {"m1", "m2"}
+
+    def test_scalar_case_report_shape_on_mismatch(self):
+        from admissible.cli import _run_case
+
+        case = {
+            "id": "demo", "params": {}, "methods": ["m1", "m2"], "sides": [lambda: 3, lambda: 4],
+        }
+        report, times = _run_case(case)
+        assert (report["status"], report["methods"]) == ("mismatch", ["m1", "m2"])
+        assert report["witness"] == {"q_exp": None, "z_exp": None, "lhs": "3", "rhs": "4"}
         assert set(times) == {"m1", "m2"}
 
     def test_reports_carry_case_params(self, capsys):

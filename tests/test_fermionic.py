@@ -289,6 +289,10 @@ class TestEvaluatorPlumbing:
     def test_evaluate_zero_window(self):
         assert evaluate_gordon_sum(gordon_data_r2(2, 2), 0, 0) == TruncatedSeries.one(0, 0)
 
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError, match="q_max and z_max must be non-negative"):
+            evaluate_gordon_sum(gordon_data_r2(1, 0), 3, -2)
+
 
 def brute_force_sum(data, q_max, z_max):
     """Every vector of each z-degree, priced and expanded on its own."""
