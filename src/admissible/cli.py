@@ -14,7 +14,9 @@ fixed flags and version; wall-clock timings and the human-readable table go
 to stderr.  The process exits 0 iff every executed non-experimental check
 matched (capacity skips do not fail; a case that raises is reported with
 status "error" and fails; the experimental suite never affects the exit
-code), and 2 on bad input, before any case runs.
+code), and 2 on bad input, before any case runs.  Every command exits 141
+(128 + SIGPIPE) without a traceback when its reader closes stdout early, as
+``| head`` does; what was written before stays as it was.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import locale  # noqa: F401  (see below)
+import os
 import shutil  # noqa: F401  (see below)
 import sys
 import time
@@ -590,10 +593,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except (ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point the descriptor at devnull so the flush at exit cannot raise
+        # a second time; a stdout without a descriptor needs nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except OSError:
+            pass
+        finally:
+            os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

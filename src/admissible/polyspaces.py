@@ -6,9 +6,12 @@ condition identifies a group of leading variables with a shared symbol t,
 with -t, or with 0, and demands that the result vanish identically.  The
 dimension of each graded piece is obtained by expanding every monomial
 symmetric basis element under each substitution, reading off one linear
-constraint per surviving monomial, and computing the kernel dimension with
-fraction-free integer elimination.  No floating point is involved anywhere,
-so rank decisions are exact.
+constraint per surviving monomial, and subtracting the rank.  The rank is
+computed modulo one large prime and certified exactly: the kernel vectors of
+the modular echelon form are lifted to the rationals and checked against
+every row in integer arithmetic, with fraction-free (Bareiss) elimination as
+the fallback when the certificate fails.  No floating point is involved
+anywhere, so rank decisions are exact.
 
 The same module gives the degree of the product-formula weight attached to a
 restricted partition.  A product of nonzero homogeneous integer polynomials
@@ -21,13 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt, lcm
 
 from .configurations import validate_b
 from .series import TruncatedSeries
 
 MAX_VARS = 8
 MAX_DEGREE_CAP = 16
+
+# The Mersenne prime 2^61 - 1 for the modular rank; tests may set it small.
+_PRIME = 2**61 - 1
 
 
 class CapacityError(Exception):
@@ -198,7 +204,10 @@ def _condition_rows(spec: VanishingSpec, cond: Condition, basis) -> list[list[in
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    The fallback of _certified_rank and the test oracle it is checked against.
+    """
     if not rows:
         return 0
     mat = [list(r) for r in rows]
@@ -232,6 +241,106 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def _distinct_nonzero_rows(rows) -> list[tuple[int, ...]]:
+    return list(dict.fromkeys(tuple(row) for row in rows if any(row)))
+
+
+def _subtract_multiple(vec: dict, factor: int, row: dict, p: int) -> None:
+    """vec -= factor * row mod p, in place, for sparse {column: value} rows."""
+    for c, v in row.items():
+        x = (vec.get(c, 0) - factor * v) % p
+        if x:
+            vec[c] = x
+        else:
+            del vec[c]
+
+
+def _echelon_mod_p(mat, p: int) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form of mat mod p, as pivot column -> sparse row.
+
+    Each pivot row holds 1 at its own pivot column and 0 at every other one,
+    so reducing a new row takes one pass over its pivot columns.  Stops once
+    every column is a pivot.
+    """
+    ncols = len(mat[0])
+    pivots: dict[int, dict[int, int]] = {}
+    for row in mat:
+        vec = {c: x for c, v in enumerate(row) if v and (x := v % p)}
+        for c in [c for c in vec if c in pivots]:
+            _subtract_multiple(vec, vec[c], pivots[c], p)
+        if not vec:
+            continue
+        col = min(vec)
+        inverse = pow(vec[col], -1, p)
+        vec = {c: v * inverse % p for c, v in vec.items()}
+        for other in pivots.values():
+            if col in other:
+                _subtract_multiple(other, other[col], vec, p)
+        pivots[col] = vec
+        if len(pivots) == ncols:
+            break
+    return pivots
+
+
+def _rational_reconstruction(a: int, p: int):
+    """(num, den) with num = a * den mod p and |num|, den <= sqrt(p/2), or None."""
+    bound = isqrt(p // 2)
+    r0, r1, s0, s1 = p, a, 0, 1
+    while r1 > bound:
+        quotient = r0 // r1
+        r0, r1 = r1, r0 - quotient * r1
+        s0, s1 = s1, s0 - quotient * s1
+    if not s1 or abs(s1) > bound:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _kernel_certified(mat, pivots, p: int) -> bool:
+    """Whether the mod-p kernel of mat lifts to an exact kernel over Q.
+
+    Free column f gives the kernel vector with 1 at f and -pivots[c][f] at
+    each pivot column c.  Its entries are lifted by rational reconstruction
+    and scaled to integers, and every row of mat must annihilate it exactly.
+    """
+    for f in range(len(mat[0])):
+        if f in pivots:
+            continue
+        entries = [(f, 1, 1)]
+        for c, pivot_row in pivots.items():
+            if f in pivot_row:
+                lifted = _rational_reconstruction(-pivot_row[f] % p, p)
+                if lifted is None:
+                    return False
+                entries.append((c, *lifted))
+        scale = lcm(*(den for _, _, den in entries))
+        vec = [(c, num * (scale // den)) for c, num, den in entries]
+        if any(sum(row[c] * x for c, x in vec) for row in mat):
+            return False
+    return True
+
+
+def _certified_rank(rows: list[list[int]]) -> int:
+    """Exact rank of an integer matrix, from its rank r mod _PRIME.
+
+    The rank mod a prime never exceeds the rank over Q, so r is exact when it
+    equals the column count.  Otherwise the n - r kernel vectors of the mod-p
+    echelon form are independent (each has a unit in its own free column);
+    if they lift to exact kernel vectors over Q, the rank over Q is at most
+    r, hence r.  A wide matrix is certified through its transpose, whose
+    kernel is smaller.  When the lift or the check fails, Bareiss decides.
+    """
+    mat = _distinct_nonzero_rows(rows)
+    if mat and len(mat) < len(mat[0]):
+        mat = _distinct_nonzero_rows(zip(*mat))
+    if not mat:
+        return 0
+    mat.sort(key=lambda row: len(row) - row.count(0))  # sparse first: less fill-in
+    pivots = _echelon_mod_p(mat, _PRIME)
+    if len(pivots) == len(mat[0]) or _kernel_certified(mat, pivots, _PRIME):
+        return len(pivots)
+    return _bareiss_rank(mat)
+
+
 def graded_dimension(spec: VanishingSpec) -> list[int]:
     """Dimension of each graded piece, degrees 0..degree_cap.
 
@@ -256,7 +365,7 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
         rows: list[list[int]] = []
         for cond in spec.conditions:
             rows.extend(_condition_rows(spec, cond, basis))
-        dims.append(len(basis) - _bareiss_rank(rows))
+        dims.append(len(basis) - _certified_rank(rows))
     return dims
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -198,14 +199,14 @@ class TestDims:
     def test_one_rank_per_nonempty_degree(self, capsys, monkeypatch, argv, specs):
         import admissible.polyspaces as polyspaces
 
-        real_rank = polyspaces._bareiss_rank
+        real_rank = polyspaces._certified_rank
         calls = []
 
         def counting_rank(rows):
             calls.append(len(rows))
             return real_rank(rows)
 
-        monkeypatch.setattr(polyspaces, "_bareiss_rank", counting_rank)
+        monkeypatch.setattr(polyspaces, "_certified_rank", counting_rank)
         code, _, _ = run_cli(capsys, "dims", *argv)
         assert code == 0
         nonempty = sum(
@@ -312,6 +313,33 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert all(r["experimental"] for r in payload["reports"])
+
+    def test_closed_stdout_exits_quietly(self, capsys, monkeypatch):
+        argv = ["verify", "oracle-r2", "--kmax", "1", "--nmax", "1", "--cap", "2"]
+        _, full, _ = run_cli(capsys, *argv)
+
+        class ClosedAfter(io.StringIO):
+            """A stdout whose reader goes away after `limit` characters."""
+
+            def __init__(self, limit):
+                super().__init__()
+                self.limit = limit
+
+            def write(self, text):
+                room = self.limit - self.tell()
+                if len(text) > room:
+                    super().write(text[:room])
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        # nothing written, mid-payload, and everything but the final newline
+        for limit in (0, 600, len(full) - 1):
+            sink = ClosedAfter(limit)
+            monkeypatch.setattr(sys, "stdout", sink)
+            code = main(argv)
+            assert code == 141
+            assert sink.getvalue() == full[:limit]
+            assert capsys.readouterr().err == ""
 
     def test_cli_import_leaves_process_pool_unloaded(self):
         code = (

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import admissible.polyspaces as polyspaces
 from admissible.configurations import character_direct
 from admissible.fermionic import (
     GordonData,
@@ -20,7 +23,10 @@ from admissible.polyspaces import (
     VanishingSpec,
     _basis,
     _bareiss_rank,
+    _certified_rank,
     _condition_rows,
+    _echelon_mod_p,
+    _kernel_certified,
     _substitute_monomial,
     character_from_oracle_r2,
     character_from_oracle_r3,
@@ -151,13 +157,127 @@ class TestGradedDimension:
         rows = []
         for cond in spec.conditions:
             rows.extend(_condition_rows(spec, cond, basis))
-        base_rank = _bareiss_rank(rows)
+        base_rank = _certified_rank(rows)
         rng = random.Random(7)
         for _ in range(5):
             perm = list(range(len(basis)))
             rng.shuffle(perm)
             shuffled = [[row[i] for i in perm] for row in rows]
-            assert _bareiss_rank(shuffled) == base_rank
+            assert _certified_rank(shuffled) == base_rank
+
+
+@st.composite
+def integer_matrices(draw):
+    """A product of random m x inner and inner x n integer matrices, so the
+    rank is often below min(m, n), with zero and duplicate rows mixed in."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 7))
+    inner = draw(st.integers(0, 7))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    left = [[draw(entries) for _ in range(inner)] for _ in range(m)]
+    right = [[draw(entries) for _ in range(n)] for _ in range(inner)]
+    rows = [
+        [sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if inner else [0] * n
+        for row in left
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        extra = draw(st.one_of(st.just([0] * n), st.sampled_from(rows)))
+        rows.insert(draw(st.integers(0, len(rows))), list(extra))
+    return rows
+
+
+def _rank_mod(rows, p):
+    """Rank over the integers mod p, by plain elimination."""
+    mat = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0])):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inverse = pow(mat[rank][col], -1, p)
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] * inverse
+            mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+class TestCertifiedRank:
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+
+        def counting_bareiss(rows):
+            calls.append(len(rows))
+            return _bareiss_rank(rows)
+
+        monkeypatch.setattr(polyspaces, "_bareiss_rank", counting_bareiss)
+        return calls
+
+    def test_known_ranks(self):
+        assert _certified_rank([]) == 0
+        assert _certified_rank([[0, 0, 0]]) == 0
+        assert _certified_rank([[1, 2], [2, 4], [1, 2]]) == 1
+        assert _certified_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
+        # wide: 2 x 5 at rank 2, certified through the 5 x 2 transpose
+        assert _certified_rank([[1, 0, 2, 0, 1], [0, 3, 0, 1, 1]]) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_matrices())
+    def test_equals_bareiss(self, rows):
+        assert _certified_rank(rows) == _bareiss_rank(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_matrices(), st.sampled_from([2, 3, 5]))
+    def test_small_prime_falls_back_to_bareiss(self, rows, prime):
+        calls = []
+
+        def counting_bareiss(mat):
+            calls.append(len(mat))
+            return _bareiss_rank(mat)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polyspaces, "_PRIME", prime)
+            patch.setattr(polyspaces, "_bareiss_rank", counting_bareiss)
+            got = _certified_rank(rows)
+        exact = _bareiss_rank(rows)
+        assert got == exact
+        if _rank_mod(rows, prime) < exact:
+            assert calls, "a rank that drops mod p must fall back"
+
+    @pytest.mark.parametrize(
+        "rows,prime",
+        [
+            ([[2, 0], [0, 1], [0, 0]], 2),  # rank 2, but 1 mod 2
+            ([[1, 2], [2, 4], [3, 6]], 5),  # kernel entry -2 = 3 mod 5 does not lift
+        ],
+        ids=["rank-drop", "no-lift"],
+    )
+    def test_fallback_cases(self, monkeypatch, fallbacks, rows, prime):
+        monkeypatch.setattr(polyspaces, "_PRIME", prime)
+        assert _certified_rank(rows) == _bareiss_rank(rows)
+        assert len(fallbacks) == 1
+
+    def test_wrong_lift_is_rejected(self, monkeypatch, fallbacks):
+        # rank 1 in three columns: two kernel vectors, each with a lifted entry
+        rows = [[1, 2, 3], [2, 4, 6], [3, 6, 9], [1, 2, 3]]
+        p = polyspaces._PRIME
+        pivots = _echelon_mod_p(rows, p)
+        assert len(pivots) == 1 and _kernel_certified(rows, pivots, p)
+
+        real = polyspaces._rational_reconstruction
+        target = []
+
+        def one_wrong(a, p):
+            num, den = real(a, p)
+            target[:] = target or [a]  # the first residue lifted stays wrong
+            return (num + 1, den) if a == target[0] else (num, den)
+
+        monkeypatch.setattr(polyspaces, "_rational_reconstruction", one_wrong)
+        assert not _kernel_certified(rows, pivots, p)
+        assert _certified_rank(rows) == 1
+        assert len(fallbacks) == 1
 
 
 class TestBareiss:
