@@ -10,6 +10,7 @@ requested truncation order.
 from .series import TruncatedSeries, first_mismatch, pochhammer, pochhammer_inverse
 from .configurations import (
     AdmissibleConfig,
+    CapacityError,
     character_direct,
     enumerate_configs,
     is_admissible,
@@ -35,7 +36,6 @@ from .fermionic import (
     quadratic_exponent,
 )
 from .polyspaces import (
-    CapacityError,
     Condition,
     VanishingSpec,
     character_from_oracle_r2,

@@ -36,7 +36,7 @@ from functools import partial
 # fixed cost in start-up instead of in each command's own run time.
 
 from .series import TruncatedSeries, first_mismatch
-from .configurations import character_direct, validate_b, validate_window
+from .configurations import CapacityError, character_direct, validate_b, validate_window
 from .fermionic import (
     boundary_c2,
     boundary_c3,
@@ -53,7 +53,6 @@ from .fermionic import (
     quadratic_exponent,
 )
 from .polyspaces import (
-    CapacityError,
     character_from_oracle_r2,
     character_from_oracle_r3,
     graded_dimension,

@@ -7,18 +7,41 @@ Each configuration is weighted q^(sum j*a_j) z^(sum a_j); summing the weights
 over all configurations within a truncation window gives the character, the
 ground truth every formula here is checked against.
 
-``character_direct`` computes that sum by a transfer-matrix DP over positions
-whose state is the last r-1 entries (Stanley, Enumerative Combinatorics I,
-section 4.7).  ``enumerate_configs`` walks the configurations one at a time by
-depth-first search; it is the enumeration API and the brute-force check of
-the DP.
+``character_direct`` computes that sum by the first-entry recursion
+chi_b(q, z) = sum_{v=0}^{b_0} z^v chi_{b(v)}(q, qz), with
+b(v) = (b_1 - v, ..., b_{r-2} - v, k - v), Andrews' route to Gordon's
+theorem (The Theory of Partitions, 1976, ch. 7).  A demand pass first finds
+each z-block the requested window reads and the highest q-degree it reads
+there; only those blocks are built, as dense q-lists.  ``enumerate_configs``
+walks the configurations one at a time by depth-first search; it is the
+enumeration API and the brute-force check of the recursion.
+
+Every direct and fermionic character is refused with ``CapacityError``
+before it allocates more than ``MAX_CELLS`` q-coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _divide_by_one_minus
+
+# The most q-coefficients the direct recursion or a fermionic sum may
+# allocate; both count them before allocating any.
+MAX_CELLS = 10**7
+
+
+class CapacityError(Exception):
+    """Problem size exceeds the configured limits; nothing was truncated."""
+
+
+def _check_cells(cells: int, what: str) -> None:
+    """Refuse (CapacityError) a computation of more than MAX_CELLS cells."""
+    if cells > MAX_CELLS:
+        raise CapacityError(
+            f"{what} need {cells} q-coefficients, over the limit of {MAX_CELLS}"
+        )
 
 
 def validate_k(k: int) -> None:
@@ -125,41 +148,90 @@ def enumerate_configs(k: int, r: int, b, q_max: int, z_max: int):
 
 
 def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeries:
-    """Character of admissible configurations by a transfer-matrix DP.
+    """Character of admissible configurations by the first-entry recursion.
 
     Coefficient of q^i z^j counts configurations with q-degree i and
     z-degree j; the constant term is 1 (the empty configuration).
 
-    Positions j = 0, 1, ... are filled one at a time.  The state is the last
-    r-1 entries, which fixes the room left in the next window; for j <= r-2
-    it still holds the whole prefix, so the initial caps b apply to it too.
-    Each state carries its (q-degree, z-degree) -> count terms.  A term that
-    can take no further nonzero entry within the window (z == z_max, or
-    q + j + 1 > q_max) is moved to the finished total, and the walk stops
-    when no active term is left.  ``enumerate_configs`` is the brute-force
-    check of this count.
+    Fixing a_0 = v and shifting the rest one place left gives
+    chi_b(q, z) = sum_{v=0}^{b_0} z^v chi_{b(v)}(q, qz) with
+    b(v) = (b_1 - v, ..., b_{r-2} - v, k - v) (Andrews, The Theory of
+    Partitions, 1976, ch. 7).  On the z^n blocks c_{b,n} this reads
+    c_{b,n} = sum_v q^(n-v) c_{b(v),n-v}.  The v = 0 term keeps n and moves
+    b one step towards K = (k, ..., k), where b(0) = K: there the block is
+    the rest of the sum divided by (1 - q^n).  Since a_0 <= b_0 and
+    a_1 + a_2 + ... <= q_max, no block above z^(q_max + b_0) is needed; the
+    result still reports z_order = z_max.
+
+    The demand pass ``_block_demands`` first finds every block the
+    requested ones read and the highest q-degree read from each; a block
+    whose shift q^m already passes that degree is never built.  The blocks
+    are then built as dense q-lists with C-level slice adds, each after its
+    terms.  More than MAX_CELLS q-coefficients, counted first for the
+    requested blocks and then over the demand pass, raise CapacityError
+    before any block is allocated.  ``enumerate_configs`` is the
+    brute-force check of this count.
     """
     b = validate_b(k, r, b)
     validate_window(q_max, z_max)
-    total: dict[tuple[int, int], int] = {}
-    active = {(0,) * (r - 1): {(0, 0): 1}}
-    j = 0
-    while active:
-        step: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-        for state, terms in active.items():
-            used = sum(state)
-            room = k - used
-            if j <= r - 2:
-                room = min(room, b[j] - used)
-            tail = state[1:]
-            children = [step.setdefault(tail + (v,), {}) for v in range(room + 1)]
-            for (q, z), c in terms.items():
-                for v in range(room + 1):
-                    q2, z2 = q + j * v, z + v
-                    if q2 > q_max or z2 > z_max:
-                        break
-                    out = total if z2 == z_max or q2 + j + 1 > q_max else children[v]
-                    out[q2, z2] = out.get((q2, z2), 0) + c
-        active = {state: terms for state, terms in step.items() if terms}
-        j += 1
-    return TruncatedSeries(total, q_max, z_max)
+    top = min(z_max, q_max + b[0])
+    _check_cells((top + 1) * (q_max + 1), "the direct character's z-blocks")
+    levels, terms = _block_demands(k, b, top, q_max)
+    blocks: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    for n, depth in sorted(levels):
+        for vec, demand in levels[n, depth].items():
+            acc = [0] * (demand + 1)
+            for v, child in enumerate(terms[vec][: n + 1]):
+                m = n - v
+                if m == 0:
+                    acc[0] += 1
+                elif m <= demand and child is not None:
+                    acc[m:] = map(add, acc[m:], blocks[child, m])
+            if depth == 0:  # vec is K: the v = 0 term is the block itself
+                _divide_by_one_minus(acc, n)
+            blocks[vec, n] = acc
+    rows = [[1]] + [blocks[b, n] for n in range(1, top + 1)]
+    return TruncatedSeries.from_blocks(rows, q_max, z_max)
+
+
+def _block_demands(k: int, b: tuple[int, ...], top: int, q_max: int):
+    """The blocks the roots read, and the terms of each vector read.
+
+    levels[n, depth][vec] is the highest q-degree read from block (vec, n);
+    the depth of vec is its number of entries below k, so K alone has depth
+    0.  terms[vec][v] is vec(v) for v = 0, ..., vec_0, with None for the
+    v = 0 term of K, which is the block itself.
+
+    The roots (b, n), 1 <= n <= top, are read through q^q_max.  A block
+    read through q^d reads its term (vec(v), m = n - v) through q^(d - m),
+    and not at all when m > d or m = 0 (that term is the constant 1).  Each
+    term has a smaller n, or the same n and depth one less, so walking n
+    and the depth downwards visits every block after all of its readers.
+    The running cell count is checked against MAX_CELLS as blocks are
+    added, before any of them is built.
+    """
+    r1 = len(b)
+    root = sum(1 for x in b if x < k)
+    levels = {(n, root): {b: q_max} for n in range(1, top + 1)}
+    terms = {}
+    cells = (top + 1) * (q_max + 1)
+    for n in range(top, 0, -1):
+        for depth in range(r1, -1, -1):
+            for vec, demand in levels.get((n, depth), {}).items():
+                if vec not in terms:
+                    terms[vec] = [None if depth == 0 else vec[1:] + (k,)] + [
+                        tuple(x - v for x in vec[1:]) + (k - v,)
+                        for v in range(1, vec[0] + 1)
+                    ]
+                for v, child in enumerate(terms[vec][: n + 1]):
+                    m = n - v
+                    if m == 0 or m > demand or child is None:
+                        continue
+                    need = demand - m
+                    bucket = levels.setdefault((m, depth - 1 if v == 0 else r1), {})
+                    old = bucket.get(child, -1)
+                    if need > old:
+                        cells += need - old
+                        _check_cells(cells, "the direct recursion's blocks")
+                        bucket[child] = need
+    return levels, terms

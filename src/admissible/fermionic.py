@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .configurations import validate_b, validate_k, validate_window
+from .configurations import _check_cells, validate_b, validate_k, validate_window
 from .series import TruncatedSeries, _divide_by_one_minus, _pochhammer_inverse_coeffs
 
 
@@ -215,6 +215,7 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     q_max - shift and divided by the one new factor (1 - q^(step*v)).
     """
     validate_window(q_max, z_max)
+    _check_cells((z_max + 1) * (q_max + 1), "the fermionic sum's z-rows")
     n = len(data.matrix)
     rows = [[0] * (q_max + 1) for _ in range(z_max + 1)]
     m = [0] * n

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, isqrt, lcm
 
-from .configurations import validate_b
+from .configurations import CapacityError, validate_b
 from .series import TruncatedSeries
 
 MAX_VARS = 8
@@ -34,10 +34,6 @@ MAX_DEGREE_CAP = 16
 
 # The Mersenne prime 2^61 - 1 for the modular rank; tests may set it small.
 _PRIME = 2**61 - 1
-
-
-class CapacityError(Exception):
-    """Problem size exceeds the configured limits; nothing was truncated."""
 
 
 @dataclass(frozen=True)

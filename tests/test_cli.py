@@ -95,6 +95,23 @@ class TestChar:
                     2, "", "error: q_max and z_max must be non-negative\n"
                 ), argv
 
+    @pytest.mark.parametrize(
+        "method, rb",
+        [
+            ("direct", ["--r", "2", "--b", "1"]),
+            ("fermionic-r2", ["--r", "2", "--b", "1"]),
+            ("fermionic-r3", ["--r", "3", "--b", "1,3"]),
+            ("fermionic-r3-special", ["--r", "3"]),
+        ],
+    )
+    def test_oversized_window_exits_2(self, capsys, method, rb):
+        big = str(10**12)
+        argv = ["char", "--method", method, "--k", "3", *rb, "--qmax", big, "--zmax", big]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "over the limit of" in err
+
     def test_special_fills_in_b(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -1,15 +1,26 @@
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admissible import configurations
 from admissible.configurations import (
     AdmissibleConfig,
+    CapacityError,
     character_direct,
     enumerate_configs,
     is_admissible,
     validate_b,
 )
-from admissible.fermionic import boundary_c2, gordon_a2
+from admissible.fermionic import (
+    boundary_c2,
+    fermionic_r2,
+    fermionic_r3,
+    fermionic_r3_special,
+    gordon_a2,
+)
 from admissible.polyspaces import vanishing_spec_r2
 from admissible.vertexops import family_r2, family_r3_mixed
 
@@ -163,8 +174,14 @@ def windows(draw):
     return k, r, b, draw(st.integers(0, 25)), draw(st.integers(0, 12))
 
 
-class TestTransferMatrixAgainstEnumeration:
-    """The DP in character_direct against the DFS in enumerate_configs."""
+def admissible_bs(k, r):
+    """Every admissible initial-condition vector of length r - 1."""
+    return list(itertools.combinations_with_replacement(range(k + 1), r - 1))
+
+
+class TestRecursionAgainstEnumeration:
+    """The first-entry recursion in character_direct against the DFS in
+    enumerate_configs."""
 
     @settings(max_examples=40, deadline=None)
     @given(windows())
@@ -173,6 +190,71 @@ class TestTransferMatrixAgainstEnumeration:
         chi = character_direct(k, r, b, qmax, zmax)
         assert (chi.q_order, chi.z_order) == (qmax, zmax)
         assert chi.coeffs == dfs_tally(k, r, b, qmax, zmax)
+
+    @pytest.mark.parametrize(
+        "k, r, b", [(k, r, b) for k in (1, 2, 3) for r in (2, 3, 4) for b in admissible_bs(k, r)]
+    )
+    def test_every_small_b(self, k, r, b):
+        for qmax, zmax in [(10, 5), (7, 12), (0, 3), (4, 0)]:
+            chi = character_direct(k, r, b, qmax, zmax)
+            assert (chi.q_order, chi.z_order) == (qmax, zmax)
+            assert chi.coeffs == dfs_tally(k, r, b, qmax, zmax), (qmax, zmax)
+
+    @pytest.mark.parametrize("k, r, b", [(2, 2, (1,)), (3, 3, (2, 3)), (1, 4, (0, 0, 1))])
+    def test_z_far_past_the_reach_of_q(self, k, r, b):
+        # no configuration has z-degree above q_max + b_0; the window stays z_max
+        chi = character_direct(k, r, b, 6, 10**6)
+        assert (chi.q_order, chi.z_order) == (6, 10**6)
+        assert max(dz for _, dz in chi.coeffs) <= 6 + b[0]
+        assert chi.coeffs == dfs_tally(k, r, b, 6, 10**6)
+
+
+class TestCellBudget:
+    def test_demand_pass_prunes(self, monkeypatch):
+        # every block of every reachable b would be about 3 * 10**6 cells
+        monkeypatch.setattr(configurations, "MAX_CELLS", 10**5)
+        window = (10, 8, (0, 1, 2, 3, 4, 5, 10), 16, 8)
+        assert character_direct(*window).coeffs == dfs_tally(*window)
+
+    def test_demand_pass_refuses(self, monkeypatch):
+        # the requested 151 x 301 cells fit, the blocks they read do not
+        monkeypatch.setattr(configurations, "MAX_CELLS", 10**5)
+        with pytest.raises(CapacityError, match="recursion's blocks"):
+            character_direct(3, 2, (2,), 300, 150)
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda q, z: character_direct(3, 2, (1,), q, z),
+            lambda q, z: fermionic_r2(3, 1, q, z),
+            lambda q, z: fermionic_r3(3, 1, q, z),
+            lambda q, z: fermionic_r3_special(3, q, z),
+        ],
+        ids=["direct", "fermionic-r2", "fermionic-r3", "fermionic-r3-special"],
+    )
+    def test_huge_window_is_refused_before_allocation(self, compute):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="over the limit"):
+                compute(10**12, 10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+
+    def test_fermionic_limit_is_inclusive(self, monkeypatch):
+        expected = character_direct(2, 2, (1,), 20, 10)
+        monkeypatch.setattr(configurations, "MAX_CELLS", 11 * 21)
+        assert fermionic_r2(2, 1, 20, 10) == expected
+        with pytest.raises(CapacityError):
+            fermionic_r2(2, 1, 20, 11)
+
+
+class TestTransferMatrixAgainstEnumeration:
+    """Edge windows of character_direct against the DFS in enumerate_configs.
+
+    The class keeps the name it had when a transfer-matrix DP computed
+    character_direct, so that its test ids stay the same."""
 
     @pytest.mark.parametrize(
         "k, r, b", [(1, 2, (0,)), (3, 2, (3,)), (2, 3, (1, 2)), (4, 4, (4, 4, 4))]
