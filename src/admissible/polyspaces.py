@@ -6,12 +6,17 @@ condition identifies a group of leading variables with a shared symbol t,
 with -t, or with 0, and demands that the result vanish identically.  The
 dimension of each graded piece is obtained by expanding every monomial
 symmetric basis element under each substitution, reading off one linear
-constraint per surviving monomial, and subtracting the rank.  The rank is
-computed modulo one large prime and certified exactly: the kernel vectors of
-the modular echelon form are lifted to the rationals and checked against
-every row in integer arithmetic, with fraction-free (Bareiss) elimination as
-the fallback when the certificate fails.  No floating point is involved
-anywhere, so rank decisions are exact.
+constraint per surviving monomial, and subtracting the rank.  The expansion
+walks the multiplicity vector of the partition, counting the ways to fill
+the t and -t slots with binomial coefficients.  Each constraint is a sparse
+row {column: value} with no zeros and ascending columns, and the rows stay
+sparse through deduplication, transposition, echelon form and certificate.
+The rank is computed modulo one large prime and certified exactly: the
+kernel vectors of the modular echelon form are lifted to the rationals and
+checked against every row that shares their columns, in integer arithmetic,
+with fraction-free (Bareiss) elimination on a dense copy as the fallback
+when the certificate fails.  No floating point is involved anywhere, so
+rank decisions are exact.
 
 The same module gives the degree of the product-formula weight attached to a
 restricted partition.  A product of nonzero homogeneous integer polynomials
@@ -24,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, isqrt, lcm
+from itertools import groupby
+from math import comb, isqrt, lcm
 
 from .configurations import CapacityError, validate_b
 from .series import TruncatedSeries
@@ -97,68 +103,52 @@ def _substitute_monomial(rho, n, pattern):
     """Expand a monomial symmetric polynomial under a substitution pattern.
 
     rho is a partition (descending tuple) with at most n parts; pattern is
-    (num_plus, num_minus, num_zero): the first variables are set to t, the
-    next to -t, the next to 0, the rest stay free.  The result is returned
+    (num_plus, num_minus, num_zero), summing to at most n: the first
+    variables are set to t, the next to -t, the next to 0, the rest stay
+    free.  The result is returned
     as a map (t_exponent, free_partition) -> integer coefficient, where
     free_partition indexes a monomial symmetric polynomial in the free
     variables.
+
+    The walk runs over the distinct nonzero values v of rho, largest first,
+    each with its multiplicity a: c copies of v go to the t slots and d to
+    the -t slots, in comb(p_left, c) * comb(m_left, d) ways and with sign
+    (-1)^(v d); the other a - c - d copies extend the free partition.  The
+    zeros of rho close the walk: z of them fill the zero slots and the
+    remaining t and -t slots, so a state with more slots left than free
+    zeros is dropped.
     """
     p_cnt, m_cnt, z_cnt = pattern
-    values: list[int] = list(rho) + [0] * (n - len(rho))
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    distinct = sorted(counts, reverse=True)
-
+    free_zeros = n - len(rho) - z_cnt
+    if free_zeros < 0:
+        return {}  # a positive exponent would land on a zero slot
+    # (p_left, m_left, t_exponent, free_partition, coefficient)
+    states = [(p_cnt, m_cnt, 0, (), 1)]
+    unwalked = len(rho)
+    for v, group in groupby(rho):
+        a = len(list(group))
+        unwalked -= a
+        capacity = unwalked + free_zeros  # values left for the signed slots
+        walked = []
+        for p_left, m_left, t_exp, sigma, coeff in states:
+            need = p_left + m_left - capacity
+            for c in range(min(a, p_left) + 1):
+                plus = coeff * comb(p_left, c)
+                for d in range(max(0, need - c), min(a - c, m_left) + 1):
+                    x = plus * comb(m_left, d)
+                    walked.append((
+                        p_left - c,
+                        m_left - d,
+                        t_exp + v * (c + d),
+                        sigma + (v,) * (a - c - d),
+                        -x if v & d & 1 else x,
+                    ))
+        states = walked
     out: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def choose(idx, left, taken, remaining, acc):
-        """Enumerate sub-multisets of size `left` from `remaining` counts."""
-        if left == 0:
-            acc.append((tuple(taken), dict(remaining)))
-            return
-        if idx == len(distinct):
-            return
-        v = distinct[idx]
-        avail = remaining.get(v, 0)
-        for c in range(min(avail, left), -1, -1):
-            remaining[v] = avail - c
-            choose(idx + 1, left - c, taken + [(v, c)], remaining, acc)
-            remaining[v] = avail
-
-    def arrangements(taken) -> int:
-        total = sum(c for _, c in taken)
-        num = factorial(total)
-        for _, c in taken:
-            num //= factorial(c)
-        return num
-
-    plus_options: list = []
-    choose(0, p_cnt, [], dict(counts), plus_options)
-    for plus_taken, after_plus in plus_options:
-        minus_options: list = []
-        choose(0, m_cnt, [], dict(after_plus), minus_options)
-        for minus_taken, after_minus in minus_options:
-            if after_minus.get(0, 0) < z_cnt:
-                continue  # a positive exponent would land on a zero slot
-            free_counts = dict(after_minus)
-            free_counts[0] = free_counts.get(0, 0) - z_cnt
-            sigma = tuple(
-                sorted(
-                    (v for v, c in free_counts.items() for _ in range(c) if v),
-                    reverse=True,
-                )
-            )
-            t_exp = sum(v * c for v, c in plus_taken) + sum(
-                v * c for v, c in minus_taken
-            )
-            sign = -1 if sum(v * c for v, c in minus_taken) % 2 else 1
-            coeff = sign * arrangements(plus_taken) * arrangements(minus_taken)
-            key = (t_exp, sigma)
-            out[key] = out.get(key, 0) + coeff
-            if not out[key]:
-                del out[key]
-    return out
+    for _, _, t_exp, sigma, coeff in states:
+        key = (t_exp, sigma)
+        out[key] = out.get(key, 0) + coeff
+    return {key: c for key, c in out.items() if c}
 
 
 def _basis(spec: VanishingSpec, degree: int):
@@ -167,40 +157,44 @@ def _basis(spec: VanishingSpec, degree: int):
     l1, l2 = spec.family_sizes
     out = []
     for d1 in range(degree + 1):
+        seconds = partitions_max_parts(degree - d1, l2)
         for rho1 in partitions_max_parts(d1, l1):
-            for rho2 in partitions_max_parts(degree - d1, l2):
-                out.append((rho1, rho2))
+            out.extend((rho1, rho2) for rho2 in seconds)
     return out
 
 
-def _condition_rows(spec: VanishingSpec, cond: Condition, basis) -> list[list[int]]:
-    cols = len(basis)
-    rows_by_key: dict[tuple, list[int]] = {}
+def _condition_rows(spec: VanishingSpec, cond: Condition, basis) -> list[dict[int, int]]:
+    """One sparse row {column: value} per surviving monomial of the images.
+
+    Columns index basis; each row holds no zeros and its columns ascend.
+    The t exponent of a term is |rho| less the size of its free partition,
+    so for two families distinct pairs of terms give distinct keys, and
+    their products are nonzero.
+    """
+    rows_by_key: dict[tuple, dict[int, int]] = {}
     for ci, elem in enumerate(basis):
         pieces = [
             _substitute_monomial(rho, n, pattern)
             for rho, n, pattern in zip(elem, spec.family_sizes, cond.patterns)
         ]
         if len(pieces) == 1:
-            combined = {(t, sig): c for (t, sig), c in pieces[0].items()}
+            terms = pieces[0].items()
         else:
-            combined = {}
-            for (t1, s1), c1 in pieces[0].items():
-                for (t2, s2), c2 in pieces[1].items():
-                    key = (t1 + t2, s1, s2)
-                    combined[key] = combined.get(key, 0) + c1 * c2
-        for key, c in combined.items():
-            if not c:
-                continue
+            terms = (
+                ((t1 + t2, s1, s2), c1 * c2)
+                for (t1, s1), c1 in pieces[0].items()
+                for (t2, s2), c2 in pieces[1].items()
+            )
+        for key, c in terms:
             row = rows_by_key.get(key)
             if row is None:
-                row = rows_by_key[key] = [0] * cols
-            row[ci] += c
+                row = rows_by_key[key] = {}
+            row[ci] = c
     return list(rows_by_key.values())
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+    """Rank of a dense integer matrix by fraction-free (Bareiss) elimination.
 
     The fallback of _certified_rank and the test oracle it is checked against.
     """
@@ -237,8 +231,21 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _distinct_nonzero_rows(rows) -> list[tuple[int, ...]]:
-    return list(dict.fromkeys(tuple(row) for row in rows if any(row)))
+def _distinct_nonzero_rows(rows) -> list[dict[int, int]]:
+    """The nonempty sparse rows, first occurrence of each kept in order."""
+    return list({tuple(row.items()): row for row in rows if row}.values())
+
+
+def _transpose(rows) -> list[dict[int, int]]:
+    """The columns of sparse rows, in column order, as sparse rows."""
+    cols: dict[int, dict[int, int]] = {}
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            col = cols.get(c)
+            if col is None:
+                col = cols[c] = {}
+            col[r] = v
+    return [cols[c] for c in sorted(cols)]
 
 
 def _subtract_multiple(vec: dict, factor: int, row: dict, p: int) -> None:
@@ -251,17 +258,16 @@ def _subtract_multiple(vec: dict, factor: int, row: dict, p: int) -> None:
             del vec[c]
 
 
-def _echelon_mod_p(mat, p: int) -> dict[int, dict[int, int]]:
-    """Reduced row echelon form of mat mod p, as pivot column -> sparse row.
+def _echelon_mod_p(mat, p: int, ncols: int) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form of sparse rows mod p, as pivot column -> row.
 
     Each pivot row holds 1 at its own pivot column and 0 at every other one,
     so reducing a new row takes one pass over its pivot columns.  Stops once
-    every column is a pivot.
+    all ncols columns are pivots.
     """
-    ncols = len(mat[0])
     pivots: dict[int, dict[int, int]] = {}
     for row in mat:
-        vec = {c: x for c, v in enumerate(row) if v and (x := v % p)}
+        vec = {c: x for c, v in row.items() if (x := v % p)}
         for c in [c for c in vec if c in pivots]:
             _subtract_multiple(vec, vec[c], pivots[c], p)
         if not vec:
@@ -291,14 +297,20 @@ def _rational_reconstruction(a: int, p: int):
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _kernel_certified(mat, pivots, p: int) -> bool:
-    """Whether the mod-p kernel of mat lifts to an exact kernel over Q.
+def _kernel_certified(mat, pivots, p: int, ncols: int) -> bool:
+    """Whether the mod-p kernel of the sparse rows mat lifts to one over Q.
 
     Free column f gives the kernel vector with 1 at f and -pivots[c][f] at
     each pivot column c.  Its entries are lifted by rational reconstruction
-    and scaled to integers, and every row of mat must annihilate it exactly.
+    and scaled to integers, and every row of mat must annihilate it exactly;
+    only the rows with an entry in the vector's columns are checked, as the
+    others annihilate it trivially.
     """
-    for f in range(len(mat[0])):
+    rows_by_col: dict[int, list[int]] = {}
+    for r, row in enumerate(mat):
+        for c in row:
+            rows_by_col.setdefault(c, []).append(r)
+    for f in range(ncols):
         if f in pivots:
             continue
         entries = [(f, 1, 1)]
@@ -310,31 +322,35 @@ def _kernel_certified(mat, pivots, p: int) -> bool:
                 entries.append((c, *lifted))
         scale = lcm(*(den for _, _, den in entries))
         vec = [(c, num * (scale // den)) for c, num, den in entries]
-        if any(sum(row[c] * x for c, x in vec) for row in mat):
-            return False
+        for r in {r for c, _ in vec for r in rows_by_col.get(c, ())}:
+            row = mat[r]
+            if sum(row[c] * x for c, x in vec if c in row):
+                return False
     return True
 
 
-def _certified_rank(rows: list[list[int]]) -> int:
+def _certified_rank(rows: list[dict[int, int]], ncols: int) -> int:
     """Exact rank of an integer matrix, from its rank r mod _PRIME.
 
-    The rank mod a prime never exceeds the rank over Q, so r is exact when it
-    equals the column count.  Otherwise the n - r kernel vectors of the mod-p
-    echelon form are independent (each has a unit in its own free column);
-    if they lift to exact kernel vectors over Q, the rank over Q is at most
-    r, hence r.  A wide matrix is certified through its transpose, whose
-    kernel is smaller.  When the lift or the check fails, Bareiss decides.
+    rows are sparse {column: value} maps over columns 0..ncols-1, with no
+    zero entries and ascending columns.  The rank mod a prime never exceeds
+    the rank over Q, so r is exact when it equals the column count.
+    Otherwise the n - r kernel vectors of the mod-p echelon form are
+    independent (each has a unit in its own free column); if they lift to
+    exact kernel vectors over Q, the rank over Q is at most r, hence r.  A
+    wide matrix is certified through its transpose, whose kernel is smaller.
+    When the lift or the check fails, Bareiss decides on a dense copy.
     """
     mat = _distinct_nonzero_rows(rows)
-    if mat and len(mat) < len(mat[0]):
-        mat = _distinct_nonzero_rows(zip(*mat))
+    if mat and len(mat) < ncols:
+        mat, ncols = _distinct_nonzero_rows(_transpose(mat)), len(mat)
     if not mat:
         return 0
-    mat.sort(key=lambda row: len(row) - row.count(0))  # sparse first: less fill-in
-    pivots = _echelon_mod_p(mat, _PRIME)
-    if len(pivots) == len(mat[0]) or _kernel_certified(mat, pivots, _PRIME):
+    mat.sort(key=len)  # sparse first: less fill-in
+    pivots = _echelon_mod_p(mat, _PRIME, ncols)
+    if len(pivots) == ncols or _kernel_certified(mat, pivots, _PRIME, ncols):
         return len(pivots)
-    return _bareiss_rank(mat)
+    return _bareiss_rank([[row.get(c, 0) for c in range(ncols)] for row in mat])
 
 
 def graded_dimension(spec: VanishingSpec) -> list[int]:
@@ -358,10 +374,10 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
         if not basis:
             dims.append(0)
             continue
-        rows: list[list[int]] = []
+        rows: list[dict[int, int]] = []
         for cond in spec.conditions:
             rows.extend(_condition_rows(spec, cond, basis))
-        dims.append(len(basis) - _certified_rank(rows))
+        dims.append(len(basis) - _certified_rank(rows, len(basis)))
     return dims
 
 

@@ -42,7 +42,9 @@ class TruncatedSeries:
     @classmethod
     def from_blocks(cls, blocks, q_order: int, z_order: int = 0) -> "TruncatedSeries":
         """Series with coefficient blocks[dz][dq] at q^dq z^dz; rows may be ragged."""
-        terms = {(dq, dz): c for dz, row in enumerate(blocks) for dq, c in enumerate(row)}
+        terms = {
+            (dq, dz): c for dz, row in enumerate(blocks) for dq, c in enumerate(row) if c
+        }
         return cls(terms, q_order, z_order)
 
     @classmethod

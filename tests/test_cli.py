@@ -219,9 +219,9 @@ class TestDims:
         real_rank = polyspaces._certified_rank
         calls = []
 
-        def counting_rank(rows):
+        def counting_rank(rows, ncols):
             calls.append(len(rows))
-            return real_rank(rows)
+            return real_rank(rows, ncols)
 
         monkeypatch.setattr(polyspaces, "_certified_rank", counting_rank)
         code, _, _ = run_cli(capsys, "dims", *argv)

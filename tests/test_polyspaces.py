@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -85,6 +86,40 @@ class TestSubstitution:
         # the constant 1 maps to 1 under any pattern
         assert _substitute_monomial((), 2, (1, 1, 0)) == {(0, ()): 1}
 
+    def test_equals_literal_expansion(self):
+        # every rho with n <= 5 and |rho| <= 7, under every pattern
+        for n in range(6):
+            for size in range(8):
+                for rho in partitions_max_parts(size, n):
+                    for p in range(n + 1):
+                        for m in range(n + 1 - p):
+                            for z in range(n + 1 - p - m):
+                                got = _substitute_monomial(rho, n, (p, m, z))
+                                want = _expand_literally(rho, n, (p, m, z))
+                                assert got == want, (rho, n, (p, m, z))
+
+
+def _expand_literally(rho, n, pattern):
+    """m_rho under a pattern, term by term over the distinct permutations.
+
+    The image is symmetric in the free variables, so the coefficient of
+    m_sigma is that of the one monomial whose free exponents are sigma,
+    descending and padded with zeros.
+    """
+    p, m, z = pattern
+    poly = {}
+    for values in set(itertools.permutations(rho + (0,) * (n - len(rho)))):
+        if any(values[p + m:p + m + z]):
+            continue
+        sign = -1 if sum(values[p:p + m]) % 2 else 1
+        key = (sum(values[:p + m]), values[p + m + z:])
+        poly[key] = poly.get(key, 0) + sign
+    return {
+        (t, tuple(v for v in free if v)): c
+        for (t, free), c in poly.items()
+        if c and list(free) == sorted(free, reverse=True)
+    }
+
 
 class TestSpecValidation:
     def test_oversized_pattern_rejected(self):
@@ -157,13 +192,35 @@ class TestGradedDimension:
         rows = []
         for cond in spec.conditions:
             rows.extend(_condition_rows(spec, cond, basis))
-        base_rank = _certified_rank(rows)
+        base_rank = _certified_rank(rows, len(basis))
+        dense = [[row.get(c, 0) for c in range(len(basis))] for row in rows]
+        assert base_rank == _bareiss_rank(dense)
         rng = random.Random(7)
         for _ in range(5):
             perm = list(range(len(basis)))
             rng.shuffle(perm)
-            shuffled = [[row[i] for i in perm] for row in rows]
-            assert _certified_rank(shuffled) == base_rank
+            shuffled = [[row[i] for i in perm] for row in dense]
+            assert _certified_rank(*_sparse(shuffled)) == base_rank
+
+    @pytest.mark.parametrize(
+        "spec",
+        [vanishing_spec_r3_signed(5, 2, 1, 7), vanishing_spec_r3_pair(3, 2, 2, 1, 1, 6)],
+        ids=["signed", "pair"],
+    )
+    def test_condition_rows_are_sparse_and_ascending(self, spec):
+        basis = _basis(spec, spec.degree_cap)
+        for cond in spec.conditions:
+            rows = _condition_rows(spec, cond, basis)
+            assert rows
+            for row in rows:
+                assert row and all(row.values())
+                assert list(row) == sorted(row)
+                assert all(0 <= c < len(basis) for c in row)
+
+
+def _sparse(rows):
+    """Dense rows as the sparse rows and column count _certified_rank takes."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows], len(rows[0]) if rows else 0
 
 
 @st.composite
@@ -216,17 +273,17 @@ class TestCertifiedRank:
         return calls
 
     def test_known_ranks(self):
-        assert _certified_rank([]) == 0
-        assert _certified_rank([[0, 0, 0]]) == 0
-        assert _certified_rank([[1, 2], [2, 4], [1, 2]]) == 1
-        assert _certified_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
+        assert _certified_rank(*_sparse([])) == 0
+        assert _certified_rank(*_sparse([[0, 0, 0]])) == 0
+        assert _certified_rank(*_sparse([[1, 2], [2, 4], [1, 2]])) == 1
+        assert _certified_rank(*_sparse([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
         # wide: 2 x 5 at rank 2, certified through the 5 x 2 transpose
-        assert _certified_rank([[1, 0, 2, 0, 1], [0, 3, 0, 1, 1]]) == 2
+        assert _certified_rank(*_sparse([[1, 0, 2, 0, 1], [0, 3, 0, 1, 1]])) == 2
 
     @settings(max_examples=100, deadline=None)
     @given(integer_matrices())
     def test_equals_bareiss(self, rows):
-        assert _certified_rank(rows) == _bareiss_rank(rows)
+        assert _certified_rank(*_sparse(rows)) == _bareiss_rank(rows)
 
     @settings(max_examples=100, deadline=None)
     @given(integer_matrices(), st.sampled_from([2, 3, 5]))
@@ -240,7 +297,7 @@ class TestCertifiedRank:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(polyspaces, "_PRIME", prime)
             patch.setattr(polyspaces, "_bareiss_rank", counting_bareiss)
-            got = _certified_rank(rows)
+            got = _certified_rank(*_sparse(rows))
         exact = _bareiss_rank(rows)
         assert got == exact
         if _rank_mod(rows, prime) < exact:
@@ -256,28 +313,44 @@ class TestCertifiedRank:
     )
     def test_fallback_cases(self, monkeypatch, fallbacks, rows, prime):
         monkeypatch.setattr(polyspaces, "_PRIME", prime)
-        assert _certified_rank(rows) == _bareiss_rank(rows)
+        assert _certified_rank(*_sparse(rows)) == _bareiss_rank(rows)
         assert len(fallbacks) == 1
 
     def test_wrong_lift_is_rejected(self, monkeypatch, fallbacks):
         # rank 1 in three columns: two kernel vectors, each with a lifted entry
         rows = [[1, 2, 3], [2, 4, 6], [3, 6, 9], [1, 2, 3]]
+        sparse, ncols = _sparse(rows)
         p = polyspaces._PRIME
-        pivots = _echelon_mod_p(rows, p)
-        assert len(pivots) == 1 and _kernel_certified(rows, pivots, p)
+        pivots = _echelon_mod_p(sparse, p, ncols)
+        assert len(pivots) == 1 and _kernel_certified(sparse, pivots, p, ncols)
 
-        real = polyspaces._rational_reconstruction
-        target = []
-
-        def one_wrong(a, p):
-            num, den = real(a, p)
-            target[:] = target or [a]  # the first residue lifted stays wrong
-            return (num + 1, den) if a == target[0] else (num, den)
-
-        monkeypatch.setattr(polyspaces, "_rational_reconstruction", one_wrong)
-        assert not _kernel_certified(rows, pivots, p)
-        assert _certified_rank(rows) == 1
+        _lift_one_residue_wrong(monkeypatch)
+        assert not _kernel_certified(sparse, pivots, p, ncols)
+        assert _certified_rank(sparse, ncols) == 1
         assert len(fallbacks) == 1
+
+    def test_wrong_lift_is_caught_by_a_row_without_the_free_column(self, monkeypatch):
+        # x0 = 2 x1 and x1 = x2: free column 2, kernel vector (2, 1, 1); the
+        # wrong entry lands on column 0, which only the first row holds
+        sparse = [{0: 1, 1: -2}, {1: 1, 2: -1}]
+        p = polyspaces._PRIME
+        pivots = _echelon_mod_p(sparse, p, 3)
+        assert sorted(pivots) == [0, 1] and _kernel_certified(sparse, pivots, p, 3)
+        _lift_one_residue_wrong(monkeypatch)
+        assert not _kernel_certified(sparse, pivots, p, 3)
+
+
+def _lift_one_residue_wrong(monkeypatch):
+    """Make rational reconstruction add 1 to the first residue it lifts."""
+    real = polyspaces._rational_reconstruction
+    target = []
+
+    def one_wrong(a, p):
+        num, den = real(a, p)
+        target[:] = target or [a]  # the first residue lifted stays wrong
+        return (num + 1, den) if a == target[0] else (num, den)
+
+    monkeypatch.setattr(polyspaces, "_rational_reconstruction", one_wrong)
 
 
 class TestBareiss:
