@@ -47,7 +47,6 @@ from .polyspaces import (
     weight_degree,
 )
 from .vertexops import (
-    FactoredMatrixElement,
     PairFunction,
     PairingTable,
     VOFamily,
@@ -57,7 +56,6 @@ from .vertexops import (
     family_r2,
     family_r3_mixed,
     family_r3_split,
-    matrix_element_F1,
     pair_function,
 )
 

@@ -199,8 +199,9 @@ def _block_demands(k: int, b: tuple[int, ...], top: int, q_max: int):
 
     levels[n, depth][vec] is the highest q-degree read from block (vec, n);
     the depth of vec is its number of entries below k, so K alone has depth
-    0.  terms[vec][v] is vec(v) for v = 0, ..., vec_0, with None for the
-    v = 0 term of K, which is the block itself.
+    0.  terms[vec][v] is vec(v) for v = 0, ..., min(vec_0, top), with None
+    for the v = 0 term of K, which is the block itself; a block (vec, n)
+    reads only v <= n <= top.
 
     The roots (b, n), 1 <= n <= top, are read through q^q_max.  A block
     read through q^d reads its term (vec(v), m = n - v) through q^(d - m),
@@ -221,7 +222,7 @@ def _block_demands(k: int, b: tuple[int, ...], top: int, q_max: int):
                 if vec not in terms:
                     terms[vec] = [None if depth == 0 else vec[1:] + (k,)] + [
                         tuple(x - v for x in vec[1:]) + (k - v,)
-                        for v in range(1, vec[0] + 1)
+                        for v in range(1, min(vec[0], top) + 1)
                     ]
                 for v, child in enumerate(terms[vec][: n + 1]):
                     m = n - v

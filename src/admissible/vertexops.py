@@ -1,5 +1,4 @@
-"""Scalar data of lattice vertex operator products: pair functions and the
-factored matrix-element formulas.
+"""Pair functions: the contraction scalars of lattice vertex operator products.
 
 Operators are described by 2-periodic sequences of lattice vectors (one
 vector for even mode indices, one for odd) plus a zero-mode vector.  Vectors
@@ -100,13 +99,6 @@ class PairFunction:
     closed_form: tuple[int, int] | None
 
 
-def _pair_exponents(a: VOSpec, b: VOSpec, table: PairingTable):
-    c_even = table.pairing(a.even, b.even)
-    c_odd = table.pairing(a.odd, b.odd)
-    z_power = table.pairing(a.even, b.zero_mode)
-    return c_even, c_odd, z_power
-
-
 def _check_order(trunc: int) -> None:
     if trunc < 0:
         raise ValueError(f"truncation order must be non-negative, got {trunc}")
@@ -115,7 +107,9 @@ def _check_order(trunc: int) -> None:
 def pair_function(a: VOSpec, b: VOSpec, table: PairingTable, trunc: int) -> PairFunction:
     """Contraction scalar of two operator specs, to order trunc in w/z."""
     _check_order(trunc)
-    c_even, c_odd, z_power = _pair_exponents(a, b, table)
+    c_even = table.pairing(a.even, b.even)
+    c_odd = table.pairing(a.odd, b.odd)
+    z_power = table.pairing(a.even, b.zero_mode)
     # exp(sum L_m x^m) with L_m = -c_m/m via the log-derivative recurrence
     coeffs = [Fraction(1)]
     for d in range(1, trunc + 1):
@@ -143,86 +137,6 @@ def closed_form_series(p: int, s: int, trunc: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class FactoredMatrixElement:
-    """The scalar prefactor of a product of grouped vertex operators.
-
-    Per group a with multiplicity m_a: each variable carries the power
-    var_powers[a]; each unordered pair of groups (and each pair of variables
-    within a group) carries a (z-w)^p (z+w)^s factor recorded in
-    pair_factors, keyed by group names in spec-list order.  Only these
-    exponents are kept, not the specs: total_degree() is the degree of the
-    factored form, the vertex-operator route to the fermionic q-exponent.
-    """
-
-    group_names: tuple[str, ...]
-    multiplicities: dict
-    var_powers: dict
-    pair_factors: dict
-
-    def pair_exponents(self, a: str, b: str) -> tuple[int, int]:
-        order = {name: i for i, name in enumerate(self.group_names)}
-        key = (a, b) if order[a] <= order[b] else (b, a)
-        return self.pair_factors[key]
-
-    def total_degree(self) -> int:
-        deg = 0
-        for name in self.group_names:
-            m = self.multiplicities[name]
-            deg += m * self.var_powers[name]
-            p, s = self.pair_factors[(name, name)]
-            deg += (m * (m - 1) // 2) * (p + s)
-        for i, a in enumerate(self.group_names):
-            for b in self.group_names[i + 1 :]:
-                p, s = self.pair_factors[(a, b)]
-                deg += self.multiplicities[a] * self.multiplicities[b] * (p + s)
-        return deg
-
-
-def matrix_element_F1(specs, beta, table: PairingTable) -> FactoredMatrixElement:
-    """Factored form of the vacuum-to-charged-sector matrix element.
-
-    specs is a list of (name, VOSpec, multiplicity); beta is the ket vector,
-    given as a generator name or a sparse vector (None means the vacuum).
-    Raises when a variable power is non-integral or a pair has no closed
-    form, naming the offender.
-    """
-    if beta is None:
-        beta_vec: dict = {}
-    elif isinstance(beta, str):
-        beta_vec = {beta: 1}
-    else:
-        beta_vec = beta
-    names = tuple(name for name, _, _ in specs)
-    if len(set(names)) != len(names):
-        raise ValueError("group names must be distinct")
-    mult = {name: m for name, _, m in specs}
-    spec_map = {name: s for name, s, _ in specs}
-    var_powers = {}
-    for name, spec, _ in specs:
-        power = table.pairing(spec.zero_mode, beta_vec)
-        if power.denominator != 1:
-            raise ValueError(f"variable power for group {name} is not an integer: {power}")
-        var_powers[name] = int(power)
-    pair_factors = {}
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            c_even, c_odd, z_power = _pair_exponents(spec_map[a], spec_map[b], table)
-            p = (c_odd + c_even) / 2
-            s = (c_even - c_odd) / 2
-            if p.denominator != 1 or s.denominator != 1 or p < 0 or s < 0:
-                raise ValueError(
-                    f"pair ({a}, {b}) has no closed form: exponents ({p}, {s})"
-                )
-            if z_power != p + s:
-                raise ValueError(
-                    f"pair ({a}, {b}) has leading z-power {z_power}, "
-                    f"expected {p + s}; closed form unavailable"
-                )
-            pair_factors[(a, b)] = (int(p), int(s))
-    return FactoredMatrixElement(names, mult, var_powers, pair_factors)
-
-
 # ---------------------------------------------------------------------------
 # Built-in spec families
 
@@ -235,15 +149,14 @@ class VOFamily:
     specs: tuple
 
 
-def family_r2(k: int, b0: int) -> VOFamily:
-    """Constant specs gamma_a built from an orthogonal norm-2 basis, with the
-    boundary vector pairing to 0 on the first b0 generators and 1 after."""
-    validate_b(k, 2, (b0,))
+def family_r2(k: int) -> VOFamily:
+    """Constant specs gamma_a = eps_1 + ... + eps_a over an orthogonal norm-2
+    basis."""
+    validate_k(k)
     pairings = {}
     for a in range(1, k + 1):
         for b in range(a, k + 1):
             pairings[(f"eps{a}", f"eps{b}")] = 2 if a == b else 0
-        pairings[(f"eps{a}", "beta0")] = 0 if a <= b0 else 1
     table = PairingTable(pairings)
     specs = tuple(
         (f"gamma{a}", VOSpec.constant({f"eps{j}": 1 for j in range(1, a + 1)}))
@@ -267,15 +180,11 @@ def _paired_block_pairings(n: int) -> dict:
     return pairings
 
 
-def family_r3_split(k: int, b0: int) -> VOFamily:
+def family_r3_split(k: int) -> VOFamily:
     """Two constant families gamma_a^+ and gamma_a^- over paired 2-dimensional
     blocks; the minus family accumulates generators from the top index down."""
-    validate_b(k, 2, (b0,))
-    pairings = _paired_block_pairings(k)
-    for j in range(1, k + 1):
-        pairings[(f"eps{j}+", "gamma0")] = 0 if j <= b0 else 1
-        pairings[(f"eps{j}-", "gamma0")] = 0
-    table = PairingTable(pairings)
+    validate_k(k)
+    table = PairingTable(_paired_block_pairings(k))
     plus = tuple(
         (f"gamma{a}+", VOSpec.constant({f"eps{j}+": 1 for j in range(1, a + 1)}))
         for a in range(1, k + 1)
@@ -338,11 +247,16 @@ def family_r3_mixed(k: int) -> VOFamily:
 
 
 def build_family(name: str, k: int, b0: int = 0) -> VOFamily:
-    """Dispatch on the CLI family names."""
+    """Dispatch on the CLI family names.
+
+    b0 is checked against [0, k] for every family and read by none: no
+    spec vector pairs with a boundary vector.
+    """
+    validate_b(k, 2, (b0,))
     if name == "r2":
-        return family_r2(k, b0)
+        return family_r2(k)
     if name == "r3-split":
-        return family_r3_split(k, b0)
+        return family_r3_split(k)
     if name == "r3-odd-k":
         if k % 2 == 0:
             raise ValueError("r3-odd-k requires odd k")

@@ -152,7 +152,7 @@ def test_criterion_07_pair_function_closed_forms():
     failures = []
     order = 12
     for k in range(1, 6):
-        fam = family_r2(k, 0)
+        fam = family_r2(k)
         spec_map = dict(fam.specs)
         for a in range(1, k + 1):
             for b in range(a, k + 1):
@@ -168,7 +168,7 @@ def test_criterion_07_pair_function_closed_forms():
                 p, s = 2 * min(a, b), max(0, a + b - k)
                 if pf.closed_form != (p, s) or list(pf.coeffs) != closed_form_series(p, s, order):
                     failures.append(("mixed", k, a, b))
-        fam = family_r3_split(k, 0)
+        fam = family_r3_split(k)
         spec_map = dict(fam.specs)
         for a in range(1, k + 1):
             for b in range(1, k + 1):

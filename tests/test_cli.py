@@ -300,6 +300,19 @@ class TestPairs:
         )
         assert code == 2 and "even" in err
 
+    @pytest.mark.parametrize("b0_past", ["below", "above"])
+    @pytest.mark.parametrize(
+        "family, k", [("r2", 2), ("r3-split", 2), ("r3-odd-k", 3), ("r3-even-k", 2)]
+    )
+    def test_b0_out_of_range_is_an_error(self, capsys, family, k, b0_past):
+        b0 = -1 if b0_past == "below" else k + 1
+        code, out, err = run_cli(
+            capsys, "pairs", "--family", family, "--k", str(k), "--b0", str(b0),
+            "--order", "2",
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: b entries must lie in [0, {k}]: ({b0},)\n"
+
 
 class TestVerify:
     def test_small_r2_suite_all_match(self, capsys):
@@ -593,6 +606,10 @@ GOLDEN_CASES = {
         "verify", "weights", "--kmax", "1", "--sizemax", "3", "--sizemax3", "2",
     ],
     "verify_pairs_k2.json": ["verify", "pair-functions", "--kmax", "2", "--order", "4"],
+    "pairs_r2_k3_b1.json": ["pairs", "--family", "r2", "--k", "3", "--b0", "1", "--order", "6"],
+    "pairs_r3split_k2_b1.json": [
+        "pairs", "--family", "r3-split", "--k", "2", "--b0", "1", "--order", "6",
+    ],
     "table_c2_k3_b1.json": [
         "table", "--k", "3", "--which", "c2", "--b0", "1", "--format", "json",
     ],

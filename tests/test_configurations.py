@@ -22,7 +22,7 @@ from admissible.fermionic import (
     gordon_a2,
 )
 from admissible.polyspaces import vanishing_spec_r2
-from admissible.vertexops import family_r2, family_r3_mixed
+from admissible.vertexops import build_family, family_r3_mixed
 
 
 class TestIsAdmissible:
@@ -222,6 +222,15 @@ class TestCellBudget:
         with pytest.raises(CapacityError, match="recursion's blocks"):
             character_direct(3, 2, (2,), 300, 150)
 
+    def test_terms_stop_at_the_top_block(self):
+        # block (vec, n) reads only terms v <= n <= top, whatever vec_0 is
+        _, terms = configurations._block_demands(50, (50,), 5, 5)
+        assert terms and all(len(t) <= 6 for t in terms.values())
+
+    def test_huge_k_with_a_tiny_window(self):
+        # z-degree <= 5 bounds every entry, so k and b_0 past 5 constrain nothing
+        assert character_direct(10**7, 2, (10**7,), 5, 5) == character_direct(6, 2, (6,), 5, 5)
+
     @pytest.mark.parametrize(
         "compute",
         [
@@ -325,7 +334,7 @@ _ENTRY_POINTS = {
     "family_r3_mixed": lambda k, b0: family_r3_mixed(k),
     "boundary_c2": lambda k, b0: boundary_c2(k, b0),
     "vanishing_spec_r2": lambda k, b0: vanishing_spec_r2(3, k, b0, 4),
-    "family_r2": lambda k, b0: family_r2(k, b0),
+    "family_r2": lambda k, b0: build_family("r2", k, b0),
     "character_direct": lambda k, b0: character_direct(k, 2, (b0,), 4, 2),
 }
 _K_ONLY = ("gordon_a2", "family_r3_mixed")

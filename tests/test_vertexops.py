@@ -1,18 +1,13 @@
-from fractions import Fraction
-
 import pytest
 
-from admissible.fermionic import gordon_data_r2, quadratic_exponent
 from admissible.vertexops import (
     PairingTable,
     PairingUndefined,
     VOSpec,
     build_family,
     closed_form_series,
-    family_r2,
     family_r3_mixed,
     family_r3_split,
-    matrix_element_F1,
     pair_function,
 )
 
@@ -95,7 +90,7 @@ class TestPairFunction:
 
     def test_split_family_cross_forms(self):
         for k in range(1, 5):
-            fam = family_r3_split(k, 0)
+            fam = family_r3_split(k)
             spec_map = dict(fam.specs)
             for a in range(1, k + 1):
                 for b in range(1, k + 1):
@@ -103,72 +98,6 @@ class TestPairFunction:
                         spec_map[f"gamma{a}+"], spec_map[f"gamma{b}-"], fam.table, 8
                     )
                     assert pf.closed_form == (max(0, a + b - k), 0), (k, a, b)
-
-
-class TestMatrixElementF1:
-    def test_r2_family_powers_and_pairs(self):
-        fam = family_r2(3, 1)
-        f1 = matrix_element_F1(
-            [(name, spec, 1) for name, spec in fam.specs], "beta0", fam.table
-        )
-        assert f1.var_powers == {"gamma1": 0, "gamma2": 1, "gamma3": 2}
-        for a in range(1, 4):
-            for b in range(a, 4):
-                assert f1.pair_exponents(f"gamma{a}", f"gamma{b}") == (
-                    2 * min(a, b),
-                    0,
-                )
-
-    def test_split_family_zero_powers_on_minus(self):
-        fam = family_r3_split(2, 0)
-        f1 = matrix_element_F1(
-            [(name, spec, 1) for name, spec in fam.specs], "gamma0", fam.table
-        )
-        assert f1.var_powers == {
-            "gamma1+": 1,
-            "gamma2+": 2,
-            "gamma1-": 0,
-            "gamma2-": 0,
-        }
-        assert f1.pair_exponents("gamma1+", "gamma2-") == (1, 0)
-        assert f1.pair_exponents("gamma1+", "gamma1-") == (0, 0)
-
-    def test_empty_spec_list_is_constant_one(self):
-        fam = family_r2(2, 0)
-        f1 = matrix_element_F1([], "beta0", fam.table)
-        assert f1.total_degree() == 0
-        assert f1.group_names == ()
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_degree_equals_fermionic_exponent(self, k):
-        from admissible.fermionic import _multiplicity_vectors
-
-        for b0 in range(k + 1):
-            fam = family_r2(k, b0)
-            data = gordon_data_r2(k, b0)
-            for n in range(7):
-                for m in _multiplicity_vectors(tuple(range(1, k + 1)), n):
-                    f1 = matrix_element_F1(
-                        [
-                            (name, spec, mult)
-                            for (name, spec), mult in zip(fam.specs, m)
-                        ],
-                        "beta0",
-                        fam.table,
-                    )
-                    assert f1.total_degree() == quadratic_exponent(data, m)
-
-    def test_missing_closed_form_names_the_pair(self):
-        t = PairingTable({("a", "a"): 2, ("d", "d"): 1, ("a", "d"): 0})
-        bad = VOSpec(even={"a": 1}, odd={"d": 1}, zero_mode={"a": 1})
-        with pytest.raises(ValueError, match="odd, odd"):
-            matrix_element_F1([("odd", bad, 2)], None, t)
-
-    def test_non_integer_variable_power_rejected(self):
-        t = PairingTable({("a", "a"): 2, ("a", "beta"): Fraction(1, 2)})
-        spec = VOSpec.constant({"a": 1})
-        with pytest.raises(ValueError, match="not an integer"):
-            matrix_element_F1([("g", spec, 1)], "beta", t)
 
 
 class TestFamilies:
