@@ -192,7 +192,9 @@ def cmd_dims(args) -> int:
         "n": args.n,
         "degree_cap": args.cap,
     }
-    if args.r == 3 and args.variant == "pair":
+    if args.r == 2 and args.variant is not None:
+        raise ValueError("--variant applies to --r 3 only")
+    if args.r == 3 and args.variant != "signed":
         b1 = args.b1 if args.b1 is not None else args.k
         sector_dims = pair_sector_dims(args.n, args.k, args.b0, b1, args.cap)
         char = regrade_pair_sectors(sector_dims, args.cap)
@@ -559,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dims.add_argument("--n", type=int, required=True)
     p_dims.add_argument("--cap", type=int, required=True, help="degree cap")
     p_dims.add_argument(
-        "--variant", default="pair", choices=["pair", "signed"], help="r=3 realization"
+        "--variant", choices=["pair", "signed"], help="r=3 only: realization, default pair"
     )
     p_dims.set_defaults(func=cmd_dims)
 

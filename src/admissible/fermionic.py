@@ -17,25 +17,40 @@ sibling's divided by one more factor, so no per-vector product is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
-from .configurations import _check_cells, validate_b, validate_k, validate_window
+from .configurations import MAX_CELLS, CapacityError, _check_cells
+from .configurations import validate_b, validate_k, validate_window
 from .series import TruncatedSeries, _divide_by_one_minus, _pochhammer_inverse_coeffs
+
+
+def _check_matrix(size: int) -> None:
+    """Refuse (CapacityError) a size x size matrix of more than MAX_CELLS entries."""
+    if size * size > MAX_CELLS:
+        raise CapacityError(
+            f"a {size} x {size} Gordon matrix needs {size * size} entries, "
+            f"over the limit of {MAX_CELLS}"
+        )
 
 
 def gordon_a2(k: int) -> list[list[int]]:
     """k x k matrix with entries 2*min(a, b)."""
     validate_k(k)
+    _check_matrix(k)
     return [[2 * min(a, b) for b in range(1, k + 1)] for a in range(1, k + 1)]
 
 
 def gordon_b3(k: int) -> list[list[int]]:
     """k x k matrix with entries max(0, a + b - k)."""
     validate_k(k)
+    _check_matrix(k)
     return [[max(0, a + b - k) for b in range(1, k + 1)] for a in range(1, k + 1)]
 
 
 def gordon_a(k: int) -> list[list[int]]:
     """2k x 2k block matrix [[A2, B3], [B3, A2]]."""
+    validate_k(k)
+    _check_matrix(2 * k)
     a2 = gordon_a2(k)
     b3 = gordon_b3(k)
     top = [a2[i] + b3[i] for i in range(k)]
@@ -65,11 +80,10 @@ def boundary_c3(k: int, b0: int) -> list[int]:
 class GordonData:
     """Everything that determines one fermionic sum.
 
-    matrix          symmetric integer matrix of the quadratic form
+    matrix          symmetric integer matrix A; the term of multiplicity
+                    vector m has q-exponent (m'Am - diag(A).m)/2 + c.m
     boundary        linear term vector c, same dimension
     q_step          Pochhammer base: 1 for (q)_m denominators, 2 for (q^2)_m
-    halved          exponent (m'Am - diag.m)/2 + c.m when True,
-                    m'Am - diag.m + 2c.m when False
     z_weights       per-coordinate z-degree: z-degree of a term is z_weights.m
     extra_q_weights per-coordinate extra q-power (the sector prefactor)
     """
@@ -77,20 +91,15 @@ class GordonData:
     matrix: tuple[tuple[int, ...], ...]
     boundary: tuple[int, ...]
     q_step: int
-    halved: bool
     z_weights: tuple[int, ...]
     extra_q_weights: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
-            raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise ValueError("matrix must be symmetric")
-                if self.matrix[i][j] < 0:
-                    raise ValueError("matrix entries must be non-negative")
+        if list(zip(*self.matrix)) != list(map(tuple, self.matrix)):
+            raise ValueError("matrix must be square and symmetric")
+        if min(map(min, self.matrix), default=0) < 0:
+            raise ValueError("matrix entries must be non-negative")
         if not (len(self.boundary) == len(self.z_weights) == len(self.extra_q_weights) == n):
             raise ValueError("vector dimensions must match the matrix")
         if self.q_step < 1:
@@ -114,7 +123,6 @@ def gordon_data_r2(k: int, b0: int) -> GordonData:
         matrix=_freeze(gordon_a2(k)),
         boundary=tuple(boundary_c2(k, b0)),
         q_step=1,
-        halved=True,
         z_weights=tuple(range(1, k + 1)),
         extra_q_weights=(0,) * k,
     )
@@ -125,13 +133,13 @@ def gordon_data_r3(k: int, b0: int) -> GordonData:
 
     Coordinates are (m_{1,1}, ..., m_{1,k}, m_{2,1}, ..., m_{2,k}); the second
     block contributes an extra q^(l2) with l2 = sum_j j*m_{2,j}, and all
-    Pochhammer factors run in q^2.
+    Pochhammer factors run in q^2.  The exponent m'Am - diag(A).m + 2c.m of
+    A = gordon_a(k), c = boundary_c3(k, b0) is carried as 2A and 2c.
     """
     return GordonData(
-        matrix=_freeze(gordon_a(k)),
-        boundary=tuple(boundary_c3(k, b0)),
+        matrix=_freeze([2 * x for x in row] for row in gordon_a(k)),
+        boundary=tuple(2 * c for c in boundary_c3(k, b0)),
         q_step=2,
-        halved=False,
         z_weights=tuple(range(1, k + 1)) * 2,
         extra_q_weights=(0,) * k + tuple(range(1, k + 1)),
     )
@@ -147,37 +155,24 @@ def gordon_data_r3_special(k: int) -> GordonData:
         matrix=_freeze(gordon_b(k)),
         boundary=tuple(boundary_c2(k, (k + 1) // 2)),
         q_step=1,
-        halved=True,
         z_weights=tuple(range(1, k + 1)),
         extra_q_weights=(0,) * k,
     )
 
 
 def quadratic_exponent(data: GordonData, m) -> int:
-    """The q-exponent of the term indexed by multiplicity vector m.
+    """The q-exponent (m'Am - diag(A).m)/2 + c.m of multiplicity vector m.
 
-    Computed in exact integers; when the halved form applies, divisibility
-    by 2 is asserted (it holds for every symmetric integer matrix, so a
-    failure here means corrupted data, never bad input).
+    Summed as sum_{j<i} A_ij m_i m_j + sum_i A_ii C(m_i, 2) + c.m, which is
+    an integer for every symmetric integer matrix A.
     """
-    mat = data.matrix
-    n = len(mat)
-    quad = 0
-    for i in range(n):
+    total = 0
+    for i, row in enumerate(data.matrix):
         mi = m[i]
-        if not mi:
-            continue
-        row = mat[i]
-        quad += mi * sum(row[j] * m[j] for j in range(n) if m[j])
-    lin = sum(mat[i][i] * m[i] for i in range(n))
-    numerator = quad - lin + 2 * sum(c * x for c, x in zip(data.boundary, m))
-    if data.halved:
-        if numerator % 2:
-            raise AssertionError(
-                f"non-integral exponent for m={tuple(m)}: numerator {numerator}"
-            )
-        return numerator // 2
-    return numerator
+        if mi:
+            cross = sum(row[j] * m[j] for j in range(i) if m[j])
+            total += mi * (cross + data.boundary[i]) + row[i] * (mi * (mi - 1) // 2)
+    return total
 
 
 def _multiplicity_vectors(weights, total):
@@ -221,9 +216,7 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     m = [0] * n
 
     def walk(first, z, extra, shift, poch):
-        row = rows[z]
-        for d, c in enumerate(poch, shift):
-            row[d] += c
+        rows[z][shift:] = map(add, rows[z][shift:], poch)
         for j in range(first, n):
             cz, cx, cur = z, extra, poch
             for v in range(1, z_max + 1):
@@ -314,8 +307,8 @@ def partition_term(
     """Character contribution of a single partition: q^weight / prod (q)_{m_a}.
 
     The weight is the quadratic-form exponent of the sum data evaluated at the
-    partition's multiplicity vector.  Only the k-dimensional (halved) variants
-    make sense here.
+    partition's multiplicity vector.  Only the k-dimensional sum data (r2 and
+    the rank-3 special form) make sense here.
     """
     m = partition.multiplicities
     if len(m) != len(data.boundary):

@@ -4,10 +4,10 @@ Every series carries explicit truncation orders: coefficients of q^i z^j with
 i > q_order or j > z_order are unknown (not zero).  Arithmetic keeps exact
 int coefficients and propagates truncation as the componentwise minimum of
 the operand windows, so "equal up to order" is a total, decidable relation.
-``_mul_q`` (dense q-lists) is the one truncated-product loop, used per z-row
-by ``TruncatedSeries.__mul__``; every Pochhammer inverse is built by
-``_divide_by_one_minus``, one geometric factor at a time.  Other modules
-build series from dense rows with ``TruncatedSeries.from_blocks``.
+The character routes work on dense q-lists: they divide by one Pochhammer
+factor at a time with ``_divide_by_one_minus``, accumulate rows by slice adds
+and wrap the result with ``TruncatedSeries.from_blocks``.  No command calls
+``TruncatedSeries.__mul__``, a plain sparse product of two coefficient maps.
 """
 
 from __future__ import annotations
@@ -86,14 +86,13 @@ class TruncatedSeries:
             return NotImplemented
         q = min(self.q_order, other.q_order)
         z = min(self.z_order, other.z_order)
-        a = [[self.coeffs.get((dq, dz), 0) for dq in range(q + 1)] for dz in range(z + 1)]
-        b = [[other.coeffs.get((dq, dz), 0) for dq in range(q + 1)] for dz in range(z + 1)]
-        out = [[0] * (q + 1) for _ in range(z + 1)]
-        for az, ra in enumerate(a):
-            for bz, rb in enumerate(b[: z + 1 - az]):
-                for d, c in enumerate(_mul_q(ra, rb, q)):
-                    out[az + bz][d] += c
-        return TruncatedSeries.from_blocks(out, q, z)
+        out: dict[tuple[int, int], int] = {}
+        for (aq, az), ca in self.coeffs.items():
+            for (bq, bz), cb in other.coeffs.items():
+                key = (aq + bq, az + bz)
+                if key[0] <= q and key[1] <= z:
+                    out[key] = out.get(key, 0) + ca * cb
+        return TruncatedSeries(out, q, z)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -183,20 +182,6 @@ def _divide_by_one_minus(coeffs: list[int], stride: int) -> None:
         lower = coeffs[d - stride]
         if lower:
             coeffs[d] += lower
-
-
-def _mul_q(a: list[int], b: list[int], q_order: int) -> list[int]:
-    """Product of dense q-coefficient lists through q^q_order; zero entries cost nothing."""
-    size = min(len(a) + len(b) - 1, q_order + 1)
-    out = [0] * size
-    b_terms = [(j, cb) for j, cb in enumerate(b[:size]) if cb]
-    for i, ca in enumerate(a[:size]):
-        if ca:
-            for j, cb in b_terms:
-                if i + j >= size:
-                    break
-                out[i + j] += ca * cb
-    return out
 
 
 def pochhammer(m: int, step: int, q_order: int, z_order: int = 0) -> TruncatedSeries:

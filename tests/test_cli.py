@@ -161,6 +161,21 @@ class TestTable:
         assert out == ""
         assert err == "error: --b0 applies to --which c2 or c3 only\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("char", "--method", "fermionic-r2", "--k", "100000", "--r", "2", "--b", "0",
+             "--qmax", "5", "--zmax", "5"),
+            ("table", "--k", "100000", "--which", "A2"),
+        ],
+        ids=["char", "table"],
+    )
+    def test_oversized_gordon_matrix_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "entries, over the limit of" in err
+
     def test_c3_vector(self, capsys):
         code, out, _ = run_cli(
             capsys, "table", "--k", "2", "--which", "c3", "--b0", "0",
@@ -258,6 +273,15 @@ class TestDims:
             assert err == "error: --b1 applies to --r 3 --variant pair only\n"
         else:
             assert json.loads(out)["b1"] == 2
+
+    @pytest.mark.parametrize("variant", ["pair", "signed"])
+    def test_variant_only_with_r3(self, capsys, variant):
+        code, out, err = run_cli(
+            capsys, "dims", "--r", "2", "--k", "1", "--b0", "0", "--n", "2", "--cap", "3",
+            "--variant", variant,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --variant applies to --r 3 only\n"
 
     @pytest.mark.parametrize("b1", [(), ("--b1", "2")], ids=["b1-default", "b1-given"])
     def test_negative_n_exits_2(self, capsys, b1):
@@ -584,6 +608,9 @@ GOLDEN_CASES = {
     "char_oracle_k2_r3_b02.json": [
         "char", "--method", "oracle", "--k", "2", "--r", "3",
         "--b", "0,2", "--qmax", "8", "--zmax", "3",
+    ],
+    "dims_r3_k2_b1_n2.json": [
+        "dims", "--r", "3", "--k", "2", "--b0", "1", "--n", "2", "--cap", "6",
     ],
     "table_A_k3.json": ["table", "--k", "3", "--which", "A", "--format", "json"],
     "verify_r2_k2.json": ["verify", "r2", "--kmax", "2", "--qmax", "8", "--zmax", "4"],

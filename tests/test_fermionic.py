@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admissible import fermionic
-from admissible.configurations import character_direct
+from admissible.configurations import CapacityError, character_direct
 from admissible.fermionic import (
     GordonData,
     RestrictedPartition,
@@ -104,6 +104,21 @@ class TestExponent:
                         e = quadratic_exponent(data, m)
                         assert isinstance(e, int) and e >= 0
 
+    def test_r3_exponent_is_the_unhalved_block_form(self):
+        for k in range(1, 4):
+            a = gordon_a(k)
+            for b0 in range(k + 1):
+                c = boundary_c3(k, b0)
+                data = gordon_data_r3(k, b0)
+                for n in range(9):
+                    for m in _multiplicity_vectors(data.z_weights, n):
+                        quad = sum(
+                            a[i][j] * m[i] * m[j] for i in range(2 * k) for j in range(2 * k)
+                        )
+                        lin = sum(a[i][i] * m[i] for i in range(2 * k))
+                        bound = 2 * sum(ci * mi for ci, mi in zip(c, m))
+                        assert quadratic_exponent(data, m) == quad - lin + bound, (k, b0, m)
+
     def test_spec_example_weight(self):
         part = RestrictedPartition.from_parts((2, 1), 3)
         assert quadratic_exponent(gordon_data_r2(3, 1), part.multiplicities) == 3
@@ -114,8 +129,18 @@ class TestExponent:
                 matrix=((1, 2), (3, 1)),  # not symmetric
                 boundary=(0, 0),
                 q_step=1,
-                halved=True,
                 z_weights=(1, 2),
+                extra_q_weights=(0, 0),
+            )
+
+    @pytest.mark.parametrize(
+        "matrix", [((1, 2),), ((1, 2), (2,)), ((1, 2, 0), (2, 1, 0))],
+        ids=["one-row", "ragged", "wide"],
+    )
+    def test_non_square_matrix_rejected(self, matrix):
+        with pytest.raises(ValueError, match="matrix must be square and symmetric"):
+            GordonData(
+                matrix=matrix, boundary=(0, 0), q_step=1, z_weights=(1, 2),
                 extra_q_weights=(0, 0),
             )
 
@@ -133,7 +158,6 @@ class TestExponent:
             matrix=((2,),),
             boundary=(0,),
             q_step=1,
-            halved=True,
             z_weights=(1,),
             extra_q_weights=(0,),
         )
@@ -284,7 +308,7 @@ class TestEvaluatorPlumbing:
         assert len(data.matrix) == 4
         assert data.z_weights == (1, 2, 1, 2)
         assert data.extra_q_weights == (0, 0, 1, 2)
-        assert data.q_step == 2 and not data.halved
+        assert data.q_step == 2
 
     def test_evaluate_zero_window(self):
         assert evaluate_gordon_sum(gordon_data_r2(2, 2), 0, 0) == TruncatedSeries.one(0, 0)
@@ -292,6 +316,14 @@ class TestEvaluatorPlumbing:
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError, match="q_max and z_max must be non-negative"):
             evaluate_gordon_sum(gordon_data_r2(1, 0), 3, -2)
+
+    @pytest.mark.parametrize(
+        "build", [lambda: fermionic_r2(10**5, 0, 5, 5), lambda: fermionic_r3(2000, 0, 5, 5)],
+        ids=["r2", "r3"],
+    )
+    def test_oversized_gordon_matrix_refused(self, build):
+        with pytest.raises(CapacityError, match="Gordon matrix needs [0-9]+ entries"):
+            build()
 
 
 def brute_force_sum(data, q_max, z_max):
@@ -326,7 +358,6 @@ def sum_windows(draw):
         matrix=matrix,
         boundary=vector(0, 3),
         q_step=draw(st.integers(1, 2)),
-        halved=draw(st.booleans()),
         z_weights=vector(1, 3),
         extra_q_weights=vector(0, 2),
     )

@@ -442,7 +442,6 @@ class TestGordonWeights:
                     matrix=tuple(tuple(r) for r in gordon_a(k)),
                     boundary=tuple(boundary_c3(k, b0)),
                     q_step=1,
-                    halved=True,
                     z_weights=tuple(range(1, k + 1)) * 2,
                     extra_q_weights=(0,) * (2 * k),
                 )

@@ -188,40 +188,6 @@ def test_ring_axioms(a, b, c):
     assert (a * (b + c)) == (a * b + a * c)
 
 
-def naive_product(a, b):
-    """Sparse double loop over the (dq, dz) terms: the slow path of a * b."""
-    q = min(a.q_order, b.q_order)
-    z = min(a.z_order, b.z_order)
-    out = {}
-    for (aq, az), ca in a.coeffs.items():
-        for (bq, bz), cb in b.coeffs.items():
-            eq, ez = aq + bq, az + bz
-            if eq <= q and ez <= z:
-                out[(eq, ez)] = out.get((eq, ez), 0) + ca * cb
-    return TruncatedSeries(out, q, z)
-
-
-wide_series_st = st.builds(
-    TruncatedSeries,
-    st.dictionaries(
-        st.tuples(st.integers(0, 14), st.integers(0, 4)),
-        st.integers(-(10**20), 10**20),
-        max_size=20,
-    ),
-    q_order=st.integers(0, 14),
-    z_order=st.integers(0, 4),
-)
-
-
-@settings(max_examples=200)
-@given(wide_series_st, wide_series_st)
-def test_product_matches_naive_double_loop(a, b):
-    prod = a * b
-    expected = naive_product(a, b)
-    assert (prod.q_order, prod.z_order) == (expected.q_order, expected.z_order)
-    assert prod.coeffs == expected.coeffs
-
-
 class TestFromBlocks:
     def test_drops_zeros_and_terms_beyond_window(self):
         s = TruncatedSeries.from_blocks([[1, 0, 2, 7], [0, 0], [0, 3], [5]], 2, 2)
