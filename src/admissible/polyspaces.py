@@ -6,7 +6,10 @@ condition identifies a group of leading variables with a shared symbol t,
 with -t, or with 0, and demands that the result vanish identically.  The
 dimension of each graded piece is obtained by expanding every monomial
 symmetric basis element under each substitution, reading off one linear
-constraint per surviving monomial, and subtracting the rank.  The expansion
+constraint per surviving monomial, and subtracting the rank.  A condition
+that only sets variables to 0 sends each basis element to itself or to 0,
+and the monomial symmetric polynomials are independent, so its constraints
+are unit vectors: it deletes basis elements and builds no rows.  The expansion
 walks the multiplicity vector of the partition, counting the ways to fill
 the t and -t slots with binomial coefficients.  Each constraint is a sparse
 row {column: value} with no zeros and ascending columns, and the rows stay
@@ -356,6 +359,9 @@ def _certified_rank(rows: list[dict[int, int]], ncols: int) -> int:
 def graded_dimension(spec: VanishingSpec) -> list[int]:
     """Dimension of each graded piece, degrees 0..degree_cap.
 
+    A zero condition (no t or -t slot) keeps m_rho when len(rho_f) <=
+    n_f - z_f in every family f and sends it to 0 otherwise; the kept images
+    are independent, so it deletes the kept columns and builds no rows.
     Refuses (CapacityError) rather than degrade when the problem exceeds
     MAX_VARS or MAX_DEGREE_CAP.
     """
@@ -368,14 +374,24 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
         raise CapacityError(
             f"degree cap {spec.degree_cap} exceeds the limit of {MAX_DEGREE_CAP}"
         )
+    substituted = [c for c in spec.conditions if any(p or m for p, m, _ in c.patterns)]
+    zero_limits = [  # per zero condition, n_f - z_f: the most parts it keeps
+        [n - z for n, (_, _, z) in zip(spec.family_sizes, c.patterns)]
+        for c in spec.conditions if c not in substituted
+    ]
     dims = []
     for d in range(spec.degree_cap + 1):
         basis = _basis(spec, d)
         if not basis:
             dims.append(0)
             continue
+        basis = [
+            elem for elem in basis
+            if not any(all(len(rho) <= most for rho, most in zip(elem, limits))
+                       for limits in zero_limits)
+        ]
         rows: list[dict[int, int]] = []
-        for cond in spec.conditions:
+        for cond in substituted:
             rows.extend(_condition_rows(spec, cond, basis))
         dims.append(len(basis) - _certified_rank(rows, len(basis)))
     return dims
@@ -507,6 +523,9 @@ def weight_degree(lam, variant: str, k: int, b0: int, mu=None) -> int:
         for a, m in enumerate(multiplicities)
         for _ in range(m)
     ]
+    for _, a in variables:
+        if a > k:
+            raise ValueError(f"part {a} violates the level-{k} restriction")
     degree = sum(a - b0 for f, a in variables if f == 0 and a > b0)
     for i, (f, a) in enumerate(variables):
         for g, b in variables[i + 1:]:

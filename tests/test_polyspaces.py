@@ -218,6 +218,70 @@ class TestGradedDimension:
                 assert all(0 <= c < len(basis) for c in row)
 
 
+def _is_zero_condition(cond):
+    return all(p == 0 and m == 0 for p, m, _ in cond.patterns)
+
+
+def _rows_over_full_basis(spec):
+    """Graded dimensions with every condition's rows built over the full basis."""
+    dims = []
+    for d in range(spec.degree_cap + 1):
+        basis = _basis(spec, d)
+        rows = [row for cond in spec.conditions for row in _condition_rows(spec, cond, basis)]
+        dims.append(len(basis) - _certified_rank(rows, len(basis)))
+    return dims
+
+
+def _zero_condition_reference_specs():
+    for k in (1, 2, 3):
+        for b0 in range(k + 1):
+            for n in range(7):
+                yield vanishing_spec_r2(n, k, b0, 10)
+            for n in range(6):
+                yield vanishing_spec_r3_signed(n, k, b0, 8)
+            for b1 in range(b0, k + 1):
+                for l1 in range(5):
+                    for l2 in range(5 - l1):
+                        yield vanishing_spec_r3_pair(l1, l2, k, b0, b1, 7)
+    mixed = Condition(((1, 0, 1),))
+    yield VanishingSpec((4,), (mixed, Condition(((0, 0, 2),))), 8)
+    yield VanishingSpec((3,), (Condition(((0, 0, 0),)),), 6)  # deletes every column
+    both = Condition(((0, 0, 1), (0, 0, 2)))
+    yield VanishingSpec((3, 3), (both, Condition(((1, 0, 0), (1, 0, 0)))), 6)
+    twice = (Condition(((0, 0, 1), (0, 0, 0))), Condition(((0, 0, 3), (0, 0, 0))))
+    yield VanishingSpec((4, 2), (*twice, Condition(((2, 0, 0), (1, 0, 0)))), 6)
+    yield VanishingSpec((0,), (Condition(((0, 0, 0),)),), 3)
+    yield VanishingSpec((0, 2), (Condition(((0, 0, 0), (0, 0, 1))),), 4)
+
+
+class TestZeroConditions:
+    def test_deleted_columns_match_rows_over_full_basis(self):
+        for spec in _zero_condition_reference_specs():
+            assert graded_dimension(spec) == _rows_over_full_basis(spec), spec
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            vanishing_spec_r2(6, 2, 1, 10),
+            vanishing_spec_r3_signed(5, 2, 1, 8),
+            vanishing_spec_r3_pair(3, 2, 2, 1, 1, 6),
+        ],
+        ids=["r2", "signed", "pair-b1-below-k"],
+    )
+    def test_zero_conditions_build_no_rows(self, monkeypatch, spec):
+        assert any(map(_is_zero_condition, spec.conditions))
+        real_rows = polyspaces._condition_rows
+        seen = []
+
+        def spying_rows(spec, cond, basis):
+            seen.append(cond)
+            return real_rows(spec, cond, basis)
+
+        monkeypatch.setattr(polyspaces, "_condition_rows", spying_rows)
+        graded_dimension(spec)
+        assert seen and not any(map(_is_zero_condition, seen))
+
+
 def _sparse(rows):
     """Dense rows as the sparse rows and column count _certified_rank takes."""
     return [{c: v for c, v in enumerate(row) if v} for row in rows], len(rows[0]) if rows else 0
@@ -465,6 +529,17 @@ class TestGordonWeights:
             weight_degree(part, "G9", 1, 0)
         with pytest.raises(ValueError):
             weight_degree(part, "G_pair", 1, 0)  # needs mu
+
+    def test_part_above_level_rejected(self):
+        with pytest.raises(ValueError, match="part 3 violates the level-2"):
+            weight_degree(RestrictedPartition((0, 0, 1)), "G2", 2, 0)
+        with pytest.raises(ValueError, match="part 4 violates the level-2"):
+            weight_degree(
+                RestrictedPartition((1,)), "G_pair", 2, 0,
+                mu=RestrictedPartition((0, 0, 0, 1)),
+            )
+        # trailing zero multiplicities past k name no part
+        assert weight_degree(RestrictedPartition((1, 0, 0)), "G2", 1, 0) == 1
 
 
 class TestConjectureEvidence:
