@@ -9,7 +9,6 @@ requested truncation order.
 
 from .series import TruncatedSeries, first_mismatch, pochhammer, pochhammer_inverse
 from .configurations import (
-    AdmissibleConfig,
     CapacityError,
     character_direct,
     enumerate_configs,
@@ -17,7 +16,6 @@ from .configurations import (
 )
 from .fermionic import (
     GordonData,
-    RestrictedPartition,
     boundary_c2,
     boundary_c3,
     evaluate_gordon_sum,
@@ -36,7 +34,6 @@ from .fermionic import (
     quadratic_exponent,
 )
 from .polyspaces import (
-    Condition,
     VanishingSpec,
     character_from_oracle_r2,
     character_from_oracle_r3,

@@ -116,7 +116,8 @@ def _compute_char(method, k, r, b, qmax, zmax) -> TruncatedSeries:
             raise ValueError(f"fermionic-r3-special fixes b = {expected}")
         return fermionic_r3_special(k, qmax, zmax)
     if method == "oracle":
-        blocks = [_oracle_block(k, r, b, qmax, n) for n in range(zmax + 1)]
+        # Largest block (most variables, same degree cap) first: a refusal precedes all work.
+        blocks = [_oracle_block(k, r, b, qmax, n) for n in range(zmax, -1, -1)][::-1]
         rows = [[block.coefficient(d) for d in range(qmax + 1)] for block in blocks]
         return TruncatedSeries.from_blocks(rows, qmax, zmax)
     raise ValueError(f"unknown method: {method}")
@@ -386,12 +387,12 @@ def _weight_cases(suite, args):
         for size in range(args.sizemax + 1):
             for part in level_restricted_partitions(size, k):
                 for b0 in range(k + 1):
-                    case_id = f"weight-G2 k={k} b0={b0} m={list(part.multiplicities)}"
+                    case_id = f"weight-G2 k={k} b0={b0} m={list(part)}"
                     data = partial(gordon_data_r2, k, b0)
                     yield _weight(case_id, "G2", k, b0, part, data)
         for size in range(args.sizemax3 + 1):
             for part in level_restricted_partitions(size, k):
-                case_id = f"weight-G3 k={k} m={list(part.multiplicities)}"
+                case_id = f"weight-G3 k={k} m={list(part)}"
                 data = partial(gordon_data_r3_special, k)
                 yield _weight(case_id, "G3", k, (k + 1) // 2, part, data)
 
@@ -400,12 +401,12 @@ def _weight(case_id, variant, k, b0, part, data) -> dict:
     """One weight case; data() builds the variant's Gordon sum data."""
     return {
         "id": case_id,
-        "params": {"k": k, "b0": b0, "mult": list(part.multiplicities), "variant": variant},
+        "params": {"k": k, "b0": b0, "mult": list(part), "variant": variant},
         # The label is kept so that the report bytes stay the same; the
         # degree is the sum of the factor exponents, nothing is expanded.
         "methods": ["quadratic-form", "expanded-product"],
         "sides": [
-            lambda: quadratic_exponent(data(), part.multiplicities),
+            lambda: quadratic_exponent(data(), part),
             partial(weight_degree, part, variant, k, b0),
         ],
     }

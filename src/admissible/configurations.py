@@ -5,7 +5,9 @@ integers in which every window of r consecutive entries sums to at most k,
 subject to initial caps a_0 <= b_0, a_0 + a_1 <= b_1, ..., up to b_{r-2}.
 Each configuration is weighted q^(sum j*a_j) z^(sum a_j); summing the weights
 over all configurations within a truncation window gives the character, the
-ground truth every formula here is checked against.
+ground truth every formula here is checked against.  A configuration is
+passed around as its entry tuple (a_0, a_1, ..., a_l), ending at its last
+nonzero entry; the empty configuration is ().
 
 ``character_direct`` computes that sum by the first-entry recursion
 chi_b(q, z) = sum_{v=0}^{b_0} z^v chi_{b(v)}(q, qz), with
@@ -22,7 +24,6 @@ before it allocates more than ``MAX_CELLS`` q-coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
 from .series import TruncatedSeries, _divide_by_one_minus
@@ -72,24 +73,6 @@ def validate_window(q_max: int, z_max: int) -> None:
         raise ValueError("q_max and z_max must be non-negative")
 
 
-@dataclass(frozen=True)
-class AdmissibleConfig:
-    """One admissible configuration; entries beyond the stored vector are 0."""
-
-    entries: tuple[int, ...]
-    k: int
-    r: int
-    b: tuple[int, ...]
-
-    @property
-    def q_degree(self) -> int:
-        return sum(j * a for j, a in enumerate(self.entries))
-
-    @property
-    def z_degree(self) -> int:
-        return sum(self.entries)
-
-
 def is_admissible(a, k: int, r: int, b) -> bool:
     """True iff the vector satisfies all window-sum and initial constraints."""
     b = validate_b(k, r, b)
@@ -111,19 +94,19 @@ def is_admissible(a, k: int, r: int, b) -> bool:
 def enumerate_configs(k: int, r: int, b, q_max: int, z_max: int):
     """Every admissible configuration with q-degree <= q_max and z-degree <= z_max.
 
-    Each configuration is yielded exactly once, in lexicographic order on the
-    entry vectors, by a depth-first search.  Each step appends the next
-    nonzero entry; positions are tried from high to low so that the overall
-    yield order is lexicographic on the (zero-padded) vectors.  Window sums are
-    enforced on the window ending at each placed position, which covers every
-    window once all entries are placed.
+    Each configuration is yielded as its entry tuple, exactly once, in
+    lexicographic order on the entry vectors, by a depth-first search.  Each
+    step appends the next nonzero entry; positions are tried from high to low
+    so that the overall yield order is lexicographic on the (zero-padded)
+    vectors.  Window sums are enforced on the window ending at each placed
+    position, which covers every window once all entries are placed.
     """
     b = validate_b(k, r, b)
     validate_window(q_max, z_max)
     stack = [((), 0, 0, 0)]
     while stack:
         acc, start, qdeg, zdeg = stack.pop()
-        yield AdmissibleConfig(acc, k, r, b)
+        yield acc
         if zdeg >= z_max:
             continue
         children = []

@@ -4,7 +4,8 @@ The three closed-form characters computed here share one shape: a sum over
 multiplicity vectors m of q^(quadratic form in m) divided by a product of
 finite q-Pochhammer factors.  GordonData packages the matrix, the linear
 boundary term, the Pochhammer step, and the sector bookkeeping so that a
-single audited evaluator covers all of them.
+single audited evaluator covers all of them.  A multiplicity vector is a plain
+tuple; for a partition with parts <= k, m[a-1] is its number of parts a.
 
 That evaluator walks the multiplicity vectors depth first and prunes: every
 entry of the matrix, the boundary vector and the sector weights is >= 0 and
@@ -254,63 +255,20 @@ def fermionic_r3_special(k: int, q_max: int, z_max: int) -> TruncatedSeries:
     return evaluate_gordon_sum(gordon_data_r3_special(k), q_max, z_max)
 
 
-@dataclass(frozen=True)
-class RestrictedPartition:
-    """A partition with all parts at most k, stored by part multiplicities.
-
-    multiplicities[a-1] counts parts of size a, for a = 1..k.
-    """
-
-    multiplicities: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(m < 0 for m in self.multiplicities):
-            raise ValueError("multiplicities must be non-negative")
-
-    @classmethod
-    def from_parts(cls, parts, k: int) -> "RestrictedPartition":
-        mult = [0] * k
-        for p in parts:
-            if not 1 <= p <= k:
-                raise ValueError(f"part {p} violates the level-{k} restriction")
-            mult[p - 1] += 1
-        return cls(tuple(mult))
-
-    @property
-    def size(self) -> int:
-        return sum((a + 1) * m for a, m in enumerate(self.multiplicities))
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        out = []
-        for a in range(len(self.multiplicities), 0, -1):
-            out.extend([a] * self.multiplicities[a - 1])
-        return tuple(out)
-
-    @property
-    def conjugate(self) -> tuple[int, ...]:
-        return tuple(
-            sum(self.multiplicities[a:]) for a in range(len(self.multiplicities))
-        )
-
-
 def level_restricted_partitions(n: int, k: int):
-    """All partitions of n with parts at most k, as RestrictedPartition."""
+    """All partitions of n with parts at most k, as multiplicity tuples m,
+    m[a-1] the number of parts of size a."""
     validate_k(k)
-    for m in _multiplicity_vectors(tuple(range(1, k + 1)), n):
-        yield RestrictedPartition(m)
+    yield from _multiplicity_vectors(tuple(range(1, k + 1)), n)
 
 
-def partition_term(
-    partition: RestrictedPartition, data: GordonData, q_max: int
-) -> TruncatedSeries:
+def partition_term(m, data: GordonData, q_max: int) -> TruncatedSeries:
     """Character contribution of a single partition: q^weight / prod (q)_{m_a}.
 
-    The weight is the quadratic-form exponent of the sum data evaluated at the
-    partition's multiplicity vector.  Only the k-dimensional sum data (r2 and
-    the rank-3 special form) make sense here.
+    m is the partition's multiplicity tuple; the weight is the quadratic-form
+    exponent of the sum data evaluated at m.  Only the k-dimensional sum data
+    (r2 and the rank-3 special form) make sense here.
     """
-    m = partition.multiplicities
     if len(m) != len(data.boundary):
         raise ValueError(
             f"partition has {len(m)} multiplicities, sum data expects {len(data.boundary)}"

@@ -3,7 +3,9 @@
 A space is cut out of symmetric polynomials (in one variable family, or two
 families that are symmetric separately) by substitution conditions: a
 condition identifies a group of leading variables with a shared symbol t,
-with -t, or with 0, and demands that the result vanish identically.  The
+with -t, or with 0, and demands that the result vanish identically.  A
+condition is a plain tuple with one count triple (#t, #-t, #0) per family,
+e.g. ((k + 1, 0, 0),) for the (k+1)-fold diagonal of one family.  The
 dimension of each graded piece is obtained by expanding every monomial
 symmetric basis element under each substitution, reading off one linear
 constraint per surviving monomial, and subtracting the rank.  A condition
@@ -22,10 +24,10 @@ when the certificate fails.  No floating point is involved anywhere, so
 rank decisions are exact.
 
 The same module gives the degree of the product-formula weight attached to a
-restricted partition.  A product of nonzero homogeneous integer polynomials
-is nonzero and homogeneous, so its degree is the sum of the factor exponents;
-comparing that sum with the quadratic-form exponents used by the fermionic
-sums is an independent check of the matrices.
+restricted partition, given by its multiplicity tuple.  A product of nonzero
+homogeneous integer polynomials is nonzero and homogeneous, so its degree is
+the sum of the factor exponents; comparing that sum with the quadratic-form
+exponents used by the fermionic sums is an independent check of the matrices.
 """
 
 from __future__ import annotations
@@ -46,18 +48,11 @@ _PRIME = 2**61 - 1
 
 
 @dataclass(frozen=True)
-class Condition:
-    """One substitution pattern: per family (num -> t, num -> -t, num -> 0)."""
-
-    patterns: tuple[tuple[int, int, int], ...]
-
-
-@dataclass(frozen=True)
 class VanishingSpec:
     """A vanishing-condition space: variable counts, conditions, degree cap."""
 
     family_sizes: tuple[int, ...]
-    conditions: tuple[Condition, ...]
+    conditions: tuple[tuple[tuple[int, int, int], ...], ...]
     degree_cap: int
 
     def __post_init__(self):
@@ -68,9 +63,9 @@ class VanishingSpec:
         if self.degree_cap < 0:
             raise ValueError("degree_cap must be non-negative")
         for cond in self.conditions:
-            if len(cond.patterns) != len(self.family_sizes):
+            if len(cond) != len(self.family_sizes):
                 raise ValueError("condition must give one pattern per family")
-            for (p, m, z), n in zip(cond.patterns, self.family_sizes):
+            for (p, m, z), n in zip(cond, self.family_sizes):
                 if p < 0 or m < 0 or z < 0:
                     raise ValueError("pattern counts must be non-negative")
                 if p + m + z > n:
@@ -166,7 +161,7 @@ def _basis(spec: VanishingSpec, degree: int):
     return out
 
 
-def _condition_rows(spec: VanishingSpec, cond: Condition, basis) -> list[dict[int, int]]:
+def _condition_rows(spec: VanishingSpec, cond, basis) -> list[dict[int, int]]:
     """One sparse row {column: value} per surviving monomial of the images.
 
     Columns index basis; each row holds no zeros and its columns ascend.
@@ -178,7 +173,7 @@ def _condition_rows(spec: VanishingSpec, cond: Condition, basis) -> list[dict[in
     for ci, elem in enumerate(basis):
         pieces = [
             _substitute_monomial(rho, n, pattern)
-            for rho, n, pattern in zip(elem, spec.family_sizes, cond.patterns)
+            for rho, n, pattern in zip(elem, spec.family_sizes, cond)
         ]
         if len(pieces) == 1:
             terms = pieces[0].items()
@@ -374,9 +369,9 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
         raise CapacityError(
             f"degree cap {spec.degree_cap} exceeds the limit of {MAX_DEGREE_CAP}"
         )
-    substituted = [c for c in spec.conditions if any(p or m for p, m, _ in c.patterns)]
+    substituted = [c for c in spec.conditions if any(p or m for p, m, _ in c)]
     zero_limits = [  # per zero condition, n_f - z_f: the most parts it keeps
-        [n - z for n, (_, _, z) in zip(spec.family_sizes, c.patterns)]
+        [n - z for n, (_, _, z) in zip(spec.family_sizes, c)]
         for c in spec.conditions if c not in substituted
     ]
     dims = []
@@ -407,9 +402,9 @@ def vanishing_spec_r2(n: int, k: int, b0: int, degree_cap: int) -> VanishingSpec
     validate_b(k, 2, (b0,))
     conds = []
     if k + 1 <= n:
-        conds.append(Condition(((k + 1, 0, 0),)))
+        conds.append(((k + 1, 0, 0),))
     if b0 + 1 <= n:
-        conds.append(Condition(((0, 0, b0 + 1),)))
+        conds.append(((0, 0, b0 + 1),))
     return VanishingSpec((n,), tuple(conds), degree_cap)
 
 
@@ -425,14 +420,14 @@ def vanishing_spec_r3_pair(
     for a in range(k + 2):
         b = k + 1 - a
         if a <= l1 and b <= l2:
-            conds.append(Condition(((a, 0, 0), (b, 0, 0))))
+            conds.append(((a, 0, 0), (b, 0, 0)))
     if b0 + 1 <= l1:
-        conds.append(Condition(((0, 0, b0 + 1), (0, 0, 0))))
+        conds.append(((0, 0, b0 + 1), (0, 0, 0)))
     if b1 < k:
         for s in range(b1 + 2):
             t = b1 + 1 - s
             if s <= l1 and t <= l2:
-                conds.append(Condition(((0, 0, s), (0, 0, t))))
+                conds.append(((0, 0, s), (0, 0, t)))
     return VanishingSpec((l1, l2), tuple(conds), degree_cap)
 
 
@@ -444,9 +439,9 @@ def vanishing_spec_r3_signed(n: int, k: int, b0: int, degree_cap: int) -> Vanish
     conds = []
     if k + 1 <= n:
         for a in range(k + 2):
-            conds.append(Condition(((a, k + 1 - a, 0),)))
+            conds.append(((a, k + 1 - a, 0),))
     if b0 + 1 <= n:
-        conds.append(Condition(((0, 0, b0 + 1),)))
+        conds.append(((0, 0, b0 + 1),))
     return VanishingSpec((n,), tuple(conds), degree_cap)
 
 
@@ -500,21 +495,22 @@ def regrade_pair_sectors(sector_dims, degree_cap: int) -> TruncatedSeries:
 def weight_degree(lam, variant: str, k: int, b0: int, mu=None) -> int:
     """Total degree of the weight product attached to a restricted partition.
 
-    Each part a of lam is a variable x (of mu, for G_pair, a variable y).  The
-    factors are x^(a - b0) and, per pair of variables of parts a and b,
-    (x - x')^(2 min(a, b)) and, for G3, (x + x')^(a + b - k) in one family,
-    and (x - y)^(a + b - k) across; none where the exponent is not positive.
+    Each part a of the multiplicity tuple lam is a variable x (of mu, for
+    G_pair, a variable y).  The factors are x^(a - b0) and, per pair of
+    variables of parts a and b, (x - x')^(2 min(a, b)) and, for G3,
+    (x + x')^(a + b - k) in one family, and (x - y)^(a + b - k) across; none
+    where the exponent is not positive.
     Every factor is a nonzero homogeneous integer polynomial, so the product
     is too, and its degree is the sum of the factor exponents.
     """
     if variant not in ("G2", "G3", "G_pair"):
         raise ValueError(f"unknown weight variant: {variant}")
     validate_b(k, 2, (b0,))
-    families = [lam.multiplicities]
+    families = [lam]
     if variant == "G_pair":
         if mu is None:
             raise ValueError("G_pair needs a second partition")
-        families.append(mu.multiplicities)
+        families.append(mu)
     elif mu is not None:
         raise ValueError(f"{variant} takes a single partition")
     variables = [

@@ -132,18 +132,18 @@ def test_criterion_06_weight_consistency():
             data = gordon_data_r2(k, b0)
             for n in range(9):
                 for part in level_restricted_partitions(n, k):
-                    weight = quadratic_exponent(data, part.multiplicities)
+                    weight = quadratic_exponent(data, part)
                     degree = weight_degree(part, "G2", k, b0)
                     if weight != degree:
-                        failures.append(("G2", k, b0, part.parts, weight, degree))
+                        failures.append(("G2", k, b0, part, weight, degree))
         b0 = (k + 1) // 2
         data = gordon_data_r3_special(k)
         for n in range(7):
             for part in level_restricted_partitions(n, k):
-                weight = quadratic_exponent(data, part.multiplicities)
+                weight = quadratic_exponent(data, part)
                 degree = weight_degree(part, "G3", k, b0)
                 if weight != degree:
-                    failures.append(("G3", k, part.parts, weight, degree))
+                    failures.append(("G3", k, part, weight, degree))
     _verdict("criterion 6 (quadratic form = weight product degree)", failures, started)
 
 

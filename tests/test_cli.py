@@ -112,6 +112,31 @@ class TestChar:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "over the limit of" in err
 
+    @pytest.mark.parametrize(
+        "rb, qmax",
+        [
+            (["--k", "3", "--r", "3", "--b", "1,3"], "21"),
+            (["--k", "1", "--r", "2", "--b", "0"], "8"),
+        ],
+        ids=["r3", "r2"],
+    )
+    def test_oracle_refuses_before_building_any_block(self, capsys, monkeypatch, rb, qmax):
+        import admissible.polyspaces as polyspaces
+
+        real = polyspaces.graded_dimension
+        returned = []
+
+        def counting(spec):
+            dims = real(spec)
+            returned.append(spec)
+            return dims
+
+        monkeypatch.setattr(polyspaces, "graded_dimension", counting)
+        argv = ["char", "--method", "oracle", *rb, "--qmax", qmax, "--zmax", "9"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: 9 variables exceeds the limit of 8\n")
+        assert returned == []
+
     def test_special_fills_in_b(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -631,6 +656,9 @@ GOLDEN_CASES = {
     "verify_conjecture_n2.json": ["verify", "conjecture-10.2", "--nmax", "2", "--cap", "4"],
     "verify_weights_k1.json": [
         "verify", "weights", "--kmax", "1", "--sizemax", "3", "--sizemax3", "2",
+    ],
+    "verify_weights_k2.json": [
+        "verify", "weights", "--kmax", "2", "--sizemax", "4", "--sizemax3", "3",
     ],
     "verify_pairs_k2.json": ["verify", "pair-functions", "--kmax", "2", "--order", "4"],
     "pairs_r2_k3_b1.json": ["pairs", "--family", "r2", "--k", "3", "--b0", "1", "--order", "6"],

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from admissible import configurations
 from admissible.configurations import (
-    AdmissibleConfig,
     CapacityError,
     character_direct,
     enumerate_configs,
@@ -47,7 +46,7 @@ class TestIsAdmissible:
 
 
 def entries_set(k, r, b, qmax, zmax):
-    return [c.entries for c in enumerate_configs(k, r, b, qmax, zmax)]
+    return list(enumerate_configs(k, r, b, qmax, zmax))
 
 
 class TestEnumerate:
@@ -72,9 +71,9 @@ class TestEnumerate:
 
     def test_every_yield_is_admissible(self):
         for cfg in enumerate_configs(3, 2, (1,), 8, 4):
-            assert is_admissible(cfg.entries, 3, 2, (1,))
+            assert is_admissible(cfg, 3, 2, (1,))
         for cfg in enumerate_configs(2, 3, (0, 1), 8, 4):
-            assert is_admissible(cfg.entries, 2, 3, (0, 1))
+            assert is_admissible(cfg, 2, 3, (0, 1))
 
     def test_exhaustive_against_filter(self):
         # independent oracle: filter all vectors of bounded length and entries
@@ -99,13 +98,6 @@ class TestEnumerate:
             if qdeg <= qmax and zdeg <= zmax and is_admissible(trimmed, k, r, b):
                 expected.add(trimmed)
         assert set(entries_set(k, r, b, qmax, zmax)) == expected
-
-
-class TestDegrees:
-    def test_q_and_z_degree(self):
-        cfg = AdmissibleConfig((1, 0, 2), 2, 2, (2,))
-        assert cfg.q_degree == 4
-        assert cfg.z_degree == 3
 
 
 class TestCharacter:
@@ -161,7 +153,7 @@ def dfs_tally(k, r, b, qmax, zmax):
     """(q-degree, z-degree) -> count over the brute-force enumeration."""
     tally = {}
     for cfg in enumerate_configs(k, r, b, qmax, zmax):
-        key = (cfg.q_degree, cfg.z_degree)
+        key = (sum(j * a for j, a in enumerate(cfg)), sum(cfg))
         tally[key] = tally.get(key, 0) + 1
     return tally
 
@@ -284,7 +276,7 @@ class TestTransferMatrixAgainstEnumeration:
         assert chi.coeffs == dfs_tally(3, 4, b, 14, 7)
         # the prefix a_0 + a_1 + a_2 never exceeds b_2
         for cfg in enumerate_configs(3, 4, b, 14, 7):
-            assert sum(cfg.entries[:3]) <= b[2]
+            assert sum(cfg[:3]) <= b[2]
 
     @pytest.mark.parametrize("k, r, b", [(2, 2, (0,)), (3, 3, (0, 0)), (2, 4, (0, 0, 0))])
     def test_zero_initial_caps(self, k, r, b):

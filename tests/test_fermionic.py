@@ -6,7 +6,6 @@ from admissible import fermionic
 from admissible.configurations import CapacityError, character_direct
 from admissible.fermionic import (
     GordonData,
-    RestrictedPartition,
     boundary_c2,
     boundary_c3,
     evaluate_gordon_sum,
@@ -120,8 +119,8 @@ class TestExponent:
                         assert quadratic_exponent(data, m) == quad - lin + bound, (k, b0, m)
 
     def test_spec_example_weight(self):
-        part = RestrictedPartition.from_parts((2, 1), 3)
-        assert quadratic_exponent(gordon_data_r2(3, 1), part.multiplicities) == 3
+        # the partition (2, 1) of level 3: one part each of sizes 1 and 2
+        assert quadratic_exponent(gordon_data_r2(3, 1), (1, 1, 0)) == 3
 
     def test_gordon_data_validation(self):
         with pytest.raises(ValueError):
@@ -231,21 +230,7 @@ class TestFermionicSpecial:
         )
 
 
-class TestRestrictedPartition:
-    def test_from_parts_and_back(self):
-        p = RestrictedPartition.from_parts((3, 2, 2, 1), 3)
-        assert p.multiplicities == (1, 2, 1)
-        assert p.size == 8
-        assert p.parts == (3, 2, 2, 1)
-
-    def test_conjugate(self):
-        p = RestrictedPartition.from_parts((3, 1), 3)
-        assert p.conjugate == (2, 1, 1)
-
-    def test_level_restriction(self):
-        with pytest.raises(ValueError):
-            RestrictedPartition.from_parts((4,), 3)
-
+class TestPartitionEnumeration:
     def test_enumeration_count_against_dp(self):
         def count(n, k):
             table = [1] + [0] * n
@@ -258,19 +243,23 @@ class TestRestrictedPartition:
             for n in range(10):
                 got = list(level_restricted_partitions(n, k))
                 assert len(got) == count(n, k)
-                assert len({p.multiplicities for p in got}) == len(got)
+                assert len(set(got)) == len(got)
+                assert all(
+                    len(m) == k and sum((a + 1) * x for a, x in enumerate(m)) == n
+                    for m in got
+                )
 
 
 class TestPartitionTerm:
     def test_empty_partition(self):
         data = gordon_data_r2(2, 1)
-        term = partition_term(RestrictedPartition((0, 0)), data, 6)
+        term = partition_term((0, 0), data, 6)
         assert term == TruncatedSeries.one(6, 0)
 
     def test_spec_example(self):
         # weight 3, two single-part Pochhammers: q^3 / (1-q)^2
         data = gordon_data_r2(3, 1)
-        term = partition_term(RestrictedPartition.from_parts((2, 1), 3), data, 9)
+        term = partition_term((1, 1, 0), data, 9)
         assert [term.coefficient(d) for d in range(10)] == [
             0, 0, 0, 1, 2, 3, 4, 5, 6, 7,
         ]
@@ -301,7 +290,7 @@ class TestEvaluatorPlumbing:
     def test_dimension_mismatch_rejected(self):
         data = gordon_data_r2(2, 0)
         with pytest.raises(ValueError):
-            partition_term(RestrictedPartition((1, 0, 0)), data, 5)
+            partition_term((1, 0, 0), data, 5)
 
     def test_r3_data_shape(self):
         data = gordon_data_r3(2, 1)

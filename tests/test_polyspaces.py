@@ -9,7 +9,6 @@ import admissible.polyspaces as polyspaces
 from admissible.configurations import character_direct
 from admissible.fermionic import (
     GordonData,
-    RestrictedPartition,
     boundary_c3,
     gordon_a,
     gordon_data_r2,
@@ -20,7 +19,6 @@ from admissible.fermionic import (
 )
 from admissible.polyspaces import (
     CapacityError,
-    Condition,
     VanishingSpec,
     _basis,
     _bareiss_rank,
@@ -124,7 +122,7 @@ def _expand_literally(rho, n, pattern):
 class TestSpecValidation:
     def test_oversized_pattern_rejected(self):
         with pytest.raises(ValueError):
-            VanishingSpec((2,), (Condition(((3, 0, 0),)),), 4)
+            VanishingSpec((2,), (((3, 0, 0),),), 4)
 
     def test_family_count(self):
         with pytest.raises(ValueError):
@@ -219,7 +217,7 @@ class TestGradedDimension:
 
 
 def _is_zero_condition(cond):
-    return all(p == 0 and m == 0 for p, m, _ in cond.patterns)
+    return all(p == 0 and m == 0 for p, m, _ in cond)
 
 
 def _rows_over_full_basis(spec):
@@ -243,15 +241,15 @@ def _zero_condition_reference_specs():
                 for l1 in range(5):
                     for l2 in range(5 - l1):
                         yield vanishing_spec_r3_pair(l1, l2, k, b0, b1, 7)
-    mixed = Condition(((1, 0, 1),))
-    yield VanishingSpec((4,), (mixed, Condition(((0, 0, 2),))), 8)
-    yield VanishingSpec((3,), (Condition(((0, 0, 0),)),), 6)  # deletes every column
-    both = Condition(((0, 0, 1), (0, 0, 2)))
-    yield VanishingSpec((3, 3), (both, Condition(((1, 0, 0), (1, 0, 0)))), 6)
-    twice = (Condition(((0, 0, 1), (0, 0, 0))), Condition(((0, 0, 3), (0, 0, 0))))
-    yield VanishingSpec((4, 2), (*twice, Condition(((2, 0, 0), (1, 0, 0)))), 6)
-    yield VanishingSpec((0,), (Condition(((0, 0, 0),)),), 3)
-    yield VanishingSpec((0, 2), (Condition(((0, 0, 0), (0, 0, 1))),), 4)
+    mixed = ((1, 0, 1),)
+    yield VanishingSpec((4,), (mixed, ((0, 0, 2),)), 8)
+    yield VanishingSpec((3,), (((0, 0, 0),),), 6)  # deletes every column
+    both = ((0, 0, 1), (0, 0, 2))
+    yield VanishingSpec((3, 3), (both, ((1, 0, 0), (1, 0, 0))), 6)
+    twice = (((0, 0, 1), (0, 0, 0)), ((0, 0, 3), (0, 0, 0)))
+    yield VanishingSpec((4, 2), (*twice, ((2, 0, 0), (1, 0, 0))), 6)
+    yield VanishingSpec((0,), (((0, 0, 0),),), 3)
+    yield VanishingSpec((0, 2), (((0, 0, 0), (0, 0, 1)),), 4)
 
 
 class TestZeroConditions:
@@ -470,10 +468,10 @@ class TestFiltrationTelescoping:
 
 class TestGordonWeights:
     def test_empty_partition(self):
-        assert weight_degree(RestrictedPartition((0, 0)), "G2", 2, 0) == 0
+        assert weight_degree((0, 0), "G2", 2, 0) == 0
 
     def test_spec_example_degree_3(self):
-        part = RestrictedPartition.from_parts((2, 1), 3)
+        part = (1, 1, 0)  # the partition (2, 1)
         assert weight_degree(part, "G2", 3, 1) == 3
 
     def test_weight_matches_quadratic_form_small(self):
@@ -483,9 +481,7 @@ class TestGordonWeights:
                 for n in range(6):
                     for part in level_restricted_partitions(n, k):
                         w = weight_degree(part, "G2", k, b0)
-                        assert w == quadratic_exponent(
-                            data, part.multiplicities
-                        ), (k, b0, part)
+                        assert w == quadratic_exponent(data, part), (k, b0, part)
 
     def test_g3_weight_matches_special_form(self):
         for k in (1, 2, 3):
@@ -494,9 +490,7 @@ class TestGordonWeights:
             for n in range(6):
                 for part in level_restricted_partitions(n, k):
                     w = weight_degree(part, "G3", k, b0)
-                    assert w == quadratic_exponent(
-                        data, part.multiplicities
-                    ), (k, part)
+                    assert w == quadratic_exponent(data, part), (k, part)
 
     def test_pair_weight_matches_block_form(self):
         # degree of the paired product = halved quadratic form of the block matrix
@@ -514,17 +508,14 @@ class TestGordonWeights:
                         for lam in level_restricted_partitions(n1, k):
                             for mu in level_restricted_partitions(n2, k):
                                 w = weight_degree(lam, "G_pair", k, b0, mu=mu)
-                                m = lam.multiplicities + mu.multiplicities
-                                assert w == quadratic_exponent(data, m)
+                                assert w == quadratic_exponent(data, lam + mu)
 
     def test_seven_variable_degree(self):
-        part = RestrictedPartition.from_parts((1,) * 7, 1)
-        assert weight_degree(part, "G2", 1, 0) == quadratic_exponent(
-            gordon_data_r2(1, 0), part.multiplicities
-        )
+        part = (7,)  # seven parts of size 1
+        assert weight_degree(part, "G2", 1, 0) == quadratic_exponent(gordon_data_r2(1, 0), part)
 
     def test_variant_validation(self):
-        part = RestrictedPartition((1,))
+        part = (1,)
         with pytest.raises(ValueError):
             weight_degree(part, "G9", 1, 0)
         with pytest.raises(ValueError):
@@ -532,14 +523,11 @@ class TestGordonWeights:
 
     def test_part_above_level_rejected(self):
         with pytest.raises(ValueError, match="part 3 violates the level-2"):
-            weight_degree(RestrictedPartition((0, 0, 1)), "G2", 2, 0)
+            weight_degree((0, 0, 1), "G2", 2, 0)
         with pytest.raises(ValueError, match="part 4 violates the level-2"):
-            weight_degree(
-                RestrictedPartition((1,)), "G_pair", 2, 0,
-                mu=RestrictedPartition((0, 0, 0, 1)),
-            )
+            weight_degree((1,), "G_pair", 2, 0, mu=(0, 0, 0, 1))
         # trailing zero multiplicities past k name no part
-        assert weight_degree(RestrictedPartition((1, 0, 0)), "G2", 1, 0) == 1
+        assert weight_degree((1, 0, 0), "G2", 1, 0) == 1
 
 
 class TestConjectureEvidence:
