@@ -17,6 +17,11 @@ status "error" and fails; the experimental suite never affects the exit
 code), and 2 on bad input, before any case runs.  Every command exits 141
 (128 + SIGPIPE) without a traceback when its reader closes stdout early, as
 ``| head`` does; what was written before stays as it was.
+
+A call builds the parser of its own command only (``build_parser(command)``);
+``--help``, an empty command line and an unknown command build all five.
+The output is the same either way, since argparse dispatches on the first
+argument.
 """
 
 from __future__ import annotations
@@ -435,14 +440,13 @@ def _pair_cases(suite, args):
                         "id": f"pair {family} k={k} {name_a},{name_b}",
                         "params": params,
                         "methods": ["exponential-expansion", "closed-form"],
-                        "sides": [partial(_pair_check, params), lambda: "ok"],
+                        "sides": [partial(_pair_check, fam, params), lambda: "ok"],
                     }
 
 
-def _pair_check(p) -> str:
-    """"ok" if the pair function of the two named specs has the expected
-    closed form, z power and series, else its closed form."""
-    fam = build_family(p["family"], p["k"], p["b0"])
+def _pair_check(fam, p) -> str:
+    """"ok" if the pair function of the two named specs of the built family
+    has the expected closed form, z power and series, else its closed form."""
     spec_map = dict(fam.specs)
     pf = pair_function(spec_map[p["name_a"]], spec_map[p["name_b"]], fam.table, p["order"])
     ok = (
@@ -526,74 +530,98 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="admissible",
-        description="Characters of admissible configurations: compute and cross-check.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_char = sub.add_parser("char", help="compute one character as canonical JSON")
-    p_char.add_argument(
+def _char_arguments(p) -> None:
+    p.add_argument(
         "--method",
         required=True,
         choices=["direct", "fermionic-r2", "fermionic-r3", "fermionic-r3-special", "oracle"],
     )
-    p_char.add_argument("--k", type=int, required=True)
-    p_char.add_argument("--r", type=int, default=2)
-    p_char.add_argument("--b", type=_parse_b, default=None, help="comma list, e.g. 0 or 1,2")
-    p_char.add_argument("--qmax", type=int, required=True)
-    p_char.add_argument("--zmax", type=int, required=True)
-    p_char.set_defaults(func=cmd_char)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--b", type=_parse_b, default=None, help="comma list, e.g. 0 or 1,2")
+    p.add_argument("--qmax", type=int, required=True)
+    p.add_argument("--zmax", type=int, required=True)
 
-    p_verify = sub.add_parser("verify", help="run a cross-check suite")
-    p_verify.add_argument("suite", choices=SUITES)
+
+def _verify_arguments(p) -> None:
+    p.add_argument("suite", choices=SUITES)
     for name in VERIFY_FLAGS:  # unset flags take the suite's defaults
-        p_verify.add_argument(f"--{name}", type=int, default=None)
-    p_verify.set_defaults(func=cmd_verify)
+        p.add_argument(f"--{name}", type=int, default=None)
 
-    p_dims = sub.add_parser(
-        "dims", help="graded dimensions and character of one vanishing space"
-    )
-    p_dims.add_argument("--r", type=int, required=True, choices=[2, 3])
-    p_dims.add_argument("--k", type=int, required=True)
-    p_dims.add_argument("--b0", type=int, required=True)
-    p_dims.add_argument("--b1", type=int, default=None, help="r=3 pair only; defaults to k")
-    p_dims.add_argument("--n", type=int, required=True)
-    p_dims.add_argument("--cap", type=int, required=True, help="degree cap")
-    p_dims.add_argument(
+
+def _dims_arguments(p) -> None:
+    p.add_argument("--r", type=int, required=True, choices=[2, 3])
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--b0", type=int, required=True)
+    p.add_argument("--b1", type=int, default=None, help="r=3 pair only; defaults to k")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--cap", type=int, required=True, help="degree cap")
+    p.add_argument(
         "--variant", choices=["pair", "signed"], help="r=3 only: realization, default pair"
     )
-    p_dims.set_defaults(func=cmd_dims)
 
-    p_pairs = sub.add_parser(
-        "pairs", help="pair functions of a built-in operator family"
-    )
-    p_pairs.add_argument(
+
+def _pairs_arguments(p) -> None:
+    p.add_argument(
         "--family",
         required=True,
         choices=["r2", "r3-split", "r3-odd-k", "r3-even-k"],
     )
-    p_pairs.add_argument("--k", type=int, required=True)
-    p_pairs.add_argument("--b0", type=int, default=0)
-    p_pairs.add_argument("--order", type=int, default=12)
-    p_pairs.set_defaults(func=cmd_pairs)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--b0", type=int, default=0)
+    p.add_argument("--order", type=int, default=12)
 
-    p_table = sub.add_parser("table", help="print a Gordon matrix or boundary vector")
-    p_table.add_argument("--k", type=int, required=True)
-    p_table.add_argument("--which", required=True, choices=["A2", "B3", "A", "B", "c2", "c3"])
-    p_table.add_argument("--b0", type=int, default=None, help="c2 and c3 only")
-    p_table.add_argument(
+
+def _table_arguments(p) -> None:
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--which", required=True, choices=["A2", "B3", "A", "B", "c2", "c3"])
+    p.add_argument("--b0", type=int, default=None, help="c2 and c3 only")
+    p.add_argument(
         "--format", default="grid", choices=["grid", "json", "csv", "latex"]
     )
-    p_table.set_defaults(func=cmd_table)
 
+
+# command: (help line, function adding its arguments, function running it)
+COMMANDS = {
+    "char": ("compute one character as canonical JSON", _char_arguments, cmd_char),
+    "verify": ("run a cross-check suite", _verify_arguments, cmd_verify),
+    "dims": (
+        "graded dimensions and character of one vanishing space", _dims_arguments, cmd_dims
+    ),
+    "pairs": ("pair functions of a built-in operator family", _pairs_arguments, cmd_pairs),
+    "table": ("print a Gordon matrix or boundary vector", _table_arguments, cmd_table),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone when it names one.
+
+    argparse dispatches on the first argument, so a parser holding only that
+    command parses, helps and fails exactly as the full one does; its usage
+    line still lists every command.
+    """
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    parser = argparse.ArgumentParser(
+        prog="admissible",
+        description="Characters of admissible configurations: compute and cross-check.",
+    )
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{%s}" % ",".join(COMMANDS) if len(names) == 1 else None,
+    )
+    for name in names:
+        help_line, add_arguments, func = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit

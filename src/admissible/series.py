@@ -57,17 +57,18 @@ class TruncatedSeries:
 
     def coefficient(self, dq: int, dz: int = 0) -> int:
         """Coefficient of q^dq z^dz.  Raises outside the truncation window."""
-        if dq > self.q_order or dz > self.z_order:
+        if not (0 <= dq <= self.q_order and 0 <= dz <= self.z_order):
             raise ValueError(
-                f"coefficient ({dq},{dz}) is beyond the truncation window "
+                f"coefficient ({dq},{dz}) is outside the truncation window "
                 f"({self.q_order},{self.z_order})"
             )
         return self.coeffs.get((dq, dz), 0)
 
     def z_block(self, n: int) -> "TruncatedSeries":
-        """The q-series multiplying z^n, as a series with z_order 0."""
-        if n > self.z_order:
-            raise ValueError(f"z^{n} is beyond z_order={self.z_order}")
+        """The q-series multiplying z^n, as a series with z_order 0.  Raises
+        outside the truncation window."""
+        if not 0 <= n <= self.z_order:
+            raise ValueError(f"z^{n} is outside z_order={self.z_order}")
         block = {(dq, 0): c for (dq, dz), c in self.coeffs.items() if dz == n}
         return TruncatedSeries(block, self.q_order, 0)
 

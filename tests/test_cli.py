@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from admissible import cli
 from admissible.cli import main
 from admissible.configurations import character_direct
 from admissible.polyspaces import vanishing_spec_r2, vanishing_spec_r3_pair
@@ -684,3 +686,78 @@ def test_golden(name, capsys):
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(out)
     assert path.read_text() == out
+
+
+# Each command's parser alone against the parser of every command: valid
+# lines, help, and every kind of usage error.
+PARSER_CORPUS = [
+    *GOLDEN_CASES.values(),
+    ["char", "--method", "oracle", "--k", "2", "--r", "3", "--b", "0,2", "--qmax", "8", "--zmax", "3"],
+    ["verify", "special-equality", "--kmax", "4", "--qmax", "20", "--zmax", "10"],
+    ["verify", "pair-functions", "--kmax", "4"],
+    ["verify", "conjecture-10.2"],
+    [], ["-h"], ["--help"], ["--he"], ["bogus"], ["cha"], ["-h", "char"],
+    *([name, flag] for name in ("char", "verify", "dims", "pairs", "table") for flag in ("-h", "--help")),
+    ["char", "--method", "direct", "--k", "1", "--b", "0", "--qmax", "4"],
+    ["verify"],
+    ["table", "--k", "3"],
+    ["char", "--method", "dirct", "--k", "1", "--b", "0", "--qmax", "4", "--zmax", "2"],
+    ["dims", "--r", "4", "--k", "2", "--b0", "1", "--n", "2", "--cap", "6"],
+    ["verify", "r9"],
+    ["table", "--k", "3", "--which", "A", "--format", "xml"],
+    ["char", "--k", "x", "--method", "direct", "--b", "0", "--qmax", "4", "--zmax", "2"],
+    ["char", "--b", "a,b", "--method", "direct", "--k", "1", "--qmax", "4", "--zmax", "2"],
+    ["char", "--meth", "direct", "--k", "1", "--b", "0", "--qmax", "4", "--zmax", "2"],
+    ["verify", "r2", "--km", "1", "--qm", "4", "--zm", "2"],
+    ["pairs", "--fam", "r2", "--k", "2", "--ord", "3"],
+    ["char", "--method", "direct", "--k", "1", "--b", "0", "--qmax", "4", "--zmax", "2", "--bogus"],
+    ["table", "--k", "3", "--which", "A", "extra"],
+    ["char", "verify"],
+]
+
+
+def _parse(parser, argv, capsys):
+    """The namespace, or the exit code, with the stdout and stderr of parsing argv."""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+    def test_one_command_parser_parses_as_the_full_parser(self, argv, capsys):
+        fast = _parse(cli.build_parser(argv[0] if argv else None), argv, capsys)
+        assert fast == _parse(cli.build_parser(), argv, capsys)
+
+    @pytest.mark.parametrize("command", [None, "-h", "bogus", *cli.COMMANDS])
+    def test_parser_holds_the_named_command_or_all(self, command):
+        parser = cli.build_parser(command)
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        names = [command] if command in cli.COMMANDS else list(cli.COMMANDS)
+        assert list(sub.choices) == names
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["table", "--k", "2", "--which", "A2"]
+        _, expected, _ = run_cli(capsys, *argv)
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build(*a))
+        monkeypatch.setattr(sys, "argv", ["admissible", *argv])
+        assert main() == 0
+        assert capsys.readouterr().out == expected
+        assert built == [("table",)]
+
+    def test_module_help_lists_every_command(self):
+        env = dict(os.environ, COLUMNS="80")  # one help line per command
+        src = str(Path(cli.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "admissible.cli", "--help"],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 0
+        listed = [line.split()[0] for line in done.stdout.splitlines() if line.startswith("    ")]
+        assert listed == list(cli.COMMANDS)

@@ -158,6 +158,17 @@ class TestWindowAccess:
         with pytest.raises(ValueError):
             s.z_block(3)
 
+    @pytest.mark.parametrize("dq, dz", [(-1, 0), (0, -1), (-1, -1)])
+    def test_coefficient_at_negative_exponent_raises(self, dq, dz):
+        s = TruncatedSeries({(0, 0): 1}, 3, 2)
+        with pytest.raises(ValueError, match="outside the truncation window"):
+            s.coefficient(dq, dz)
+
+    def test_z_block_at_negative_exponent_raises(self):
+        s = TruncatedSeries({(0, 0): 1}, 3, 2)
+        with pytest.raises(ValueError, match="outside z_order"):
+            s.z_block(-1)
+
 
 class TestBigCoefficients:
     def test_exact_huge_products(self):
