@@ -27,13 +27,13 @@ argument.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import locale  # noqa: F401  (see below)
 import os
 import shutil  # noqa: F401  (see below)
 import sys
 import time
-import traceback
 from functools import partial
 
 # argparse imports locale (through gettext) and shutil (for the help width)
@@ -308,6 +308,8 @@ def _run_case(case: dict):
     except CapacityError as exc:
         report.update(status="capacity-skip", detail=str(exc))
     except Exception as exc:  # one broken case must not abort the suite
+        import traceback  # only a failing case needs it; keep it out of start-up
+
         traceback.print_exc(file=sys.stderr)
         report.update(status="error", detail=f"{type(exc).__name__}: {exc}")
     return report, {}
@@ -641,6 +643,11 @@ def main(argv=None) -> int:
             os.close(devnull)
         return 141
 
+
+# Move the objects built by the imports above into the permanent generation:
+# no collection during a command walks them again.  Freezing here, and not
+# in the package, leaves a library import's collector alone.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

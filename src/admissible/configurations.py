@@ -37,6 +37,69 @@ class CapacityError(Exception):
     """Problem size exceeds the configured limits; nothing was truncated."""
 
 
+class _Record:
+    """Base of the package's immutable records, compared by identity.
+
+    A subclass names its fields, in order, in ``__slots__`` and may check
+    them in ``_validate``.  The fields are given by position or keyword,
+    the repr lists them, and assigning or deleting one raises
+    AttributeError.  Plain slotted classes keep ``dataclasses`` (and the
+    ``inspect`` it loads) out of the start-up of every command.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        cls = type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{cls} takes {len(names)} fields, got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls} got an unexpected or repeated field {name!r}")
+            values[name] = value
+        if len(values) < len(names):
+            missing = ", ".join(name for name in names if name not in values)
+            raise TypeError(f"{cls} is missing the fields {missing}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self._validate()
+
+    def _validate(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({inner})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _ValueRecord(_Record):
+    """An immutable record compared and hashed by its field values."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
 def _check_cells(cells: int, what: str) -> None:
     """Refuse (CapacityError) a computation of more than MAX_CELLS cells."""
     if cells > MAX_CELLS:

@@ -17,10 +17,9 @@ sibling's divided by one more factor, so no per-vector product is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
-from .configurations import MAX_CELLS, CapacityError, _check_cells
+from .configurations import MAX_CELLS, CapacityError, _ValueRecord, _check_cells
 from .configurations import validate_b, validate_k, validate_window
 from .series import TruncatedSeries, _divide_by_one_minus, _pochhammer_inverse_coeffs
 
@@ -77,8 +76,7 @@ def boundary_c3(k: int, b0: int) -> list[int]:
     return boundary_c2(k, b0) + [0] * k
 
 
-@dataclass(frozen=True)
-class GordonData:
+class GordonData(_ValueRecord):
     """Everything that determines one fermionic sum.
 
     matrix          symmetric integer matrix A; the term of multiplicity
@@ -89,13 +87,9 @@ class GordonData:
     extra_q_weights per-coordinate extra q-power (the sector prefactor)
     """
 
-    matrix: tuple[tuple[int, ...], ...]
-    boundary: tuple[int, ...]
-    q_step: int
-    z_weights: tuple[int, ...]
-    extra_q_weights: tuple[int, ...]
+    __slots__ = ("matrix", "boundary", "q_step", "z_weights", "extra_q_weights")
 
-    def __post_init__(self):
+    def _validate(self):
         n = len(self.matrix)
         if list(zip(*self.matrix)) != list(map(tuple, self.matrix)):
             raise ValueError("matrix must be square and symmetric")
@@ -165,14 +159,22 @@ def quadratic_exponent(data: GordonData, m) -> int:
     """The q-exponent (m'Am - diag(A).m)/2 + c.m of multiplicity vector m.
 
     Summed as sum_{j<i} A_ij m_i m_j + sum_i A_ii C(m_i, 2) + c.m, which is
-    an integer for every symmetric integer matrix A.
+    an integer for every symmetric integer matrix A.  One pass over m keeps
+    the (j, m_j) pairs of the nonzero coordinates seen so far, so each new
+    nonzero m_i adds m_i (c_i + sum_j A_ij m_j) + A_ii C(m_i, 2) from those
+    pairs alone.
     """
+    matrix, boundary = data.matrix, data.boundary
     total = 0
-    for i, row in enumerate(data.matrix):
-        mi = m[i]
+    seen = []
+    for i, mi in enumerate(m):
         if mi:
-            cross = sum(row[j] * m[j] for j in range(i) if m[j])
-            total += mi * (cross + data.boundary[i]) + row[i] * (mi * (mi - 1) // 2)
+            row = matrix[i]
+            cross = boundary[i]
+            for j, mj in seen:
+                cross += row[j] * mj
+            total += mi * cross + row[i] * (mi * (mi - 1) // 2)
+            seen.append((i, mi))
     return total
 
 

@@ -32,12 +32,11 @@ exponents used by the fermionic sums is an independent check of the matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from math import comb, isqrt, lcm
 
-from .configurations import CapacityError, validate_b
+from .configurations import CapacityError, _ValueRecord, validate_b
 from .series import TruncatedSeries
 
 MAX_VARS = 8
@@ -47,15 +46,16 @@ MAX_DEGREE_CAP = 16
 _PRIME = 2**61 - 1
 
 
-@dataclass(frozen=True)
-class VanishingSpec:
-    """A vanishing-condition space: variable counts, conditions, degree cap."""
+class VanishingSpec(_ValueRecord):
+    """A vanishing-condition space: variable counts, conditions, degree cap.
 
-    family_sizes: tuple[int, ...]
-    conditions: tuple[tuple[tuple[int, int, int], ...], ...]
-    degree_cap: int
+    family_sizes is one or two variable counts; each condition gives one
+    (t slots, -t slots, zero slots) pattern per family.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("family_sizes", "conditions", "degree_cap")
+
+    def _validate(self):
         if len(self.family_sizes) not in (1, 2):
             raise ValueError("one or two variable families are supported")
         if any(n < 0 for n in self.family_sizes):

@@ -15,11 +15,10 @@ p = (c_odd + c_even)/2 and s = (c_even - c_odd)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .configurations import validate_b, validate_k
+from .configurations import _Record, _ValueRecord, validate_b, validate_k
 
 
 class PairingUndefined(KeyError):
@@ -67,8 +66,7 @@ def _vec_add(u: dict, v: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class VOSpec:
+class VOSpec(_Record):
     """A 2-periodic operator spec: mode vectors by parity plus a zero mode.
 
     even applies to all even mode indices including 0, odd to all odd ones;
@@ -76,17 +74,14 @@ class VOSpec:
     form, so the representation is lossless.
     """
 
-    even: dict
-    odd: dict
-    zero_mode: dict
+    __slots__ = ("even", "odd", "zero_mode")
 
     @classmethod
     def constant(cls, vec: dict) -> "VOSpec":
         return cls(dict(vec), dict(vec), dict(vec))
 
 
-@dataclass(frozen=True)
-class PairFunction:
+class PairFunction(_ValueRecord):
     """Expansion of one contraction scalar.
 
     z_power is the leading power of z; coeffs[d] is the coefficient of
@@ -94,9 +89,7 @@ class PairFunction:
     exponents are non-negative integers, else None.
     """
 
-    z_power: Fraction
-    coeffs: tuple
-    closed_form: tuple[int, int] | None
+    __slots__ = ("z_power", "coeffs", "closed_form")
 
 
 def _check_order(trunc: int) -> None:
@@ -140,13 +133,10 @@ def closed_form_series(p: int, s: int, trunc: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # Built-in spec families
 
-@dataclass(frozen=True, eq=False)
-class VOFamily:
+class VOFamily(_Record):
     """A named collection of operator specs sharing one pairing table."""
 
-    name: str
-    table: PairingTable
-    specs: tuple
+    __slots__ = ("name", "table", "specs")
 
 
 def family_r2(k: int) -> VOFamily:

@@ -432,6 +432,25 @@ class TestVerify:
         )
         assert done.stdout == "False\n"
 
+    @pytest.mark.parametrize(
+        "module, absent, frozen",
+        [
+            ("admissible.cli", ("dataclasses", "inspect", "traceback"), True),
+            ("admissible", ("dataclasses",), False),
+        ],
+    )
+    def test_start_up_footprint(self, module, absent, frozen):
+        # A fresh isolated interpreter: the test process has loaded them all.
+        src = str(Path(cli.__file__).parents[1])
+        code = (
+            f"import sys, gc; sys.path.insert(0, {src!r}); import {module}; "
+            f"print([m for m in {absent!r} if m in sys.modules], gc.get_freeze_count() > 0)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == f"[] {frozen}\n"
+
     def test_raising_case_is_reported_not_fatal(self, capsys, monkeypatch):
         import admissible.cli as cli
 
@@ -455,6 +474,8 @@ class TestVerify:
         assert bad["params"] == {"k": 2, "b0": 1, "qmax": 6, "zmax": 3}
         assert all(r["status"] == "match" for r in reports.values())
         assert "detail: AssertionError" in err
+        assert "Traceback (most recent call last)" in err
+        assert ", in broken\n" in err
 
     def test_raising_experimental_case_does_not_fail_exit(self, capsys, monkeypatch):
         import admissible.cli as cli

@@ -353,6 +353,44 @@ def sum_windows(draw):
     return data, draw(st.integers(0, 25)), draw(st.integers(0, 10))
 
 
+def dense_exponent(data, m):
+    """(m'Am - diag(A).m)/2 + c.m over the whole matrix, zeros included."""
+    a, n = data.matrix, len(m)
+    quad = sum(a[i][j] * m[i] * m[j] for i in range(n) for j in range(n))
+    diag = sum(a[i][i] * m[i] for i in range(n))
+    assert (quad - diag) % 2 == 0
+    return (quad - diag) // 2 + sum(c * x for c, x in zip(data.boundary, m))
+
+
+class TestSparseExponentAgainstDense:
+    @pytest.mark.parametrize(
+        "data, z_max",
+        [
+            *((gordon_data_r2(k, b0), 8) for k in (1, 2, 4) for b0 in range(k + 1)),
+            *((gordon_data_r3(k, b0), 6) for k in (1, 2, 3) for b0 in range(k + 1)),
+            *((gordon_data_r3_special(k), 8) for k in (1, 2, 3, 5)),
+        ],
+    )
+    def test_every_vector_of_small_windows(self, data, z_max):
+        for n in range(z_max + 1):
+            for m in _multiplicity_vectors(data.z_weights, n):
+                assert quadratic_exponent(data, m) == dense_exponent(data, m), m
+
+    @settings(max_examples=200, deadline=None)
+    @given(sum_windows(), st.data())
+    def test_random_vectors_with_zeros(self, case, draw):
+        data = case[0]
+        entry = st.one_of(st.just(0), st.integers(0, 6))
+        m = tuple(draw.draw(entry) for _ in data.matrix)
+        assert quadratic_exponent(data, m) == dense_exponent(data, m)
+
+    def test_list_and_tuple_vectors_agree(self):
+        data = gordon_data_r3(2, 1)
+        m = [0, 3, 0, 2]
+        assert quadratic_exponent(data, m) == quadratic_exponent(data, tuple(m))
+        assert quadratic_exponent(data, (0,) * 4) == 0
+
+
 class TestPrunedWalkAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
     @given(sum_windows())
