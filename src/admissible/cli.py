@@ -18,27 +18,24 @@ code), and 2 on bad input, before any case runs.  Every command exits 141
 (128 + SIGPIPE) without a traceback when its reader closes stdout early, as
 ``| head`` does; what was written before stays as it was.
 
-A call builds the parser of its own command only (``build_parser(command)``);
-``--help``, an empty command line and an unknown command build all five.
-The output is the same either way, since argparse dispatches on the first
-argument.
+The command line is read by ``parse_args`` from the ``COMMANDS`` table, which
+holds each command's help line, flags, positional argument and function.  A
+flag is given as ``--name value`` or ``--name=value``, or by a unique prefix
+of its name; the last of repeated values wins.  ``-h`` or ``--help`` prints
+plain help, whatever the terminal width, and exits 0.  A usage error prints
+one line, ``error: ...``, and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
-import locale  # noqa: F401  (see below)
 import os
-import shutil  # noqa: F401  (see below)
 import sys
 import time
 from functools import partial
-
-# argparse imports locale (through gettext) and shutil (for the help width)
-# on first use, which every command reaches; importing them here keeps that
-# fixed cost in start-up instead of in each command's own run time.
+from itertools import islice
+from types import SimpleNamespace
 
 from .series import TruncatedSeries, first_mismatch
 from .configurations import CapacityError, character_direct, validate_b, validate_window
@@ -76,10 +73,7 @@ def _dump(obj) -> str:
 
 
 def _parse_b(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad b vector: {text!r}")
+    return tuple(int(x) for x in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +334,7 @@ def _series(case_id, methods, window, params, n=None) -> dict:
 
 
 def _k_b0(args):
-    return [(k, b0) for k in range(1, args.kmax + 1) for b0 in range(k + 1)]
+    return ((k, b0) for k in range(1, args.kmax + 1) for b0 in range(k + 1))
 
 
 def _fermionic_cases(suite, args):
@@ -373,10 +367,10 @@ def _oracle_cases(suite, args):
         r, blocks = 3, [(f"{suite} k=2 b=(1,1)", 2, (1, 1))]
     else:
         r = int(suite[-1])  # the suite name ends in its rank
-        blocks = [
+        blocks = (
             (f"{suite} k={k} b0={b0}", k, (b0,) if r == 2 else (b0, k))
             for k, b0 in _k_b0(args)
-        ]
+        )
     qmax = args.cap if r == 2 else 2 * args.cap + 1
     for label, k, b in blocks:
         for n in range(args.nmax + 1):
@@ -487,7 +481,19 @@ SUITES = {
     "pair-functions": (_pair_cases, {"kmax": 4, "order": 12}),
     "conjecture-10.2": (_oracle_cases, {"nmax": 3, "cap": 6}),
 }
-VERIFY_FLAGS = ("kmax", "qmax", "zmax", "nmax", "cap", "order", "sizemax", "sizemax3")
+# flag of a verify suite: its help
+VERIFY_FLAGS = {
+    "kmax": "largest level k",
+    "qmax": "highest power of q",
+    "zmax": "highest power of z",
+    "nmax": "largest z-block n",
+    "cap": "degree cap of the vanishing spaces",
+    "order": "order of the pair-function series",
+    "sizemax": "largest partition size of the G2 weights",
+    "sizemax3": "largest partition size of the G3 weights",
+}
+# The most cases one verify run takes; the suite defaults build at most 303.
+MAX_CASES = 10_000
 
 
 def cmd_verify(args) -> int:
@@ -501,7 +507,11 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--{name} must be at least {least}, got {value}")
         elif name not in defaults:
             raise ValueError(f"--{name} does not apply to suite {args.suite}")
-    cases = list(build(args.suite, args))
+    cases = list(islice(build(args.suite, args), MAX_CASES + 1))
+    if len(cases) > MAX_CASES:
+        raise CapacityError(
+            f"verify {args.suite} builds more than the limit of {MAX_CASES} cases"
+        )
     runs = sorted(
         ((case, *_run_case(case)) for case in cases), key=lambda run: run[1]["case"]
     )
@@ -531,101 +541,208 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# command line
+#
+# A flag is {name: (kind, default, help)}: kind is a converter such as int,
+# or a tuple of choices whose type converts the value before the choice is
+# checked; default is REQUIRED for a flag that must be given.
 
-def _char_arguments(p) -> None:
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=["direct", "fermionic-r2", "fermionic-r3", "fermionic-r3-special", "oracle"],
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--b", type=_parse_b, default=None, help="comma list, e.g. 0 or 1,2")
-    p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--zmax", type=int, required=True)
+REQUIRED = object()
 
-
-def _verify_arguments(p) -> None:
-    p.add_argument("suite", choices=SUITES)
-    for name in VERIFY_FLAGS:  # unset flags take the suite's defaults
-        p.add_argument(f"--{name}", type=int, default=None)
-
-
-def _dims_arguments(p) -> None:
-    p.add_argument("--r", type=int, required=True, choices=[2, 3])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--b0", type=int, required=True)
-    p.add_argument("--b1", type=int, default=None, help="r=3 pair only; defaults to k")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, required=True, help="degree cap")
-    p.add_argument(
-        "--variant", choices=["pair", "signed"], help="r=3 only: realization, default pair"
-    )
-
-
-def _pairs_arguments(p) -> None:
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=["r2", "r3-split", "r3-odd-k", "r3-even-k"],
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--b0", type=int, default=0)
-    p.add_argument("--order", type=int, default=12)
-
-
-def _table_arguments(p) -> None:
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--which", required=True, choices=["A2", "B3", "A", "B", "c2", "c3"])
-    p.add_argument("--b0", type=int, default=None, help="c2 and c3 only")
-    p.add_argument(
-        "--format", default="grid", choices=["grid", "json", "csv", "latex"]
-    )
-
-
-# command: (help line, function adding its arguments, function running it)
+# command: (help line, flags, positional argument and its choices, function)
 COMMANDS = {
-    "char": ("compute one character as canonical JSON", _char_arguments, cmd_char),
-    "verify": ("run a cross-check suite", _verify_arguments, cmd_verify),
-    "dims": (
-        "graded dimensions and character of one vanishing space", _dims_arguments, cmd_dims
+    "char": (
+        "compute one character as canonical JSON",
+        {
+            "method": (
+                ("direct", "fermionic-r2", "fermionic-r3", "fermionic-r3-special", "oracle"),
+                REQUIRED,
+                "the route that computes the character",
+            ),
+            "k": (int, REQUIRED, "level k"),
+            "r": (int, 2, "rank r"),
+            "b": (_parse_b, None, "boundary vector, a comma list, e.g. 0 or 1,2; "
+                  "fermionic-r3-special fills it in"),
+            "qmax": (int, REQUIRED, "highest power of q"),
+            "zmax": (int, REQUIRED, "highest power of z"),
+        },
+        None,
+        cmd_char,
     ),
-    "pairs": ("pair functions of a built-in operator family", _pairs_arguments, cmd_pairs),
-    "table": ("print a Gordon matrix or boundary vector", _table_arguments, cmd_table),
+    "verify": (
+        "run a cross-check suite",
+        {name: (int, None, f"{text}; unset, the suite's default")
+         for name, text in VERIFY_FLAGS.items()},
+        ("suite", tuple(SUITES)),
+        cmd_verify,
+    ),
+    "dims": (
+        "graded dimensions and character of one vanishing space",
+        {
+            "r": ((2, 3), REQUIRED, "rank r"),
+            "k": (int, REQUIRED, "level k"),
+            "b0": (int, REQUIRED, "boundary value b0"),
+            "b1": (int, None, "r=3 pair only; defaults to k"),
+            "n": (int, REQUIRED, "number of variables"),
+            "cap": (int, REQUIRED, "degree cap"),
+            "variant": (("pair", "signed"), None, "r=3 only: realization, default pair"),
+        },
+        None,
+        cmd_dims,
+    ),
+    "pairs": (
+        "pair functions of a built-in operator family",
+        {
+            "family": (("r2", "r3-split", "r3-odd-k", "r3-even-k"), REQUIRED, "operator family"),
+            "k": (int, REQUIRED, "level k"),
+            "b0": (int, 0, "boundary value b0"),
+            "order": (int, 12, "order of the series"),
+        },
+        None,
+        cmd_pairs,
+    ),
+    "table": (
+        "print a Gordon matrix or boundary vector",
+        {
+            "k": (int, REQUIRED, "level k"),
+            "which": (("A2", "B3", "A", "B", "c2", "c3"), REQUIRED, "matrix or boundary vector"),
+            "b0": (int, None, "c2 and c3 only"),
+            "format": (("grid", "json", "csv", "latex"), "grid", "output format"),
+        },
+        None,
+        cmd_table,
+    ),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone when it names one.
+def _is_negative_number(word: str) -> bool:
+    return word[1:].replace(".", "", 1).isdecimal() and not word.endswith(".")
 
-    argparse dispatches on the first argument, so a parser holding only that
-    command parses, helps and fails exactly as the full one does; its usage
-    line still lists every command.
+
+def _resolve(word: str, names) -> tuple:
+    """The flag among `names` that `word` gives, exactly or by a unique
+    prefix, and its "=" value or None.  The flag is None for a value (a word
+    not starting with "-", "-" itself, or a negative number) and "" for an
+    unknown flag; "-h" is "help"."""
+    if word == "-h":
+        return "help", None
+    if word[:2] != "--" or word == "--":
+        flag_like = len(word) > 1 and word[0] == "-" and not _is_negative_number(word)
+        return ("" if flag_like else None), None
+    name, eq, value = word[2:].partition("=")
+    found = [name] if name in names else [n for n in names if n.startswith(name)]
+    if len(found) > 1:
+        raise ValueError(f"ambiguous flag {word}: could match --{', --'.join(found)}")
+    return (found[0] if found else ""), (value if eq else None)
+
+
+def _convert(name: str, kind, word: str):
+    try:
+        value = kind(word) if callable(kind) else type(kind[0])(word)
+    except ValueError:
+        raise ValueError(f"{name}: invalid value {word!r}") from None
+    if not callable(kind) and value not in kind:
+        choices = ", ".join(map(str, kind))
+        raise ValueError(f"{name}: invalid choice {word!r} (choose from {choices})")
+    return value
+
+
+def parse_args(argv):
+    """The arguments argv gives, as a namespace whose ``func`` runs the
+    command, or the help text when argv asks for it.  Raises ValueError with
+    a one-line message on a usage error.
+
+    The words are read left to right, as argparse reads them: help wins
+    where it comes before any error, a value is converted and checked where
+    it is read, and required flags, stray words and unknown flags are
+    checked at the end.
     """
-    names = [command] if command in COMMANDS else list(COMMANDS)
-    parser = argparse.ArgumentParser(
-        prog="admissible",
-        description="Characters of admissible configurations: compute and cross-check.",
-    )
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{%s}" % ",".join(COMMANDS) if len(names) == 1 else None,
-    )
-    for name in names:
-        help_line, add_arguments, func = COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        add_arguments(p)
-        p.set_defaults(func=func)
-    return parser
+    stray = []
+    for i, word in enumerate(argv):  # before the command: help or unknown flags
+        flag, value = _resolve(word, ("help",))
+        if flag is None:
+            break
+        if flag == "help":
+            return _help(value)
+        stray.append(word)
+    else:
+        raise ValueError(f"a command is required (choose from {', '.join(COMMANDS)})")
+    name = _convert("command", tuple(COMMANDS), argv[i])
+    _, flags, positional, func = COMMANDS[name]
+    names = ("help", *flags)
+    words = argv[i + 1:]
+    # as in argparse, an ambiguous flag anywhere is refused before any other error
+    resolved = [_resolve(word, names) for word in words]
+    args = {flag: default for flag, (_, default, _) in flags.items() if default is not REQUIRED}
+    j = 0
+    while j < len(words):
+        (flag, value), word = resolved[j], words[j]
+        j += 1
+        if flag is None and positional and positional[0] not in args:
+            args[positional[0]] = _convert(*positional, word)
+        elif not flag:
+            stray.append(word)
+        elif flag == "help":
+            return _help(value, name)
+        else:
+            if value is None:
+                if j == len(words) or resolved[j][0] is not None:
+                    raise ValueError(f"--{flag}: expected a value")
+                value, j = words[j], j + 1
+            args[flag] = _convert(f"--{flag}", flags[flag][0], value)
+    missing = [f"--{flag}" for flag in flags if flag not in args]
+    if positional and positional[0] not in args:
+        missing.insert(0, positional[0])
+    if missing:
+        raise ValueError(f"{name}: the following arguments are required: {', '.join(missing)}")
+    if stray:
+        raise ValueError(f"unrecognized arguments: {' '.join(stray)}")
+    return SimpleNamespace(**args, func=func)
+
+
+def _help(value, name=None) -> str:
+    """The plain help of the command `name`, or of the program; `value` is
+    what followed "--help=", which it does not take."""
+    if value is not None:
+        raise ValueError(f"--help takes no value, got {value!r}")
+    if name is None:
+        width = max(map(len, COMMANDS))
+        return "\n".join([
+            "usage: admissible COMMAND [FLAGS]",
+            "",
+            "Characters of admissible configurations: compute and cross-check.",
+            "",
+            "commands:",
+            *(f"    {cmd.ljust(width)}  {entry[0]}" for cmd, entry in COMMANDS.items()),
+            "",
+            "`admissible COMMAND --help` lists the flags of one command.",
+        ])
+    help_line, flags, positional, _ = COMMANDS[name]
+    arg = positional[0].upper() if positional else None
+    usage = " ".join(filter(None, ["usage: admissible", name, arg, "[FLAGS]"]))
+    lines = [usage, "", help_line, "", "  -h, --help", "      print this help"]
+    if positional:
+        lines += [f"  {arg}", f"      one of {', '.join(positional[1])}; required"]
+    for flag, (kind, default, text) in flags.items():
+        shape = flag.upper() if callable(kind) else "{%s}" % ",".join(map(str, kind))
+        if default is REQUIRED:
+            text += "; required"
+        elif default is not None:
+            text += f"; default {default}"
+        lines += [f"  --{flag} {shape}", f"      {text}"]
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        code = args.func(args)
+        args = parse_args(argv)
+        if isinstance(args, str):
+            print(args)
+            code = 0
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code
     except (ValueError, CapacityError) as exc:

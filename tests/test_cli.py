@@ -1,12 +1,16 @@
 import argparse
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admissible import cli
 from admissible.cli import main
@@ -435,7 +439,11 @@ class TestVerify:
     @pytest.mark.parametrize(
         "module, absent, frozen",
         [
-            ("admissible.cli", ("dataclasses", "inspect", "traceback"), True),
+            (
+                "admissible.cli",
+                ("dataclasses", "inspect", "traceback", "argparse", "gettext", "locale", "shutil"),
+                True,
+            ),
             ("admissible", ("dataclasses",), False),
         ],
     )
@@ -450,6 +458,30 @@ class TestVerify:
             [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
         )
         assert done.stdout == f"[] {frozen}\n"
+
+    def test_oversized_suite_is_refused_before_any_case(self):
+        # About 5 * 10^9 (k, b0) pairs: listing them would exhaust any memory,
+        # so the command runs in a child process under a memory cap.
+        src = str(Path(cli.__file__).parents[1])
+        argv = ["verify", "r2", "--kmax", "100000", "--qmax", "1", "--zmax", "1"]
+        code = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            f"sys.path.insert(0, {src!r}); "
+            f"from admissible.cli import main; sys.exit(main({argv!r}))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"error: verify r2 builds more than the limit of {cli.MAX_CASES} cases\n"
+        )
+
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_suite_defaults_stay_under_the_case_limit(self, suite):
+        build, defaults = cli.SUITES[suite]
+        assert 0 < len(list(build(suite, SimpleNamespace(**defaults)))) <= cli.MAX_CASES
 
     def test_raising_case_is_reported_not_fatal(self, capsys, monkeypatch):
         import admissible.cli as cli
@@ -709,8 +741,8 @@ def test_golden(name, capsys):
     assert path.read_text() == out
 
 
-# Each command's parser alone against the parser of every command: valid
-# lines, help, and every kind of usage error.
+# Valid lines, help, and every kind of usage error, each parsed by
+# cli.parse_args and by an argparse parser built from the same table.
 PARSER_CORPUS = [
     *GOLDEN_CASES.values(),
     ["char", "--method", "oracle", "--k", "2", "--r", "3", "--b", "0,2", "--qmax", "8", "--zmax", "3"],
@@ -734,45 +766,163 @@ PARSER_CORPUS = [
     ["char", "--method", "direct", "--k", "1", "--b", "0", "--qmax", "4", "--zmax", "2", "--bogus"],
     ["table", "--k", "3", "--which", "A", "extra"],
     ["char", "verify"],
+    ["char", "--method=direct", "--k=1", "--b=0", "--qmax=-1", "--zmax", "-2"],
+    ["char", "--method", "direct", "--k", "1", "--k", "2", "--b", "0", "--qmax", "4", "--zmax", "2"],
+    ["char", "--method", "direct", "--k", "1", "--b", "-1", "--qmax", "4", "--zmax", "2"],
+    ["dims", "--r", "02", "--k", "2", "--b0", "1", "--n", "2", "--cap", "6"],
+    ["dims", "--b", "1", "--r", "2", "--k", "2", "--n", "2", "--cap", "6"],
+    ["dims", "-h", "--b"],
+    ["verify", "--s", "1", "weights"],
+    ["verify", "--sizemax", "1", "weights"],
+    ["verify", "--kmax", "-h", "r2"],
+    ["verify", "--kmax", "--bogus", "r2"],
+    ["verify", "r2", "r3"],
+    ["verify", "--bogus", "r9", "-h"],
+    ["--bogus", "char", "-h"],
+    ["char", "--bogus", "extra", "-h"],
+    ["char", "--k", "x", "-h"],
+    ["char", "--help=x"],
+    ["char", "--method", "direct", "--k", "1", "--b", "0", "--qmax", "4", "--zmax", "2", "--"],
+    ["-1", "char"],
 ]
 
 
-def _parse(parser, argv, capsys):
-    """The namespace, or the exit code, with the stdout and stderr of parsing argv."""
+def _reference_parser() -> argparse.ArgumentParser:
+    """argparse reading the cli.COMMANDS table: the parser cli.parse_args replaces."""
+    parser = argparse.ArgumentParser(prog="admissible")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, flags, positional, func) in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if positional:
+            p.add_argument(positional[0], choices=positional[1])
+        for flag, (kind, default, text) in flags.items():
+            if callable(kind):
+                kw = {"type": kind}
+            else:
+                kw = {"type": type(kind[0]), "choices": kind}
+            if default is cli.REQUIRED:
+                kw["required"] = True
+            else:
+                kw["default"] = default
+            p.add_argument(f"--{flag}", help=text, **kw)
+        p.set_defaults(func=func)
+    return parser
+
+
+REFERENCE = _reference_parser()
+
+
+def _reference_outcome(argv):
+    """("ok", attributes), ("help",) or ("error",): what argparse makes of argv."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            attrs = vars(REFERENCE.parse_args(argv))
+        except SystemExit as exc:
+            return ("help",) if exc.code == 0 else ("error",)
+    del attrs["command"]
+    return "ok", attrs
+
+
+def _outcome(argv):
+    """The same for cli.parse_args."""
     try:
-        result = parser.parse_args(argv)
-    except SystemExit as exc:
-        result = ("exit", exc.code)
-    out, err = capsys.readouterr()
-    return result, out, err
+        args = cli.parse_args(argv)
+    except ValueError:
+        return ("error",)
+    return ("help",) if isinstance(args, str) else ("ok", vars(args))
+
+
+def _check_refusal(argv):
+    """A usage error exits 2 with nothing on stdout and one line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert (code, out.getvalue()) == (2, ""), argv
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+
+
+# Words put anywhere in a command line: help, unknown flags, stray words.
+# Not "--": argparse reads the words after it as positionals, cli.parse_args
+# as an unknown flag, so the two differ where help follows it.
+NOISE = ["-h", "--help", "--he", "--h", "--help=x", "--bogus", "-x", "-", "extra", "-1", "7", "r2"]
+
+
+def _values(kind):
+    if kind is int:
+        valid = st.integers(-2, 12).map(str)
+        return st.one_of(valid, valid, st.sampled_from(["x", "02", " 3", "-.5", "1.5", ""]))
+    if callable(kind):  # the b vector
+        return st.sampled_from(["0", "2", "1,2", "0,2", "-1", "-1,2", "a,b", "1,", ""])
+    return st.sampled_from([*map(str, kind), f"0{kind[0]}", "bogus", "4"])
+
+
+@st.composite
+def command_lines(draw):
+    """A command line built from the table: its flags in any order, some
+    missing or repeated, abbreviated or in the "=" form, with noise."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "bogus", "cha"]))
+    chunks = []
+    if command in cli.COMMANDS:
+        _, flags, positional, _ = cli.COMMANDS[command]
+        for name, (kind, default, _) in flags.items():
+            counts = [1] * 6 + [0, 2] if default is cli.REQUIRED else [0, 0, 1, 2]
+            for _ in range(draw(st.sampled_from(counts))):
+                spelled = "--" + name[: draw(st.integers(1, len(name)))]
+                if draw(st.booleans()):
+                    spelled = "--" + name
+                value = draw(_values(kind))
+                chunks.append([f"{spelled}={value}"] if draw(st.booleans()) else [spelled, value])
+        if positional and draw(st.integers(0, 5)):
+            chunks.append([draw(st.sampled_from([*positional[1], "r9"]))])
+    argv = [command, *(word for chunk in draw(st.permutations(chunks)) for word in chunk)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(NOISE)))
+    return argv
 
 
 class TestParser:
     @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
-    def test_one_command_parser_parses_as_the_full_parser(self, argv, capsys):
-        fast = _parse(cli.build_parser(argv[0] if argv else None), argv, capsys)
-        assert fast == _parse(cli.build_parser(), argv, capsys)
+    def test_parses_as_argparse(self, argv):
+        assert _outcome(argv) == _reference_outcome(argv)
 
-    @pytest.mark.parametrize("command", [None, "-h", "bogus", *cli.COMMANDS])
-    def test_parser_holds_the_named_command_or_all(self, command):
-        parser = cli.build_parser(command)
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        names = [command] if command in cli.COMMANDS else list(cli.COMMANDS)
-        assert list(sub.choices) == names
+    @settings(max_examples=500, deadline=None)
+    @given(command_lines())
+    def test_generated_lines_parse_as_argparse(self, argv):
+        outcome = _outcome(argv)
+        assert outcome == _reference_outcome(argv)
+        if outcome == ("error",):
+            _check_refusal(argv)
+
+    @pytest.mark.parametrize(
+        "argv", [a for a in PARSER_CORPUS if _reference_outcome(a) == ("error",)], ids=" ".join
+    )
+    def test_refusal_is_one_line_and_exit_2(self, argv):
+        _check_refusal(argv)
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_command_help_names_every_flag(self, capsys, command):
+        for flag in ("-h", "--help", "--he"):
+            code, out, err = run_cli(capsys, command, flag)
+            assert (code, err) == (0, "")
+            _, flags, positional, _ = cli.COMMANDS[command]
+            listed = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+            assert listed == [f"--{name}" for name in flags]
+            if positional:
+                assert all(choice in out for choice in positional[1])
 
     def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
         argv = ["table", "--k", "2", "--which", "A2"]
         _, expected, _ = run_cli(capsys, *argv)
-        built = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build(*a))
+        parsed = []
+        parse = cli.parse_args
+        monkeypatch.setattr(cli, "parse_args", lambda a: parsed.append(a) or parse(a))
         monkeypatch.setattr(sys, "argv", ["admissible", *argv])
         assert main() == 0
         assert capsys.readouterr().out == expected
-        assert built == [("table",)]
+        assert parsed == [argv]
 
     def test_module_help_lists_every_command(self):
-        env = dict(os.environ, COLUMNS="80")  # one help line per command
+        env = dict(os.environ, COLUMNS="20")  # the help does not follow the width
         src = str(Path(cli.__file__).parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run(
