@@ -29,15 +29,12 @@ one line, ``error: ...``, and exits 2.
 from __future__ import annotations
 
 import gc
-import json
-import os
 import sys
 import time
-from functools import partial
 from itertools import islice
 from types import SimpleNamespace
 
-from .series import TruncatedSeries, first_mismatch
+from .series import TruncatedSeries, dumps, first_mismatch
 from .configurations import CapacityError, character_direct, validate_b, validate_window
 from .fermionic import (
     boundary_c2,
@@ -67,9 +64,6 @@ from .polyspaces import (
 from .vertexops import build_family, closed_form_series, pair_function
 
 REPORT_SCHEMA = 1
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _parse_b(text: str) -> tuple[int, ...]:
@@ -129,7 +123,7 @@ def cmd_char(args) -> int:
     if b is None:
         raise ValueError("--b is required for this method")
     series = _compute_char(args.method, args.k, args.r, b, args.qmax, args.zmax)
-    print(_dump(series.to_json_obj()))
+    print(dumps(series.to_json_obj()))
     return 0
 
 
@@ -155,7 +149,7 @@ def _matrix_for(which: str, k: int, b0: int):
 def _format_table(rows, fmt: str) -> str:
     if fmt == "json":
         data = rows[0] if len(rows) == 1 else rows
-        return _dump(data)
+        return dumps(data)
     if fmt == "csv":
         return "\n".join(",".join(str(x) for x in row) for row in rows)
     if fmt == "latex":
@@ -216,7 +210,7 @@ def cmd_dims(args) -> int:
         char = TruncatedSeries.from_blocks([dims], args.cap)
         payload["dims"] = dims
     payload["char"] = char.to_json_obj()
-    print(_dump(payload))
+    print(dumps(payload))
     return 0
 
 
@@ -247,7 +241,7 @@ def cmd_pairs(args) -> int:
         "order": args.order,
         "pairs": pairs,
     }
-    print(_dump(payload))
+    print(dumps(payload))
     return 0
 
 
@@ -327,7 +321,7 @@ def _series(case_id, methods, window, params, n=None) -> dict:
         "id": case_id,
         "params": params,
         "methods": methods,
-        "sides": [partial(_char_side, method, window, n) for method in methods],
+        "sides": [lambda m=method: _char_side(m, window, n) for method in methods],
         "window": window,
         "n": n,
     }
@@ -389,12 +383,12 @@ def _weight_cases(suite, args):
             for part in level_restricted_partitions(size, k):
                 for b0 in range(k + 1):
                     case_id = f"weight-G2 k={k} b0={b0} m={list(part)}"
-                    data = partial(gordon_data_r2, k, b0)
+                    data = lambda k=k, b0=b0: gordon_data_r2(k, b0)
                     yield _weight(case_id, "G2", k, b0, part, data)
         for size in range(args.sizemax3 + 1):
             for part in level_restricted_partitions(size, k):
                 case_id = f"weight-G3 k={k} m={list(part)}"
-                data = partial(gordon_data_r3_special, k)
+                data = lambda k=k: gordon_data_r3_special(k)
                 yield _weight(case_id, "G3", k, (k + 1) // 2, part, data)
 
 
@@ -408,7 +402,7 @@ def _weight(case_id, variant, k, b0, part, data) -> dict:
         "methods": ["quadratic-form", "expanded-product"],
         "sides": [
             lambda: quadratic_exponent(data(), part),
-            partial(weight_degree, part, variant, k, b0),
+            lambda: weight_degree(part, variant, k, b0),
         ],
     }
 
@@ -436,7 +430,10 @@ def _pair_cases(suite, args):
                         "id": f"pair {family} k={k} {name_a},{name_b}",
                         "params": params,
                         "methods": ["exponential-expansion", "closed-form"],
-                        "sides": [partial(_pair_check, fam, params), lambda: "ok"],
+                        "sides": [
+                            lambda fam=fam, params=params: _pair_check(fam, params),
+                            lambda: "ok",
+                        ],
                     }
 
 
@@ -518,7 +515,7 @@ def cmd_verify(args) -> int:
     reports = [report for _, report, _ in runs]
 
     payload = {"schema": REPORT_SCHEMA, "suite": args.suite, "reports": reports}
-    print(_dump(payload))
+    print(dumps(payload))
 
     width = max((len(r["case"]) for r in reports), default=4)
     for case, rep, times in runs:
@@ -734,8 +731,22 @@ def _help(value, name=None) -> str:
 
 
 def main(argv=None) -> int:
+    """Run the command argv gives (sys.argv[1:] by default); return its exit
+    status.
+
+    For the length of the command, every object that exists when it starts,
+    the imports' and the caller's, sits in the permanent generation: no
+    collection during the command walks them, and the command starts from
+    empty young generations whatever was imported before it.  They return to
+    the collector, in its oldest generation, on every way out.  The freeze
+    also restarts the collector's generation counts, so a host that runs
+    many commands in one process should call gc.collect() between them now
+    and then: otherwise its cyclic garbage can wait in the oldest
+    generation for a full collection that never comes due.
+    """
     if argv is None:
         argv = sys.argv[1:]
+    gc.freeze()
     try:
         args = parse_args(argv)
         if isinstance(args, str):
@@ -749,6 +760,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
+        import os  # only a closed pipe needs it; keep it out of start-up
+
         # Point the descriptor at devnull so the flush at exit cannot raise
         # a second time; a stdout without a descriptor needs nothing.
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -759,12 +772,9 @@ def main(argv=None) -> int:
         finally:
             os.close(devnull)
         return 141
+    finally:
+        gc.unfreeze()
 
-
-# Move the objects built by the imports above into the permanent generation:
-# no collection during a command walks them again.  Freezing here, and not
-# in the package, leaves a library import's collector alone.
-gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

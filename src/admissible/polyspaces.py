@@ -32,7 +32,6 @@ exponents used by the fermionic sums is an independent check of the matrices.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import groupby
 from math import comb, isqrt, lcm
 
@@ -96,7 +95,11 @@ def partitions_max_parts(d: int, max_parts: int) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
+# (rho, n, pattern): _substitute_monomial(rho, n, pattern), shared by every
+# condition and degree of the process; callers do not mutate the maps.
+_SUBSTITUTED: dict[tuple, dict] = {}
+
+
 def _substitute_monomial(rho, n, pattern):
     """Expand a monomial symmetric polynomial under a substitution pattern.
 
@@ -171,10 +174,12 @@ def _condition_rows(spec: VanishingSpec, cond, basis) -> list[dict[int, int]]:
     """
     rows_by_key: dict[tuple, dict[int, int]] = {}
     for ci, elem in enumerate(basis):
-        pieces = [
-            _substitute_monomial(rho, n, pattern)
-            for rho, n, pattern in zip(elem, spec.family_sizes, cond)
-        ]
+        pieces = []
+        for key in zip(elem, spec.family_sizes, cond):
+            piece = _SUBSTITUTED.get(key)
+            if piece is None:
+                piece = _SUBSTITUTED[key] = _substitute_monomial(*key)
+            pieces.append(piece)
         if len(pieces) == 1:
             terms = pieces[0].items()
         else:

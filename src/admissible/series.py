@@ -12,7 +12,26 @@ and wrap the result with ``TruncatedSeries.from_blocks``.  No command calls
 
 from __future__ import annotations
 
-import json
+import _json
+
+
+def _unserializable(obj):
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# CPython's C encoder with the settings json.dumps(obj, sort_keys=True,
+# separators=(",", ":")) passes it: ASCII escapes, sorted keys, no circular
+# check.  Calling it directly keeps json, and the re it imports, out of the
+# start-up of every command.
+_encode = _json.make_encoder(
+    None, _unserializable, _json.encode_basestring_ascii, None, ":", ",", True, False, True
+)
+
+
+def dumps(obj) -> str:
+    """Canonical JSON of obj: the bytes of json.dumps(obj, sort_keys=True,
+    separators=(",", ":"))."""
+    return "".join(_encode(obj, 0))
 
 
 class TruncatedSeries:
@@ -135,7 +154,7 @@ class TruncatedSeries:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return dumps(self.to_json_obj())
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TruncatedSeries":
@@ -144,6 +163,8 @@ class TruncatedSeries:
 
     @classmethod
     def from_json(cls, text: str) -> "TruncatedSeries":
+        import json  # only a reader needs the parser; keep it out of start-up
+
         return cls.from_json_obj(json.loads(text))
 
 

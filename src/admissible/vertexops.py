@@ -11,11 +11,14 @@ coordinates.  The product of two operators contracts to the scalar
 
 which for 2-periodic data has the closed form (1-w/z)^p (1+w/z)^s with
 p = (c_odd + c_even)/2 and s = (c_even - c_odd)/2.
+
+``Fraction`` is imported inside the functions that build one: only ``pairs``
+and ``verify pair-functions`` reach them, and ``fractions`` imports
+``decimal`` and ``re``, which every other command would load for nothing.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .configurations import _Record, _ValueRecord, validate_b, validate_k
@@ -29,6 +32,8 @@ class PairingTable:
     """Symmetric table of rational inner products of named generators."""
 
     def __init__(self, pairings: dict):
+        from fractions import Fraction
+
         table = {}
         for (g, h), value in pairings.items():
             value = Fraction(value)
@@ -47,6 +52,8 @@ class PairingTable:
 
     def pairing(self, u: dict, v: dict) -> Fraction:
         """Bilinear extension to sparse rational combinations of generators."""
+        from fractions import Fraction
+
         total = Fraction(0)
         for g, cu in u.items():
             if not cu:
@@ -99,6 +106,8 @@ def _check_order(trunc: int) -> None:
 
 def pair_function(a: VOSpec, b: VOSpec, table: PairingTable, trunc: int) -> PairFunction:
     """Contraction scalar of two operator specs, to order trunc in w/z."""
+    from fractions import Fraction
+
     _check_order(trunc)
     c_even = table.pairing(a.even, b.even)
     c_odd = table.pairing(a.odd, b.odd)
@@ -121,6 +130,8 @@ def pair_function(a: VOSpec, b: VOSpec, table: PairingTable, trunc: int) -> Pair
 
 def closed_form_series(p: int, s: int, trunc: int) -> list[Fraction]:
     """Coefficients of (1 - x)^p (1 + x)^s through order trunc."""
+    from fractions import Fraction
+
     _check_order(trunc)
     out = [Fraction(0)] * (trunc + 1)
     for i in range(min(p, trunc) + 1):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from admissible.series import (
     TruncatedSeries,
+    dumps,
     first_mismatch,
     pochhammer,
     pochhammer_inverse,
@@ -143,6 +144,37 @@ class TestJson:
     def test_round_trip(self):
         s = S({(2, 1): 3, (0, 1): 1, (5, 0): -(10**30)})
         assert TruncatedSeries.from_json(s.to_json()) == s
+
+
+# Any code point, lone surrogates included, or only the ones the writer
+# escapes: quotes, backslashes, control characters and non-ASCII.
+_TEXT = st.text(st.characters(exclude_categories=())) | st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600')
+)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**300), max_value=10**300)
+    | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestDumps:
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON)
+    def test_byte_equal_to_json_dumps(self, obj):
+        # json stays here as the oracle the writer is held to.
+        assert dumps(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    def test_edge_values(self):
+        obj = {"": [], "b": {}, "a": [True, False, None, -(10**400), 0], "\ud800": "\\\"\x01"}
+        assert dumps(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    def test_unserializable_value_raises_type_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dumps({"x": object()})
 
 
 class TestWindowAccess:

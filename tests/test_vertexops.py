@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from admissible.vertexops import (
@@ -73,6 +75,16 @@ class TestPairFunction:
         # series still produced: exp(-2x^2/2 - x/1 - ...) has rational coefficients
         assert pf.coeffs[0] == 1
         assert pf.coeffs[1] == -1
+
+    def test_values_stay_fractions(self):
+        # Fraction is imported inside the functions; their values must still be Fractions.
+        t = PairingTable({("a", "a"): 2, ("d", "d"): 1, ("a", "d"): 0})
+        spec = VOSpec(even={"a": 1}, odd={"d": 1}, zero_mode={"a": 1})
+        assert type(t.pairing({"a": 1}, {"a": 1, "d": 3})) is Fraction
+        pf = pair_function(spec, spec, t, 4)
+        assert type(pf.z_power) is Fraction
+        assert [type(c) for c in pf.coeffs] == [Fraction] * 5
+        assert [type(c) for c in closed_form_series(2, 1, 5)] == [Fraction] * 6
 
     def test_mixed_families_match_closed_forms(self):
         for k in range(1, 6):
