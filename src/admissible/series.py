@@ -19,10 +19,11 @@ def _unserializable(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-# CPython's C encoder with the settings json.dumps(obj, sort_keys=True,
-# separators=(",", ":")) passes it: ASCII escapes, sorted keys, no circular
-# check.  Calling it directly keeps json, and the re it imports, out of the
-# start-up of every command.
+# CPython's C encoder, set up as json.dumps(obj, sort_keys=True,
+# separators=(",", ":")) sets it up (ASCII escapes, sorted keys), less the
+# circular-reference check, which no value printed here needs.  Calling it
+# directly keeps json, and the re it imports, out of the start-up of every
+# command.
 _encode = _json.make_encoder(
     None, _unserializable, _json.encode_basestring_ascii, None, ":", ",", True, False, True
 )
