@@ -61,7 +61,7 @@ from .polyspaces import (
     vanishing_spec_r3_signed,
     weight_degree,
 )
-from .vertexops import build_family, closed_form_series, pair_function
+from .vertexops import _check_pair_terms, build_family, closed_form_series, pair_function
 
 REPORT_SCHEMA = 1
 
@@ -218,6 +218,9 @@ def cmd_dims(args) -> int:
 # pairs
 
 def cmd_pairs(args) -> int:
+    # r3-split has the specs gamma_a+ and gamma_a-, every other family gamma_a
+    specs = 2 * args.k if args.family == "r3-split" else args.k
+    _check_pair_terms(specs * (specs + 1) // 2, args.k, args.order)
     fam = build_family(args.family, args.k, args.b0)
     spec_map = dict(fam.specs)
     names = [name for name, _ in fam.specs]
@@ -440,6 +443,7 @@ def _pair_cases(suite, args):
 def _pair_check(fam, p) -> str:
     """"ok" if the pair function of the two named specs of the built family
     has the expected closed form, z power and series, else its closed form."""
+    _check_pair_terms(1, p["k"], p["order"])
     spec_map = dict(fam.specs)
     pf = pair_function(spec_map[p["name_a"]], spec_map[p["name_b"]], fam.table, p["order"])
     ok = (
@@ -734,19 +738,13 @@ def main(argv=None) -> int:
     """Run the command argv gives (sys.argv[1:] by default); return its exit
     status.
 
-    For the length of the command, every object that exists when it starts,
-    the imports' and the caller's, sits in the permanent generation: no
-    collection during the command walks them, and the command starts from
-    empty young generations whatever was imported before it.  They return to
-    the collector, in its oldest generation, on every way out.  The freeze
-    also restarts the collector's generation counts, so a host that runs
-    many commands in one process should call gc.collect() between them now
-    and then: otherwise its cyclic garbage can wait in the oldest
-    generation for a full collection that never comes due.
+    No garbage collection runs during a command, and the package makes no
+    reference cycles, so no garbage waits for one.
     """
     if argv is None:
         argv = sys.argv[1:]
-    gc.freeze()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = parse_args(argv)
         if isinstance(args, str):
@@ -773,7 +771,8 @@ def main(argv=None) -> int:
             os.close(devnull)
         return 141
     finally:
-        gc.unfreeze()
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -101,11 +101,13 @@ class _ValueRecord(_Record):
 
 
 def _check_cells(cells: int, what: str) -> None:
-    """Refuse (CapacityError) a computation of more than MAX_CELLS cells."""
+    """Refuse (CapacityError) a computation of more than MAX_CELLS cells.
+
+    what says what needs them, with {} for their count, as in "the
+    direct character's z-blocks need {} q-coefficients".
+    """
     if cells > MAX_CELLS:
-        raise CapacityError(
-            f"{what} need {cells} q-coefficients, over the limit of {MAX_CELLS}"
-        )
+        raise CapacityError(f"{what.format(cells)}, over the limit of {MAX_CELLS}")
 
 
 def validate_k(k: int) -> None:
@@ -221,7 +223,9 @@ def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeri
     b = validate_b(k, r, b)
     validate_window(q_max, z_max)
     top = min(z_max, q_max + b[0])
-    _check_cells((top + 1) * (q_max + 1), "the direct character's z-blocks")
+    _check_cells(
+        (top + 1) * (q_max + 1), "the direct character's z-blocks need {} q-coefficients"
+    )
     levels, terms = _block_demands(k, b, top, q_max)
     blocks: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for n, depth in sorted(levels):
@@ -279,6 +283,8 @@ def _block_demands(k: int, b: tuple[int, ...], top: int, q_max: int):
                     old = bucket.get(child, -1)
                     if need > old:
                         cells += need - old
-                        _check_cells(cells, "the direct recursion's blocks")
+                        _check_cells(
+                            cells, "the direct recursion's blocks need {} q-coefficients"
+                        )
                         bucket[child] = need
     return levels, terms

@@ -19,38 +19,29 @@ from __future__ import annotations
 
 from operator import add
 
-from .configurations import MAX_CELLS, CapacityError, _ValueRecord, _check_cells
+from .configurations import _ValueRecord, _check_cells
 from .configurations import validate_b, validate_k, validate_window
 from .series import TruncatedSeries, _divide_by_one_minus, _pochhammer_inverse_coeffs
-
-
-def _check_matrix(size: int) -> None:
-    """Refuse (CapacityError) a size x size matrix of more than MAX_CELLS entries."""
-    if size * size > MAX_CELLS:
-        raise CapacityError(
-            f"a {size} x {size} Gordon matrix needs {size * size} entries, "
-            f"over the limit of {MAX_CELLS}"
-        )
 
 
 def gordon_a2(k: int) -> list[list[int]]:
     """k x k matrix with entries 2*min(a, b)."""
     validate_k(k)
-    _check_matrix(k)
+    _check_cells(k * k, f"a {k} x {k} Gordon matrix needs {{}} entries")
     return [[2 * min(a, b) for b in range(1, k + 1)] for a in range(1, k + 1)]
 
 
 def gordon_b3(k: int) -> list[list[int]]:
     """k x k matrix with entries max(0, a + b - k)."""
     validate_k(k)
-    _check_matrix(k)
+    _check_cells(k * k, f"a {k} x {k} Gordon matrix needs {{}} entries")
     return [[max(0, a + b - k) for b in range(1, k + 1)] for a in range(1, k + 1)]
 
 
 def gordon_a(k: int) -> list[list[int]]:
     """2k x 2k block matrix [[A2, B3], [B3, A2]]."""
     validate_k(k)
-    _check_matrix(2 * k)
+    _check_cells(4 * k * k, f"a {2 * k} x {2 * k} Gordon matrix needs {{}} entries")
     a2 = gordon_a2(k)
     b3 = gordon_b3(k)
     top = [a2[i] + b3[i] for i in range(k)]
@@ -68,11 +59,13 @@ def gordon_b(k: int) -> list[list[int]]:
 def boundary_c2(k: int, b0: int) -> list[int]:
     """Length-k vector (0, ..., 0, 1, 2, ..., k - b0) with b0 leading zeros."""
     validate_b(k, 2, (b0,))
+    _check_cells(k, "the boundary vector needs {} entries")
     return [0] * b0 + list(range(1, k - b0 + 1))
 
 
 def boundary_c3(k: int, b0: int) -> list[int]:
     """Length-2k vector: boundary_c2(k, b0) followed by k zeros."""
+    _check_cells(2 * k, "the boundary vector needs {} entries")
     return boundary_c2(k, b0) + [0] * k
 
 
@@ -180,22 +173,22 @@ def quadratic_exponent(data: GordonData, m) -> int:
 
 def _multiplicity_vectors(weights, total):
     """All non-negative integer vectors m with sum(weights[i]*m[i]) = total."""
-    n = len(weights)
+    yield from _vectors_after(weights, 0, total, ())
 
-    def rec(i, remaining, prefix):
-        if i == n:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        w = weights[i]
-        if i == n - 1:
-            if remaining % w == 0:
-                yield tuple(prefix) + (remaining // w,)
-            return
-        for v in range(remaining // w + 1):
-            yield from rec(i + 1, remaining - v * w, prefix + [v])
 
-    yield from rec(0, total, [])
+def _vectors_after(weights, i, remaining, prefix):
+    """prefix + t for each vector t with sum(weights[i+j]*t[j]) = remaining."""
+    if i == len(weights):
+        if remaining == 0:
+            yield prefix
+        return
+    w = weights[i]
+    if i == len(weights) - 1:
+        if remaining % w == 0:
+            yield prefix + (remaining // w,)
+        return
+    for v in range(remaining // w + 1):
+        yield from _vectors_after(weights, i + 1, remaining - v * w, prefix + (v,))
 
 
 def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSeries:
@@ -213,33 +206,37 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     q_max - shift and divided by the one new factor (1 - q^(step*v)).
     """
     validate_window(q_max, z_max)
-    _check_cells((z_max + 1) * (q_max + 1), "the fermionic sum's z-rows")
-    n = len(data.matrix)
+    _check_cells(
+        (z_max + 1) * (q_max + 1), "the fermionic sum's z-rows need {} q-coefficients"
+    )
     rows = [[0] * (q_max + 1) for _ in range(z_max + 1)]
-    m = [0] * n
-
-    def walk(first, z, extra, shift, poch):
-        rows[z][shift:] = map(add, rows[z][shift:], poch)
-        for j in range(first, n):
-            cz, cx, cur = z, extra, poch
-            for v in range(1, z_max + 1):
-                cz += data.z_weights[j]
-                if cz > z_max:
-                    break
-                m[j] = v
-                cx += data.extra_q_weights[j]
-                cshift = quadratic_exponent(data, m) + cx
-                if cshift > q_max:
-                    break
-                cur = cur[: q_max - cshift + 1]
-                _divide_by_one_minus(cur, data.q_step * v)
-                walk(j + 1, cz, cx, cshift, cur)
-            m[j] = 0
-
+    m = [0] * len(data.matrix)
     root_shift = quadratic_exponent(data, m)
     if root_shift <= q_max:
-        walk(0, 0, 0, root_shift, [1] + [0] * (q_max - root_shift))
+        _walk(data, rows, m, 0, 0, 0, root_shift, [1] + [0] * (q_max - root_shift))
     return TruncatedSeries.from_blocks(rows, q_max, z_max)
+
+
+def _walk(data, rows, m, first, z, extra, shift, poch) -> None:
+    """Add the terms of m (0 from coordinate first on) and of its descendants
+    that lie in the window, which is the shape of rows; m is left as found."""
+    q_max, z_max = len(rows[0]) - 1, len(rows) - 1
+    rows[z][shift:] = map(add, rows[z][shift:], poch)
+    for j in range(first, len(m)):
+        cz, cx, cur = z, extra, poch
+        for v in range(1, z_max + 1):
+            cz += data.z_weights[j]
+            if cz > z_max:
+                break
+            m[j] = v
+            cx += data.extra_q_weights[j]
+            cshift = quadratic_exponent(data, m) + cx
+            if cshift > q_max:
+                break
+            cur = cur[: q_max - cshift + 1]
+            _divide_by_one_minus(cur, data.q_step * v)
+            _walk(data, rows, m, j + 1, cz, cx, cshift, cur)
+        m[j] = 0
 
 
 def fermionic_r2(k: int, b0: int, q_max: int, z_max: int) -> TruncatedSeries:

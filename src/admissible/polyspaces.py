@@ -81,18 +81,20 @@ def partitions_max_parts(d: int, max_parts: int) -> list[tuple[int, ...]]:
     if max_parts <= 0:
         return []
     out = []
-
-    def rec(remaining, largest, parts_left, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if parts_left == 0:
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            rec(remaining - part, part, parts_left - 1, prefix + [part])
-
-    rec(d, d, max_parts, [])
+    _append_partitions(out, d, d, max_parts, ())
     return out
+
+
+def _append_partitions(out, remaining, largest, parts_left, prefix) -> None:
+    """Append prefix + rho to out for each partition rho of remaining into at
+    most parts_left parts of size at most largest, descending."""
+    if remaining == 0:
+        out.append(prefix)
+        return
+    if parts_left == 0:
+        return
+    for part in range(min(remaining, largest), 0, -1):
+        _append_partitions(out, remaining - part, part, parts_left - 1, prefix + (part,))
 
 
 # (rho, n, pattern): _substitute_monomial(rho, n, pattern), shared by every
@@ -365,11 +367,7 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
     Refuses (CapacityError) rather than degrade when the problem exceeds
     MAX_VARS or MAX_DEGREE_CAP.
     """
-    total_vars = sum(spec.family_sizes)
-    if total_vars > MAX_VARS:
-        raise CapacityError(
-            f"{total_vars} variables exceeds the limit of {MAX_VARS}"
-        )
+    _check_vars(sum(spec.family_sizes))
     if spec.degree_cap > MAX_DEGREE_CAP:
         raise CapacityError(
             f"degree cap {spec.degree_cap} exceeds the limit of {MAX_DEGREE_CAP}"
@@ -397,14 +395,24 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
     return dims
 
 
+def _check_vars(total_vars: int) -> None:
+    """Refuse (CapacityError) a space of more than MAX_VARS variables."""
+    if total_vars > MAX_VARS:
+        raise CapacityError(f"{total_vars} variables exceeds the limit of {MAX_VARS}")
+
+
 # ---------------------------------------------------------------------------
 # Canned specs
+#
+# Each builder refuses a space of more than MAX_VARS variables before it
+# builds any condition, so no loop here runs past MAX_VARS + 1 steps.
 
 def vanishing_spec_r2(n: int, k: int, b0: int, degree_cap: int) -> VanishingSpec:
     """Symmetric polynomials in n variables vanishing on the (k+1)-fold
     diagonal and when b0+1 variables are set to zero.  Patterns that need
     more variables than n are skipped (no constraint)."""
     validate_b(k, 2, (b0,))
+    _check_vars(n)
     conds = []
     if k + 1 <= n:
         conds.append(((k + 1, 0, 0),))
@@ -421,18 +429,17 @@ def vanishing_spec_r3_pair(
     conjectural combined zero conditions (s x's and t y's zero, s + t = b1+1)
     are added as well."""
     validate_b(k, 3, (b0, b1))
-    conds = []
-    for a in range(k + 2):
-        b = k + 1 - a
-        if a <= l1 and b <= l2:
-            conds.append(((a, 0, 0), (b, 0, 0)))
+    _check_vars(l1 + l2)
+    conds = [
+        ((a, 0, 0), (k + 1 - a, 0, 0)) for a in range(max(0, k + 1 - l2), min(l1, k + 1) + 1)
+    ]
     if b0 + 1 <= l1:
         conds.append(((0, 0, b0 + 1), (0, 0, 0)))
     if b1 < k:
-        for s in range(b1 + 2):
-            t = b1 + 1 - s
-            if s <= l1 and t <= l2:
-                conds.append(((0, 0, s), (0, 0, t)))
+        conds.extend(
+            ((0, 0, s), (0, 0, b1 + 1 - s))
+            for s in range(max(0, b1 + 1 - l2), min(l1, b1 + 1) + 1)
+        )
     return VanishingSpec((l1, l2), tuple(conds), degree_cap)
 
 
@@ -441,6 +448,7 @@ def vanishing_spec_r3_signed(n: int, k: int, b0: int, degree_cap: int) -> Vanish
     variables equal t and the next k+1-a equal -t (all a), and when b0+1
     variables are zero."""
     validate_b(k, 2, (b0,))
+    _check_vars(n)
     conds = []
     if k + 1 <= n:
         for a in range(k + 2):

@@ -21,7 +21,13 @@ from __future__ import annotations
 
 from math import comb
 
-from .configurations import _Record, _ValueRecord, validate_b, validate_k
+from .configurations import CapacityError, _Record, _ValueRecord, validate_b, validate_k
+
+# The most terms the pair functions of one request may sum, counted before
+# any family or pair function is built.  A pair sums trunc (trunc + 1) / 2
+# series terms and at most 3 k^2 generator products in its three pairings:
+# no spec of a level-k family has more than k generators.
+MAX_PAIR_TERMS = 10**6
 
 
 class PairingUndefined(KeyError):
@@ -102,6 +108,20 @@ class PairFunction(_ValueRecord):
 def _check_order(trunc: int) -> None:
     if trunc < 0:
         raise ValueError(f"truncation order must be non-negative, got {trunc}")
+
+
+def _check_pair_terms(pairs: int, k: int, trunc: int) -> None:
+    """Check k and trunc, then refuse (CapacityError) that many pair
+    functions of a level-k family to order trunc if they sum more than
+    MAX_PAIR_TERMS terms."""
+    validate_k(k)
+    _check_order(trunc)
+    terms = pairs * (trunc * (trunc + 1) // 2 + 3 * k * k)
+    if terms > MAX_PAIR_TERMS:
+        raise CapacityError(
+            f"{pairs} pair functions of level {k} to order {trunc} sum up to {terms} terms, "
+            f"over the limit of {MAX_PAIR_TERMS}"
+        )
 
 
 def pair_function(a: VOSpec, b: VOSpec, table: PairingTable, trunc: int) -> PairFunction:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admissible import cli
+from admissible import cli, vertexops
 from admissible.cli import main
 from admissible.configurations import character_direct
 from admissible.polyspaces import vanishing_spec_r2, vanishing_spec_r3_pair
@@ -199,8 +199,10 @@ class TestTable:
             ("char", "--method", "fermionic-r2", "--k", "100000", "--r", "2", "--b", "0",
              "--qmax", "5", "--zmax", "5"),
             ("table", "--k", "100000", "--which", "A2"),
+            ("table", "--k", str(10**12), "--which", "c2", "--b0", "0"),
+            ("table", "--k", str(10**12), "--which", "c3", "--b0", "0"),
         ],
-        ids=["char", "table"],
+        ids=["char", "table", "c2", "c3"],
     )
     def test_oversized_gordon_matrix_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -288,6 +290,24 @@ class TestDims:
         )
         assert code == 2 and "exceeds" in err
 
+    def test_size_comes_from_the_variables_not_the_level(self, capsys):
+        # Two variables see no diagonal condition once k >= 2, however large k is.
+        big = str(10**12)
+        chars = []
+        for k in ("2", big):
+            code, out, _ = run_cli(
+                capsys, "dims", "--r", "3", "--k", k, "--b0", "0", "--n", "2", "--cap", "2"
+            )
+            assert code == 0
+            chars.append(json.loads(out)["char"])
+        assert chars[0] == chars[1]
+        code, out, err = run_cli(
+            capsys, "dims", "--r", "3", "--variant", "signed", "--k", big, "--b0", "0",
+            "--n", str(10**12 + 1), "--cap", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {10**12 + 1} variables exceeds the limit of 8\n"
+
     @pytest.mark.parametrize(
         "argv,code",
         [
@@ -368,6 +388,27 @@ class TestPairs:
         )
         assert code == 2 and out == ""
         assert err == f"error: b entries must lie in [0, {k}]: ({b0},)\n"
+
+    @pytest.mark.parametrize(
+        "family, k, order",
+        [("r2", 1, 10**12), ("r2", 10**12, 2), ("r3-split", 20, 12), ("r2", 1, 1414)],
+    )
+    def test_oversized_request_is_refused(self, capsys, family, k, order):
+        code, out, err = run_cli(
+            capsys, "pairs", "--family", family, "--k", str(k), "--order", str(order)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"terms, over the limit of {vertexops.MAX_PAIR_TERMS}\n")
+
+    def test_oversized_verify_case_is_a_capacity_skip(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "pair-functions", "--kmax", "1", "--order", str(10**12)
+        )
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert len(reports) == 5
+        assert all(r["status"] == "capacity-skip" for r in reports)
 
 
 class TestVerify:
@@ -457,47 +498,113 @@ class TestVerify:
         )
         assert done.stdout == "[] 0\n"
 
-    def test_gc_freeze_lasts_as_long_as_the_command(self, monkeypatch):
-        """The objects that exist when a command starts stay frozen while it
-        runs and return to the collector on every way out."""
-        seen = []
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_no_collection_runs_during_a_command(self, monkeypatch, enabled):
+        """The collector is off while a command runs and is back in its
+        entry state on every way out."""
+        collections = []
 
-        def side():
-            seen.append(gc.get_freeze_count())
-            return "ok"
+        def record(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
 
-        case = {"id": "probe", "params": {}, "methods": ["a", "b"], "sides": [side, side]}
-        monkeypatch.setitem(cli.SUITES, "r2", (lambda suite, args: iter([case]), {}))
-        assert main(["verify", "r2"]) == 0
-        assert len(seen) == 2 and all(count > 0 for count in seen)
-        assert gc.get_freeze_count() == 0
+        def probe():
+            kept = [[] for _ in range(20 * gc.get_threshold()[0])]
+            return len(kept) > 0
 
+        case = {"id": "probe", "params": {}, "methods": ["a", "b"], "sides": [probe, probe]}
         char = ["char", "--method", "direct", "--k", "1", "--r", "2", "--b", "0",
                 "--qmax", "8", "--zmax", "3"]
-        assert main(char) == 0
-        assert gc.get_freeze_count() == 0
-
-        assert main(["char", "--k", "x"]) == 2
-        assert gc.get_freeze_count() == 0
 
         class Closed(io.StringIO):
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
 
-        with monkeypatch.context() as patch:
-            patch.setattr(sys, "stdout", Closed())
-            assert main(char) == 141
-        assert gc.get_freeze_count() == 0
-
         def broken(*args):
-            seen.append(gc.get_freeze_count())
             raise RuntimeError("not a usage error")
 
-        monkeypatch.setattr(cli, "character_direct", broken)
-        with pytest.raises(RuntimeError):
-            main(char)
-        assert seen[-1] > 0
-        assert gc.get_freeze_count() == 0
+        def run(argv, expected):
+            (gc.enable if enabled else gc.disable)()
+            if expected is RuntimeError:
+                with pytest.raises(RuntimeError):
+                    main(argv)
+            else:
+                assert main(argv) == expected
+            assert gc.isenabled() is enabled
+
+        gc.callbacks.append(record)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setitem(cli.SUITES, "r2", (lambda suite, args: iter([case]), {}))
+                run(["verify", "r2"], 0)
+            assert collections == []
+            run(char, 0)
+            run(["char", "--k", "x"], 2)
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", Closed())
+                run(char, 141)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "character_direct", broken)
+                run(char, RuntimeError)
+        finally:
+            gc.callbacks.remove(record)
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "char --method oracle --k 1 --r 3 --b 0,1 --qmax 8 --zmax 3",
+            "dims --r 3 --k 2 --b0 1 --n 3 --cap 5",
+            "dims --r 3 --variant signed --k 2 --b0 1 --n 4 --cap 6",
+            "verify oracle-r3 --kmax 1 --nmax 2 --cap 4",
+            "verify weights --kmax 2 --sizemax 4 --sizemax3 3",
+            "char --method fermionic-r3 --k 2 --r 3 --b 1,2 --qmax 20 --zmax 8",
+            "pairs --family r3-split --k 2",
+        ],
+    )
+    def test_command_leaves_no_cyclic_garbage(self, argv):
+        # A fresh interpreter, so that only the command's own objects are
+        # collected at the end; DEBUG_SAVEALL keeps every unreachable one.
+        src = str(Path(cli.__file__).parents[1])
+        code = (
+            "import contextlib, gc, io, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from admissible.cli import main\n"
+            "gc.collect()\n"
+            "gc.set_debug(gc.DEBUG_SAVEALL)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv.split()!r})\n"
+            "gc.collect()\n"
+            "print(code, len(gc.garbage))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "0 0\n"
+
+    def test_host_running_many_commands_gets_full_collections(self):
+        # A host that makes cyclic garbage between commands: with the
+        # collector's counts left alone, its oldest generation comes due.
+        src = str(Path(cli.__file__).parents[1])
+        code = (
+            "import contextlib, gc, io, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from admissible.cli import main\n"
+            "argv = ['char', '--method', 'direct', '--k', '1', '--r', '2', '--b', '0',\n"
+            "        '--qmax', '8', '--zmax', '3']\n"
+            "full = gc.get_stats()[2]['collections']\n"
+            "for _ in range(300):\n"
+            "    for _ in range(2000):\n"
+            "        d = {}\n"
+            "        d['self'] = d\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        main(argv)\n"
+            "print(gc.get_stats()[2]['collections'] - full)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert int(done.stdout) >= 1
 
     def test_oversized_suite_is_refused_before_any_case(self):
         # About 5 * 10^9 (k, b0) pairs: listing them would exhaust any memory,

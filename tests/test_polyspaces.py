@@ -142,6 +142,45 @@ class TestSpecValidation:
         spec = vanishing_spec_r2(1, 1, 1, 4)
         assert len(spec.conditions) == 0
 
+    def test_r3_builders_equal_a_filter_over_every_pattern(self):
+        # The patterns a + b = k + 1 and s + t = b1 + 1 of every split, in
+        # order, kept where they fit the families.
+        def pair(l1, l2, k, b0, b1):
+            conds = [((a, 0, 0), (k + 1 - a, 0, 0))
+                     for a in range(k + 2) if a <= l1 and k + 1 - a <= l2]
+            if b0 + 1 <= l1:
+                conds.append(((0, 0, b0 + 1), (0, 0, 0)))
+            if b1 < k:
+                conds += [((0, 0, s), (0, 0, b1 + 1 - s))
+                          for s in range(b1 + 2) if s <= l1 and b1 + 1 - s <= l2]
+            return tuple(conds)
+
+        def signed(n, k, b0):
+            conds = [((a, k + 1 - a, 0),) for a in range(k + 2) if k + 1 <= n]
+            return tuple(conds + [((0, 0, b0 + 1),)] * (b0 + 1 <= n))
+
+        for k in range(1, 6):
+            for l1, l2 in itertools.product(range(5), repeat=2):
+                for b0 in range(k + 1):
+                    got = vanishing_spec_r3_signed(l1 + l2, k, b0, 3).conditions
+                    assert got == signed(l1 + l2, k, b0), (k, l1 + l2, b0)
+                    for b1 in range(b0, k + 1):
+                        got = vanishing_spec_r3_pair(l1, l2, k, b0, b1, 3).conditions
+                        assert got == pair(l1, l2, k, b0, b1), (l1, l2, k, b0, b1)
+
+    def test_builders_refuse_before_building_any_condition(self):
+        # A loop over k or over the variables would not end at these sizes.
+        big = 10**12
+        spec = vanishing_spec_r3_pair(1, 1, big, 0, big - 1, 2)
+        assert spec.conditions == (((0, 0, 1), (0, 0, 0)),)
+        for build in (
+            lambda: vanishing_spec_r2(big, big, 0, 2),
+            lambda: vanishing_spec_r3_pair(big, big, big, 0, big, 2),
+            lambda: vanishing_spec_r3_signed(big + 1, big, 0, 2),
+        ):
+            with pytest.raises(CapacityError, match="variables exceeds the limit of 8"):
+                build()
+
 
 class TestGradedDimension:
     def test_single_variable_unconstrained(self):
