@@ -52,8 +52,8 @@ from .fermionic import (
     quadratic_exponent,
 )
 from .polyspaces import (
+    _oracle_r3_window,
     character_from_oracle_r2,
-    character_from_oracle_r3,
     graded_dimension,
     pair_sector_dims,
     regrade_pair_sectors,
@@ -80,8 +80,7 @@ def _oracle_block(k, r, b, qmax, n) -> TruncatedSeries:
         return character_from_oracle_r2(n, k, b0, qmax)
     if r == 3:
         b0, b1 = validate_b(k, 3, b)
-        # the rank-3 block at degree cap c is exact through q^(2c + 1)
-        return character_from_oracle_r3(n, k, b0, b1, qmax // 2)
+        return _oracle_r3_window(n, k, b0, b1, qmax)
     raise ValueError("oracle supports r = 2 or r = 3")
 
 

@@ -11,17 +11,25 @@ symmetric basis element under each substitution, reading off one linear
 constraint per surviving monomial, and subtracting the rank.  A condition
 that only sets variables to 0 sends each basis element to itself or to 0,
 and the monomial symmetric polynomials are independent, so its constraints
-are unit vectors: it deletes basis elements and builds no rows.  The expansion
-walks the multiplicity vector of the partition, counting the ways to fill
-the t and -t slots with binomial coefficients.  Each constraint is a sparse
-row {column: value} with no zeros and ascending columns, and the rows stay
-sparse through deduplication, transposition, echelon form and certificate.
-The rank is computed modulo one large prime and certified exactly: the
-kernel vectors of the modular echelon form are lifted to the rationals and
-checked against every row that shares their columns, in integer arithmetic,
-with fraction-free (Bareiss) elimination on a dense copy as the fallback
-when the certificate fails.  No floating point is involved anywhere, so
-rank decisions are exact.
+are unit vectors: it deletes basis elements and builds no rows.  The
+substitution t -> -t swaps the t and -t counts of a condition in every
+family and keeps its kernel, so of two such mirror conditions only one
+builds rows.  The expansion walks the multiplicity vector of the partition,
+counting the ways to fill the t and -t slots with binomial coefficients.
+Each constraint is a sparse row {column: value} with no zeros and ascending
+columns, and the rows stay sparse through deduplication, transposition,
+echelon form and certificate.  The rank is computed modulo one large prime
+and certified exactly: the kernel vectors of the modular echelon form are
+lifted to the rationals, packed column by column into one integer of wide
+signed slots, and checked with one big-integer dot product per row, with
+fraction-free (Bareiss) elimination on a dense copy as the fallback when
+the certificate fails.  No floating point is involved anywhere, so rank
+decisions are exact.
+
+The rank-3 block character is a regraded sum of pair-space sectors, and
+sector l2 enters at q^(2d + l2).  Through a q-window of order qmax the
+oracle `char` route therefore computes sector l2 only through degree
+(qmax - l2) // 2.
 
 The same module gives the degree of the product-formula weight attached to a
 restricted partition, given by its multiplicity tuple.  A product of nonzero
@@ -74,14 +82,21 @@ class VanishingSpec(_ValueRecord):
                     )
 
 
+# (d, parts): partitions_max_parts(d, parts) for 0 <= parts <= d, shared by
+# every basis of the process like _SUBSTITUTED; callers do not mutate them.
+_PARTITIONS: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+
 def partitions_max_parts(d: int, max_parts: int) -> list[tuple[int, ...]]:
-    """Partitions of d into at most max_parts parts, descending tuples."""
-    if d == 0:
-        return [()]
-    if max_parts <= 0:
-        return []
-    out = []
-    _append_partitions(out, d, d, max_parts, ())
+    """Partitions of d into at most max_parts parts, descending tuples.
+
+    The list is memoised and shared between callers, who must not mutate it.
+    """
+    key = (d, max(0, min(max_parts, d)))  # d has at most d parts
+    out = _PARTITIONS.get(key)
+    if out is None:
+        out = _PARTITIONS[key] = []
+        _append_partitions(out, d, d, key[1], ())
     return out
 
 
@@ -120,14 +135,30 @@ def _substitute_monomial(rho, n, pattern):
     zeros of rho close the walk: z of them fill the zero slots and the
     remaining t and -t slots, so a state with more slots left than free
     zeros is dropped.
+
+    With no -t slot (a plain diagonal) d is always 0, so the free partition
+    records every c: distinct walks give distinct keys and nothing merges.
     """
     p_cnt, m_cnt, z_cnt = pattern
     free_zeros = n - len(rho) - z_cnt
     if free_zeros < 0:
         return {}  # a positive exponent would land on a zero slot
+    unwalked = len(rho)
+    if not m_cnt:
+        # (p_left, t_exponent, free_partition, coefficient)
+        plain = [(p_cnt, 0, (), 1)]
+        for v, group in groupby(rho):
+            a = len(list(group))
+            unwalked -= a
+            capacity = unwalked + free_zeros
+            plain = [
+                (p_left - c, t_exp + v * c, sigma + (v,) * (a - c), coeff * comb(p_left, c))
+                for p_left, t_exp, sigma, coeff in plain
+                for c in range(max(0, p_left - capacity), min(a, p_left) + 1)
+            ]
+        return {(t_exp, sigma): coeff for _, t_exp, sigma, coeff in plain}
     # (p_left, m_left, t_exponent, free_partition, coefficient)
     states = [(p_cnt, m_cnt, 0, (), 1)]
-    unwalked = len(rho)
     for v, group in groupby(rho):
         a = len(list(group))
         unwalked -= a
@@ -306,32 +337,35 @@ def _kernel_certified(mat, pivots, p: int, ncols: int) -> bool:
     """Whether the mod-p kernel of the sparse rows mat lifts to one over Q.
 
     Free column f gives the kernel vector with 1 at f and -pivots[c][f] at
-    each pivot column c.  Its entries are lifted by rational reconstruction
-    and scaled to integers, and every row of mat must annihilate it exactly;
-    only the rows with an entry in the vector's columns are checked, as the
-    others annihilate it trivially.
+    each pivot column c.  Every vector's entries are lifted by rational
+    reconstruction and scaled to integers first.  Then column c of all the
+    vectors is packed into one integer, vector i in a signed slot of w bits
+    at bit w*i, and each row of mat is checked with one big-integer dot
+    product.  Slot i of that product is the row's product with vector i, of
+    absolute value at most max|v| times the row's l1 norm, which is below
+    2^(w - 2); balanced slots that small are unique, so the product is 0
+    exactly when the row annihilates every vector.
     """
-    rows_by_col: dict[int, list[int]] = {}
-    for r, row in enumerate(mat):
-        for c in row:
-            rows_by_col.setdefault(c, []).append(r)
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        entries = [(f, 1, 1)]
-        for c, pivot_row in pivots.items():
-            if f in pivot_row:
-                lifted = _rational_reconstruction(-pivot_row[f] % p, p)
+    entries = {f: [(f, 1, 1)] for f in range(ncols) if f not in pivots}
+    for c, pivot_row in pivots.items():
+        for f, x in pivot_row.items():
+            if f != c:  # a pivot row is 0 at every other pivot column
+                lifted = _rational_reconstruction(-x % p, p)
                 if lifted is None:
                     return False
-                entries.append((c, *lifted))
-        scale = lcm(*(den for _, _, den in entries))
-        vec = [(c, num * (scale // den)) for c, num, den in entries]
-        for r in {r for c, _ in vec for r in rows_by_col.get(c, ())}:
-            row = mat[r]
-            if sum(row[c] * x for c, x in vec if c in row):
-                return False
-    return True
+                entries[f].append((c, *lifted))
+    vectors = []
+    for vec in entries.values():
+        scale = lcm(*(den for _, _, den in vec))
+        vectors.append([(c, num * (scale // den)) for c, num, den in vec])
+    height = max(abs(x) for vec in vectors for _, x in vec)
+    norm = max(sum(map(abs, row.values())) for row in mat)
+    w = (height * norm).bit_length() + 2
+    packed = [0] * ncols
+    for i, vec in enumerate(vectors):
+        for c, x in vec:
+            packed[c] += x << (w * i)
+    return not any(sum(v * packed[c] for c, v in row.items()) for row in mat)
 
 
 def _certified_rank(rows: list[dict[int, int]], ncols: int) -> int:
@@ -364,6 +398,11 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
     A zero condition (no t or -t slot) keeps m_rho when len(rho_f) <=
     n_f - z_f in every family f and sends it to 0 otherwise; the kept images
     are independent, so it deletes the kept columns and builds no rows.
+    The substitution t -> -t turns a condition into its mirror, with the t
+    and -t counts swapped in every family.  It is an automorphism of the
+    polynomial ring, so the two conditions have the same kernel (their rows
+    differ by the signs (-1)^(t exponent)), and only the first condition of
+    each mirror pair builds rows.
     Refuses (CapacityError) rather than degrade when the problem exceeds
     MAX_VARS or MAX_DEGREE_CAP.
     """
@@ -372,11 +411,14 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
         raise CapacityError(
             f"degree cap {spec.degree_cap} exceeds the limit of {MAX_DEGREE_CAP}"
         )
-    substituted = [c for c in spec.conditions if any(p or m for p, m, _ in c)]
-    zero_limits = [  # per zero condition, n_f - z_f: the most parts it keeps
-        [n - z for n, (_, _, z) in zip(spec.family_sizes, c)]
-        for c in spec.conditions if c not in substituted
-    ]
+    substituted, seen = [], set()
+    zero_limits = []  # per zero condition, n_f - z_f: the most parts it keeps
+    for cond in spec.conditions:
+        if not any(p or m for p, m, _ in cond):
+            zero_limits.append([n - z for n, (_, _, z) in zip(spec.family_sizes, cond)])
+        elif cond not in seen:
+            substituted.append(cond)
+            seen.update((cond, tuple((m, p, z) for p, m, z in cond)))
     dims = []
     for d in range(spec.degree_cap + 1):
         basis = _basis(spec, d)
@@ -493,13 +535,36 @@ def regrade_pair_sectors(sector_dims, degree_cap: int) -> TruncatedSeries:
     evaluated at q^2.  With each pair space computed through degree_cap, the
     assembled series is exact through q-degree 2*degree_cap + 1.
     """
-    q_order = 2 * degree_cap + 1
+    return _regrade(sector_dims, 2 * degree_cap + 1)
+
+
+def _regrade(sector_dims, q_order: int) -> TruncatedSeries:
+    """The regraded sum of the pair-space dimensions, through q^q_order."""
     row = [0] * (q_order + 1)
     for l2, dims in enumerate(sector_dims):
         for d, c in enumerate(dims):
             if 2 * d + l2 <= q_order:
                 row[2 * d + l2] += c
     return TruncatedSeries.from_blocks([row], q_order)
+
+
+def _oracle_r3_window(n: int, k: int, b0: int, b1: int, q_order: int) -> TruncatedSeries:
+    """character_from_oracle_r3 through q^q_order, computing only what it reads.
+
+    Sector l2 enters at q^(2d + l2), so it is computed through degree
+    (q_order - l2) // 2, and not at all past l2 = q_order.  Sector 0 comes
+    first at degree q_order // 2, the cap of the full block, so a refusal is
+    the same CapacityError at the same point.
+    """
+    return _regrade(
+        [
+            graded_dimension(
+                vanishing_spec_r3_pair(n - l2, l2, k, b0, b1, (q_order - l2) // 2)
+            )
+            for l2 in range(min(n, q_order) + 1)
+        ],
+        q_order,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import argparse
 import contextlib
 import gc
+import importlib
+import inspect
 import io
 import json
 import os
@@ -16,8 +18,12 @@ from hypothesis import strategies as st
 from admissible import cli, vertexops
 from admissible.cli import main
 from admissible.configurations import character_direct
-from admissible.polyspaces import vanishing_spec_r2, vanishing_spec_r3_pair
-from admissible.series import TruncatedSeries
+from admissible.polyspaces import (
+    character_from_oracle_r3,
+    vanishing_spec_r2,
+    vanishing_spec_r3_pair,
+)
+from admissible.series import TruncatedSeries, first_mismatch
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGOLD = os.environ.get("REGOLD") == "1"
@@ -143,6 +149,25 @@ class TestChar:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", "error: 9 variables exceeds the limit of 8\n")
         assert returned == []
+
+    @pytest.mark.parametrize("qmax", [8, 9])
+    def test_r3_oracle_block_equals_full_cap_block_through_qmax(self, qmax):
+        for k in (1, 2):
+            for b0 in range(k + 1):
+                for b1 in range(b0, k + 1):
+                    for n in range(5):
+                        block = cli._oracle_block(k, 3, (b0, b1), qmax, n)
+                        full = character_from_oracle_r3(n, k, b0, b1, qmax // 2)
+                        assert block.q_order == qmax, (k, b0, b1, n)
+                        assert first_mismatch(block, full) is None, (k, b0, b1, n)
+
+    def test_r3_oracle_refuses_at_the_full_cap_degree(self, capsys):
+        # sector 0 keeps degree qmax // 2, so qmax 34 asks for cap 17
+        argv = ["char", "--method", "oracle", "--k", "1", "--r", "3", "--b", "0,1"]
+        code, out, err = run_cli(capsys, *argv, "--qmax", "34", "--zmax", "2")
+        assert (code, out, err) == (2, "", "error: degree cap 17 exceeds the limit of 16\n")
+        code, _, _ = run_cli(capsys, *argv, "--qmax", "33", "--zmax", "2")
+        assert code == 0
 
     def test_special_fills_in_b(self, capsys):
         code, out, _ = run_cli(
@@ -662,7 +687,7 @@ class TestVerify:
         def broken(*args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "character_from_oracle_r3", broken)
+        monkeypatch.setattr(cli, "_oracle_r3_window", broken)
         code, out, _ = run_cli(capsys, "verify", "conjecture-10.2", "--nmax", "1")
         assert code == 0
         reports = json.loads(out)["reports"]
@@ -717,17 +742,17 @@ class TestVerify:
     def test_block_mismatch_replays_the_oracle_block(self, capsys, monkeypatch):
         import admissible.cli as cli
 
-        real = cli.character_from_oracle_r3
+        real = cli._oracle_r3_window
 
-        def shifted(n, k, b0, b1, cap):
-            block = real(n, k, b0, b1, cap)
+        def shifted(n, k, b0, b1, qmax):
+            block = real(n, k, b0, b1, qmax)
             if (n, b0) != (2, 0):
                 return block
             coeffs = dict(block.coeffs)
             coeffs[(5, 0)] = coeffs.get((5, 0), 0) + 1
             return TruncatedSeries(coeffs, block.q_order, block.z_order)
 
-        monkeypatch.setattr(cli, "character_from_oracle_r3", shifted)
+        monkeypatch.setattr(cli, "_oracle_r3_window", shifted)
         code, out, err = run_cli(
             capsys, "verify", "oracle-r3", "--kmax", "1", "--nmax", "2", "--cap", "4"
         )
@@ -811,6 +836,25 @@ class TestVerify:
         assert payload["reports"][0]["params"]["qmax"] == 6
 
 
+class TestBenchHooks:
+    """bench/tracer.py and bench/child.py call these by name and keyword."""
+
+    @pytest.mark.parametrize(
+        "module, name, params",
+        [
+            ("polyspaces", "partitions_max_parts", ["d", "max_parts"]),
+            ("polyspaces", "graded_dimension", ["spec"]),
+            ("cli", "_run_case", ["case"]),
+        ],
+    )
+    def test_hook_is_a_module_level_function(self, module, name, params):
+        mod = importlib.import_module(f"admissible.{module}")
+        fn = getattr(mod, name)
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__
+        assert fn.__qualname__ == name
+        assert list(inspect.signature(fn).parameters) == params
+
+
 GOLDEN_CASES = {
     "char_direct_k1_r2_b0.json": [
         "char", "--method", "direct", "--k", "1", "--r", "2",
@@ -838,6 +882,16 @@ GOLDEN_CASES = {
     ],
     "dims_r3_k2_b1_n2.json": [
         "dims", "--r", "3", "--k", "2", "--b0", "1", "--n", "2", "--cap", "6",
+    ],
+    # signed conditions come in t -> -t mirror pairs, one of each builds rows
+    "dims_r3_signed_k2_b0_n5.json": [
+        "dims", "--r", "3", "--k", "2", "--b0", "0", "--n", "5", "--cap", "14",
+        "--variant", "signed",
+    ],
+    # five sectors, each computed only through the degree an even qmax reads
+    "char_oracle_k1_r3_b01.json": [
+        "char", "--method", "oracle", "--k", "1", "--r", "3",
+        "--b", "0,1", "--qmax", "20", "--zmax", "4",
     ],
     "table_A_k3.json": ["table", "--k", "3", "--which", "A", "--format", "json"],
     "verify_r2_k2.json": ["verify", "r2", "--kmax", "2", "--qmax", "8", "--zmax", "4"],

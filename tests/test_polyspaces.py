@@ -1,8 +1,9 @@
 import itertools
 import random
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import admissible.polyspaces as polyspaces
@@ -319,6 +320,29 @@ class TestZeroConditions:
         assert seen and not any(map(_is_zero_condition, seen))
 
 
+def _mirror(cond):
+    return tuple((m, p, z) for p, m, z in cond)
+
+
+class TestMirrorConditions:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_signed_spec_builds_rows_for_one_condition_per_mirror_pair(self, monkeypatch, k):
+        spec = vanishing_spec_r3_signed(k + 3, k, 1, 8)
+        assert len([c for c in spec.conditions if not _is_zero_condition(c)]) == k + 2
+        expected = _rows_over_full_basis(spec)  # every condition builds rows
+        real_rows = polyspaces._condition_rows
+        seen = set()
+
+        def spying_rows(spec, cond, basis):
+            seen.add(cond)
+            return real_rows(spec, cond, basis)
+
+        monkeypatch.setattr(polyspaces, "_condition_rows", spying_rows)
+        assert graded_dimension(spec) == expected
+        assert len(seen) == (k + 3) // 2  # ceil((k + 2) / 2)
+        assert all(_mirror(cond) not in seen for cond in seen if _mirror(cond) != cond)
+
+
 def _sparse(rows):
     """Dense rows as the sparse rows and column count _certified_rank takes."""
     return [{c: v for c, v in enumerate(row) if v} for row in rows], len(rows[0]) if rows else 0
@@ -341,6 +365,24 @@ def integer_matrices(draw):
     for _ in range(draw(st.integers(0, 2))):
         extra = draw(st.one_of(st.just([0] * n), st.sampled_from(rows)))
         rows.insert(draw(st.integers(0, len(rows))), list(extra))
+    return rows
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """A product of random sparse integer factors, so the rank is often below
+    both sizes, with a few sparse rows of its own mixed in."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 8))
+    inner = draw(st.integers(1, 5))
+    entries = st.one_of(
+        st.just(0), st.just(0), st.integers(-3, 3), st.integers(-999, 999)
+    )
+    left = [[draw(entries) for _ in range(inner)] for _ in range(m)]
+    right = [[draw(entries) for _ in range(n)] for _ in range(inner)]
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [draw(entries) for _ in range(n)])
     return rows
 
 
@@ -439,6 +481,63 @@ class TestCertifiedRank:
         assert sorted(pivots) == [0, 1] and _kernel_certified(sparse, pivots, p, 3)
         _lift_one_residue_wrong(monkeypatch)
         assert not _kernel_certified(sparse, pivots, p, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sparse_integer_matrices(),
+        st.one_of(st.just(2**61 - 1), st.sampled_from([2, 3, 5, 7])),
+        st.data(),
+    )
+    def test_packed_check_equals_per_vector_check(self, rows, p, data):
+        mat, ncols = _sparse(rows)
+        mat = [row for row in mat if row]
+        pivots = _echelon_mod_p(mat, p, ncols)
+        assume(mat and len(pivots) < ncols)
+        certified = _per_vector_check(mat, pivots, p, ncols)
+        assert _kernel_certified(mat, pivots, p, ncols) == certified
+        assume(pivots)
+        # force a failure: change one kernel vector at one pivot column
+        c = data.draw(st.sampled_from(sorted(pivots)))
+        f = data.draw(st.sampled_from([f for f in range(ncols) if f not in pivots]))
+        wrong = {col: dict(row) for col, row in pivots.items()}
+        wrong[c][f] = (wrong[c].get(f, 0) + data.draw(st.integers(1, p - 1))) % p
+        verdict = _kernel_certified(mat, wrong, p, ncols)
+        assert verdict == _per_vector_check(mat, wrong, p, ncols)
+        if certified:  # a true kernel vector moved along a nonzero column
+            assert not verdict
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_packed_slots_do_not_carry_into_each_other(self, m):
+        # one row of m ones; the first vector has 2^b at each pivot column,
+        # the second -1 at column 0: slot sums m 2^b and -1, which a slot
+        # width of log2(m) + b would cancel into a false certificate
+        p = polyspaces._PRIME
+        mat = [dict.fromkeys(range(m), 1)]
+        for b in range(30):
+            pivots = {c: {c: 1, m: -(2**b) % p} for c in range(m)}
+            pivots[0][m + 1] = 1
+            assert not _per_vector_check(mat, pivots, p, m + 2)
+            assert not _kernel_certified(mat, pivots, p, m + 2), b
+
+
+def _per_vector_check(mat, pivots, p, ncols):
+    """_kernel_certified one vector at a time: the reference for the packed
+    check.  Each lifted kernel vector is multiplied by every row on its own."""
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        entries = [(f, 1, 1)]
+        for c, pivot_row in pivots.items():
+            if pivot_row.get(f):
+                lifted = polyspaces._rational_reconstruction(-pivot_row[f] % p, p)
+                if lifted is None:
+                    return False
+                entries.append((c, *lifted))
+        scale = lcm(*(den for _, _, den in entries))
+        vec = {c: num * (scale // den) for c, num, den in entries}
+        if any(sum(v * vec.get(c, 0) for c, v in row.items()) for row in mat):
+            return False
+    return True
 
 
 def _lift_one_residue_wrong(monkeypatch):
