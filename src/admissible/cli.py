@@ -52,9 +52,8 @@ from .fermionic import (
     quadratic_exponent,
 )
 from .polyspaces import (
-    _oracle_r3_window,
-    character_from_oracle_r2,
     graded_dimension,
+    oracle_block,
     pair_sector_dims,
     regrade_pair_sectors,
     vanishing_spec_r2,
@@ -72,17 +71,6 @@ def _parse_b(text: str) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # char
-
-def _oracle_block(k, r, b, qmax, n) -> TruncatedSeries:
-    """The z^n block of the oracle character through q^qmax, as a q-series."""
-    if r == 2:
-        (b0,) = validate_b(k, 2, b)
-        return character_from_oracle_r2(n, k, b0, qmax)
-    if r == 3:
-        b0, b1 = validate_b(k, 3, b)
-        return _oracle_r3_window(n, k, b0, b1, qmax)
-    raise ValueError("oracle supports r = 2 or r = 3")
-
 
 def _compute_char(method, k, r, b, qmax, zmax) -> TruncatedSeries:
     validate_window(qmax, zmax)
@@ -104,13 +92,12 @@ def _compute_char(method, k, r, b, qmax, zmax) -> TruncatedSeries:
         if r != 3:
             raise ValueError("fermionic-r3-special requires --r 3")
         expected = ((k + 1) // 2, k)
-        if b is not None and tuple(b) != expected:
+        if tuple(b) != expected:
             raise ValueError(f"fermionic-r3-special fixes b = {expected}")
         return fermionic_r3_special(k, qmax, zmax)
     if method == "oracle":
         # Largest block (most variables, same degree cap) first: a refusal precedes all work.
-        blocks = [_oracle_block(k, r, b, qmax, n) for n in range(zmax, -1, -1)][::-1]
-        rows = [[block.coefficient(d) for d in range(qmax + 1)] for block in blocks]
+        rows = [oracle_block(k, r, b, qmax, n) for n in range(zmax, -1, -1)][::-1]
         return TruncatedSeries.from_blocks(rows, qmax, zmax)
     raise ValueError(f"unknown method: {method}")
 
@@ -146,9 +133,6 @@ def _matrix_for(which: str, k: int, b0: int):
 
 
 def _format_table(rows, fmt: str) -> str:
-    if fmt == "json":
-        data = rows[0] if len(rows) == 1 else rows
-        return dumps(data)
     if fmt == "csv":
         return "\n".join(",".join(str(x) for x in row) for row in rows)
     if fmt == "latex":
@@ -170,7 +154,10 @@ def cmd_table(args) -> int:
     if not boundary and args.b0 is not None:
         raise ValueError("--b0 applies to --which c2 or c3 only")
     rows = _matrix_for(args.which, args.k, args.b0)
-    print(_format_table(rows, args.format))
+    if args.format == "json":  # a boundary vector prints as a vector, a matrix as rows
+        print(dumps(rows[0] if boundary else rows))
+    else:
+        print(_format_table(rows, args.format))
     return 0
 
 
@@ -190,7 +177,8 @@ def cmd_dims(args) -> int:
     if args.r == 3 and args.variant != "signed":
         b1 = args.b1 if args.b1 is not None else args.k
         sector_dims = pair_sector_dims(args.n, args.k, args.b0, b1, args.cap)
-        char = regrade_pair_sectors(sector_dims, args.cap)
+        q_order = 2 * args.cap + 1  # pair spaces through cap make it exact
+        char = TruncatedSeries.from_blocks([regrade_pair_sectors(sector_dims, q_order)], q_order)
         payload["variant"] = "pair"
         payload["b1"] = b1
         payload["dims"] = [
@@ -261,7 +249,7 @@ def _char_side(method, window, n) -> TruncatedSeries:
     if n is None:
         return _compute_char(method, *window)
     if method == "oracle":  # the oracle builds the one block alone
-        return _oracle_block(*window[:4], n)
+        return TruncatedSeries.from_blocks([oracle_block(*window[:4], n)], window[3])
     return _compute_char(method, *window).z_block(n)
 
 

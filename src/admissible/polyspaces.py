@@ -27,9 +27,9 @@ the certificate fails.  No floating point is involved anywhere, so rank
 decisions are exact.
 
 The rank-3 block character is a regraded sum of pair-space sectors, and
-sector l2 enters at q^(2d + l2).  Through a q-window of order qmax the
-oracle `char` route therefore computes sector l2 only through degree
-(qmax - l2) // 2.
+sector l2 enters at q^(2d + l2).  oracle_block, which builds every oracle
+block of either rank, therefore computes sector l2 of a block through q^qmax
+only through degree (qmax - l2) // 2.
 
 The same module gives the degree of the product-formula weight attached to a
 restricted partition, given by its multiplicity tuple.  A product of nonzero
@@ -43,7 +43,7 @@ from __future__ import annotations
 from itertools import groupby
 from math import comb, isqrt, lcm
 
-from .configurations import CapacityError, _ValueRecord, validate_b
+from .configurations import CapacityError, _ValueRecord, validate_b, validate_window
 from .series import TruncatedSeries
 
 MAX_VARS = 8
@@ -503,17 +503,43 @@ def vanishing_spec_r3_signed(n: int, k: int, b0: int, degree_cap: int) -> Vanish
 # ---------------------------------------------------------------------------
 # Oracle characters
 
+def oracle_block(k: int, r: int, b, q_order: int, n: int) -> list[int]:
+    """The z^n block of the rank-r oracle character: its q^0..q^q_order
+    coefficients.
+
+    At r = 2 the block is the graded dimension of the n-variable space.  At
+    r = 3 it is the regraded sum of the (n - l2, l2) pair spaces, and sector
+    l2 enters at q^(2d + l2), so it is computed through degree
+    (q_order - l2) // 2, and not at all past l2 = q_order.  Sector 0 comes
+    first, with the most variables and the largest degree cap, so a
+    refusal precedes the other sectors.
+    """
+    if r not in (2, 3):
+        raise ValueError("oracle supports r = 2 or r = 3")
+    b = validate_b(k, r, b)
+    validate_window(q_order, n)
+    if r == 2:
+        return graded_dimension(vanishing_spec_r2(n, k, *b, q_order))
+    sector_dims = [
+        graded_dimension(vanishing_spec_r3_pair(n - l2, l2, k, *b, (q_order - l2) // 2))
+        for l2 in range(min(n, q_order) + 1)
+    ]
+    return regrade_pair_sectors(sector_dims, q_order)
+
+
 def character_from_oracle_r2(n: int, k: int, b0: int, degree_cap: int) -> TruncatedSeries:
     """q-character of the n-variable rank-2 vanishing space, through degree_cap."""
-    dims = graded_dimension(vanishing_spec_r2(n, k, b0, degree_cap))
-    return TruncatedSeries.from_blocks([dims], degree_cap)
+    return TruncatedSeries.from_blocks([oracle_block(k, 2, (b0,), degree_cap, n)], degree_cap)
 
 
 def character_from_oracle_r3(
     n: int, k: int, b0: int, b1: int, degree_cap: int
 ) -> TruncatedSeries:
-    """q-character of the z-degree-n block assembled from the two-family spaces."""
-    return regrade_pair_sectors(pair_sector_dims(n, k, b0, b1, degree_cap), degree_cap)
+    """q-character of the z-degree-n block assembled from the two-family
+    spaces, through q^(2 degree_cap + 1), where pair spaces computed through
+    degree_cap make it exact."""
+    q_order = 2 * degree_cap + 1
+    return TruncatedSeries.from_blocks([oracle_block(k, 3, (b0, b1), q_order, n)], q_order)
 
 
 def pair_sector_dims(n: int, k: int, b0: int, b1: int, degree_cap: int) -> list[list[int]]:
@@ -526,45 +552,18 @@ def pair_sector_dims(n: int, k: int, b0: int, b1: int, degree_cap: int) -> list[
     ]
 
 
-def regrade_pair_sectors(sector_dims, degree_cap: int) -> TruncatedSeries:
-    """Assemble the rank-3 block character from the pair-space dimensions.
+def regrade_pair_sectors(sector_dims, q_order: int) -> list[int]:
+    """The rank-3 block's q^0..q^q_order coefficients, from the pair spaces.
 
-    sector_dims[l2] holds the graded dimensions of the (n - l2, l2) pair
-    space through degree_cap.  The pair space graded in its own degree enters
-    regraded: the (l1, l2) summand contributes q^l2 times its character
-    evaluated at q^2.  With each pair space computed through degree_cap, the
-    assembled series is exact through q-degree 2*degree_cap + 1.
+    sector_dims[l2] holds graded dimensions of the (n - l2, l2) pair space.
+    The pair space graded in its own degree enters regraded: the (l1, l2)
+    summand contributes q^l2 times its character evaluated at q^2.
     """
-    return _regrade(sector_dims, 2 * degree_cap + 1)
-
-
-def _regrade(sector_dims, q_order: int) -> TruncatedSeries:
-    """The regraded sum of the pair-space dimensions, through q^q_order."""
     row = [0] * (q_order + 1)
     for l2, dims in enumerate(sector_dims):
-        for d, c in enumerate(dims):
-            if 2 * d + l2 <= q_order:
-                row[2 * d + l2] += c
-    return TruncatedSeries.from_blocks([row], q_order)
-
-
-def _oracle_r3_window(n: int, k: int, b0: int, b1: int, q_order: int) -> TruncatedSeries:
-    """character_from_oracle_r3 through q^q_order, computing only what it reads.
-
-    Sector l2 enters at q^(2d + l2), so it is computed through degree
-    (q_order - l2) // 2, and not at all past l2 = q_order.  Sector 0 comes
-    first at degree q_order // 2, the cap of the full block, so a refusal is
-    the same CapacityError at the same point.
-    """
-    return _regrade(
-        [
-            graded_dimension(
-                vanishing_spec_r3_pair(n - l2, l2, k, b0, b1, (q_order - l2) // 2)
-            )
-            for l2 in range(min(n, q_order) + 1)
-        ],
-        q_order,
-    )
+        for q_exp, c in zip(range(l2, q_order + 1, 2), dims):
+            row[q_exp] += c
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ from admissible.cli import main
 from admissible.configurations import character_direct
 from admissible.polyspaces import (
     character_from_oracle_r3,
+    graded_dimension,
+    oracle_block,
     vanishing_spec_r2,
     vanishing_spec_r3_pair,
 )
-from admissible.series import TruncatedSeries, first_mismatch
+from admissible.series import TruncatedSeries
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGOLD = os.environ.get("REGOLD") == "1"
@@ -33,6 +35,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def full_cap_r3_block(n, k, b0, b1, cap):
+    """The rank-3 block the long way: every pair-space sector through cap,
+    regraded through q^(2 cap + 1)."""
+    row = [0] * (2 * cap + 2)
+    for l2 in range(n + 1):
+        dims = graded_dimension(vanishing_spec_r3_pair(n - l2, l2, k, b0, b1, cap))
+        for d, c in enumerate(dims):
+            if 2 * d + l2 < len(row):
+                row[2 * d + l2] += c
+    return row
 
 
 class TestChar:
@@ -82,6 +96,28 @@ class TestChar:
         )
         assert code == 2
         assert "b1 = k" in err
+
+    @pytest.mark.parametrize(
+        "method, flags, message",
+        [
+            ("fermionic-r2", ["--k", "2", "--r", "3", "--b", "0,2"],
+             "fermionic-r2 requires --r 2"),
+            ("fermionic-r3", ["--k", "2", "--r", "2", "--b", "0"],
+             "fermionic-r3 requires --r 3"),
+            ("fermionic-r3", ["--k", "2", "--r", "3", "--b", "0,1"],
+             "fermionic-r3 covers b1 = k only, got b1 = 1"),
+            ("fermionic-r3-special", ["--k", "3", "--r", "2"],
+             "fermionic-r3-special requires --r 3"),
+            ("fermionic-r3-special", ["--k", "3", "--r", "3", "--b", "1,3"],
+             "fermionic-r3-special fixes b = (2, 3)"),
+            ("oracle", ["--k", "2", "--r", "4", "--b", "0,0,0"],
+             "oracle supports r = 2 or r = 3"),
+        ],
+        ids=["r2-rank", "r3-rank", "r3-b1", "special-rank", "special-b", "oracle-rank"],
+    )
+    def test_method_refusals(self, capsys, method, flags, message):
+        argv = ["char", "--method", method, *flags, "--qmax", "4", "--zmax", "2"]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_missing_b_is_an_error(self, capsys):
         code, _, err = run_cli(
@@ -152,14 +188,17 @@ class TestChar:
 
     @pytest.mark.parametrize("qmax", [8, 9])
     def test_r3_oracle_block_equals_full_cap_block_through_qmax(self, qmax):
+        cap = qmax // 2
         for k in (1, 2):
             for b0 in range(k + 1):
                 for b1 in range(b0, k + 1):
                     for n in range(5):
-                        block = cli._oracle_block(k, 3, (b0, b1), qmax, n)
-                        full = character_from_oracle_r3(n, k, b0, b1, qmax // 2)
-                        assert block.q_order == qmax, (k, b0, b1, n)
-                        assert first_mismatch(block, full) is None, (k, b0, b1, n)
+                        full = full_cap_r3_block(n, k, b0, b1, cap)
+                        block = oracle_block(k, 3, (b0, b1), qmax, n)
+                        assert block == full[: qmax + 1], (k, b0, b1, n)
+                        char = character_from_oracle_r3(n, k, b0, b1, cap)
+                        expected = TruncatedSeries.from_blocks([full], 2 * cap + 1)
+                        assert char == expected, (k, b0, b1, n)
 
     def test_r3_oracle_refuses_at_the_full_cap_degree(self, capsys):
         # sector 0 keeps degree qmax // 2, so qmax 34 asks for cap 17
@@ -185,17 +224,23 @@ class TestTable:
         assert code == 0
         assert out == "2 2 0 1\n2 4 1 2\n0 1 2 2\n1 2 2 4\n"
 
-    def test_json_a_k1(self, capsys):
+    @pytest.mark.parametrize(
+        "which, k, matrix",
+        [
+            ("A", 1, [[2, 1], [1, 2]]),
+            ("B", 2, [[2, 3], [3, 6]]),
+            # a 1 x 1 matrix is still a matrix: the shape follows --which
+            ("A2", 1, [[2]]),
+            ("B3", 1, [[1]]),
+            ("B", 1, [[3]]),
+        ],
+        ids=["A-k1", "B-k2", "A2-k1", "B3-k1", "B-k1"],
+    )
+    def test_json_matrix(self, capsys, which, k, matrix):
         code, out, _ = run_cli(
-            capsys, "table", "--k", "1", "--which", "A", "--format", "json"
+            capsys, "table", "--k", str(k), "--which", which, "--format", "json"
         )
-        assert json.loads(out) == [[2, 1], [1, 2]]
-
-    def test_json_b_k2(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "table", "--k", "2", "--which", "B", "--format", "json"
-        )
-        assert json.loads(out) == [[2, 3], [3, 6]]
+        assert (code, json.loads(out)) == (0, matrix)
 
     def test_csv_and_latex(self, capsys):
         code, out, _ = run_cli(
@@ -687,7 +732,7 @@ class TestVerify:
         def broken(*args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "_oracle_r3_window", broken)
+        monkeypatch.setattr(cli, "oracle_block", broken)
         code, out, _ = run_cli(capsys, "verify", "conjecture-10.2", "--nmax", "1")
         assert code == 0
         reports = json.loads(out)["reports"]
@@ -742,17 +787,15 @@ class TestVerify:
     def test_block_mismatch_replays_the_oracle_block(self, capsys, monkeypatch):
         import admissible.cli as cli
 
-        real = cli._oracle_r3_window
+        real = cli.oracle_block
 
-        def shifted(n, k, b0, b1, qmax):
-            block = real(n, k, b0, b1, qmax)
-            if (n, b0) != (2, 0):
-                return block
-            coeffs = dict(block.coeffs)
-            coeffs[(5, 0)] = coeffs.get((5, 0), 0) + 1
-            return TruncatedSeries(coeffs, block.q_order, block.z_order)
+        def shifted(k, r, b, qmax, n):
+            row = real(k, r, b, qmax, n)
+            if (n, b[0]) == (2, 0):
+                row[5] += 1
+            return row
 
-        monkeypatch.setattr(cli, "_oracle_r3_window", shifted)
+        monkeypatch.setattr(cli, "oracle_block", shifted)
         code, out, err = run_cli(
             capsys, "verify", "oracle-r3", "--kmax", "1", "--nmax", "2", "--cap", "4"
         )
@@ -876,12 +919,21 @@ GOLDEN_CASES = {
         "char", "--method", "fermionic-r3-special", "--k", "3", "--r", "3",
         "--qmax", "10", "--zmax", "5",
     ],
+    "char_oracle_k2_r2_b0.json": [
+        "char", "--method", "oracle", "--k", "2", "--r", "2",
+        "--b", "0", "--qmax", "12", "--zmax", "6",
+    ],
     "char_oracle_k2_r3_b02.json": [
         "char", "--method", "oracle", "--k", "2", "--r", "3",
         "--b", "0,2", "--qmax", "8", "--zmax", "3",
     ],
     "dims_r3_k2_b1_n2.json": [
         "dims", "--r", "3", "--k", "2", "--b0", "1", "--n", "2", "--cap", "6",
+    ],
+    # five sectors regraded into one block through q^25
+    "dims_r3_k2_b1_n4.json": [
+        "dims", "--r", "3", "--k", "2", "--b0", "1", "--n", "4", "--cap", "12",
+        "--b1", "2",
     ],
     # signed conditions come in t -> -t mirror pairs, one of each builds rows
     "dims_r3_signed_k2_b0_n5.json": [

@@ -31,6 +31,7 @@ from admissible.polyspaces import (
     character_from_oracle_r2,
     character_from_oracle_r3,
     graded_dimension,
+    oracle_block,
     partitions_max_parts,
     vanishing_spec_r2,
     vanishing_spec_r3_pair,
@@ -212,6 +213,16 @@ class TestGradedDimension:
                 for n in range(4):
                     oracle = character_from_oracle_r3(n, k, b0, k, 6)
                     assert oracle == chi.z_block(n), (k, b0, n)
+
+    @pytest.mark.parametrize("r, b", [(2, (0,)), (3, (0, 1))], ids=["r2", "r3"])
+    @pytest.mark.parametrize("q_order, n", [(5, -1), (-1, 1)], ids=["n", "q_order"])
+    def test_oracle_block_refuses_a_negative_window(self, r, b, q_order, n):
+        with pytest.raises(ValueError, match="q_max and z_max must be non-negative"):
+            oracle_block(1, r, b, q_order, n)
+
+    def test_r3_oracle_character_refuses_negative_n(self):
+        with pytest.raises(ValueError, match="q_max and z_max must be non-negative"):
+            character_from_oracle_r3(-1, 1, 0, 1, 3)
 
     def test_signed_spec_matches_direct(self):
         for k in (1, 2, 3):
