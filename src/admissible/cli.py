@@ -7,7 +7,10 @@ as series or as scalars.  A series case computes two ``char`` methods on one
 window (k, r, b, qmax, zmax), whole or on one z-block, through the same
 function that ``char`` uses; a mismatch prints one replay ``admissible char``
 command per side on stderr.  The weights and pair-functions suites compare
-scalars.
+scalars.  pair-functions checks each pair function of a built-in family
+against the exponents (p, s) that the Gordon matrices of ``fermionic`` give:
+(A2, 0) for r2, (A, 0) for r3-split and (A2, B3) for r3-odd-k and
+r3-even-k, the matrices the fermionic sums read.
 
 Machine-readable JSON goes to stdout and is byte-for-byte deterministic for
 fixed flags and version; wall-clock timings and the human-readable table go
@@ -31,7 +34,7 @@ from __future__ import annotations
 import gc
 import sys
 import time
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 from types import SimpleNamespace
 
 from .series import TruncatedSeries, dumps, first_mismatch
@@ -117,19 +120,9 @@ def cmd_char(args) -> int:
 # table
 
 def _matrix_for(which: str, k: int, b0: int):
-    if which == "A2":
-        return gordon_a2(k)
-    if which == "B3":
-        return gordon_b3(k)
-    if which == "A":
-        return gordon_a(k)
-    if which == "B":
-        return gordon_b(k)
-    if which == "c2":
-        return [boundary_c2(k, b0)]
-    if which == "c3":
-        return [boundary_c3(k, b0)]
-    raise ValueError(f"unknown table: {which}")
+    if which in ("c2", "c3"):  # a boundary vector, as one row
+        return [(boundary_c2 if which == "c2" else boundary_c3)(k, b0)]
+    return {"A2": gordon_a2, "B3": gordon_b3, "A": gordon_a, "B": gordon_b}[which](k)
 
 
 def _format_table(rows, fmt: str) -> str:
@@ -209,21 +202,18 @@ def cmd_pairs(args) -> int:
     specs = 2 * args.k if args.family == "r3-split" else args.k
     _check_pair_terms(specs * (specs + 1) // 2, args.k, args.order)
     fam = build_family(args.family, args.k, args.b0)
-    spec_map = dict(fam.specs)
-    names = [name for name, _ in fam.specs]
     pairs = []
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            pf = pair_function(spec_map[a], spec_map[b], fam.table, args.order)
-            pairs.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "z_power": str(pf.z_power),
-                    "closed_form": list(pf.closed_form) if pf.closed_form else None,
-                    "series": [str(c) for c in pf.coeffs],
-                }
-            )
+    for (a, spec_a), (b, spec_b) in combinations_with_replacement(fam.specs, 2):
+        pf = pair_function(spec_a, spec_b, fam.table, args.order)
+        pairs.append(
+            {
+                "a": a,
+                "b": b,
+                "z_power": str(pf.z_power),
+                "closed_form": list(pf.closed_form) if pf.closed_form else None,
+                "series": [str(c) for c in pf.coeffs],
+            }
+        )
     payload = {
         "family": fam.name,
         "k": args.k,
@@ -397,65 +387,57 @@ def _weight(case_id, variant, k, b0, part, data) -> dict:
     }
 
 
+# family: the Gordon matrices of its pair exponents (p, s), entry (i, j) for
+# specs i and j in build order; None is s = 0.
+_PAIR_EXPONENTS = {
+    "r2": (gordon_a2, None),
+    "r3-split": (gordon_a, None),
+    "r3-odd-k": (gordon_a2, gordon_b3),
+    "r3-even-k": (gordon_a2, gordon_b3),
+}
+
+
 def _pair_cases(suite, args):
-    """Each pair function of the built-in families against its closed form."""
+    """Each pair function of the built-in families against the closed form
+    its Gordon matrices give."""
     for k in range(1, args.kmax + 1):
         for family in ("r2", "r3-odd-k" if k % 2 else "r3-even-k", "r3-split"):
             fam = build_family(family, k, 0)
-            names = [name for name, _ in fam.specs]
-            for i, name_a in enumerate(names):
-                for name_b in names[i:]:
-                    p, s = _expected_pair_exponents(family, k, name_a, name_b)
-                    params = {
-                        "family": family,
-                        "k": k,
-                        "b0": 0,
-                        "name_a": name_a,
-                        "name_b": name_b,
-                        "order": args.order,
-                        "p": p,
-                        "s": s,
-                    }
-                    yield {
-                        "id": f"pair {family} k={k} {name_a},{name_b}",
-                        "params": params,
-                        "methods": ["exponential-expansion", "closed-form"],
-                        "sides": [
-                            lambda fam=fam, params=params: _pair_check(fam, params),
-                            lambda: "ok",
-                        ],
-                    }
+            P, S = (build(k) if build else None for build in _PAIR_EXPONENTS[family])
+            pairs = combinations_with_replacement(enumerate(fam.specs), 2)
+            for (i, (name_a, spec_a)), (j, (name_b, spec_b)) in pairs:
+                params = {
+                    "family": family,
+                    "k": k,
+                    "b0": 0,
+                    "name_a": name_a,
+                    "name_b": name_b,
+                    "order": args.order,
+                    "p": P[i][j],
+                    "s": S[i][j] if S else 0,
+                }
+                yield {
+                    "id": f"pair {family} k={k} {name_a},{name_b}",
+                    "params": params,
+                    "methods": ["exponential-expansion", "closed-form"],
+                    "sides": [
+                        lambda a=spec_a, b=spec_b, t=fam.table, p=params: _pair_check(a, b, t, p),
+                        lambda: "ok",
+                    ],
+                }
 
 
-def _pair_check(fam, p) -> str:
-    """"ok" if the pair function of the two named specs of the built family
-    has the expected closed form, z power and series, else its closed form."""
+def _pair_check(spec_a, spec_b, table, p) -> str:
+    """"ok" if the pair function of the two specs has the closed form
+    (p["p"], p["s"]), its series and the z power p + s, else its closed form."""
     _check_pair_terms(1, p["k"], p["order"])
-    spec_map = dict(fam.specs)
-    pf = pair_function(spec_map[p["name_a"]], spec_map[p["name_b"]], fam.table, p["order"])
+    pf = pair_function(spec_a, spec_b, table, p["order"])
     ok = (
         pf.closed_form == (p["p"], p["s"])
         and list(pf.coeffs) == closed_form_series(p["p"], p["s"], p["order"])
         and pf.z_power == p["p"] + p["s"]
     )
     return "ok" if ok else f"closed={pf.closed_form}"
-
-
-def _expected_pair_exponents(family: str, k: int, name_a: str, name_b: str):
-    def level(name: str) -> int:
-        return int(name.rstrip("+-").removeprefix("gamma"))
-
-    a, b = level(name_a), level(name_b)
-    if family == "r2":
-        return 2 * min(a, b), 0
-    if family in ("r3-odd-k", "r3-even-k"):
-        return 2 * min(a, b), max(0, a + b - k)
-    # split family: same sign pairs contract like the rank-2 family,
-    # opposite signs only through the overlap beyond level k
-    same = name_a[-1] == name_b[-1]
-    if same:
-        return 2 * min(a, b), 0
-    return max(0, a + b - k), 0
 
 
 # suite: (case builder, defaults of the flags it reads)

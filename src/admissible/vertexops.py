@@ -12,6 +12,11 @@ coordinates.  The product of two operators contracts to the scalar
 which for 2-periodic data has the closed form (1-w/z)^p (1+w/z)^s with
 p = (c_odd + c_even)/2 and s = (c_even - c_odd)/2.
 
+For specs i and j of a built-in family, in build order, (p, s) is entry
+(i, j) of the Gordon matrices its fermionic sum reads: (A2, 0) for r2,
+(A, 0) for r3-split, (A2, B3) for the mixed family; the z power is p + s.
+``verify pair-functions`` takes its expected exponents from ``fermionic``.
+
 ``Fraction`` is imported inside the functions that build one: only ``pairs``
 and ``verify pair-functions`` reach them, and ``fractions`` imports
 ``decimal`` and ``re``, which every other command would load for nothing.

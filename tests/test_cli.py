@@ -969,10 +969,14 @@ GOLDEN_CASES = {
         "verify", "weights", "--kmax", "2", "--sizemax", "4", "--sizemax3", "3",
     ],
     "verify_pairs_k2.json": ["verify", "pair-functions", "--kmax", "2", "--order", "4"],
+    # the first past k = 2: every family at k = 3 and 4
+    "verify_pairs_k4.json": ["verify", "pair-functions", "--kmax", "4", "--order", "4"],
     "pairs_r2_k3_b1.json": ["pairs", "--family", "r2", "--k", "3", "--b0", "1", "--order", "6"],
     "pairs_r3split_k2_b1.json": [
         "pairs", "--family", "r3-split", "--k", "2", "--b0", "1", "--order", "6",
     ],
+    "pairs_r3oddk_k3.json": ["pairs", "--family", "r3-odd-k", "--k", "3", "--order", "12"],
+    "pairs_r3evenk_k4.json": ["pairs", "--family", "r3-even-k", "--k", "4", "--order", "6"],
     "table_c2_k3_b1.json": [
         "table", "--k", "3", "--which", "c2", "--b0", "1", "--format", "json",
     ],

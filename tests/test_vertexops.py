@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from admissible.fermionic import gordon_a, gordon_a2, gordon_b, gordon_b3
 from admissible.vertexops import (
     PairingTable,
     PairingUndefined,
@@ -135,3 +136,24 @@ class TestFamilies:
         spec_map = dict(fam.specs)
         assert spec_map["gamma2"].even != spec_map["gamma2"].odd
         assert spec_map["gamma1"].even == spec_map["gamma1"].odd
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("family", ["r2", "r3-split", "r3-mixed"])
+    def test_pair_exponents_are_the_gordon_matrices(self, family, k):
+        """Entry (i, j) of the matrices of a family's pair exponents (p, s)
+        and z powers, for specs i and j in build order, is the entry of the
+        Gordon matrices its fermionic sum reads: (A2, 0) and A2 for r2,
+        (A, 0) and A for r3-split, (A2, B3) and B = A2 + B3 for the mixed
+        family."""
+        if family == "r3-mixed":
+            family = "r3-odd-k" if k % 2 else "r3-even-k"
+            p, s, z = gordon_a2(k), gordon_b3(k), gordon_b(k)
+        else:
+            p = gordon_a2(k) if family == "r2" else gordon_a(k)
+            s, z = [[0] * len(p)] * len(p), p
+        fam = build_family(family, k)
+        pfs = [[pair_function(a, b, fam.table, 0) for _, b in fam.specs] for _, a in fam.specs]
+        assert [[pf.closed_form for pf in row] for row in pfs] == [
+            list(zip(p_row, s_row)) for p_row, s_row in zip(p, s)
+        ]
+        assert [[pf.z_power for pf in row] for row in pfs] == z
