@@ -4,9 +4,13 @@ Every series carries explicit truncation orders: coefficients of q^i z^j with
 i > q_order or j > z_order are unknown (not zero).  Arithmetic keeps exact
 int coefficients and propagates truncation as the componentwise minimum of
 the operand windows, so "equal up to order" is a total, decidable relation.
-The character routes work on dense q-lists: they divide by one Pochhammer
-factor at a time with ``_divide_by_one_minus``, accumulate rows by slice adds
-and wrap the result with ``TruncatedSeries.from_blocks``.  No command calls
+A series stores its coefficients as dense z-rows, rows[dz][dq]; the
+sparse map {(dq, dz): c} is a read-only view, ``coeffs``, built on demand.
+The character routes work on dense q-lists too: they divide by one
+Pochhammer factor at a time with ``_divide_by_one_minus``, accumulate rows
+by slice adds and hand the rows to ``TruncatedSeries.from_blocks``, which
+only clips and copies them.  Printing, ``terms`` and ``first_mismatch`` scan
+the rows in (dz, dq) order, so none of them sorts.  No command calls
 ``TruncatedSeries.__mul__``, a plain sparse product of two coefficient maps.
 """
 
@@ -36,44 +40,68 @@ def dumps(obj) -> str:
 
 
 class TruncatedSeries:
-    """Sparse polynomial in (q, z), exact on the window [0, q_order] x [0, z_order].
+    """Polynomial in (q, z), exact on the window [0, q_order] x [0, z_order].
 
-    The coefficient map stores no zeros and no keys outside the window
-    (canonical form).  Instances are treated as immutable; all operations
-    return new series.
+    The coefficients live in dense z-rows: rows[dz][dq] is the coefficient of
+    q^dq z^dz.  Rows may be ragged and may hold zeros; a missing row or a
+    missing tail counts as zero, so a large window costs nothing.  No row
+    reaches past the window.  ``coeffs`` is the canonical sparse view: a
+    dict {(dq, dz): c} of the nonzero terms.  Instances are treated as
+    immutable; all operations return new series.
+
+    Built from a sparse map, a series holds one row per z-degree up to the
+    highest nonzero one, each as long as its highest nonzero q-degree plus
+    one: a single term at (dq, dz) costs dz + 1 rows and dq + 1 slots.  More
+    than MAX_CELLS rows and slots together are refused with CapacityError
+    before anything is allocated.
     """
 
-    __slots__ = ("coeffs", "q_order", "z_order")
+    __slots__ = ("rows", "q_order", "z_order")
 
     def __init__(self, coeffs=None, q_order: int = 0, z_order: int = 0):
         if q_order < 0 or z_order < 0:
             raise ValueError("truncation orders must be non-negative")
-        clean: dict[tuple[int, int], int] = {}
-        if coeffs:
-            for (dq, dz), c in coeffs.items():
-                if dq < 0 or dz < 0:
-                    raise ValueError("exponents must be non-negative")
-                if c and dq <= q_order and dz <= z_order:
-                    clean[(dq, dz)] = c
-        self.coeffs = clean
+        terms = []
+        widths: dict[int, int] = {}  # dz -> length of its dense row
+        for (dq, dz), c in (coeffs or {}).items():
+            if dq < 0 or dz < 0:
+                raise ValueError("exponents must be non-negative")
+            if c and dq <= q_order and dz <= z_order:
+                terms.append((dq, dz, c))
+                widths[dz] = max(widths.get(dz, 0), dq + 1)
+        rows: list[list[int]] = []
+        if widths:
+            from .configurations import _check_cells  # configurations imports this module
+
+            height = max(widths) + 1
+            _check_cells(height + sum(widths.values()), "the series' dense rows need {} cells")
+            rows = [[0] * widths.get(dz, 0) for dz in range(height)]
+            for dq, dz, c in terms:
+                rows[dz][dq] = c
+        self.rows = rows
         self.q_order = q_order
         self.z_order = z_order
 
     @classmethod
     def from_blocks(cls, blocks, q_order: int, z_order: int = 0) -> "TruncatedSeries":
-        """Series with coefficient blocks[dz][dq] at q^dq z^dz; rows may be ragged."""
-        terms = {
-            (dq, dz): c for dz, row in enumerate(blocks) for dq, c in enumerate(row) if c
-        }
-        return cls(terms, q_order, z_order)
+        """Series with coefficient blocks[dz][dq] at q^dq z^dz; rows may be
+        ragged.  The rows are clipped to the window and copied."""
+        series = cls(None, q_order, z_order)
+        series.rows = [row[: q_order + 1] for row in blocks[: z_order + 1]]
+        return series
 
     @classmethod
     def zero(cls, q_order: int, z_order: int = 0) -> "TruncatedSeries":
-        return cls({}, q_order, z_order)
+        return cls(None, q_order, z_order)
 
     @classmethod
     def one(cls, q_order: int, z_order: int = 0) -> "TruncatedSeries":
-        return cls({(0, 0): 1}, q_order, z_order)
+        return cls.from_blocks([[1]], q_order, z_order)
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int], int]:
+        """The nonzero terms as a fresh dict {(dq, dz): c}, in (dz, dq) order."""
+        return {(dq, dz): c for dq, dz, c in self.terms()}
 
     def coefficient(self, dq: int, dz: int = 0) -> int:
         """Coefficient of q^dq z^dz.  Raises outside the truncation window."""
@@ -82,15 +110,15 @@ class TruncatedSeries:
                 f"coefficient ({dq},{dz}) is outside the truncation window "
                 f"({self.q_order},{self.z_order})"
             )
-        return self.coeffs.get((dq, dz), 0)
+        row = self.rows[dz] if dz < len(self.rows) else ()
+        return row[dq] if dq < len(row) else 0
 
     def z_block(self, n: int) -> "TruncatedSeries":
         """The q-series multiplying z^n, as a series with z_order 0.  Raises
         outside the truncation window."""
         if not 0 <= n <= self.z_order:
             raise ValueError(f"z^{n} is outside z_order={self.z_order}")
-        block = {(dq, 0): c for (dq, dz), c in self.coeffs.items() if dz == n}
-        return TruncatedSeries(block, self.q_order, 0)
+        return TruncatedSeries.from_blocks(self.rows[n : n + 1], self.q_order)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -123,15 +151,13 @@ class TruncatedSeries:
     __hash__ = None  # window-relative equality is incompatible with hashing
 
     def terms(self):
-        """Nonzero terms as (dq, dz, coeff), sorted by (dz, dq)."""
-        return sorted(
-            ((dq, dz, c) for (dq, dz), c in self.coeffs.items()),
-            key=lambda t: (t[1], t[0]),
-        )
+        """Nonzero terms as (dq, dz, coeff), in (dz, dq) order."""
+        return [(dq, dz, c) for dz, row in enumerate(self.rows) for dq, c in enumerate(row) if c]
 
     def __repr__(self):
         parts = []
-        for dq, dz, c in self.terms()[:8]:
+        terms = self.terms()
+        for dq, dz, c in terms[:8]:
             mono = "".join(
                 s
                 for s in (
@@ -142,12 +168,12 @@ class TruncatedSeries:
             )
             parts.append(f"{c}*{mono}" if mono else str(c))
         body = " + ".join(parts) if parts else "0"
-        if len(self.coeffs) > 8:
+        if len(terms) > 8:
             body += " + ..."
         return f"<series {body} | O(q^{self.q_order}, z^{self.z_order})>"
 
     def to_json_obj(self) -> dict:
-        """Canonical JSON object: terms sorted by (dz, dq), coefficients as strings."""
+        """Canonical JSON object: terms in (dz, dq) order, coefficients as strings."""
         return {
             "q_order": self.q_order,
             "z_order": self.z_order,
@@ -221,16 +247,20 @@ def pochhammer(m: int, step: int, q_order: int, z_order: int = 0) -> TruncatedSe
 def first_mismatch(a: TruncatedSeries, b: TruncatedSeries):
     """First disagreeing term on the common window, ordered by (dz, dq).
 
-    Returns (dq, dz, coeff_a, coeff_b) or None when the series agree.
+    Returns (dq, dz, coeff_a, coeff_b) or None when the series agree.  The
+    rows are compared as dense lists; a row or a tail that one operand lacks
+    counts as zero.
     """
     q = min(a.q_order, b.q_order)
     z = min(a.z_order, b.z_order)
-    keys = set(a.coeffs) | set(b.coeffs)
-    for dq, dz in sorted(keys, key=lambda e: (e[1], e[0])):
-        if dq > q or dz > z:
+    for dz in range(min(z + 1, max(len(a.rows), len(b.rows)))):
+        ra = a.rows[dz][: q + 1] if dz < len(a.rows) else []
+        rb = b.rows[dz][: q + 1] if dz < len(b.rows) else []
+        if ra == rb:
             continue
-        ca = a.coeffs.get((dq, dz), 0)
-        cb = b.coeffs.get((dq, dz), 0)
-        if ca != cb:
-            return (dq, dz, ca, cb)
+        for dq in range(max(len(ra), len(rb))):
+            ca = ra[dq] if dq < len(ra) else 0
+            cb = rb[dq] if dq < len(rb) else 0
+            if ca != cb:
+                return (dq, dz, ca, cb)
     return None

@@ -919,6 +919,15 @@ GOLDEN_CASES = {
         "char", "--method", "fermionic-r3-special", "--k", "3", "--r", "3",
         "--qmax", "10", "--zmax", "5",
     ],
+    # two blocks, q^2 Pochhammer steps and extra weights
+    "char_fermionic_r3_k3_b13.json": [
+        "char", "--method", "fermionic-r3", "--k", "3", "--r", "3",
+        "--b", "1,3", "--qmax", "30", "--zmax", "15",
+    ],
+    "char_special_k5.json": [
+        "char", "--method", "fermionic-r3-special", "--k", "5", "--r", "3",
+        "--qmax", "30", "--zmax", "15",
+    ],
     "char_oracle_k2_r2_b0.json": [
         "char", "--method", "oracle", "--k", "2", "--r", "2",
         "--b", "0", "--qmax", "12", "--zmax", "6",

@@ -412,6 +412,20 @@ class TestPrunedWalkAgainstBruteForce:
         assert quadratic_exponent(data, (5, 0)) == 20
         assert evaluate_gordon_sum(data, 20, 5) == brute_force_sum(data, 20, 5)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            *(pytest.param(gordon_data_r2(k, b0), id=f"r2-k{k}-b{b0}")
+              for k in range(1, 5) for b0 in range(k + 1)),
+            *(pytest.param(gordon_data_r3(k, b0), id=f"r3-k{k}-b{b0}")
+              for k in range(1, 4) for b0 in range(k + 1)),
+            *(pytest.param(gordon_data_r3_special(k), id=f"r3-special-k{k}") for k in range(1, 6)),
+        ],
+    )
+    def test_gordon_data_at_a_real_window(self, data):
+        # The pruned walk against every vector of the window, priced one by one.
+        assert evaluate_gordon_sum(data, 20, 8) == brute_force_sum(data, 20, 8)
+
     def test_pruning_stays_on(self, monkeypatch):
         calls = 0
         price = fermionic.quadratic_exponent

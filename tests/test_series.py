@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admissible import configurations
+from admissible.configurations import CapacityError
 from admissible.series import (
     TruncatedSeries,
     dumps,
@@ -252,3 +254,84 @@ class TestFromBlocks:
 @given(series_st, series_st)
 def test_equality_symmetric(a, b):
     assert (a == b) == (b == a)
+
+
+class TestDenseRows:
+    def test_ragged_rows_and_trailing_zeros_compare_equal(self):
+        assert TruncatedSeries.from_blocks([[1, 0, 0]], 5) == TruncatedSeries.from_blocks([[1]], 5)
+        padded = TruncatedSeries.from_blocks([[1, 2], [0, 0, 0], [], [0]], 5, 6)
+        assert padded == TruncatedSeries.from_blocks([[1, 2]], 5, 6)
+        assert padded.coeffs == {(0, 0): 1, (1, 0): 2}
+
+    def test_first_mismatch_past_the_shorter_operands_rows(self):
+        short = TruncatedSeries.from_blocks([[1]], 6, 6)
+        long = TruncatedSeries.from_blocks([[1], [], [0, 0, 0, 3]], 6, 6)
+        assert first_mismatch(short, long) == (3, 2, 0, 3)
+        assert first_mismatch(long, short) == (3, 2, 3, 0)
+        assert first_mismatch(TruncatedSeries.from_blocks([[1]], 6), long) is None  # z-window 0
+        assert first_mismatch(TruncatedSeries.from_blocks([[1]], 2, 6), long) is None  # q-window 2
+
+    def test_first_mismatch_past_the_shorter_row(self):
+        a = TruncatedSeries.from_blocks([[1, 2]], 6)
+        b = TruncatedSeries.from_blocks([[1, 2, 0, 0, 5]], 6)
+        assert first_mismatch(a, b) == (4, 0, 0, 5)
+
+    def test_z_block_beyond_the_stored_rows_is_zero(self):
+        s = TruncatedSeries.from_blocks([[1, 1]], 4, 10**6)
+        block = s.z_block(10**6)
+        assert block == TruncatedSeries.zero(4, 0)
+        assert (block.q_order, block.z_order, block.coeffs) == (4, 0, {})
+        assert s.coefficient(3, 10**6 - 1) == 0
+
+    def test_from_blocks_does_not_alias_the_callers_lists(self):
+        blocks = [[1, 2, 3], [4]]
+        s = TruncatedSeries.from_blocks(blocks, 5, 3)
+        blocks[0][0] = 99
+        blocks[1].append(7)
+        blocks.append([8])
+        assert s.coeffs == {(0, 0): 1, (1, 0): 2, (2, 0): 3, (0, 1): 4}
+
+    @settings(max_examples=200)
+    @given(series_st)
+    def test_coeffs_view_is_canonical(self, s):
+        again = TruncatedSeries(s.coeffs, s.q_order, s.z_order)
+        assert again.coeffs == s.coeffs
+        assert all(c and dq <= s.q_order and dz <= s.z_order for (dq, dz), c in s.coeffs.items())
+        assert [(dq, dz, c) for (dq, dz), c in s.coeffs.items()] == s.terms()
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.lists(coeff_st, max_size=8), max_size=8),
+        st.integers(0, 7),
+        st.integers(0, 7),
+    )
+    def test_from_blocks_equals_the_sparse_constructor(self, blocks, q, z):
+        coeffs = {(dq, dz): c for dz, row in enumerate(blocks) for dq, c in enumerate(row)}
+        dense = TruncatedSeries.from_blocks(blocks, q, z)
+        sparse = TruncatedSeries(coeffs, q, z)
+        assert dense.coeffs == sparse.coeffs
+        assert dense.to_json_obj() == sparse.to_json_obj()
+        assert first_mismatch(dense, sparse) is None
+
+    def test_high_degree_term_is_refused_before_allocating(self):
+        with pytest.raises(CapacityError, match="dense rows need 1000000002 cells"):
+            TruncatedSeries({(10**9, 0): 1}, 10**9)
+        with pytest.raises(CapacityError, match="dense rows need 1000000002 cells"):
+            TruncatedSeries({(0, 10**9): 1}, 0, 10**9)
+        text = '{"q_order":1000000000,"terms":[[1000000000,0,"1"]],"z_order":0}'
+        with pytest.raises(CapacityError):
+            TruncatedSeries.from_json(text)
+        # Terms past the window are dropped before they are counted.
+        assert TruncatedSeries({(10**9, 0): 1}, 5) == TruncatedSeries.zero(5)
+
+    def test_dense_size_is_rows_plus_slots(self, monkeypatch):
+        monkeypatch.setattr(configurations, "MAX_CELLS", 10)
+        # One row of nine slots, then three rows of 2 + 0 + 5 slots.
+        assert TruncatedSeries({(8, 0): 1}, 20).rows == [[0] * 8 + [1]]
+        assert TruncatedSeries({(1, 0): 1, (4, 2): 3}, 20, 20).rows == [
+            [0, 1], [], [0, 0, 0, 0, 3]
+        ]
+        with pytest.raises(CapacityError, match="11 cells"):
+            TruncatedSeries({(9, 0): 1}, 20)
+        with pytest.raises(CapacityError, match="11 cells"):
+            TruncatedSeries({(1, 0): 1, (5, 2): 3}, 20, 20)
