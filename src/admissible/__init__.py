@@ -7,7 +7,7 @@ The package exists to evaluate all of them and check that they agree to any
 requested truncation order.
 """
 
-from .series import TruncatedSeries, first_mismatch, pochhammer, pochhammer_inverse
+from .series import TruncatedSeries, first_mismatch
 from .configurations import (
     CapacityError,
     character_direct,
@@ -30,13 +30,10 @@ from .fermionic import (
     gordon_data_r3,
     gordon_data_r3_special,
     level_restricted_partitions,
-    partition_term,
     quadratic_exponent,
 )
 from .polyspaces import (
     VanishingSpec,
-    character_from_oracle_r2,
-    character_from_oracle_r3,
     graded_dimension,
     vanishing_spec_r2,
     vanishing_spec_r3_pair,

@@ -101,7 +101,7 @@ def _compute_char(method, k, r, b, qmax, zmax) -> TruncatedSeries:
     if method == "oracle":
         # Largest block (most variables, same degree cap) first: a refusal precedes all work.
         rows = [oracle_block(k, r, b, qmax, n) for n in range(zmax, -1, -1)][::-1]
-        return TruncatedSeries.from_blocks(rows, qmax, zmax)
+        return TruncatedSeries(rows, qmax, zmax)
     raise ValueError(f"unknown method: {method}")
 
 
@@ -171,7 +171,7 @@ def cmd_dims(args) -> int:
         b1 = args.b1 if args.b1 is not None else args.k
         sector_dims = pair_sector_dims(args.n, args.k, args.b0, b1, args.cap)
         q_order = 2 * args.cap + 1  # pair spaces through cap make it exact
-        char = TruncatedSeries.from_blocks([regrade_pair_sectors(sector_dims, q_order)], q_order)
+        char = TruncatedSeries([regrade_pair_sectors(sector_dims, q_order)], q_order)
         payload["variant"] = "pair"
         payload["b1"] = b1
         payload["dims"] = [
@@ -187,7 +187,7 @@ def cmd_dims(args) -> int:
             spec = vanishing_spec_r3_signed(args.n, args.k, args.b0, args.cap)
             payload["variant"] = "signed"
         dims = graded_dimension(spec)
-        char = TruncatedSeries.from_blocks([dims], args.cap)
+        char = TruncatedSeries([dims], args.cap)
         payload["dims"] = dims
     payload["char"] = char.to_json_obj()
     print(dumps(payload))
@@ -239,7 +239,7 @@ def _char_side(method, window, n) -> TruncatedSeries:
     if n is None:
         return _compute_char(method, *window)
     if method == "oracle":  # the oracle builds the one block alone
-        return TruncatedSeries.from_blocks([oracle_block(*window[:4], n)], window[3])
+        return TruncatedSeries([oracle_block(*window[:4], n)], window[3])
     return _compute_char(method, *window).z_block(n)
 
 

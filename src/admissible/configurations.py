@@ -241,7 +241,7 @@ def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeri
                 _divide_by_one_minus(acc, n)
             blocks[vec, n] = acc
     rows = [[1]] + [blocks[b, n] for n in range(1, top + 1)]
-    return TruncatedSeries.from_blocks(rows, q_max, z_max)
+    return TruncatedSeries(rows, q_max, z_max)
 
 
 def _block_demands(k: int, b: tuple[int, ...], top: int, q_max: int):

@@ -21,7 +21,7 @@ from operator import add
 
 from .configurations import _ValueRecord, _check_cells
 from .configurations import validate_b, validate_k, validate_window
-from .series import TruncatedSeries, _divide_by_one_minus, _pochhammer_inverse_coeffs
+from .series import TruncatedSeries, _divide_by_one_minus
 
 
 def gordon_a2(k: int) -> list[list[int]]:
@@ -214,7 +214,7 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     root_shift = quadratic_exponent(data, m)
     if root_shift <= q_max:
         _walk(data, rows, m, 0, 0, 0, root_shift, [1] + [0] * (q_max - root_shift))
-    return TruncatedSeries.from_blocks(rows, q_max, z_max)
+    return TruncatedSeries(rows, q_max, z_max)
 
 
 def _walk(data, rows, m, first, z, extra, shift, poch) -> None:
@@ -259,21 +259,3 @@ def level_restricted_partitions(n: int, k: int):
     m[a-1] the number of parts of size a."""
     validate_k(k)
     yield from _multiplicity_vectors(tuple(range(1, k + 1)), n)
-
-
-def partition_term(m, data: GordonData, q_max: int) -> TruncatedSeries:
-    """Character contribution of a single partition: q^weight / prod (q)_{m_a}.
-
-    m is the partition's multiplicity tuple; the weight is the quadratic-form
-    exponent of the sum data evaluated at m.  Only the k-dimensional sum data
-    (r2 and the rank-3 special form) make sense here.
-    """
-    if len(m) != len(data.boundary):
-        raise ValueError(
-            f"partition has {len(m)} multiplicities, sum data expects {len(data.boundary)}"
-        )
-    weight = quadratic_exponent(data, m)
-    if weight > q_max:
-        return TruncatedSeries.zero(q_max)
-    poch = _pochhammer_inverse_coeffs(m, data.q_step, q_max - weight)
-    return TruncatedSeries.from_blocks([[0] * weight + poch], q_max)

@@ -44,7 +44,6 @@ from itertools import groupby
 from math import comb, isqrt, lcm
 
 from .configurations import CapacityError, _ValueRecord, validate_b, validate_window
-from .series import TruncatedSeries
 
 MAX_VARS = 8
 MAX_DEGREE_CAP = 16
@@ -525,21 +524,6 @@ def oracle_block(k: int, r: int, b, q_order: int, n: int) -> list[int]:
         for l2 in range(min(n, q_order) + 1)
     ]
     return regrade_pair_sectors(sector_dims, q_order)
-
-
-def character_from_oracle_r2(n: int, k: int, b0: int, degree_cap: int) -> TruncatedSeries:
-    """q-character of the n-variable rank-2 vanishing space, through degree_cap."""
-    return TruncatedSeries.from_blocks([oracle_block(k, 2, (b0,), degree_cap, n)], degree_cap)
-
-
-def character_from_oracle_r3(
-    n: int, k: int, b0: int, b1: int, degree_cap: int
-) -> TruncatedSeries:
-    """q-character of the z-degree-n block assembled from the two-family
-    spaces, through q^(2 degree_cap + 1), where pair spaces computed through
-    degree_cap make it exact."""
-    q_order = 2 * degree_cap + 1
-    return TruncatedSeries.from_blocks([oracle_block(k, 3, (b0, b1), q_order, n)], q_order)
 
 
 def pair_sector_dims(n: int, k: int, b0: int, b1: int, degree_cap: int) -> list[list[int]]:

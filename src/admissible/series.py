@@ -4,19 +4,21 @@ Every series carries explicit truncation orders: coefficients of q^i z^j with
 i > q_order or j > z_order are unknown (not zero).  Arithmetic keeps exact
 int coefficients and propagates truncation as the componentwise minimum of
 the operand windows, so "equal up to order" is a total, decidable relation.
-A series stores its coefficients as dense z-rows, rows[dz][dq]; the
-sparse map {(dq, dz): c} is a read-only view, ``coeffs``, built on demand.
-The character routes work on dense q-lists too: they divide by one
-Pochhammer factor at a time with ``_divide_by_one_minus``, accumulate rows
-by slice adds and hand the rows to ``TruncatedSeries.from_blocks``, which
-only clips and copies them.  Printing, ``terms`` and ``first_mismatch`` scan
-the rows in (dz, dq) order, so none of them sorts.  No command calls
-``TruncatedSeries.__mul__``, a plain sparse product of two coefficient maps.
+A series stores its coefficients as dense z-rows, rows[dz][dq], and its one
+constructor takes such rows; the sparse map {(dq, dz): c} is a read-only
+view, ``coeffs``, built on demand.  The character routes work on dense
+q-lists too: they divide by one Pochhammer factor at a time with
+``_divide_by_one_minus``, accumulate rows by slice adds and hand the rows to
+``TruncatedSeries``, which only clips and copies them.  Printing, ``terms``
+and ``first_mismatch`` scan the rows in (dz, dq) order, so none of them
+sorts.  No command multiplies two series; ``TruncatedSeries.__mul__`` stays
+because the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
 
 import _json
+from operator import add
 
 
 def _unserializable(obj):
@@ -44,59 +46,21 @@ class TruncatedSeries:
 
     The coefficients live in dense z-rows: rows[dz][dq] is the coefficient of
     q^dq z^dz.  Rows may be ragged and may hold zeros; a missing row or a
-    missing tail counts as zero, so a large window costs nothing.  No row
-    reaches past the window.  ``coeffs`` is the canonical sparse view: a
-    dict {(dq, dz): c} of the nonzero terms.  Instances are treated as
-    immutable; all operations return new series.
-
-    Built from a sparse map, a series holds one row per z-degree up to the
-    highest nonzero one, each as long as its highest nonzero q-degree plus
-    one: a single term at (dq, dz) costs dz + 1 rows and dq + 1 slots.  More
-    than MAX_CELLS rows and slots together are refused with CapacityError
-    before anything is allocated.
+    missing tail counts as zero, so a large window costs nothing.  The
+    constructor clips the given rows to the window and copies them, so no
+    row reaches past it and no caller's list is shared.  ``coeffs`` is the
+    canonical sparse view: a dict {(dq, dz): c} of the nonzero terms.
+    Instances are treated as immutable.
     """
 
     __slots__ = ("rows", "q_order", "z_order")
 
-    def __init__(self, coeffs=None, q_order: int = 0, z_order: int = 0):
+    def __init__(self, rows, q_order: int, z_order: int = 0):
         if q_order < 0 or z_order < 0:
             raise ValueError("truncation orders must be non-negative")
-        terms = []
-        widths: dict[int, int] = {}  # dz -> length of its dense row
-        for (dq, dz), c in (coeffs or {}).items():
-            if dq < 0 or dz < 0:
-                raise ValueError("exponents must be non-negative")
-            if c and dq <= q_order and dz <= z_order:
-                terms.append((dq, dz, c))
-                widths[dz] = max(widths.get(dz, 0), dq + 1)
-        rows: list[list[int]] = []
-        if widths:
-            from .configurations import _check_cells  # configurations imports this module
-
-            height = max(widths) + 1
-            _check_cells(height + sum(widths.values()), "the series' dense rows need {} cells")
-            rows = [[0] * widths.get(dz, 0) for dz in range(height)]
-            for dq, dz, c in terms:
-                rows[dz][dq] = c
-        self.rows = rows
+        self.rows = [row[: q_order + 1] for row in rows[: z_order + 1]]
         self.q_order = q_order
         self.z_order = z_order
-
-    @classmethod
-    def from_blocks(cls, blocks, q_order: int, z_order: int = 0) -> "TruncatedSeries":
-        """Series with coefficient blocks[dz][dq] at q^dq z^dz; rows may be
-        ragged.  The rows are clipped to the window and copied."""
-        series = cls(None, q_order, z_order)
-        series.rows = [row[: q_order + 1] for row in blocks[: z_order + 1]]
-        return series
-
-    @classmethod
-    def zero(cls, q_order: int, z_order: int = 0) -> "TruncatedSeries":
-        return cls(None, q_order, z_order)
-
-    @classmethod
-    def one(cls, q_order: int, z_order: int = 0) -> "TruncatedSeries":
-        return cls.from_blocks([[1]], q_order, z_order)
 
     @property
     def coeffs(self) -> dict[tuple[int, int], int]:
@@ -118,30 +82,35 @@ class TruncatedSeries:
         outside the truncation window."""
         if not 0 <= n <= self.z_order:
             raise ValueError(f"z^{n} is outside z_order={self.z_order}")
-        return TruncatedSeries.from_blocks(self.rows[n : n + 1], self.q_order)
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        q = min(self.q_order, other.q_order)
-        z = min(self.z_order, other.z_order)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return TruncatedSeries(out, q, z)
+        return TruncatedSeries(self.rows[n : n + 1], self.q_order)
 
     def __mul__(self, other):
+        """The product on the common window.  Each output row is as long as
+        its operand rows allow; more than MAX_CELLS rows and slots together
+        are refused with CapacityError before anything is allocated."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
+        from .configurations import _check_cells  # configurations imports this module
+
         q = min(self.q_order, other.q_order)
         z = min(self.z_order, other.z_order)
-        out: dict[tuple[int, int], int] = {}
-        for (aq, az), ca in self.coeffs.items():
-            for (bq, bz), cb in other.coeffs.items():
-                key = (aq + bq, az + bz)
-                if key[0] <= q and key[1] <= z:
-                    out[key] = out.get(key, 0) + ca * cb
-        return TruncatedSeries(out, q, z)
+        a = [row[: q + 1] for row in self.rows[: z + 1]]
+        b = [row[: q + 1] for row in other.rows[: z + 1]]
+        widths = [0] * min(z + 1, len(a) + len(b) - 1)
+        for az, ra in enumerate(a):
+            for bz, rb in enumerate(b[: z + 1 - az]):
+                if ra and rb:
+                    widths[az + bz] = max(widths[az + bz], min(q + 1, len(ra) + len(rb) - 1))
+        _check_cells(len(widths) + sum(widths), "the product's dense rows need {} cells")
+        rows = [[0] * width for width in widths]
+        for az, ra in enumerate(a):
+            for bz, rb in enumerate(b[: z + 1 - az]):
+                out = rows[az + bz]
+                for dq, c in enumerate(ra):
+                    if c:
+                        top = min(len(rb), q + 1 - dq) + dq
+                        out[dq:top] = map(add, out[dq:top], [c * x for x in rb[: top - dq]])
+        return TruncatedSeries(rows, q, z)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -180,37 +149,6 @@ class TruncatedSeries:
             "terms": [[dq, dz, str(c)] for dq, dz, c in self.terms()],
         }
 
-    def to_json(self) -> str:
-        return dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "TruncatedSeries":
-        coeffs = {(int(dq), int(dz)): int(c) for dq, dz, c in obj["terms"]}
-        return cls(coeffs, int(obj["q_order"]), int(obj["z_order"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "TruncatedSeries":
-        import json  # only a reader needs the parser; keep it out of start-up
-
-        return cls.from_json_obj(json.loads(text))
-
-
-def pochhammer_inverse(
-    m: int, step: int, q_order: int, z_order: int = 0
-) -> TruncatedSeries:
-    """Truncated expansion of 1 / prod_{j=1..m} (1 - q^(step*j)).
-
-    step=1 gives the inverse of the usual finite q-Pochhammer (q)_m,
-    step=2 the inverse of its q^2 analogue.  m=0 is the empty product 1.
-    """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    if step < 1:
-        raise ValueError("step must be positive")
-    return TruncatedSeries.from_blocks(
-        [_pochhammer_inverse_coeffs((m,), step, q_order)], q_order, z_order
-    )
-
 
 def _pochhammer_inverse_coeffs(ms, step: int, q_order: int) -> list[int]:
     """Dense coefficients of prod_i 1/(q^step; q^step)_{ms[i]} through q^q_order."""
@@ -231,17 +169,6 @@ def _divide_by_one_minus(coeffs: list[int], stride: int) -> None:
         lower = coeffs[d - stride]
         if lower:
             coeffs[d] += lower
-
-
-def pochhammer(m: int, step: int, q_order: int, z_order: int = 0) -> TruncatedSeries:
-    """The finite product prod_{j=1..m} (1 - q^(step*j)), truncated."""
-    acc = TruncatedSeries.one(q_order, z_order)
-    for j in range(1, m + 1):
-        factor = TruncatedSeries(
-            {(0, 0): 1, (step * j, 0): -1}, q_order, z_order
-        )
-        acc = acc * factor
-    return acc
 
 
 def first_mismatch(a: TruncatedSeries, b: TruncatedSeries):

@@ -11,11 +11,11 @@ from admissible.configurations import character_direct
 from admissible.fermionic import (
     GordonData,
     boundary_c3,
+    fermionic_r2,
     gordon_a,
     gordon_data_r2,
     gordon_data_r3_special,
     level_restricted_partitions,
-    partition_term,
     quadratic_exponent,
 )
 from admissible.polyspaces import (
@@ -28,8 +28,6 @@ from admissible.polyspaces import (
     _echelon_mod_p,
     _kernel_certified,
     _substitute_monomial,
-    character_from_oracle_r2,
-    character_from_oracle_r3,
     graded_dimension,
     oracle_block,
     partitions_max_parts,
@@ -39,6 +37,11 @@ from admissible.polyspaces import (
     weight_degree,
 )
 from admissible.series import TruncatedSeries, first_mismatch
+
+
+def oracle_series(k, r, b, q_order, n):
+    """The z^n oracle block as a series through q^q_order."""
+    return TruncatedSeries([oracle_block(k, r, b, q_order, n)], q_order)
 
 
 class TestBasis:
@@ -198,7 +201,7 @@ class TestGradedDimension:
             for b0 in range(k + 1):
                 chi = character_direct(k, 2, (b0,), 10, 4)
                 for n in range(5):
-                    oracle = character_from_oracle_r2(n, k, b0, 10)
+                    oracle = oracle_series(k, 2, (b0,), 10, n)
                     assert oracle == chi.z_block(n), (k, b0, n)
 
     def test_pair_space_example(self):
@@ -211,7 +214,7 @@ class TestGradedDimension:
             for b0 in range(k + 1):
                 chi = character_direct(k, 3, (b0, k), 13, 3)
                 for n in range(4):
-                    oracle = character_from_oracle_r3(n, k, b0, k, 6)
+                    oracle = oracle_series(k, 3, (b0, k), 13, n)
                     assert oracle == chi.z_block(n), (k, b0, n)
 
     @pytest.mark.parametrize("r, b", [(2, (0,)), (3, (0, 1))], ids=["r2", "r3"])
@@ -220,20 +223,13 @@ class TestGradedDimension:
         with pytest.raises(ValueError, match="q_max and z_max must be non-negative"):
             oracle_block(1, r, b, q_order, n)
 
-    def test_r3_oracle_character_refuses_negative_n(self):
-        with pytest.raises(ValueError, match="q_max and z_max must be non-negative"):
-            character_from_oracle_r3(-1, 1, 0, 1, 3)
-
     def test_signed_spec_matches_direct(self):
         for k in (1, 2, 3):
             b0 = (k + 1) // 2
             chi = character_direct(k, 3, (b0, k), 8, 3)
             for n in range(4):
                 dims = graded_dimension(vanishing_spec_r3_signed(n, k, b0, 8))
-                series = TruncatedSeries(
-                    {(d, 0): c for d, c in enumerate(dims)}, 8, 0
-                )
-                assert series == chi.z_block(n), (k, n)
+                assert TruncatedSeries([dims], 8) == chi.z_block(n), (k, n)
 
     def test_column_permutation_leaves_rank_invariant(self):
         spec = vanishing_spec_r2(4, 2, 1, 6)
@@ -606,13 +602,9 @@ class TestFiltrationTelescoping:
     @pytest.mark.parametrize("k,b0", [(1, 0), (2, 0), (2, 2), (3, 1)])
     def test_partition_terms_sum_to_oracle(self, k, b0):
         cap = 10
-        data = gordon_data_r2(k, b0)
         for n in range(5):
-            total = TruncatedSeries.zero(cap, 0)
-            for part in level_restricted_partitions(n, k):
-                total = total + partition_term(part, data, cap)
-            oracle = character_from_oracle_r2(n, k, b0, cap)
-            assert total == oracle, (k, b0, n)
+            total = fermionic_r2(k, b0, cap, n).z_block(n)
+            assert total == oracle_series(k, 2, (b0,), cap, n), (k, b0, n)
 
 
 class TestGordonWeights:
@@ -685,7 +677,7 @@ class TestConjectureEvidence:
         k, b0, b1, cap = 2, 1, 1, 5
         chi = character_direct(k, 3, (b0, b1), 2 * cap + 1, 3)
         for n in range(4):
-            oracle = character_from_oracle_r3(n, k, b0, b1, cap)
+            oracle = oracle_series(k, 3, (b0, b1), 2 * cap + 1, n)
             block = chi.z_block(n)
             witness = first_mismatch(oracle, block)
             verdict = "agree" if witness is None else f"differ at {witness}"
