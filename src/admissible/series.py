@@ -58,6 +58,13 @@ class TruncatedSeries:
     def __init__(self, rows, q_order: int, z_order: int = 0):
         if q_order < 0 or z_order < 0:
             raise ValueError("truncation orders must be non-negative")
+        if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rows[: z_order + 1]
+        ):
+            raise TypeError(
+                "rows must be a list of dense z-rows, rows[dz][dq] the coefficient of "
+                "q^dq z^dz, not a sparse {(dq, dz): c} map"
+            )
         self.rows = [row[: q_order + 1] for row in rows[: z_order + 1]]
         self.q_order = q_order
         self.z_order = z_order

@@ -984,6 +984,10 @@ GOLDEN_CASES = {
         "pairs", "--family", "r3-split", "--k", "2", "--b0", "1", "--order", "6",
     ],
     "pairs_r3oddk_k3.json": ["pairs", "--family", "r3-odd-k", "--k", "3", "--order", "12"],
+    # deep orders, where the recurrence's d! D^d scaling grows large
+    "pairs_r3oddk_k3_order40.json": [
+        "pairs", "--family", "r3-odd-k", "--k", "3", "--order", "40",
+    ],
     "pairs_r3evenk_k4.json": ["pairs", "--family", "r3-even-k", "--k", "4", "--order", "6"],
     "table_c2_k3_b1.json": [
         "table", "--k", "3", "--which", "c2", "--b0", "1", "--format", "json",

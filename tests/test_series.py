@@ -271,6 +271,13 @@ class TestFromBlocks:
         blocks = [[coeffs.get((dq, dz), 0) for dq in range(5)] for dz in range(3)]
         assert TruncatedSeries(blocks, 4, 2) == S(coeffs, 4, 2)
 
+    @pytest.mark.parametrize("rows", [{(0, 0): 1}, [{0: 1}], None, "1"])
+    def test_rejects_what_is_not_dense_rows(self, rows):
+        # the removed sparse form {(dq, dz): c} once failed on a slice
+        with pytest.raises(TypeError, match=r"^rows must be a list of dense z-rows") as err:
+            TruncatedSeries(rows, 4, 2)
+        assert "\n" not in str(err.value)
+
 
 @settings(max_examples=200)
 @given(series_st, series_st)

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admissible.fermionic import gordon_a, gordon_a2, gordon_b, gordon_b3
 from admissible.vertexops import (
@@ -13,6 +16,60 @@ from admissible.vertexops import (
     family_r3_split,
     pair_function,
 )
+
+
+def reference_pairing(table, u, v):
+    """<u, v> as a Fraction bilinear sum over the table's Fraction pairings."""
+    return sum(
+        (Fraction(cu) * Fraction(cv) * table.pairing_of(g, h)
+         for g, cu in u.items() if cu for h, cv in v.items() if cv),
+        Fraction(0),
+    )
+
+
+def reference_pair_function(a, b, table, trunc):
+    """(z power, coefficients, closed form) by the O(trunc^2) convolution
+    of the log-derivative: d g_d = -sum_j c_j g_{d-j}."""
+    c_even = reference_pairing(table, a.even, b.even)
+    c_odd = reference_pairing(table, a.odd, b.odd)
+    coeffs = [Fraction(1)]
+    for d in range(1, trunc + 1):
+        acc = Fraction(0)
+        for j in range(1, d + 1):
+            acc -= (c_odd if j % 2 else c_even) * coeffs[d - j]
+        coeffs.append(acc / d)
+    p, s = (c_odd + c_even) / 2, (c_even - c_odd) / 2
+    closed = None
+    if p.denominator == 1 and s.denominator == 1 and p >= 0 and s >= 0:
+        closed = (int(p), int(s))
+    return reference_pairing(table, a.even, b.zero_mode), coeffs, closed
+
+
+def assert_matches_reference(a, b, table, trunc):
+    pf = pair_function(a, b, table, trunc)
+    z_power, coeffs, closed = reference_pair_function(a, b, table, trunc)
+    assert pf.z_power == z_power
+    assert list(pf.coeffs) == coeffs
+    assert pf.closed_form == closed
+    assert type(pf.z_power) is Fraction
+    assert {type(c) for c in pf.coeffs} == {Fraction}
+
+
+GENERATORS = ("a", "b", "c")
+rationals = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)),
+)
+vectors = st.dictionaries(st.sampled_from(GENERATORS), rationals, max_size=3)
+specs = st.builds(VOSpec, vectors, vectors, vectors)
+
+
+@st.composite
+def tables(draw):
+    """A complete pairing table on GENERATORS with rational entries."""
+    return PairingTable(
+        {(g, h): draw(rationals) for i, g in enumerate(GENERATORS) for h in GENERATORS[i:]}
+    )
 
 
 class TestPairingTable:
@@ -33,6 +90,30 @@ class TestPairingTable:
     def test_conflicting_entries_rejected(self):
         with pytest.raises(ValueError):
             PairingTable({("a", "b"): 1, ("b", "a"): 2})
+
+    def test_missing_pairing_is_read_only_for_nonzero_coefficients(self):
+        t = PairingTable({("a", "a"): 2, ("b", "b"): 2})
+        assert t.pairing({"a": 1, "b": 0}, {"a": 3}) == 6
+        assert t.pairing({"a": 1}, {"a": 1, "b": Fraction(0)}) == 2
+        assert t.pairing({"a": 0}, {"b": 1}) == 0
+        with pytest.raises(PairingUndefined, match="pairing <a, b> is not defined"):
+            t.pairing({"a": 1, "b": 0}, {"a": 0, "b": Fraction(1, 2)})
+
+    def test_float_coefficients_are_taken_at_their_exact_value(self):
+        t = PairingTable({("a", "a"): 2, ("a", "b"): 0.1, ("b", "b"): 1})
+        assert t.pairing_of("a", "b") == Fraction(0.1)
+        assert t.pairing({"a": 0.1}, {"a": 1}) == 2 * Fraction(0.1) != Fraction(1, 5)
+        assert t.pairing({"a": 0.5, "b": 1}, {"b": 0.3}) == reference_pairing(
+            t, {"a": 0.5, "b": 1}, {"b": 0.3}
+        )
+        assert type(t.pairing({"a": 0.5}, {"b": 3})) is Fraction
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables(), vectors, vectors)
+    def test_pairing_is_the_fraction_bilinear_sum(self, t, u, v):
+        got = t.pairing(u, v)
+        assert type(got) is Fraction
+        assert got == reference_pairing(t, u, v)
 
 
 class TestPairFunction:
@@ -86,6 +167,33 @@ class TestPairFunction:
         assert type(pf.z_power) is Fraction
         assert [type(c) for c in pf.coeffs] == [Fraction] * 5
         assert [type(c) for c in closed_form_series(2, 1, 5)] == [Fraction] * 6
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables(), specs, specs, st.integers(0, 20))
+    def test_recurrence_matches_the_convolution(self, t, a, b, trunc):
+        assert_matches_reference(a, b, t, trunc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.builds(Fraction, st.integers(-12, 12), st.just(2)),
+        st.builds(Fraction, st.integers(-36, 36), st.sampled_from([1, 2, 3, 6])),
+        st.integers(0, 20),
+    )
+    def test_recurrence_for_negative_and_half_integer_pairings(self, c_odd, c_even, trunc):
+        # c_odd = <o, o> and c_even = <e, e>, each of either sign
+        t = PairingTable({("e", "e"): c_even, ("o", "o"): c_odd, ("e", "o"): 0})
+        spec = VOSpec(even={"e": 1}, odd={"o": 1}, zero_mode={"e": 1, "o": 0})
+        assert_matches_reference(spec, spec, t, trunc)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("family", ["r2", "r3-split", "r3-mixed"])
+    def test_builtin_families_match_the_convolution(self, family, k):
+        if family == "r3-mixed":
+            family = "r3-odd-k" if k % 2 else "r3-even-k"
+        fam = build_family(family, k)
+        for (_, a), (_, b) in product(fam.specs, repeat=2):
+            for trunc in (0, 1, 2, 30):
+                assert_matches_reference(a, b, fam.table, trunc)
 
     def test_mixed_families_match_closed_forms(self):
         for k in range(1, 6):
