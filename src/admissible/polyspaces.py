@@ -17,14 +17,12 @@ family and keeps its kernel, so of two such mirror conditions only one
 builds rows.  The expansion walks the multiplicity vector of the partition,
 counting the ways to fill the t and -t slots with binomial coefficients.
 Each constraint is a sparse row {column: value} with no zeros and ascending
-columns, and the rows stay sparse through deduplication, transposition,
-echelon form and certificate.  The rank is computed modulo one large prime
-and certified exactly: the kernel vectors of the modular echelon form are
-lifted to the rationals, packed column by column into one integer of wide
-signed slots, and checked with one big-integer dot product per row, with
-fraction-free (Bareiss) elimination on a dense copy as the fallback when
-the certificate fails.  No floating point is involved anywhere, so rank
-decisions are exact.
+columns.  The rank is exact: fraction-free forward elimination in Python
+integers, shortest rows first, reduces each row at its smallest column
+against that column's pivot row, scaled by the two entries over their gcd,
+and keeps a row that survives as a new pivot row, divided by the gcd of its
+entries.  No modulus is involved, so no certificate is needed, and no
+floating point is involved anywhere, so rank decisions are exact.
 
 The rank-3 block character is a regraded sum of pair-space sectors, and
 sector l2 enters at q^(2d + l2).  oracle_block, which builds every oracle
@@ -40,16 +38,13 @@ exponents used by the fermionic sums is an independent check of the matrices.
 
 from __future__ import annotations
 
-from itertools import groupby
-from math import comb, isqrt, lcm
+from itertools import groupby, product
+from math import comb, gcd
 
 from .configurations import CapacityError, _ValueRecord, validate_b, validate_window
 
 MAX_VARS = 8
 MAX_DEGREE_CAP = 16
-
-# The Mersenne prime 2^61 - 1 for the modular rank; tests may set it small.
-_PRIME = 2**61 - 1
 
 
 class VanishingSpec(_ValueRecord):
@@ -184,6 +179,15 @@ def _substitute_monomial(rho, n, pattern):
     return {key: c for key, c in out.items() if c}
 
 
+def _substituted(rho, n, pattern):
+    """_substitute_monomial(rho, n, pattern), memoised in _SUBSTITUTED."""
+    key = (rho, n, pattern)
+    piece = _SUBSTITUTED.get(key)
+    if piece is None:
+        piece = _SUBSTITUTED[key] = _substitute_monomial(rho, n, pattern)
+    return piece
+
+
 def _basis(spec: VanishingSpec, degree: int):
     if len(spec.family_sizes) == 1:
         return [(rho,) for rho in partitions_max_parts(degree, spec.family_sizes[0])]
@@ -200,195 +204,82 @@ def _condition_rows(spec: VanishingSpec, cond, basis) -> list[dict[int, int]]:
     """One sparse row {column: value} per surviving monomial of the images.
 
     Columns index basis; each row holds no zeros and its columns ascend.
-    The t exponent of a term is |rho| less the size of its free partition,
-    so for two families distinct pairs of terms give distinct keys, and
+    All of basis has one degree d, and the t exponent of a term is d less
+    the sizes of its free partitions, so two-family rows are keyed by the
+    free partitions alone; distinct pairs of terms give distinct keys, and
     their products are nonzero.
     """
     rows_by_key: dict[tuple, dict[int, int]] = {}
-    for ci, elem in enumerate(basis):
-        pieces = []
-        for key in zip(elem, spec.family_sizes, cond):
-            piece = _SUBSTITUTED.get(key)
-            if piece is None:
-                piece = _SUBSTITUTED[key] = _substitute_monomial(*key)
-            pieces.append(piece)
-        if len(pieces) == 1:
-            terms = pieces[0].items()
-        else:
-            terms = (
-                ((t1 + t2, s1, s2), c1 * c2)
-                for (t1, s1), c1 in pieces[0].items()
-                for (t2, s2), c2 in pieces[1].items()
-            )
-        for key, c in terms:
-            row = rows_by_key.get(key)
-            if row is None:
-                row = rows_by_key[key] = {}
-            row[ci] = c
+    if len(spec.family_sizes) == 1:
+        (n,), (pattern,) = spec.family_sizes, cond
+        for ci, (rho,) in enumerate(basis):
+            for term, c in _substituted(rho, n, pattern).items():
+                row = rows_by_key.get(term)
+                if row is None:
+                    row = rows_by_key[term] = {}
+                row[ci] = c
+        return list(rows_by_key.values())
+    (n1, n2), (pattern1, pattern2) = spec.family_sizes, cond
+    for ci, (rho1, rho2) in enumerate(basis):
+        second = _substituted(rho2, n2, pattern2).items()
+        for (_, sigma1), c1 in _substituted(rho1, n1, pattern1).items():
+            for (_, sigma2), c2 in second:
+                row = rows_by_key.get((sigma1, sigma2))
+                if row is None:
+                    row = rows_by_key[sigma1, sigma2] = {}
+                row[ci] = c1 * c2
     return list(rows_by_key.values())
 
 
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank of a dense integer matrix by fraction-free (Bareiss) elimination.
+def _exact_rank(rows: list[dict[int, int]], ncols: int) -> int:
+    """Exact rank of an integer matrix by fraction-free sparse elimination.
 
-    The fallback of _certified_rank and the test oracle it is checked against.
-    """
-    if not rows:
-        return 0
-    mat = [list(r) for r in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pivot_row = mat[rank]
-        pivot = pivot_row[col]
-        for r in range(rank + 1, nrows):
-            row = mat[r]
-            factor = row[col]
-            for c in range(col, ncols):
-                value = row[c] * pivot - factor * pivot_row[c]
-                quotient, remainder = divmod(value, prev)
-                if remainder:
-                    raise AssertionError("fraction-free elimination lost exactness")
-                row[c] = quotient
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _distinct_nonzero_rows(rows) -> list[dict[int, int]]:
-    """The nonempty sparse rows, first occurrence of each kept in order."""
-    return list({tuple(row.items()): row for row in rows if row}.values())
-
-
-def _transpose(rows) -> list[dict[int, int]]:
-    """The columns of sparse rows, in column order, as sparse rows."""
-    cols: dict[int, dict[int, int]] = {}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            col = cols.get(c)
-            if col is None:
-                col = cols[c] = {}
-            col[r] = v
-    return [cols[c] for c in sorted(cols)]
-
-
-def _subtract_multiple(vec: dict, factor: int, row: dict, p: int) -> None:
-    """vec -= factor * row mod p, in place, for sparse {column: value} rows."""
-    for c, v in row.items():
-        x = (vec.get(c, 0) - factor * v) % p
-        if x:
-            vec[c] = x
-        else:
-            del vec[c]
-
-
-def _echelon_mod_p(mat, p: int, ncols: int) -> dict[int, dict[int, int]]:
-    """Reduced row echelon form of sparse rows mod p, as pivot column -> row.
-
-    Each pivot row holds 1 at its own pivot column and 0 at every other one,
-    so reducing a new row takes one pass over its pivot columns.  Stops once
-    all ncols columns are pivots.
+    rows are sparse {column: value} maps over columns 0..ncols-1 with no
+    zero entries; copies of them are taken shortest first.  A row is
+    reduced at its smallest column c against the pivot row of c: with a
+    and b the pivot and the row's entry at c, each divided by their gcd,
+    the row becomes a * row - b * pivot_row, which is 0 at c and holds no
+    column below c.  A row that reaches a column with no pivot row becomes
+    its pivot row, divided by the gcd of its entries and signed so that the
+    pivot is positive; a pivot of 1 then needs no multiplication.  Each
+    step multiplies by a nonzero integer or subtracts a kept row, so the
+    pivot rows span the rows taken so far over Q and, with distinct leading
+    columns, are independent: their count is the exact rank of every
+    prefix, with no modulus and no certificate.  A duplicate row reduces to
+    0 like any dependent one.  Stops once every column has a pivot.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in mat:
-        vec = {c: x for c, v in row.items() if (x := v % p)}
-        for c in [c for c in vec if c in pivots]:
-            _subtract_multiple(vec, vec[c], pivots[c], p)
-        if not vec:
-            continue
-        col = min(vec)
-        inverse = pow(vec[col], -1, p)
-        vec = {c: v * inverse % p for c, v in vec.items()}
-        for other in pivots.values():
-            if col in other:
-                _subtract_multiple(other, other[col], vec, p)
-        pivots[col] = vec
+    for vec in sorted(rows, key=len):
+        vec = dict(vec)
+        while vec:
+            c = min(vec)
+            pivot_row = pivots.get(c)
+            if pivot_row is None:
+                g = gcd(*vec.values())
+                if vec[c] < 0:
+                    g = -g
+                if g != 1:
+                    for j in vec:
+                        vec[j] //= g
+                pivots[c] = vec
+                break
+            a, b = pivot_row[c], vec[c]
+            if a != 1:
+                g = gcd(a, b)
+                a //= g
+                b //= g
+                if a != 1:
+                    for j in vec:
+                        vec[j] *= a
+            for j, v in pivot_row.items():
+                x = vec.get(j, 0) - b * v
+                if x:
+                    vec[j] = x
+                else:
+                    del vec[j]
         if len(pivots) == ncols:
             break
-    return pivots
-
-
-def _rational_reconstruction(a: int, p: int):
-    """(num, den) with num = a * den mod p and |num|, den <= sqrt(p/2), or None."""
-    bound = isqrt(p // 2)
-    r0, r1, s0, s1 = p, a, 0, 1
-    while r1 > bound:
-        quotient = r0 // r1
-        r0, r1 = r1, r0 - quotient * r1
-        s0, s1 = s1, s0 - quotient * s1
-    if not s1 or abs(s1) > bound:
-        return None
-    return (r1, s1) if s1 > 0 else (-r1, -s1)
-
-
-def _kernel_certified(mat, pivots, p: int, ncols: int) -> bool:
-    """Whether the mod-p kernel of the sparse rows mat lifts to one over Q.
-
-    Free column f gives the kernel vector with 1 at f and -pivots[c][f] at
-    each pivot column c.  Every vector's entries are lifted by rational
-    reconstruction and scaled to integers first.  Then column c of all the
-    vectors is packed into one integer, vector i in a signed slot of w bits
-    at bit w*i, and each row of mat is checked with one big-integer dot
-    product.  Slot i of that product is the row's product with vector i, of
-    absolute value at most max|v| times the row's l1 norm, which is below
-    2^(w - 2); balanced slots that small are unique, so the product is 0
-    exactly when the row annihilates every vector.
-    """
-    entries = {f: [(f, 1, 1)] for f in range(ncols) if f not in pivots}
-    for c, pivot_row in pivots.items():
-        for f, x in pivot_row.items():
-            if f != c:  # a pivot row is 0 at every other pivot column
-                lifted = _rational_reconstruction(-x % p, p)
-                if lifted is None:
-                    return False
-                entries[f].append((c, *lifted))
-    vectors = []
-    for vec in entries.values():
-        scale = lcm(*(den for _, _, den in vec))
-        vectors.append([(c, num * (scale // den)) for c, num, den in vec])
-    height = max(abs(x) for vec in vectors for _, x in vec)
-    norm = max(sum(map(abs, row.values())) for row in mat)
-    w = (height * norm).bit_length() + 2
-    packed = [0] * ncols
-    for i, vec in enumerate(vectors):
-        for c, x in vec:
-            packed[c] += x << (w * i)
-    return not any(sum(v * packed[c] for c, v in row.items()) for row in mat)
-
-
-def _certified_rank(rows: list[dict[int, int]], ncols: int) -> int:
-    """Exact rank of an integer matrix, from its rank r mod _PRIME.
-
-    rows are sparse {column: value} maps over columns 0..ncols-1, with no
-    zero entries and ascending columns.  The rank mod a prime never exceeds
-    the rank over Q, so r is exact when it equals the column count.
-    Otherwise the n - r kernel vectors of the mod-p echelon form are
-    independent (each has a unit in its own free column); if they lift to
-    exact kernel vectors over Q, the rank over Q is at most r, hence r.  A
-    wide matrix is certified through its transpose, whose kernel is smaller.
-    When the lift or the check fails, Bareiss decides on a dense copy.
-    """
-    mat = _distinct_nonzero_rows(rows)
-    if mat and len(mat) < ncols:
-        mat, ncols = _distinct_nonzero_rows(_transpose(mat)), len(mat)
-    if not mat:
-        return 0
-    mat.sort(key=len)  # sparse first: less fill-in
-    pivots = _echelon_mod_p(mat, _PRIME, ncols)
-    if len(pivots) == ncols or _kernel_certified(mat, pivots, _PRIME, ncols):
-        return len(pivots)
-    return _bareiss_rank([[row.get(c, 0) for c in range(ncols)] for row in mat])
+    return len(pivots)
 
 
 def graded_dimension(spec: VanishingSpec) -> list[int]:
@@ -397,6 +288,8 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
     A zero condition (no t or -t slot) keeps m_rho when len(rho_f) <=
     n_f - z_f in every family f and sends it to 0 otherwise; the kept images
     are independent, so it deletes the kept columns and builds no rows.
+    Which columns it deletes depends only on the part counts, so the part
+    count tuples of every zero condition are gathered once per spec.
     The substitution t -> -t turns a condition into its mirror, with the t
     and -t counts swapped in every family.  It is an automorphism of the
     polynomial ring, so the two conditions have the same kernel (their rows
@@ -411,10 +304,11 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
             f"degree cap {spec.degree_cap} exceeds the limit of {MAX_DEGREE_CAP}"
         )
     substituted, seen = [], set()
-    zero_limits = []  # per zero condition, n_f - z_f: the most parts it keeps
+    deleted = set()  # (len rho_1[, len rho_2]) of the basis elements deleted
     for cond in spec.conditions:
         if not any(p or m for p, m, _ in cond):
-            zero_limits.append([n - z for n, (_, _, z) in zip(spec.family_sizes, cond)])
+            most = [n - z for n, (_, _, z) in zip(spec.family_sizes, cond)]
+            deleted.update(product(*(range(m + 1) for m in most)))
         elif cond not in seen:
             substituted.append(cond)
             seen.update((cond, tuple((m, p, z) for p, m, z in cond)))
@@ -424,15 +318,12 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
         if not basis:
             dims.append(0)
             continue
-        basis = [
-            elem for elem in basis
-            if not any(all(len(rho) <= most for rho, most in zip(elem, limits))
-                       for limits in zero_limits)
-        ]
+        if deleted:
+            basis = [elem for elem in basis if tuple(map(len, elem)) not in deleted]
         rows: list[dict[int, int]] = []
         for cond in substituted:
             rows.extend(_condition_rows(spec, cond, basis))
-        dims.append(len(basis) - _certified_rank(rows, len(basis)))
+        dims.append(len(basis) - _exact_rank(rows, len(basis)))
     return dims
 
 

@@ -334,14 +334,14 @@ class TestDims:
     def test_one_rank_per_nonempty_degree(self, capsys, monkeypatch, argv, specs):
         import admissible.polyspaces as polyspaces
 
-        real_rank = polyspaces._certified_rank
+        real_rank = polyspaces._exact_rank
         calls = []
 
         def counting_rank(rows, ncols):
             calls.append(len(rows))
             return real_rank(rows, ncols)
 
-        monkeypatch.setattr(polyspaces, "_certified_rank", counting_rank)
+        monkeypatch.setattr(polyspaces, "_exact_rank", counting_rank)
         code, _, _ = run_cli(capsys, "dims", *argv)
         assert code == 0
         nonempty = sum(
@@ -942,6 +942,15 @@ GOLDEN_CASES = {
     "dims_r3_k2_b1_n4.json": [
         "dims", "--r", "3", "--k", "2", "--b0", "1", "--n", "4", "--cap", "12",
         "--b1", "2",
+    ],
+    # the largest matrices the caps allow: five r3 sectors at cap 16, and
+    # eight r2 variables at cap 16, every degree of full column rank
+    "dims_r3_k3_b13_n5_cap16.json": [
+        "dims", "--r", "3", "--k", "3", "--b0", "1", "--n", "5", "--cap", "16",
+        "--b1", "3",
+    ],
+    "dims_r2_k2_b1_n8_cap16.json": [
+        "dims", "--r", "2", "--k", "2", "--b0", "1", "--n", "8", "--cap", "16",
     ],
     # signed conditions come in t -> -t mirror pairs, one of each builds rows
     "dims_r3_signed_k2_b0_n5.json": [

@@ -1,9 +1,8 @@
 import itertools
 import random
-from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import admissible.polyspaces as polyspaces
@@ -22,11 +21,8 @@ from admissible.polyspaces import (
     CapacityError,
     VanishingSpec,
     _basis,
-    _bareiss_rank,
-    _certified_rank,
     _condition_rows,
-    _echelon_mod_p,
-    _kernel_certified,
+    _exact_rank,
     _substitute_monomial,
     graded_dimension,
     oracle_block,
@@ -237,7 +233,7 @@ class TestGradedDimension:
         rows = []
         for cond in spec.conditions:
             rows.extend(_condition_rows(spec, cond, basis))
-        base_rank = _certified_rank(rows, len(basis))
+        base_rank = _exact_rank(rows, len(basis))
         dense = [[row.get(c, 0) for c in range(len(basis))] for row in rows]
         assert base_rank == _bareiss_rank(dense)
         rng = random.Random(7)
@@ -245,7 +241,7 @@ class TestGradedDimension:
             perm = list(range(len(basis)))
             rng.shuffle(perm)
             shuffled = [[row[i] for i in perm] for row in dense]
-            assert _certified_rank(*_sparse(shuffled)) == base_rank
+            assert _exact_rank(*_sparse(shuffled)) == base_rank
 
     @pytest.mark.parametrize(
         "spec",
@@ -273,7 +269,7 @@ def _rows_over_full_basis(spec):
     for d in range(spec.degree_cap + 1):
         basis = _basis(spec, d)
         rows = [row for cond in spec.conditions for row in _condition_rows(spec, cond, basis)]
-        dims.append(len(basis) - _certified_rank(rows, len(basis)))
+        dims.append(len(basis) - _exact_rank(rows, len(basis)))
     return dims
 
 
@@ -351,7 +347,7 @@ class TestMirrorConditions:
 
 
 def _sparse(rows):
-    """Dense rows as the sparse rows and column count _certified_rank takes."""
+    """Dense rows as the sparse rows and column count _exact_rank takes."""
     return [{c: v for c, v in enumerate(row) if v} for row in rows], len(rows[0]) if rows else 0
 
 
@@ -383,7 +379,7 @@ def sparse_integer_matrices(draw):
     n = draw(st.integers(2, 8))
     inner = draw(st.integers(1, 5))
     entries = st.one_of(
-        st.just(0), st.just(0), st.integers(-3, 3), st.integers(-999, 999)
+        st.just(0), st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6)
     )
     left = [[draw(entries) for _ in range(inner)] for _ in range(m)]
     right = [[draw(entries) for _ in range(n)] for _ in range(inner)]
@@ -393,171 +389,101 @@ def sparse_integer_matrices(draw):
     return rows
 
 
-def _rank_mod(rows, p):
-    """Rank over the integers mod p, by plain elimination."""
-    mat = [[v % p for v in row] for row in rows]
-    rank = 0
-    for col in range(len(mat[0])):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inverse = pow(mat[rank][col], -1, p)
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col] * inverse
-            mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 class TestCertifiedRank:
-    @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        calls = []
-
-        def counting_bareiss(rows):
-            calls.append(len(rows))
-            return _bareiss_rank(rows)
-
-        monkeypatch.setattr(polyspaces, "_bareiss_rank", counting_bareiss)
-        return calls
+    """_exact_rank is exact by construction; Bareiss is its slow reference."""
 
     def test_known_ranks(self):
-        assert _certified_rank(*_sparse([])) == 0
-        assert _certified_rank(*_sparse([[0, 0, 0]])) == 0
-        assert _certified_rank(*_sparse([[1, 2], [2, 4], [1, 2]])) == 1
-        assert _certified_rank(*_sparse([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
-        # wide: 2 x 5 at rank 2, certified through the 5 x 2 transpose
-        assert _certified_rank(*_sparse([[1, 0, 2, 0, 1], [0, 3, 0, 1, 1]])) == 2
+        assert _exact_rank(*_sparse([])) == 0
+        assert _exact_rank(*_sparse([[0, 0, 0]])) == 0
+        assert _exact_rank(*_sparse([[1, 2], [2, 4], [1, 2]])) == 1
+        assert _exact_rank(*_sparse([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
+        # wide: 2 x 5 at rank 2
+        assert _exact_rank(*_sparse([[1, 0, 2, 0, 1], [0, 3, 0, 1, 1]])) == 2
+
+    @pytest.mark.parametrize(
+        "rows,rank",
+        [
+            ([[2, 0], [0, 1], [0, 0]], 2),  # rank 2, but 1 mod 2
+            ([[1, 2], [2, 4], [3, 6]], 1),  # kernel entry -2 is 3 mod 5
+        ],
+        ids=["rank-drop", "no-lift"],
+    )
+    def test_fallback_cases(self, rows, rank):
+        # matrices that defeat a modular rank: exact elimination needs no fallback
+        assert _exact_rank(*_sparse(rows)) == rank == _bareiss_rank(rows)
 
     @settings(max_examples=100, deadline=None)
     @given(integer_matrices())
     def test_equals_bareiss(self, rows):
-        assert _certified_rank(*_sparse(rows)) == _bareiss_rank(rows)
+        assert _exact_rank(*_sparse(rows)) == _bareiss_rank(rows)
 
     @settings(max_examples=100, deadline=None)
-    @given(integer_matrices(), st.sampled_from([2, 3, 5]))
-    def test_small_prime_falls_back_to_bareiss(self, rows, prime):
-        calls = []
+    @given(sparse_integer_matrices())
+    def test_sparse_equals_bareiss(self, rows):
+        assert _exact_rank(*_sparse(rows)) == _bareiss_rank(rows)
 
-        def counting_bareiss(mat):
-            calls.append(len(mat))
-            return _bareiss_rank(mat)
+    @settings(max_examples=50, deadline=None)
+    @given(sparse_integer_matrices(), st.randoms(use_true_random=False))
+    def test_row_shuffle_leaves_rank_invariant(self, rows, rng):
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert _exact_rank(*_sparse(shuffled)) == _exact_rank(*_sparse(rows))
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(polyspaces, "_PRIME", prime)
-            patch.setattr(polyspaces, "_bareiss_rank", counting_bareiss)
-            got = _certified_rank(*_sparse(rows))
-        exact = _bareiss_rank(rows)
-        assert got == exact
-        if _rank_mod(rows, prime) < exact:
-            assert calls, "a rank that drops mod p must fall back"
+    def test_leaves_its_input_rows_unchanged(self):
+        rows, ncols = _sparse([[2, 4, 0], [3, 0, 1], [1, 1, 1], [2, 4, 0]])
+        before = [dict(row) for row in rows]
+        assert _exact_rank(rows, ncols) == 3
+        assert rows == before
 
-    @pytest.mark.parametrize(
-        "rows,prime",
-        [
-            ([[2, 0], [0, 1], [0, 0]], 2),  # rank 2, but 1 mod 2
-            ([[1, 2], [2, 4], [3, 6]], 5),  # kernel entry -2 = 3 mod 5 does not lift
-        ],
-        ids=["rank-drop", "no-lift"],
-    )
-    def test_fallback_cases(self, monkeypatch, fallbacks, rows, prime):
-        monkeypatch.setattr(polyspaces, "_PRIME", prime)
-        assert _certified_rank(*_sparse(rows)) == _bareiss_rank(rows)
-        assert len(fallbacks) == 1
+    def test_tall_full_column_rank_stops_early(self):
+        # Four short rows already reach rank 4 = ncols, so the longer rows
+        # after them are never read: reading one's columns would raise.
+        class Untouched(dict):
+            def __iter__(self):
+                raise AssertionError("row read after full column rank")
 
-    def test_wrong_lift_is_rejected(self, monkeypatch, fallbacks):
-        # rank 1 in three columns: two kernel vectors, each with a lifted entry
-        rows = [[1, 2, 3], [2, 4, 6], [3, 6, 9], [1, 2, 3]]
-        sparse, ncols = _sparse(rows)
-        p = polyspaces._PRIME
-        pivots = _echelon_mod_p(sparse, p, ncols)
-        assert len(pivots) == 1 and _kernel_certified(sparse, pivots, p, ncols)
+            keys = items = __iter__
 
-        _lift_one_residue_wrong(monkeypatch)
-        assert not _kernel_certified(sparse, pivots, p, ncols)
-        assert _certified_rank(sparse, ncols) == 1
-        assert len(fallbacks) == 1
-
-    def test_wrong_lift_is_caught_by_a_row_without_the_free_column(self, monkeypatch):
-        # x0 = 2 x1 and x1 = x2: free column 2, kernel vector (2, 1, 1); the
-        # wrong entry lands on column 0, which only the first row holds
-        sparse = [{0: 1, 1: -2}, {1: 1, 2: -1}]
-        p = polyspaces._PRIME
-        pivots = _echelon_mod_p(sparse, p, 3)
-        assert sorted(pivots) == [0, 1] and _kernel_certified(sparse, pivots, p, 3)
-        _lift_one_residue_wrong(monkeypatch)
-        assert not _kernel_certified(sparse, pivots, p, 3)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        sparse_integer_matrices(),
-        st.one_of(st.just(2**61 - 1), st.sampled_from([2, 3, 5, 7])),
-        st.data(),
-    )
-    def test_packed_check_equals_per_vector_check(self, rows, p, data):
-        mat, ncols = _sparse(rows)
-        mat = [row for row in mat if row]
-        pivots = _echelon_mod_p(mat, p, ncols)
-        assume(mat and len(pivots) < ncols)
-        certified = _per_vector_check(mat, pivots, p, ncols)
-        assert _kernel_certified(mat, pivots, p, ncols) == certified
-        assume(pivots)
-        # force a failure: change one kernel vector at one pivot column
-        c = data.draw(st.sampled_from(sorted(pivots)))
-        f = data.draw(st.sampled_from([f for f in range(ncols) if f not in pivots]))
-        wrong = {col: dict(row) for col, row in pivots.items()}
-        wrong[c][f] = (wrong[c].get(f, 0) + data.draw(st.integers(1, p - 1))) % p
-        verdict = _kernel_certified(mat, wrong, p, ncols)
-        assert verdict == _per_vector_check(mat, wrong, p, ncols)
-        if certified:  # a true kernel vector moved along a nonzero column
-            assert not verdict
-
-    @pytest.mark.parametrize("m", [1, 2, 4])
-    def test_packed_slots_do_not_carry_into_each_other(self, m):
-        # one row of m ones; the first vector has 2^b at each pivot column,
-        # the second -1 at column 0: slot sums m 2^b and -1, which a slot
-        # width of log2(m) + b would cancel into a false certificate
-        p = polyspaces._PRIME
-        mat = [dict.fromkeys(range(m), 1)]
-        for b in range(30):
-            pivots = {c: {c: 1, m: -(2**b) % p} for c in range(m)}
-            pivots[0][m + 1] = 1
-            assert not _per_vector_check(mat, pivots, p, m + 2)
-            assert not _kernel_certified(mat, pivots, p, m + 2), b
+        ncols = 4
+        rows = [{c: c + 1} for c in reversed(range(ncols))]
+        rows += [Untouched({c: v for c in range(ncols)}) for v in range(1, 4)]
+        assert _exact_rank(rows, ncols) == ncols
 
 
-def _per_vector_check(mat, pivots, p, ncols):
-    """_kernel_certified one vector at a time: the reference for the packed
-    check.  Each lifted kernel vector is multiplied by every row on its own."""
-    for f in range(ncols):
-        if f in pivots:
+def _bareiss_rank(rows: list[list[int]]) -> int:
+    """Rank of a dense integer matrix by fraction-free (Bareiss) elimination:
+    the slow reference that _exact_rank is checked against."""
+    if not rows:
+        return 0
+    mat = [list(r) for r in rows]
+    nrows, ncols = len(mat), len(mat[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, nrows):
+            if mat[r][col]:
+                piv = r
+                break
+        if piv is None:
             continue
-        entries = [(f, 1, 1)]
-        for c, pivot_row in pivots.items():
-            if pivot_row.get(f):
-                lifted = polyspaces._rational_reconstruction(-pivot_row[f] % p, p)
-                if lifted is None:
-                    return False
-                entries.append((c, *lifted))
-        scale = lcm(*(den for _, _, den in entries))
-        vec = {c: num * (scale // den) for c, num, den in entries}
-        if any(sum(v * vec.get(c, 0) for c, v in row.items()) for row in mat):
-            return False
-    return True
-
-
-def _lift_one_residue_wrong(monkeypatch):
-    """Make rational reconstruction add 1 to the first residue it lifts."""
-    real = polyspaces._rational_reconstruction
-    target = []
-
-    def one_wrong(a, p):
-        num, den = real(a, p)
-        target[:] = target or [a]  # the first residue lifted stays wrong
-        return (num + 1, den) if a == target[0] else (num, den)
-
-    monkeypatch.setattr(polyspaces, "_rational_reconstruction", one_wrong)
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pivot_row = mat[rank]
+        pivot = pivot_row[col]
+        for r in range(rank + 1, nrows):
+            row = mat[r]
+            factor = row[col]
+            for c in range(col, ncols):
+                value = row[c] * pivot - factor * pivot_row[c]
+                quotient, remainder = divmod(value, prev)
+                if remainder:
+                    raise AssertionError("fraction-free elimination lost exactness")
+                row[c] = quotient
+        prev = pivot
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 class TestBareiss:
