@@ -34,12 +34,12 @@ from .configurations import CapacityError, _Record, _ValueRecord, validate_b, va
 
 # The most terms the pair functions of one request may sum, counted before
 # any family or pair function is built.  The count charges each pair
-# trunc (trunc + 1) / 2 series terms, the work of a quadratic convolution
-# (the recurrence takes trunc steps), and at most 3 k^2 generator products
-# in its three pairings: no spec of a level-k family has more than k
-# generators.  It is kept as the size bound, so the same requests are
-# refused; the largest accepted ones take under 0.1 s in the command
-# (Python 3.11.7).
+# trunc (trunc + 1) / 2 terms for its expansion and at most 3 k^2 generator
+# products for its three pairings: no spec of a level-k family has more than
+# k generators.  The recurrence takes trunc steps, but its integers
+# d! D^d g_d gain Theta(log d) bits a step, so the work is quadratic in
+# trunc (r2 at k = 1: 1.7, 4.7, 15.3 and 55.5 ms at orders 700, 1413, 2826
+# and 5652, Python 3.11.7) and a count linear in trunc would under-charge.
 MAX_PAIR_TERMS = 10**6
 
 
@@ -64,12 +64,9 @@ def _scaled(vec: dict) -> tuple[list, int]:
 
 
 class PairingTable:
-    """Symmetric table of rational inner products of named generators.
-
-    Besides the Fraction of each pairing, the table keeps every pairing as
-    an integer numerator over one common denominator, so ``pairing`` sums
-    integer products and builds a single Fraction.
-    """
+    """Symmetric table of rational inner products of named generators, kept
+    as integer numerators over one common denominator: ``pairing`` sums
+    integer products and builds a single Fraction."""
 
     def __init__(self, pairings: dict):
         from fractions import Fraction
@@ -81,7 +78,6 @@ class PairingTable:
             if key in table and table[key] != value:
                 raise ValueError(f"conflicting pairings for {key}")
             table[key] = value
-        self._table = table
         den = lcm(*(value.denominator for value in table.values()))
         rows: dict = {}
         for (g, h), value in table.items():
@@ -92,11 +88,7 @@ class PairingTable:
         self._den = den
 
     def pairing_of(self, g: str, h: str) -> Fraction:
-        key = (g, h) if g <= h else (h, g)
-        try:
-            return self._table[key]
-        except KeyError:
-            raise PairingUndefined(f"pairing <{g}, {h}> is not defined") from None
+        return self.pairing({g: 1}, {h: 1})
 
     def _ratio(self, u: dict, v: dict) -> tuple[int, int]:
         """<u, v> in lowest terms as (numerator, positive denominator)."""
@@ -110,7 +102,7 @@ class PairingTable:
                 try:
                     total += cu * cv * row[h]
                 except KeyError:
-                    self.pairing_of(g, h)  # raises PairingUndefined
+                    raise PairingUndefined(f"pairing <{g}, {h}> is not defined") from None
         den = u_den * v_den * self._den
         common = gcd(total, den)
         return total // common, den // common
@@ -231,6 +223,21 @@ class VOFamily(_Record):
     __slots__ = ("name", "table", "specs")
 
 
+def _running_sums(bases: list, suffix: str = "") -> tuple:
+    """The named specs gamma{a}{suffix} = bases[0] + ... + bases[a - 1],
+    field by field, for a = 1..len(bases)."""
+    specs = []
+    acc = VOSpec({}, {}, {})
+    for a, base in enumerate(bases, 1):
+        acc = VOSpec(
+            _vec_add(acc.even, base.even),
+            _vec_add(acc.odd, base.odd),
+            _vec_add(acc.zero_mode, base.zero_mode),
+        )
+        specs.append((f"gamma{a}{suffix}", acc))
+    return tuple(specs)
+
+
 def family_r2(k: int) -> VOFamily:
     """Constant specs gamma_a = eps_1 + ... + eps_a over an orthogonal norm-2
     basis."""
@@ -239,12 +246,8 @@ def family_r2(k: int) -> VOFamily:
     for a in range(1, k + 1):
         for b in range(a, k + 1):
             pairings[(f"eps{a}", f"eps{b}")] = 2 if a == b else 0
-    table = PairingTable(pairings)
-    specs = tuple(
-        (f"gamma{a}", VOSpec.constant({f"eps{j}": 1 for j in range(1, a + 1)}))
-        for a in range(1, k + 1)
-    )
-    return VOFamily("r2", table, specs)
+    bases = [VOSpec.constant({f"eps{a}": 1}) for a in range(1, k + 1)]
+    return VOFamily("r2", PairingTable(pairings), _running_sums(bases))
 
 
 def _paired_block_pairings(n: int) -> dict:
@@ -266,19 +269,10 @@ def family_r3_split(k: int) -> VOFamily:
     """Two constant families gamma_a^+ and gamma_a^- over paired 2-dimensional
     blocks; the minus family accumulates generators from the top index down."""
     validate_k(k)
-    table = PairingTable(_paired_block_pairings(k))
-    plus = tuple(
-        (f"gamma{a}+", VOSpec.constant({f"eps{j}+": 1 for j in range(1, a + 1)}))
-        for a in range(1, k + 1)
-    )
-    minus = tuple(
-        (
-            f"gamma{a}-",
-            VOSpec.constant({f"eps{k + 1 - j}-": 1 for j in range(1, a + 1)}),
-        )
-        for a in range(1, k + 1)
-    )
-    return VOFamily("r3-split", table, plus + minus)
+    plus = [VOSpec.constant({f"eps{j}+": 1}) for j in range(1, k + 1)]
+    minus = [VOSpec.constant({f"eps{j}-": 1}) for j in range(k, 0, -1)]
+    specs = _running_sums(plus, "+") + _running_sums(minus, "-")
+    return VOFamily("r3-split", PairingTable(_paired_block_pairings(k)), specs)
 
 
 def family_r3_mixed(k: int) -> VOFamily:
@@ -289,6 +283,7 @@ def family_r3_mixed(k: int) -> VOFamily:
     validate_k(k)
     half = k // 2
     pairings = _paired_block_pairings(half)
+    bases = [VOSpec.constant({f"eps{j}+": 1}) for j in range(1, half + 1)]
     if k % 2:
         pairings[("eps0", "eps0")] = 1
         pairings[("sqrt3_eps0", "sqrt3_eps0")] = 3
@@ -296,36 +291,12 @@ def family_r3_mixed(k: int) -> VOFamily:
             for s in "+-":
                 pairings[(f"eps{j}{s}", "eps0")] = 0
                 pairings[(f"eps{j}{s}", "sqrt3_eps0")] = 0
-    table = PairingTable(pairings)
-
-    def base_spec(a: int) -> VOSpec:
-        if a <= half:
-            vec = {f"eps{a}+": 1}
-            return VOSpec(even=vec, odd=dict(vec), zero_mode=dict(vec))
-        if k % 2 and a == half + 1:
-            return VOSpec(
-                even={"sqrt3_eps0": 1},
-                odd={"eps0": 1},
-                zero_mode={"sqrt3_eps0": 1},
-            )
-        j = k - a + 1
-        vec = {f"eps{j}-": 1}
-        return VOSpec(even=dict(vec), odd={f"eps{j}-": -1}, zero_mode=dict(vec))
-
-    specs = []
-    even_acc: dict = {}
-    odd_acc: dict = {}
-    zero_acc: dict = {}
-    for a in range(1, k + 1):
-        base = base_spec(a)
-        even_acc = _vec_add(even_acc, base.even)
-        odd_acc = _vec_add(odd_acc, base.odd)
-        zero_acc = _vec_add(zero_acc, base.zero_mode)
-        specs.append(
-            (f"gamma{a}", VOSpec(dict(even_acc), dict(odd_acc), dict(zero_acc)))
-        )
+        bases.append(VOSpec({"sqrt3_eps0": 1}, {"eps0": 1}, {"sqrt3_eps0": 1}))
+    bases += [
+        VOSpec({f"eps{j}-": 1}, {f"eps{j}-": -1}, {f"eps{j}-": 1}) for j in range(half, 0, -1)
+    ]
     name = "r3-odd-k" if k % 2 else "r3-even-k"
-    return VOFamily(name, table, tuple(specs))
+    return VOFamily(name, PairingTable(pairings), _running_sums(bases))
 
 
 def build_family(name: str, k: int, b0: int = 0) -> VOFamily:

@@ -470,6 +470,22 @@ class TestPairs:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith(f"terms, over the limit of {vertexops.MAX_PAIR_TERMS}\n")
 
+    @pytest.mark.parametrize(
+        "family, k",
+        [("r2", k) for k in range(1, 9)]
+        + [("r3-split", k) for k in range(1, 9)]
+        + [("r3-odd-k", k) for k in range(1, 9, 2)]
+        + [("r3-even-k", k) for k in range(2, 9, 2)],
+    )
+    def test_size_check_counts_the_family_specs(self, capsys, family, k):
+        # the size check runs before the family is built, on its own count
+        specs = len(vertexops.build_family(family, k).specs)
+        code, _, err = run_cli(
+            capsys, "pairs", "--family", family, "--k", str(k), "--order", "2000"
+        )
+        assert code == 2
+        assert err.startswith(f"error: {specs * (specs + 1) // 2} pair functions of level {k} ")
+
     def test_oversized_verify_case_is_a_capacity_skip(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "pair-functions", "--kmax", "1", "--order", str(10**12)

@@ -189,6 +189,47 @@ class TestFermionicR2:
                 )
 
 
+def _gordon_product(k, c, order):
+    """prod_{n >= 1, n != 0, +-(c+1) mod 2k+3} (1 - q^n)^(-1) through q^order."""
+    modulus = 2 * k + 3
+    coeffs = [1] + [0] * order
+    for n in range(1, order + 1):
+        if n % modulus in (0, c + 1, modulus - c - 1):
+            continue
+        for d in range(n, order + 1):
+            coeffs[d] += coeffs[d - n]
+    return coeffs
+
+
+def _at_z_equals_q(series, order):
+    """The coefficients through q^order of series(q, z = q)."""
+    out = [0] * (order + 1)
+    for dq, dz, c in series.terms():
+        if dq + dz <= order:
+            out[dq + dz] += c
+    return out
+
+
+class TestGordonProductIdentity:
+    """At z = q the r = 2 character is Gordon's product (Gordon 1961;
+    Andrews, The Theory of Partitions, ch. 7): a check from outside the
+    package's own routes."""
+
+    ORDER = 60
+
+    @pytest.mark.parametrize(
+        "k, c", [(k, c) for k in range(1, 5) for c in range(k + 1)]
+    )
+    @pytest.mark.parametrize("route", ["direct", "fermionic"])
+    def test_diagonal_sums_equal_the_product(self, route, k, c):
+        n = self.ORDER
+        if route == "direct":
+            series = character_direct(k, 2, (c,), n, n)
+        else:
+            series = fermionic_r2(k, c, n, n)
+        assert _at_z_equals_q(series, n) == _gordon_product(k, c, n)
+
+
 class TestFermionicR3:
     def test_z0_block_is_one(self):
         for k in (1, 2):

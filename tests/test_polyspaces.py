@@ -220,12 +220,12 @@ class TestGradedDimension:
             oracle_block(1, r, b, q_order, n)
 
     def test_signed_spec_matches_direct(self):
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             b0 = (k + 1) // 2
-            chi = character_direct(k, 3, (b0, k), 8, 3)
-            for n in range(4):
-                dims = graded_dimension(vanishing_spec_r3_signed(n, k, b0, 8))
-                assert TruncatedSeries([dims], 8) == chi.z_block(n), (k, n)
+            chi = character_direct(k, 3, (b0, k), 12, 6)
+            for n in range(7):
+                dims = graded_dimension(vanishing_spec_r3_signed(n, k, b0, 12))
+                assert TruncatedSeries([dims], 12) == chi.z_block(n), (k, n)
 
     def test_column_permutation_leaves_rank_invariant(self):
         spec = vanishing_spec_r2(4, 2, 1, 6)

@@ -109,6 +109,19 @@ class TestPairingTable:
         assert type(t.pairing({"a": 0.5}, {"b": 3})) is Fraction
 
     @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from(GENERATORS), st.sampled_from(GENERATORS)),
+            rationals,
+        ).filter(lambda d: all(d.get((h, g), d[g, h]) == d[g, h] for g, h in d))
+    )
+    def test_pairing_of_returns_each_stored_value(self, pairings):
+        t = PairingTable(pairings)
+        for (g, h), value in pairings.items():
+            assert t.pairing_of(g, h) == t.pairing_of(h, g) == value
+            assert type(t.pairing_of(g, h)) is Fraction
+
+    @settings(max_examples=100, deadline=None)
     @given(tables(), vectors, vectors)
     def test_pairing_is_the_fraction_bilinear_sum(self, t, u, v):
         got = t.pairing(u, v)
