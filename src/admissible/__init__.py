@@ -8,12 +8,7 @@ requested truncation order.
 """
 
 from .series import TruncatedSeries, first_mismatch
-from .configurations import (
-    CapacityError,
-    character_direct,
-    enumerate_configs,
-    is_admissible,
-)
+from .configurations import CapacityError, character_direct
 from .fermionic import (
     GordonData,
     boundary_c2,

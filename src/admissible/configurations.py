@@ -5,18 +5,14 @@ integers in which every window of r consecutive entries sums to at most k,
 subject to initial caps a_0 <= b_0, a_0 + a_1 <= b_1, ..., up to b_{r-2}.
 Each configuration is weighted q^(sum j*a_j) z^(sum a_j); summing the weights
 over all configurations within a truncation window gives the character, the
-ground truth every formula here is checked against.  A configuration is
-passed around as its entry tuple (a_0, a_1, ..., a_l), ending at its last
-nonzero entry; the empty configuration is ().
+ground truth every formula here is checked against.
 
 ``character_direct`` computes that sum by the first-entry recursion
 chi_b(q, z) = sum_{v=0}^{b_0} z^v chi_{b(v)}(q, qz), with
 b(v) = (b_1 - v, ..., b_{r-2} - v, k - v), Andrews' route to Gordon's
 theorem (The Theory of Partitions, 1976, ch. 7).  A demand pass first finds
 each z-block the requested window reads and the highest q-degree it reads
-there; only those blocks are built, as dense q-lists.  ``enumerate_configs``
-walks the configurations one at a time by depth-first search; it is the
-enumeration API and the brute-force check of the recursion.
+there; only those blocks are built, as dense q-lists.
 
 Every direct and fermionic character is refused with ``CapacityError``
 before it allocates more than ``MAX_CELLS`` q-coefficients.
@@ -138,63 +134,6 @@ def validate_window(q_max: int, z_max: int) -> None:
         raise ValueError("q_max and z_max must be non-negative")
 
 
-def is_admissible(a, k: int, r: int, b) -> bool:
-    """True iff the vector satisfies all window-sum and initial constraints."""
-    b = validate_b(k, r, b)
-    a = tuple(int(x) for x in a)
-    if any(x < 0 or x > k for x in a):
-        return False
-    padded = a + (0,) * r
-    for i in range(len(a)):
-        if sum(padded[i : i + r]) > k:
-            return False
-    prefix = 0
-    for t in range(r - 1):
-        prefix += padded[t]
-        if prefix > b[t]:
-            return False
-    return True
-
-
-def enumerate_configs(k: int, r: int, b, q_max: int, z_max: int):
-    """Every admissible configuration with q-degree <= q_max and z-degree <= z_max.
-
-    Each configuration is yielded as its entry tuple, exactly once, in
-    lexicographic order on the entry vectors, by a depth-first search.  Each
-    step appends the next nonzero entry; positions are tried from high to low
-    so that the overall yield order is lexicographic on the (zero-padded)
-    vectors.  Window sums are enforced on the window ending at each placed
-    position, which covers every window once all entries are placed.
-    """
-    b = validate_b(k, r, b)
-    validate_window(q_max, z_max)
-    stack = [((), 0, 0, 0)]
-    while stack:
-        acc, start, qdeg, zdeg = stack.pop()
-        yield acc
-        if zdeg >= z_max:
-            continue
-        children = []
-        for j in range(q_max, start - 1, -1):
-            if j > 0 and qdeg + j > q_max:
-                continue
-            lo = max(0, j - r + 1)
-            window = sum(acc[lo : min(j, len(acc))])
-            vmax = k - window
-            if j > 0:
-                vmax = min(vmax, (q_max - qdeg) // j)
-            vmax = min(vmax, z_max - zdeg)
-            for v in range(1, vmax + 1):
-                if j <= r - 2:
-                    prefix = sum(acc[:j]) + v
-                    if any(prefix > b[t] for t in range(j, r - 1)):
-                        break
-                child = acc + (0,) * (j - len(acc)) + (v,)
-                children.append((child, j + 1, qdeg + j * v, zdeg + v))
-        # LIFO stack: push in reverse so children come out in generation order
-        stack.extend(reversed(children))
-
-
 def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeries:
     """Character of admissible configurations by the first-entry recursion.
 
@@ -217,8 +156,7 @@ def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeri
     are then built as dense q-lists with C-level slice adds, each after its
     terms.  More than MAX_CELLS q-coefficients, counted first for the
     requested blocks and then over the demand pass, raise CapacityError
-    before any block is allocated.  ``enumerate_configs`` is the
-    brute-force check of this count.
+    before any block is allocated.
     """
     b = validate_b(k, r, b)
     validate_window(q_max, z_max)

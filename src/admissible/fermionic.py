@@ -17,10 +17,11 @@ sibling's divided by one more factor, so no per-vector product is formed.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, sub
 
 from .configurations import _ValueRecord, _check_cells
 from .configurations import validate_b, validate_k, validate_window
+from .polyspaces import partitions_max_parts
 from .series import TruncatedSeries, _divide_by_one_minus
 
 
@@ -171,26 +172,6 @@ def quadratic_exponent(data: GordonData, m) -> int:
     return total
 
 
-def _multiplicity_vectors(weights, total):
-    """All non-negative integer vectors m with sum(weights[i]*m[i]) = total."""
-    yield from _vectors_after(weights, 0, total, ())
-
-
-def _vectors_after(weights, i, remaining, prefix):
-    """prefix + t for each vector t with sum(weights[i+j]*t[j]) = remaining."""
-    if i == len(weights):
-        if remaining == 0:
-            yield prefix
-        return
-    w = weights[i]
-    if i == len(weights) - 1:
-        if remaining % w == 0:
-            yield prefix + (remaining // w,)
-        return
-    for v in range(remaining // w + 1):
-        yield from _vectors_after(weights, i + 1, remaining - v * w, prefix + (v,))
-
-
 def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSeries:
     """Evaluate the fermionic sum as a truncated series in (q, z).
 
@@ -256,6 +237,14 @@ def fermionic_r3_special(k: int, q_max: int, z_max: int) -> TruncatedSeries:
 
 def level_restricted_partitions(n: int, k: int):
     """All partitions of n with parts at most k, as multiplicity tuples m,
-    m[a-1] the number of parts of size a."""
+    m[a-1] the number of parts of size a.
+
+    They are the conjugates of the partitions of n into at most k parts,
+    ``partitions_max_parts(n, k)``: the conjugate of lam has
+    lam_a - lam_(a+1) parts of size a, with lam padded with zeros to
+    length k + 1.  A negative n has none.
+    """
     validate_k(k)
-    yield from _multiplicity_vectors(tuple(range(1, k + 1)), n)
+    for lam in partitions_max_parts(n, k):
+        padded = lam + (0,) * (k + 1 - len(lam))
+        yield tuple(map(sub, padded, padded[1:]))

@@ -77,7 +77,8 @@ class VanishingSpec(_ValueRecord):
 
 
 # (d, parts): partitions_max_parts(d, parts) for 0 <= parts <= d, shared by
-# every basis of the process like _SUBSTITUTED; callers do not mutate them.
+# every basis of the process like _SUBSTITUTED, and by the conjugates that
+# fermionic.level_restricted_partitions reads; callers do not mutate them.
 _PARTITIONS: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
 
@@ -465,6 +466,9 @@ def weight_degree(lam, variant: str, k: int, b0: int, mu=None) -> int:
         families.append(mu)
     elif mu is not None:
         raise ValueError(f"{variant} takes a single partition")
+    for multiplicities in families:
+        if min(multiplicities, default=0) < 0:
+            raise ValueError(f"multiplicities must be non-negative: {tuple(multiplicities)}")
     variables = [
         (f, a + 1)
         for f, multiplicities in enumerate(families)

@@ -11,7 +11,6 @@ import time
 
 from admissible.configurations import character_direct
 from admissible.fermionic import (
-    _multiplicity_vectors,
     fermionic_r2,
     fermionic_r3,
     fermionic_r3_special,
@@ -30,6 +29,7 @@ from admissible.vertexops import (
     family_r3_split,
     pair_function,
 )
+from brute_force import _multiplicity_vectors
 
 
 def _oracle(k, r, b, q_order, n):

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admissible import configurations
-from admissible.configurations import (
-    CapacityError,
-    character_direct,
-    enumerate_configs,
-    is_admissible,
-    validate_b,
-)
+from admissible.configurations import CapacityError, character_direct, validate_b
 from admissible.fermionic import (
     boundary_c2,
     fermionic_r2,
@@ -22,6 +16,7 @@ from admissible.fermionic import (
 )
 from admissible.polyspaces import vanishing_spec_r2
 from admissible.vertexops import build_family, family_r3_mixed
+from brute_force import enumerate_configs, is_admissible
 
 
 class TestIsAdmissible:

@@ -21,9 +21,9 @@ from admissible.fermionic import (
     gordon_data_r3_special,
     level_restricted_partitions,
     quadratic_exponent,
-    _multiplicity_vectors,
 )
 from admissible.series import TruncatedSeries, _pochhammer_inverse_coeffs
+from brute_force import _multiplicity_vectors
 
 
 class TestMatrices:
@@ -278,8 +278,8 @@ class TestPartitionEnumeration:
                     table[total] += table[total - part]
             return table[n]
 
-        for k in (1, 2, 3):
-            for n in range(10):
+        for k in range(1, 7):
+            for n in range(13):
                 got = list(level_restricted_partitions(n, k))
                 assert len(got) == count(n, k)
                 assert len(set(got)) == len(got)
@@ -287,6 +287,10 @@ class TestPartitionEnumeration:
                     len(m) == k and sum((a + 1) * x for a, x in enumerate(m)) == n
                     for m in got
                 )
+                assert set(got) == set(_multiplicity_vectors(tuple(range(1, k + 1)), n))
+        # a level far above the size, and a negative size
+        assert len(list(level_restricted_partitions(3, 5000))) == 3
+        assert list(level_restricted_partitions(-1, 1)) == []
 
 
 def partition_term(m, data, q_max):

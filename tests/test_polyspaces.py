@@ -595,6 +595,10 @@ class TestGordonWeights:
             weight_degree((1,), "G_pair", 2, 0, mu=(0, 0, 0, 1))
         # trailing zero multiplicities past k name no part
         assert weight_degree((1, 0, 0), "G2", 1, 0) == 1
+        with pytest.raises(ValueError, match="multiplicities must be non-negative"):
+            weight_degree((-1,), "G2", 1, 0)
+        with pytest.raises(ValueError, match="multiplicities must be non-negative"):
+            weight_degree((1,), "G_pair", 2, 0, mu=(0, -1))
 
 
 class TestConjectureEvidence:
