@@ -14,8 +14,16 @@ and the monomial symmetric polynomials are independent, so its constraints
 are unit vectors: it deletes basis elements and builds no rows.  The
 substitution t -> -t swaps the t and -t counts of a condition in every
 family and keeps its kernel, so of two such mirror conditions only one
-builds rows.  The expansion walks the multiplicity vector of the partition,
-counting the ways to fill the t and -t slots with binomial coefficients.
+builds rows.  A one-family space is built as a pair whose first family has
+no variables, and each degree's columns come in blocks: one partition rho1
+of the first family with the list of second-family partitions it keeps,
+built once per (|rho1|, len rho1), whose images each condition looks up
+once per list.  The expansion of m_rho walks the multiplicity vector of rho over
+the sub-multisets that fill the t and -t slots: with binomial coefficients
+for a plain diagonal, and with a closed-form signed count for a pattern
+with -t slots.  Each image is memoised per process as a list of (free
+partition id, coefficient), the free partitions interned as small ids, so
+a row is keyed by one packed integer.
 Each constraint is a sparse row {column: value} with no zeros and ascending
 columns.  The rank is exact: fraction-free forward elimination in Python
 integers, shortest rows first, reduces each row at its smallest column
@@ -39,7 +47,7 @@ exponents used by the fermionic sums is an independent check of the matrices.
 from __future__ import annotations
 
 from itertools import groupby, product
-from math import comb, gcd
+from math import comb, factorial, gcd, perm
 
 from .configurations import CapacityError, _ValueRecord, validate_b, validate_window
 
@@ -107,9 +115,14 @@ def _append_partitions(out, remaining, largest, parts_left, prefix) -> None:
         _append_partitions(out, remaining - part, part, parts_left - 1, prefix + (part,))
 
 
-# (rho, n, pattern): _substitute_monomial(rho, n, pattern), shared by every
-# condition and degree of the process; callers do not mutate the maps.
-_SUBSTITUTED: dict[tuple, dict] = {}
+# Free partitions interned as small ids, and (rho, n, pattern) -> the image
+# of m_rho as [(sigma_id, coefficient)], each shared by every condition and
+# degree of the process; callers do not mutate the lists.
+_SIGMA_IDS: dict[tuple[int, ...], int] = {}
+_SUBSTITUTED: dict[tuple, list[tuple[int, int]]] = {}
+# (p, m, total, odd): _signed_count(p, m, total, odd), shared like
+# _SUBSTITUTED.
+_SIGNED_COUNTS: dict[tuple[int, int, int, int], int] = {}
 
 
 def _substitute_monomial(rho, n, pattern):
@@ -123,16 +136,23 @@ def _substitute_monomial(rho, n, pattern):
     free_partition indexes a monomial symmetric polynomial in the free
     variables.
 
-    The walk runs over the distinct nonzero values v of rho, largest first,
-    each with its multiplicity a: c copies of v go to the t slots and d to
-    the -t slots, in comb(p_left, c) * comb(m_left, d) ways and with sign
-    (-1)^(v d); the other a - c - d copies extend the free partition.  The
-    zeros of rho close the walk: z of them fill the zero slots and the
-    remaining t and -t slots, so a state with more slots left than free
-    zeros is dropped.
+    The p + m signed slots take a sub-multiset tau of rho, s_v copies of
+    each value v, and zeros; the free partition is rho less tau, so
+    distinct tau give distinct keys and nothing merges.  The zeros of rho
+    fill the zero slots and whatever signed slots tau leaves, so tau needs
+    S = sum s_v >= p + m - (n - len(rho) - z): the walk over the distinct
+    values of rho, largest first, drops a state with more slots left than
+    values and zeros left to fill them.
 
-    With no -t slot (a plain diagonal) d is always 0, so the free partition
-    records every c: distinct walks give distinct keys and nothing merges.
+    With no -t slot (a plain diagonal) the s_v copies of v go to the t
+    slots in comb(p_left, s_v) ways.  Otherwise a split of each s_v into
+    c_v copies on t and d_v on -t fills the slots in
+    perm(p, C) perm(m, D) / prod_v c_v! d_v! ways (C = sum c_v,
+    D = sum d_v), with sign (-1)^(sum_v v d_v).  Summed over the splits,
+    prod_v (x + (-1)^v y)^(s_v) / s_v! = (x + y)^(S - O) (x - y)^O / prod_v s_v!
+    gives the coefficient of tau as _signed_count(p, m, S, O) / prod_v s_v!,
+    with O the number of odd values in tau, counted with multiplicity.  The
+    quotient counts signed fillings, so the division is exact.
     """
     p_cnt, m_cnt, z_cnt = pattern
     free_zeros = n - len(rho) - z_cnt
@@ -152,83 +172,142 @@ def _substitute_monomial(rho, n, pattern):
                 for c in range(max(0, p_left - capacity), min(a, p_left) + 1)
             ]
         return {(t_exp, sigma): coeff for _, t_exp, sigma, coeff in plain}
-    # (p_left, m_left, t_exponent, free_partition, coefficient)
-    states = [(p_cnt, m_cnt, 0, (), 1)]
+    slots = p_cnt + m_cnt
+    # (slots_left, odd_values, t_exponent, free_partition, prod s_v!)
+    states = [(slots, 0, 0, (), 1)]
     for v, group in groupby(rho):
         a = len(list(group))
         unwalked -= a
         capacity = unwalked + free_zeros  # values left for the signed slots
-        walked = []
-        for p_left, m_left, t_exp, sigma, coeff in states:
-            need = p_left + m_left - capacity
-            for c in range(min(a, p_left) + 1):
-                plus = coeff * comb(p_left, c)
-                for d in range(max(0, need - c), min(a - c, m_left) + 1):
-                    x = plus * comb(m_left, d)
-                    walked.append((
-                        p_left - c,
-                        m_left - d,
-                        t_exp + v * (c + d),
-                        sigma + (v,) * (a - c - d),
-                        -x if v & d & 1 else x,
-                    ))
-        states = walked
-    out: dict[tuple[int, tuple[int, ...]], int] = {}
-    for _, _, t_exp, sigma, coeff in states:
-        key = (t_exp, sigma)
-        out[key] = out.get(key, 0) + coeff
-    return {key: c for key, c in out.items() if c}
-
-
-def _substituted(rho, n, pattern):
-    """_substitute_monomial(rho, n, pattern), memoised in _SUBSTITUTED."""
-    key = (rho, n, pattern)
-    piece = _SUBSTITUTED.get(key)
-    if piece is None:
-        piece = _SUBSTITUTED[key] = _substitute_monomial(rho, n, pattern)
-    return piece
-
-
-def _basis(spec: VanishingSpec, degree: int):
-    if len(spec.family_sizes) == 1:
-        return [(rho,) for rho in partitions_max_parts(degree, spec.family_sizes[0])]
-    l1, l2 = spec.family_sizes
-    out = []
-    for d1 in range(degree + 1):
-        seconds = partitions_max_parts(degree - d1, l2)
-        for rho1 in partitions_max_parts(d1, l1):
-            out.extend((rho1, rho2) for rho2 in seconds)
+        states = [
+            (left - s, odd + (s if v & 1 else 0), t_exp + v * s,
+             sigma + (v,) * (a - s), den * factorial(s))
+            for left, odd, t_exp, sigma, den in states
+            for s in range(max(0, left - capacity), min(a, left) + 1)
+        ]
+    out = {}
+    for left, odd, t_exp, sigma, den in states:
+        count = _signed_count(p_cnt, m_cnt, slots - left, odd)
+        if count:
+            out[t_exp, sigma] = count // den
     return out
 
 
-def _condition_rows(spec: VanishingSpec, cond, basis) -> list[dict[int, int]]:
+def _signed_count(p, m, total, odd):
+    """N = sum over C of perm(p, C) perm(m, total - C) times the
+    x^C y^(total - C) coefficient of (x + y)^(total - odd) (x - y)^odd.
+
+    For a sub-multiset of total values, odd of them odd, N / prod_v s_v! is
+    the signed number of ways to place it on p t slots and m -t slots (see
+    _substitute_monomial), so N depends on nothing else.  N = 0 drops the
+    term: there the t and -t placements cancel.  Memoised in _SIGNED_COUNTS.
+    """
+    key = (p, m, total, odd)
+    count = _SIGNED_COUNTS.get(key)
+    if count is None:
+        even = total - odd
+        count = sum(
+            perm(p, c) * perm(m, total - c) * sum(
+                comb(even, c - i) * comb(odd, i) * (-1 if (odd - i) & 1 else 1)
+                for i in range(max(0, c - even), min(odd, c) + 1)
+            )
+            for c in range(max(0, total - m), min(p, total) + 1)
+        )
+        _SIGNED_COUNTS[key] = count
+    return count
+
+
+def _images(rhos, n, pattern):
+    """[_substitute_monomial(rho, n, pattern) for rho in rhos], each image as
+    [(sigma_id, coefficient)].
+
+    The t exponent is dropped: it is |rho| less the size of the free
+    partition.  Memoised in _SUBSTITUTED; ids are interned in _SIGMA_IDS.
+    """
+    memo, ids = _SUBSTITUTED, _SIGMA_IDS
+    out = []
+    for rho in rhos:
+        image = memo.get((rho, n, pattern))
+        if image is None:
+            image = memo[rho, n, pattern] = []
+            for (_, sigma), c in _substitute_monomial(rho, n, pattern).items():
+                sid = ids.get(sigma)
+                if sid is None:
+                    sid = ids[sigma] = len(ids)
+                image.append((sid, c))
+        out.append(image)
+    return out
+
+
+def _pair_form(spec: VanishingSpec):
+    """The spec's family sizes and conditions as two families.
+
+    A one-family spec becomes the second family of a pair whose first
+    family has no variables and the pattern (0, 0, 0) in every condition;
+    the constant 1 is the first family's only basis element, and (0, 0, 0)
+    maps it to 1.
+    """
+    if len(spec.family_sizes) == 2:
+        return spec.family_sizes, spec.conditions
+    return (0, *spec.family_sizes), tuple(((0, 0, 0), *cond) for cond in spec.conditions)
+
+
+def _degree_blocks(d, sizes, deleted):
+    """The kept basis of degree d as blocks: ([(rho1, group)], groups).
+
+    Column order is that of the pairs (rho1, rho2) with d1 = |rho1|
+    ascending, then rho1, then rho2 in partitions_max_parts order.  A
+    block is rho1 with the list groups[group] of the rho2 it keeps: the
+    pair is deleted when (len rho1, len rho2) is in deleted, so the list is
+    built once per (d1, len rho1) and shared by every rho1 of that length.
+    """
+    n1, n2 = sizes
+    blocks, groups = [], []
+    for d1 in range(d + 1 if n1 else 1):
+        seconds = partitions_max_parts(d - d1, n2)
+        if not seconds:
+            continue
+        group_of_len = {}
+        for rho1 in partitions_max_parts(d1, n1):
+            g = group_of_len.get(len(rho1))
+            if g is None:
+                kept = seconds
+                if deleted:
+                    kept = [rho2 for rho2 in seconds if (len(rho1), len(rho2)) not in deleted]
+                g = group_of_len[len(rho1)] = len(groups)
+                groups.append(kept)
+            if groups[g]:
+                blocks.append((rho1, g))
+    return blocks, groups
+
+
+def _block_rows(blocks, groups, sizes, cond) -> list[dict[int, int]]:
     """One sparse row {column: value} per surviving monomial of the images.
 
-    Columns index basis; each row holds no zeros and its columns ascend.
-    All of basis has one degree d, and the t exponent of a term is d less
-    the sizes of its free partitions, so two-family rows are keyed by the
-    free partitions alone; distinct pairs of terms give distinct keys, and
-    their products are nonzero.
+    Columns index the blocks' pairs in order; each row holds no zeros and
+    its columns ascend.  Every pair has one degree d, and the t exponent
+    of a term is d less the sizes of its free partitions, so rows are keyed
+    by the two free partitions' ids, packed as sid1 * width + sid2 with
+    width the number of ids interned once every image is built, which
+    bounds every id; distinct pairs of terms give distinct keys, and their
+    products are nonzero.  The rho2 images of a group are looked up once.
     """
-    rows_by_key: dict[tuple, dict[int, int]] = {}
-    if len(spec.family_sizes) == 1:
-        (n,), (pattern,) = spec.family_sizes, cond
-        for ci, (rho,) in enumerate(basis):
-            for term, c in _substituted(rho, n, pattern).items():
-                row = rows_by_key.get(term)
-                if row is None:
-                    row = rows_by_key[term] = {}
-                row[ci] = c
-        return list(rows_by_key.values())
-    (n1, n2), (pattern1, pattern2) = spec.family_sizes, cond
-    for ci, (rho1, rho2) in enumerate(basis):
-        second = _substituted(rho2, n2, pattern2).items()
-        for (_, sigma1), c1 in _substituted(rho1, n1, pattern1).items():
-            for (_, sigma2), c2 in second:
-                row = rows_by_key.get((sigma1, sigma2))
-                if row is None:
-                    row = rows_by_key[sigma1, sigma2] = {}
-                row[ci] = c1 * c2
+    (n1, n2), (pattern1, pattern2) = sizes, cond
+    firsts = _images([rho1 for rho1, _ in blocks], n1, pattern1)
+    seconds = [_images(kept, n2, pattern2) for kept in groups]
+    width = len(_SIGMA_IDS)
+    rows_by_key: dict[int, dict[int, int]] = {}
+    col = 0
+    for (_, g), first in zip(blocks, firsts):
+        for second in seconds[g]:
+            for sid1, c1 in first:
+                base = sid1 * width
+                for sid2, c2 in second:
+                    row = rows_by_key.get(base + sid2)
+                    if row is None:
+                        row = rows_by_key[base + sid2] = {}
+                    row[col] = c1 * c2
+            col += 1
     return list(rows_by_key.values())
 
 
@@ -296,6 +375,10 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
     polynomial ring, so the two conditions have the same kernel (their rows
     differ by the signs (-1)^(t exponent)), and only the first condition of
     each mirror pair builds rows.
+    A one-family spec is built as a pair (_pair_form).  Each degree's kept
+    columns come as blocks (_degree_blocks), the rows of each condition
+    from the blocks' memoised images (_block_rows); a degree that keeps no
+    column has dimension 0 and takes no rank.
     Refuses (CapacityError) rather than degrade when the problem exceeds
     MAX_VARS or MAX_DEGREE_CAP.
     """
@@ -304,27 +387,27 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
         raise CapacityError(
             f"degree cap {spec.degree_cap} exceeds the limit of {MAX_DEGREE_CAP}"
         )
+    sizes, conditions = _pair_form(spec)
     substituted, seen = [], set()
-    deleted = set()  # (len rho_1[, len rho_2]) of the basis elements deleted
-    for cond in spec.conditions:
+    deleted = set()  # (len rho_1, len rho_2) of the basis elements deleted
+    for cond in conditions:
         if not any(p or m for p, m, _ in cond):
-            most = [n - z for n, (_, _, z) in zip(spec.family_sizes, cond)]
+            most = [n - z for n, (_, _, z) in zip(sizes, cond)]
             deleted.update(product(*(range(m + 1) for m in most)))
         elif cond not in seen:
             substituted.append(cond)
             seen.update((cond, tuple((m, p, z) for p, m, z in cond)))
     dims = []
     for d in range(spec.degree_cap + 1):
-        basis = _basis(spec, d)
-        if not basis:
+        blocks, groups = _degree_blocks(d, sizes, deleted)
+        ncols = sum(len(groups[g]) for _, g in blocks)
+        if not ncols:
             dims.append(0)
             continue
-        if deleted:
-            basis = [elem for elem in basis if tuple(map(len, elem)) not in deleted]
         rows: list[dict[int, int]] = []
         for cond in substituted:
-            rows.extend(_condition_rows(spec, cond, basis))
-        dims.append(len(basis) - _exact_rank(rows, len(basis)))
+            rows.extend(_block_rows(blocks, groups, sizes, cond))
+        dims.append(ncols - _exact_rank(rows, ncols))
     return dims
 
 
@@ -434,7 +517,9 @@ def regrade_pair_sectors(sector_dims, q_order: int) -> list[int]:
     sector_dims[l2] holds graded dimensions of the (n - l2, l2) pair space.
     The pair space graded in its own degree enters regraded: the (l1, l2)
     summand contributes q^l2 times its character evaluated at q^2.
+    A negative q_order is refused (ValueError).
     """
+    validate_window(q_order, 0)
     row = [0] * (q_order + 1)
     for l2, dims in enumerate(sector_dims):
         for q_exp, c in zip(range(l2, q_order + 1, 2), dims):

@@ -6,10 +6,19 @@ test configurations one at a time, the slow side of ``character_direct``;
 total, the slow side of the fermionic walk and of
 ``level_restricted_partitions``.  A configuration is its entry tuple
 (a_0, a_1, ..., a_l), ending at its last nonzero entry; the empty
-configuration is ().
+configuration is ().  ``_basis`` and ``_condition_rows`` build the oracle's
+matrices column by column over the full basis, and ``_kept_basis`` drops the
+columns a zero condition deletes: the slow side of the block builder in
+``graded_dimension``.  ``_substitute_by_splits`` expands a monomial under a
+signed pattern one (t, -t) split at a time, the slow side of
+``_substitute_monomial``'s closed-form count.
 """
 
+from itertools import groupby
+from math import comb
+
 from admissible.configurations import validate_b, validate_window
+from admissible.polyspaces import VanishingSpec, _substitute_monomial, partitions_max_parts
 
 
 def is_admissible(a, k: int, r: int, b) -> bool:
@@ -87,3 +96,123 @@ def _vectors_after(weights, i, remaining, prefix):
         return
     for v in range(remaining // w + 1):
         yield from _vectors_after(weights, i + 1, remaining - v * w, prefix + (v,))
+
+
+def _basis(spec: VanishingSpec, degree: int):
+    if len(spec.family_sizes) == 1:
+        return [(rho,) for rho in partitions_max_parts(degree, spec.family_sizes[0])]
+    l1, l2 = spec.family_sizes
+    out = []
+    for d1 in range(degree + 1):
+        seconds = partitions_max_parts(degree - d1, l2)
+        for rho1 in partitions_max_parts(d1, l1):
+            out.extend((rho1, rho2) for rho2 in seconds)
+    return out
+
+
+def _kept_basis(spec: VanishingSpec, degree: int):
+    """_basis(spec, degree) less what a zero condition deletes.
+
+    A zero condition (no t or -t slot) sends m_rho to 0 unless
+    len(rho_f) <= n_f - z_f in every family f, and to itself otherwise;
+    the basis elements it keeps are deleted.
+    """
+    zeros = [cond for cond in spec.conditions if not any(p or m for p, m, _ in cond)]
+    return [
+        elem for elem in _basis(spec, degree)
+        if not any(
+            all(len(rho) <= n - z for rho, n, (_, _, z) in zip(elem, spec.family_sizes, cond))
+            for cond in zeros
+        )
+    ]
+
+
+def _condition_rows(spec: VanishingSpec, cond, basis) -> list[dict[int, int]]:
+    """One sparse row {column: value} per surviving monomial of the images.
+
+    Columns index basis; each row holds no zeros and its columns ascend.
+    All of basis has one degree d, and the t exponent of a term is d less
+    the sizes of its free partitions, so two-family rows are keyed by the
+    free partitions alone; distinct pairs of terms give distinct keys, and
+    their products are nonzero.
+    """
+    rows_by_key: dict[tuple, dict[int, int]] = {}
+    if len(spec.family_sizes) == 1:
+        (n,), (pattern,) = spec.family_sizes, cond
+        for ci, (rho,) in enumerate(basis):
+            for term, c in _substitute_monomial(rho, n, pattern).items():
+                row = rows_by_key.get(term)
+                if row is None:
+                    row = rows_by_key[term] = {}
+                row[ci] = c
+        return list(rows_by_key.values())
+    (n1, n2), (pattern1, pattern2) = spec.family_sizes, cond
+    for ci, (rho1, rho2) in enumerate(basis):
+        second = _substitute_monomial(rho2, n2, pattern2).items()
+        for (_, sigma1), c1 in _substitute_monomial(rho1, n1, pattern1).items():
+            for (_, sigma2), c2 in second:
+                row = rows_by_key.get((sigma1, sigma2))
+                if row is None:
+                    row = rows_by_key[sigma1, sigma2] = {}
+                row[ci] = c1 * c2
+    return list(rows_by_key.values())
+
+
+def _substitute_by_splits(rho, n, pattern):
+    """_substitute_monomial(rho, n, pattern), one (c, d) split at a time.
+
+    The walk runs over the distinct nonzero values v of rho, largest first,
+    each with its multiplicity a: c copies of v go to the t slots and d to
+    the -t slots, in comb(p_left, c) * comb(m_left, d) ways and with sign
+    (-1)^(v d); the other a - c - d copies extend the free partition.  The
+    zeros of rho close the walk: z of them fill the zero slots and the
+    remaining t and -t slots, so a state with more slots left than free
+    zeros is dropped.
+
+    With no -t slot (a plain diagonal) d is always 0, so the free partition
+    records every c: distinct walks give distinct keys and nothing merges.
+    """
+    p_cnt, m_cnt, z_cnt = pattern
+    free_zeros = n - len(rho) - z_cnt
+    if free_zeros < 0:
+        return {}  # a positive exponent would land on a zero slot
+    unwalked = len(rho)
+    if not m_cnt:
+        # (p_left, t_exponent, free_partition, coefficient)
+        plain = [(p_cnt, 0, (), 1)]
+        for v, group in groupby(rho):
+            a = len(list(group))
+            unwalked -= a
+            capacity = unwalked + free_zeros
+            plain = [
+                (p_left - c, t_exp + v * c, sigma + (v,) * (a - c), coeff * comb(p_left, c))
+                for p_left, t_exp, sigma, coeff in plain
+                for c in range(max(0, p_left - capacity), min(a, p_left) + 1)
+            ]
+        return {(t_exp, sigma): coeff for _, t_exp, sigma, coeff in plain}
+    # (p_left, m_left, t_exponent, free_partition, coefficient)
+    states = [(p_cnt, m_cnt, 0, (), 1)]
+    for v, group in groupby(rho):
+        a = len(list(group))
+        unwalked -= a
+        capacity = unwalked + free_zeros  # values left for the signed slots
+        walked = []
+        for p_left, m_left, t_exp, sigma, coeff in states:
+            need = p_left + m_left - capacity
+            for c in range(min(a, p_left) + 1):
+                plus = coeff * comb(p_left, c)
+                for d in range(max(0, need - c), min(a - c, m_left) + 1):
+                    x = plus * comb(m_left, d)
+                    walked.append((
+                        p_left - c,
+                        m_left - d,
+                        t_exp + v * (c + d),
+                        sigma + (v,) * (a - c - d),
+                        -x if v & d & 1 else x,
+                    ))
+        states = walked
+    out: dict[tuple[int, tuple[int, ...]], int] = {}
+    for _, _, t_exp, sigma, coeff in states:
+        key = (t_exp, sigma)
+        out[key] = out.get(key, 0) + coeff
+    return {key: c for key, c in out.items() if c}

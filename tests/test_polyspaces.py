@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -20,19 +21,23 @@ from admissible.fermionic import (
 from admissible.polyspaces import (
     CapacityError,
     VanishingSpec,
-    _basis,
-    _condition_rows,
+    _block_rows,
+    _degree_blocks,
     _exact_rank,
+    _pair_form,
+    _signed_count,
     _substitute_monomial,
     graded_dimension,
     oracle_block,
     partitions_max_parts,
+    regrade_pair_sectors,
     vanishing_spec_r2,
     vanishing_spec_r3_pair,
     vanishing_spec_r3_signed,
     weight_degree,
 )
 from admissible.series import TruncatedSeries, first_mismatch
+from brute_force import _basis, _condition_rows, _substitute_by_splits
 
 
 def oracle_series(k, r, b, q_order, n):
@@ -96,6 +101,38 @@ class TestSubstitution:
                                 got = _substitute_monomial(rho, n, (p, m, z))
                                 want = _expand_literally(rho, n, (p, m, z))
                                 assert got == want, (rho, n, (p, m, z))
+
+    def test_signed_closed_form_equals_split_walk(self):
+        # every rho with n <= 8 and |rho| <= 12, under every pattern with a
+        # -t slot
+        for n in range(9):
+            for size in range(13):
+                for rho in partitions_max_parts(size, n):
+                    for p in range(n):
+                        for m in range(1, n + 1 - p):
+                            for z in range(n + 1 - p - m):
+                                got = _substitute_monomial(rho, n, (p, m, z))
+                                want = _substitute_by_splits(rho, n, (p, m, z))
+                                assert got == want, (rho, n, (p, m, z))
+
+    def test_signed_count_is_divisible_by_the_multiplicity_factorials(self):
+        # for every sub-multiset tau of every rho above that fills at most
+        # p + m slots, prod s_v! divides the count of tau's arrangements
+        for n in range(9):
+            for size in range(13):
+                for rho in partitions_max_parts(size, n):
+                    values = [(v, len(list(g))) for v, g in itertools.groupby(rho)]
+                    for counts in itertools.product(*(range(a + 1) for _, a in values)):
+                        total = sum(counts)
+                        odd = sum(s for (v, _), s in zip(values, counts) if v & 1)
+                        den = 1
+                        for s in counts:
+                            den *= math.factorial(s)
+                        for p in range(n):
+                            for m in range(1, n + 1 - p):
+                                if total <= p + m:
+                                    count = _signed_count(p, m, total, odd)
+                                    assert count % den == 0, (rho, counts, p, m)
 
 
 def _expand_literally(rho, n, pattern):
@@ -219,6 +256,11 @@ class TestGradedDimension:
         with pytest.raises(ValueError, match="q_max and z_max must be non-negative"):
             oracle_block(1, r, b, q_order, n)
 
+    def test_regrade_refuses_a_negative_order(self):
+        with pytest.raises(ValueError, match="q_max and z_max must be non-negative"):
+            regrade_pair_sectors([[1, 2], [3]], -1)
+        assert regrade_pair_sectors([[1, 2], [3]], 0) == [1]
+
     def test_signed_spec_matches_direct(self):
         for k in (1, 2, 3, 4):
             b0 = (k + 1) // 2
@@ -249,14 +291,17 @@ class TestGradedDimension:
         ids=["signed", "pair"],
     )
     def test_condition_rows_are_sparse_and_ascending(self, spec):
-        basis = _basis(spec, spec.degree_cap)
-        for cond in spec.conditions:
-            rows = _condition_rows(spec, cond, basis)
+        sizes, conditions = _pair_form(spec)
+        blocks, groups = _degree_blocks(spec.degree_cap, sizes, set())
+        ncols = sum(len(groups[g]) for _, g in blocks)
+        assert ncols == len(_basis(spec, spec.degree_cap))
+        for cond in conditions:
+            rows = _block_rows(blocks, groups, sizes, cond)
             assert rows
             for row in rows:
                 assert row and all(row.values())
                 assert list(row) == sorted(row)
-                assert all(0 <= c < len(basis) for c in row)
+                assert all(0 <= c < ncols for c in row)
 
 
 def _is_zero_condition(cond):
@@ -310,17 +355,37 @@ class TestZeroConditions:
         ids=["r2", "signed", "pair-b1-below-k"],
     )
     def test_zero_conditions_build_no_rows(self, monkeypatch, spec):
-        assert any(map(_is_zero_condition, spec.conditions))
-        real_rows = polyspaces._condition_rows
-        seen = []
-
-        def spying_rows(spec, cond, basis):
-            seen.append(cond)
-            return real_rows(spec, cond, basis)
-
-        monkeypatch.setattr(polyspaces, "_condition_rows", spying_rows)
+        # Every pattern of these specs' nonzero conditions has z = 0, and
+        # every zero condition has a pattern with z > 0, so a substituted
+        # pattern with a zero slot could only come from a zero condition.
+        row_patterns = {
+            pattern for cond in spec.conditions if not _is_zero_condition(cond)
+            for pattern in cond
+        }
+        assert all(z == 0 for _, _, z in row_patterns)
+        zero_conditions = [cond for cond in spec.conditions if _is_zero_condition(cond)]
+        assert zero_conditions
+        assert all(any(z for _, _, z in cond) for cond in zero_conditions)
+        seen = _spy_on_images(monkeypatch)
         graded_dimension(spec)
-        assert seen and not any(map(_is_zero_condition, seen))
+        assert seen and all(z == 0 for _, _, z in seen)
+        # (0, 0, 0) is also the empty first family of a one-family spec
+        assert seen <= row_patterns | {(0, 0, 0)}
+
+
+def _spy_on_images(monkeypatch):
+    """The set of patterns polyspaces._images substitutes from now on."""
+    real_images = polyspaces._images
+    seen = set()
+
+    def spying_images(rhos, n, pattern):
+        images = real_images(rhos, n, pattern)
+        if images:
+            seen.add(pattern)
+        return images
+
+    monkeypatch.setattr(polyspaces, "_images", spying_images)
+    return seen
 
 
 def _mirror(cond):
@@ -333,15 +398,10 @@ class TestMirrorConditions:
         spec = vanishing_spec_r3_signed(k + 3, k, 1, 8)
         assert len([c for c in spec.conditions if not _is_zero_condition(c)]) == k + 2
         expected = _rows_over_full_basis(spec)  # every condition builds rows
-        real_rows = polyspaces._condition_rows
-        seen = set()
-
-        def spying_rows(spec, cond, basis):
-            seen.add(cond)
-            return real_rows(spec, cond, basis)
-
-        monkeypatch.setattr(polyspaces, "_condition_rows", spying_rows)
+        seen = _spy_on_images(monkeypatch)
         assert graded_dimension(spec) == expected
+        # one signed pattern per mirror pair, and the empty first family's
+        seen = {(pattern,) for pattern in seen - {(0, 0, 0)}}
         assert len(seen) == (k + 3) // 2  # ceil((k + 2) / 2)
         assert all(_mirror(cond) not in seen for cond in seen if _mirror(cond) != cond)
 
