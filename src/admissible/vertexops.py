@@ -10,20 +10,28 @@ coordinates.  The product of two operators contracts to the scalar
     g(z, w) = z^(<a_0, b^0>) * exp(-sum_{m>0} <a_m, b_{-m}>/m (w/z)^m),
 
 which for 2-periodic data has the closed form (1-w/z)^p (1+w/z)^s with
-p = (c_odd + c_even)/2 and s = (c_even - c_odd)/2.  ``pair_function`` does
+p = (c_odd + c_even)/2 and s = (c_even - c_odd)/2.  ``pair_expansion`` does
 not use that form: it expands the exponential by the three-term recurrence
-its log-derivative gives, carried in integers, so ``closed_form_series`` is
-an independent check.  A PairingTable keeps every pairing as an integer over
-one common denominator; a Fraction is built only for each value returned.
+its log-derivative gives, carried in integers, so the closed form is an
+independent check.  It returns the pair function in integers: the z power
+as a ratio, and each coefficient as a numerator over its scale d! D^d.
+A PairingTable keeps every pairing as an integer over one common
+denominator.
 
 For specs i and j of a built-in family, in build order, (p, s) is entry
 (i, j) of the Gordon matrices its fermionic sum reads: (A2, 0) for r2,
 (A, 0) for r3-split, (A2, B3) for the mixed family; the z power is p + s.
-``verify pair-functions`` takes its expected exponents from ``fermionic``.
+``verify pair-functions`` takes its expected exponents from ``fermionic``
+and compares them with ``pair_expansion`` in integers: h_d = c_d d! D^d for
+every closed-form coefficient c_d.
 
-``Fraction`` is imported inside the functions that build one: only ``pairs``
-and ``verify pair-functions`` reach them, and ``fractions`` imports
-``decimal`` and ``re``, which every other command would load for nothing.
+``Fraction`` is built only where a value is returned as one:
+``pair_function``, ``closed_form_series`` and ``PairingTable.pairing`` are
+the Fraction views of the integer routines, and a PairingTable given a value
+that is not an int reads it through Fraction.  Each imports ``fractions``
+inside the function, as only ``pairs`` reaches them on the built-in
+families: ``fractions`` imports ``decimal`` and ``re``, which every other
+command would load for nothing.
 """
 
 from __future__ import annotations
@@ -54,8 +62,12 @@ def _scaled(vec: dict) -> tuple[list, int]:
     A coefficient that is not an int is taken at its exact Fraction value,
     a float included.
     """
-    if all(type(c) is int for c in vec.values()):
-        return [(g, c) for g, c in vec.items() if c], 1
+    terms = [(g, c) for g, c in vec.items() if c]
+    for _, c in terms:
+        if type(c) is not int:
+            break
+    else:
+        return terms, 1
     from fractions import Fraction
 
     exact = [(g, Fraction(c)) for g, c in vec.items() if c]
@@ -65,15 +77,20 @@ def _scaled(vec: dict) -> tuple[list, int]:
 
 class PairingTable:
     """Symmetric table of rational inner products of named generators, kept
-    as integer numerators over one common denominator: ``pairing`` sums
-    integer products and builds a single Fraction."""
+    as integer numerators over one common denominator: ``_ratio`` sums
+    integer products, and ``pairing`` builds a single Fraction of it."""
 
     def __init__(self, pairings: dict):
-        from fractions import Fraction
+        # An int is its own numerator over denominator 1; any other value is
+        # read at its exact Fraction value.
+        if all(type(value) is int for value in pairings.values()):
+            exact = pairings
+        else:
+            from fractions import Fraction
 
+            exact = {pair: Fraction(value) for pair, value in pairings.items()}
         table = {}
-        for (g, h), value in pairings.items():
-            value = Fraction(value)
+        for (g, h), value in exact.items():
             key = (g, h) if g <= h else (h, g)
             if key in table and table[key] != value:
                 raise ValueError(f"conflicting pairings for {key}")
@@ -168,21 +185,25 @@ def _check_pair_terms(pairs: int, k: int, trunc: int) -> None:
         )
 
 
-def pair_function(a: VOSpec, b: VOSpec, table: PairingTable, trunc: int) -> PairFunction:
-    """Contraction scalar of two operator specs, to order trunc in w/z.
+def pair_expansion(a: VOSpec, b: VOSpec, table: PairingTable, trunc: int) -> tuple:
+    """The pair function of two operator specs in integers, to order trunc
+    in w/z: (z_power, numerators, scales, closed_form).
+
+    z_power is the z power as (numerator, positive denominator) in lowest
+    terms; the coefficient of (w/z)^d is numerators[d] / scales[d]; and
+    closed_form is as in PairFunction.
 
     The expansion g = exp(-sum c_m x^m/m) has g'/g = -(c_odd + c_even x)/(1 - x^2),
     so (d + 1) g_{d+1} = -c_odd g_d + (d - 1 - c_even) g_{d-1}.  With D the
     least common denominator of c_odd and c_even, A = c_odd D and E = c_even D,
     the integers h_d = d! D^d g_d obey
-    h_{d+1} = -A h_d + (D (d - 1) - E) D d h_{d-1}, and g_d = h_d / (d! D^d).
+    h_{d+1} = -A h_d + (D (d - 1) - E) D d h_{d-1}: the numerators are h_d
+    and the scales d! D^d.
     """
-    from fractions import Fraction
-
     _check_order(trunc)
     even_num, even_den = table._ratio(a.even, b.even)
     odd_num, odd_den = table._ratio(a.odd, b.odd)
-    z_power = table.pairing(a.even, b.zero_mode)
+    z_power = table._ratio(a.even, b.zero_mode)
     D = lcm(even_den, odd_den)
     A = odd_num * (D // odd_den)
     E = even_num * (D // even_den)
@@ -192,26 +213,42 @@ def pair_function(a: VOSpec, b: VOSpec, table: PairingTable, trunc: int) -> Pair
     s, s_rem = divmod(E - A, 2 * D)
     if not p_rem and not s_rem and p >= 0 and s >= 0:
         closed = (p, s)
-    coeffs = [Fraction(1)]
+    numerators, scales = [1], [1]
     h_prev, h, scale = 0, 1, 1
     for d in range(trunc):
         h_prev, h = h, -A * h + (D * (d - 1) - E) * D * d * h_prev
         scale *= (d + 1) * D
-        coeffs.append(Fraction(h, scale))
-    return PairFunction(z_power, tuple(coeffs), closed)
+        numerators.append(h)
+        scales.append(scale)
+    return z_power, numerators, scales, closed
 
 
-def closed_form_series(p: int, s: int, trunc: int) -> list[Fraction]:
-    """Coefficients of (1 - x)^p (1 + x)^s through order trunc."""
+def pair_function(a: VOSpec, b: VOSpec, table: PairingTable, trunc: int) -> PairFunction:
+    """Contraction scalar of two operator specs, to order trunc in w/z: the
+    Fraction view of ``pair_expansion``."""
     from fractions import Fraction
 
-    _check_order(trunc)
+    z_power, numerators, scales, closed = pair_expansion(a, b, table, trunc)
+    coeffs = tuple(map(Fraction, numerators, scales))
+    return PairFunction(Fraction(*z_power), coeffs, closed)
+
+
+def _closed_form_coefficients(p: int, s: int, trunc: int) -> list[int]:
+    """Integer coefficients of (1 - x)^p (1 + x)^s through order trunc."""
     out = [0] * (trunc + 1)
     for i in range(min(p, trunc) + 1):
         ci = comb(p, i) * (-1) ** i
         for j in range(min(s, trunc - i) + 1):
             out[i + j] += ci * comb(s, j)
-    return [Fraction(c) for c in out]
+    return out
+
+
+def closed_form_series(p: int, s: int, trunc: int) -> list[Fraction]:
+    """Coefficients of (1 - x)^p (1 + x)^s through order trunc, as Fractions."""
+    from fractions import Fraction
+
+    _check_order(trunc)
+    return [Fraction(c) for c in _closed_form_coefficients(p, s, trunc)]
 
 
 # ---------------------------------------------------------------------------

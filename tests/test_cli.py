@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from admissible import cli, vertexops
 from admissible.cli import main
-from admissible.configurations import character_direct
+from admissible.configurations import CapacityError, character_direct
 from admissible.fermionic import fermionic_r3_special
 from admissible.polyspaces import (
     graded_dimension,
@@ -497,6 +499,65 @@ class TestPairs:
         assert all(r["status"] == "capacity-skip" for r in reports)
 
 
+def reference_pair_check(spec_a, spec_b, table, p) -> str:
+    """The pair-functions check in Fractions: the pair function's
+    coefficients against closed_form_series, its z power against p + s."""
+    pf = vertexops.pair_function(spec_a, spec_b, table, p["order"])
+    ok = (
+        pf.closed_form == (p["p"], p["s"])
+        and list(pf.coeffs) == vertexops.closed_form_series(p["p"], p["s"], p["order"])
+        and pf.z_power == p["p"] + p["s"]
+    )
+    return "ok" if ok else f"closed={pf.closed_form}"
+
+
+class TestPairCheck:
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("family", ["r2", "r3-split", "r3-mixed"])
+    def test_integer_check_agrees_with_the_fraction_check(self, family, k):
+        """At the true (p, s) and one step off in each exponent, the integer
+        check returns exactly the reference's string."""
+        if family == "r3-mixed":
+            family = "r3-odd-k" if k % 2 else "r3-even-k"
+        fam = vertexops.build_family(family, k)
+        P, S = (build(k) if build else None for build in cli._PAIR_EXPONENTS[family])
+        pairs = combinations_with_replacement(enumerate(fam.specs), 2)
+        for (i, (_, a)), (j, (_, b)) in pairs:
+            p0, s0 = P[i][j], S[i][j] if S else 0
+            for p, s in [(p0, s0), (p0 + 1, s0), (p0 - 1, s0), (p0, s0 + 1), (p0, s0 - 1)]:
+                for order in (0, 1, 2, 3, 7, 12, 16):
+                    params = {"k": k, "order": order, "p": p, "s": s}
+                    expected = reference_pair_check(a, b, fam.table, params)
+                    assert expected == ("ok" if (p, s) == (p0, s0) else f"closed={(p0, s0)}")
+                    assert cli._pair_check(a, b, fam.table, params) == expected
+
+    @pytest.mark.parametrize(
+        "zero_mode, even, odd",
+        [
+            ({}, {"e": 1}, {"e": 1}),  # closed form (2, 0), z power 0
+            ({"e": 1, "h": 1}, {"e": 1}, {"e": 1}),  # (2, 0), z power 3
+            ({"e": 1, "h": Fraction(1, 2)}, {"e": 1}, {"e": 1}),  # (2, 0), z power 5/2
+            ({"e": Fraction(1, 3)}, {"e": 1}, {"e": 1}),  # (2, 0), z power 2/3
+            ({"e": 1}, {"h": 1}, {"e": 1}),  # (3, 1), z power 1
+            ({"e": 1}, {"h": 1}, {"h": -1}),  # (4, 0), z power 1
+            ({"h": 1}, {"e": 1}, {"h": Fraction(1, 2)}),  # exponents (3/2, 1/2), none
+        ],
+    )
+    def test_z_power_off_the_exponents_agrees_with_the_fraction_check(
+        self, zero_mode, even, odd
+    ):
+        # <e, e> = 2, <h, h> = 4, <e, h> = 1: the z power is read from the zero
+        # mode alone, so it can miss p + s while the closed form holds.
+        table = vertexops.PairingTable({("e", "e"): 2, ("h", "h"): 4, ("e", "h"): 1})
+        spec = vertexops.VOSpec(even, odd, zero_mode)
+        closed = vertexops.pair_function(spec, spec, table, 0).closed_form
+        for p, s in [closed or (0, 0), (2, 0), (0, 2), (1, 1)]:
+            for order in (0, 3, 9):
+                params = {"k": 1, "order": order, "p": p, "s": s}
+                expected = reference_pair_check(spec, spec, table, params)
+                assert cli._pair_check(spec, spec, table, params) == expected
+
+
 class TestVerify:
     def test_small_r2_suite_all_match(self, capsys):
         code, out, err = run_cli(
@@ -583,6 +644,24 @@ class TestVerify:
             [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
         )
         assert done.stdout == "[] 0\n"
+
+    def test_verify_pair_functions_loads_no_fractions(self):
+        # The built-in families pair in ints: the whole run stays off
+        # fractions and the decimal and re modules it imports.
+        src = str(Path(cli.__file__).parents[1])
+        code = (
+            "import contextlib, io, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from admissible import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = cli.main(['verify', 'pair-functions', '--kmax', '2'])\n"
+            "print(code, [m for m in ('fractions', 'decimal', 're') if m in sys.modules])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "0 []\n"
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     def test_no_collection_runs_during_a_command(self, monkeypatch, enabled):
@@ -754,6 +833,60 @@ class TestVerify:
         reports = json.loads(out)["reports"]
         assert [r["status"] for r in reports] == ["error", "error"]
         assert all(r["experimental"] for r in reports)
+
+    def count_weight_builds(self, monkeypatch, raising_k=None, exc=RuntimeError):
+        """Wrap both Gordon data builders of cli, counting the builds per
+        key; a build at k = raising_k raises exc instead."""
+        builds = {}
+
+        def counting(variant, real):
+            def build(k, *b0):
+                builds[(variant, k, *b0)] = builds.get((variant, k, *b0), 0) + 1
+                if k == raising_k:
+                    raise exc(f"no data at k={k}")
+                return real(k, *b0)
+
+            return build
+
+        monkeypatch.setattr(cli, "gordon_data_r2", counting("G2", cli.gordon_data_r2))
+        monkeypatch.setattr(
+            cli, "gordon_data_r3_special", counting("G3", cli.gordon_data_r3_special)
+        )
+        return builds
+
+    WEIGHTS_K2 = ["verify", "weights", "--kmax", "2", "--sizemax", "4", "--sizemax3", "3"]
+
+    def test_weight_data_is_built_once_per_key(self, capsys, monkeypatch):
+        builds = self.count_weight_builds(monkeypatch)
+        code, out, _ = run_cli(capsys, *self.WEIGHTS_K2)
+        assert code == 0
+        assert all(r["status"] == "match" for r in json.loads(out)["reports"])
+        # G2 at every (k, b0), G3 at every k
+        assert builds == {
+            ("G2", 1, 0): 1, ("G2", 1, 1): 1,
+            ("G2", 2, 0): 1, ("G2", 2, 1): 1, ("G2", 2, 2): 1,
+            ("G3", 1): 1, ("G3", 2): 1,
+        }
+
+    @pytest.mark.parametrize(
+        "exc, status", [(RuntimeError, "error"), (CapacityError, "capacity-skip")]
+    )
+    def test_a_failing_weight_build_is_reported_by_every_case_of_its_key(
+        self, capsys, monkeypatch, exc, status
+    ):
+        _, reference, _ = run_cli(capsys, *self.WEIGHTS_K2)
+        builds = self.count_weight_builds(monkeypatch, raising_k=2, exc=exc)
+        code, out, _ = run_cli(capsys, *self.WEIGHTS_K2)
+        assert code == (1 if status == "error" else 0)
+        reports = json.loads(out)["reports"]
+        failed = [r for r in reports if r["params"]["k"] == 2]
+        assert failed and all(r["status"] == status for r in failed)
+        assert all(r["detail"].endswith("no data at k=2") for r in failed)
+        # a build that raises is not kept: each case of its key builds again
+        assert sum(n for key, n in builds.items() if key[1] == 2) == len(failed)
+        kept = [r for r in reports if r["params"]["k"] == 1]
+        assert kept and all(r["status"] == "match" for r in kept)
+        assert kept == [r for r in json.loads(reference)["reports"] if r["params"]["k"] == 1]
 
     def replay_witness(self, capsys, err, witness, z_exp):
         """Run both replay lines of the first mismatch through main and

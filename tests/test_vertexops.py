@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from admissible.vertexops import (
     closed_form_series,
     family_r3_mixed,
     family_r3_split,
+    pair_expansion,
     pair_function,
 )
 
@@ -197,6 +199,24 @@ class TestPairFunction:
         t = PairingTable({("e", "e"): c_even, ("o", "o"): c_odd, ("e", "o"): 0})
         spec = VOSpec(even={"e": 1}, odd={"o": 1}, zero_mode={"e": 1, "o": 0})
         assert_matches_reference(spec, spec, t, trunc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables(), specs, specs, st.integers(0, 20))
+    def test_integer_expansion_is_the_reference_in_integers(self, t, a, b, trunc):
+        """h_d / scale_d, the z power ratio and the closed form of
+        pair_expansion are the reference's values, and scale_d = d! D^d."""
+        z_power, numerators, scales, closed = pair_expansion(a, b, t, trunc)
+        ref_z, ref_coeffs, ref_closed = reference_pair_function(a, b, t, trunc)
+        assert z_power == (ref_z.numerator, ref_z.denominator)
+        assert [Fraction(h, scale) for h, scale in zip(numerators, scales)] == ref_coeffs
+        assert len(numerators) == len(scales) == trunc + 1
+        assert closed == ref_closed
+        assert {type(x) for x in (*z_power, *numerators, *scales)} == {int}
+        D = lcm(
+            reference_pairing(t, a.even, b.even).denominator,
+            reference_pairing(t, a.odd, b.odd).denominator,
+        )
+        assert scales == [factorial(d) * D**d for d in range(trunc + 1)]
 
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("family", ["r2", "r3-split", "r3-mixed"])
