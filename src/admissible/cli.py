@@ -37,7 +37,7 @@ import time
 from itertools import combinations_with_replacement, islice
 from types import SimpleNamespace
 
-from .series import TruncatedSeries, dumps, first_mismatch
+from .series import TruncatedSeries, dumps, first_mismatch, series_json
 from .configurations import CapacityError, character_direct, validate_b, validate_window
 from .fermionic import (
     boundary_c2,
@@ -118,7 +118,7 @@ def cmd_char(args) -> int:
     if b is None:
         raise ValueError("--b is required for this method")
     series = _compute_char(args.method, args.k, args.r, b, args.qmax, args.zmax)
-    print(dumps(series.to_json_obj()))
+    print(series_json(series))
     return 0
 
 

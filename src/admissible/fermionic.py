@@ -11,8 +11,12 @@ That evaluator walks the multiplicity vectors depth first and prunes: every
 entry of the matrix, the boundary vector and the sector weights is >= 0 and
 every z-weight is >= 1 (GordonData enforces this), so raising any m_i never
 lowers the q-exponent or the z-degree, and a vector past the window has no
-descendant inside it.  The Pochhammer inverse of each vector is its previous
-sibling's divided by one more factor, so no per-vector product is formed.
+descendant inside it.  Every coordinate shares one Pochhammer base, so the
+inverse for m_j = v depends on v alone: each node of the walk divides its own
+inverse into one run, 1/(q^step; q^step)_v for v = 1, 2, ..., and hands
+run[v-1] to the child m_j = v for every later coordinate j.  No per-vector
+product is formed, and the division for m_j = v is done once per node, not
+once per coordinate, unless a later child needs the entry longer.
 """
 
 from __future__ import annotations
@@ -183,8 +187,9 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     boundary and the weights is non-negative, and every z-weight is at least
     1), so a run stops at its first vector past the window: neither that
     vector's later siblings nor its descendants can lie inside it.  The
-    Pochhammer inverse of m_j = v is that of m_j = v - 1, truncated at
-    q_max - shift and divided by the one new factor (1 - q^(step*v)).
+    Pochhammer inverse of m_j = v is the parent's divided by
+    (q^step; q^step)_v, whatever j is, so each parent keeps one run of these
+    inverses for all its children (see ``_walk``).
     """
     validate_window(q_max, z_max)
     _check_cells(
@@ -200,11 +205,21 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
 
 def _walk(data, rows, m, first, z, extra, shift, poch) -> None:
     """Add the terms of m (0 from coordinate first on) and of its descendants
-    that lie in the window, which is the shape of rows; m is left as found."""
+    that lie in the window, which is the shape of rows; m is left as found.
+
+    poch is m's Pochhammer inverse; only its first q_max - shift + 1 entries
+    are read, and it is never changed.  run[v-1] is poch divided by
+    prod_{u<=v} (1 - q^(step*u)), long enough for every child m_j = v priced
+    so far.  A child at shift cshift needs q_max - cshift + 1 entries; when
+    run[v-1] is missing or shorter, it is rebuilt from run[v-2] (or poch),
+    which the sibling m_j = v - 1 (or m itself) made long enough at a shift
+    no larger.
+    """
     q_max, z_max = len(rows[0]) - 1, len(rows) - 1
     rows[z][shift:] = map(add, rows[z][shift:], poch)
+    run = []
     for j in range(first, len(m)):
-        cz, cx, cur = z, extra, poch
+        cz, cx = z, extra
         for v in range(1, z_max + 1):
             cz += data.z_weights[j]
             if cz > z_max:
@@ -214,9 +229,12 @@ def _walk(data, rows, m, first, z, extra, shift, poch) -> None:
             cshift = quadratic_exponent(data, m) + cx
             if cshift > q_max:
                 break
-            cur = cur[: q_max - cshift + 1]
-            _divide_by_one_minus(cur, data.q_step * v)
-            _walk(data, rows, m, j + 1, cz, cx, cshift, cur)
+            need = q_max - cshift + 1
+            if v > len(run) or len(run[v - 1]) < need:
+                cur = (run[v - 2] if v > 1 else poch)[:need]
+                _divide_by_one_minus(cur, data.q_step * v)
+                run[v - 1 : v] = [cur]
+            _walk(data, rows, m, j + 1, cz, cx, cshift, run[v - 1])
         m[j] = 0
 
 

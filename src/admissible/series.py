@@ -9,9 +9,12 @@ constructor takes such rows; the sparse map {(dq, dz): c} is a read-only
 view, ``coeffs``, built on demand.  The character routes work on dense
 q-lists too: they divide by one Pochhammer factor at a time with
 ``_divide_by_one_minus``, accumulate rows by slice adds and hand the rows to
-``TruncatedSeries``, which only clips and copies them.  Printing, ``terms``
-and ``first_mismatch`` scan the rows in (dz, dq) order, so none of them
-sorts.  No command multiplies two series; ``TruncatedSeries.__mul__`` stays
+``TruncatedSeries``, which only clips and copies them.  ``series_json``,
+``terms`` and ``first_mismatch`` scan the rows in (dz, dq) order, so none of
+them sorts.  ``char`` prints ``series_json``, which writes the canonical JSON
+text straight from the rows; ``to_json_obj`` builds the same object for
+callers that embed it, and is the reference ``series_json`` is tested
+against.  No command multiplies two series; ``TruncatedSeries.__mul__`` stays
 because the benchmark's tracer wraps it by name.
 """
 
@@ -155,6 +158,20 @@ class TruncatedSeries:
             "z_order": self.z_order,
             "terms": [[dq, dz, str(c)] for dq, dz, c in self.terms()],
         }
+
+
+def series_json(series: TruncatedSeries) -> str:
+    """The bytes of dumps(series.to_json_obj()), written in one pass over the
+    rows: one string per nonzero term, in (dz, dq) order, joined once."""
+    terms = ",".join(
+        [
+            f'[{dq},{dz},"{c}"]'
+            for dz, row in enumerate(series.rows)
+            for dq, c in enumerate(row)
+            if c
+        ]
+    )
+    return f'{{"q_order":{series.q_order},"terms":[{terms}],"z_order":{series.z_order}}}'
 
 
 def _pochhammer_inverse_coeffs(ms, step: int, q_order: int) -> list[int]:

@@ -27,7 +27,7 @@ from admissible.polyspaces import (
     vanishing_spec_r2,
     vanishing_spec_r3_pair,
 )
-from admissible.series import TruncatedSeries
+from admissible.series import TruncatedSeries, dumps
 from brute_force import _kept_basis
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -220,6 +220,25 @@ class TestChar:
         )
         assert code == 0
         assert json.loads(out) == fermionic_r3_special(3, 6, 2).to_json_obj()
+
+    @pytest.mark.parametrize(
+        "method, k, r, b, qmax, zmax",
+        [
+            ("direct", 2, 3, (1, 2), 12, 6),
+            ("fermionic-r2", 3, 2, (1,), 30, 15),
+            ("fermionic-r3", 2, 3, (0, 2), 24, 12),
+            ("fermionic-r3-special", 3, 3, (2, 3), 30, 15),
+            ("oracle", 2, 2, (1,), 8, 4),
+            ("direct", 1, 2, (0,), 0, 0),
+        ],
+    )
+    def test_stdout_is_the_reference_json(self, capsys, method, k, r, b, qmax, zmax):
+        argv = ["char", "--method", method, "--k", str(k), "--r", str(r),
+                "--b", ",".join(map(str, b)), "--qmax", str(qmax), "--zmax", str(zmax)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        series = cli._compute_char(method, k, r, b, qmax, zmax)
+        assert out == dumps(series.to_json_obj()) + "\n"
 
 
 class TestTable:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -484,3 +486,44 @@ class TestPrunedWalkAgainstBruteForce:
         weights = tuple(range(1, 7))
         brute = sum(1 for n in range(51) for _ in _multiplicity_vectors(weights, n))
         assert 0 < calls < brute // 10
+
+
+class TestSharedPochhammerRun:
+    """Each node of the walk divides its Pochhammer run once for all its
+    children: the child m_j = v reads run[v-1] for every coordinate j."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Count the walk's nodes below the root and its divisions, each
+        division sorted by whether it extends the node's run or rebuilds an
+        entry that a child at a larger shift had left too short."""
+        counts = {"kept": -1, "new": 0, "rebuilt": 0}
+        walk, divide = fermionic._walk, fermionic._divide_by_one_minus
+
+        def counted_walk(*args):
+            counts["kept"] += 1
+            return walk(*args)
+
+        def counted_divide(coeffs, stride):
+            caller = sys._getframe(1).f_locals
+            counts["new" if caller["v"] > len(caller["run"]) else "rebuilt"] += 1
+            return divide(coeffs, stride)
+
+        monkeypatch.setattr(fermionic, "_walk", counted_walk)
+        monkeypatch.setattr(fermionic, "_divide_by_one_minus", counted_divide)
+        return counts
+
+    def test_r2_divides_fewer_times_than_it_keeps_vectors(self, monkeypatch):
+        counts = self._count(monkeypatch)
+        fermionic_r2(6, 1, 100, 50)
+        assert counts["rebuilt"] == 0
+        assert 0 < counts["new"] < counts["kept"]
+
+    def test_r3_rebuilds_a_short_entry_and_stays_exact(self, monkeypatch):
+        data = gordon_data_r3(2, 1)
+        counts = self._count(monkeypatch)
+        got = evaluate_gordon_sum(data, 20, 10)
+        assert counts["rebuilt"] >= 1
+        assert counts["new"] + counts["rebuilt"] < counts["kept"]
+        monkeypatch.undo()
+        assert got == brute_force_sum(data, 20, 10) == fermionic_r3(2, 1, 20, 10)

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from admissible import configurations
 from admissible.configurations import CapacityError
-from admissible.series import TruncatedSeries, _pochhammer_inverse_coeffs, dumps, first_mismatch
+from admissible.series import (
+    TruncatedSeries,
+    _pochhammer_inverse_coeffs,
+    dumps,
+    first_mismatch,
+    series_json,
+)
 
 
 def S(coeffs, q=6, z=6):
@@ -150,6 +156,10 @@ class TestPochhammerInverse:
         assert times_pochhammer(inv, m, step) == [1] + [0] * q_order
 
 
+# Zeros, and small and 300-bit coefficients of either sign.
+wide_coeff_st = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**300), 2**300))
+
+
 class TestJson:
     def test_canonical_term_order(self):
         s = S({(2, 1): 3, (0, 1): 1, (5, 0): -2})
@@ -168,6 +178,34 @@ class TestJson:
         obj = json.loads(dumps(s.to_json_obj()))
         coeffs = {(dq, dz): int(c) for dq, dz, c in obj["terms"]}
         assert S(coeffs, obj["q_order"], obj["z_order"]) == s
+
+    # Ragged rows that may be empty, end in zeros or run past q_order;
+    # z_order may run past the last row, or cut rows off.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(wide_coeff_st, max_size=10), max_size=8),
+        st.integers(0, 12),
+        st.integers(0, 12),
+    )
+    def test_series_json_is_the_bytes_of_the_reference(self, rows, q, z):
+        s = TruncatedSeries(rows, q, z)
+        assert series_json(s) == dumps(s.to_json_obj())
+
+    @pytest.mark.parametrize(
+        "rows, q, z",
+        [
+            ([], 0, 0),
+            ([[0, 0], [], [0]], 3, 5),
+            ([[-(2**300), 0, 0], [], [0, 0, 7, 0]], 9, 9),
+            ([[1, 2, 3], [4, 5, 6]], 1, 0),
+        ],
+        ids=["empty", "all-zero", "big-ragged", "clipped"],
+    )
+    def test_series_json_edge_cases(self, rows, q, z):
+        s = TruncatedSeries(rows, q, z)
+        text = series_json(s)
+        assert text == dumps(s.to_json_obj())
+        assert json.loads(text) == s.to_json_obj()
 
 
 # Any code point, lone surrogates included, or only the ones the writer
