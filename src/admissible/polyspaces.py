@@ -15,15 +15,16 @@ are unit vectors: it deletes basis elements and builds no rows.  The
 substitution t -> -t swaps the t and -t counts of a condition in every
 family and keeps its kernel, so of two such mirror conditions only one
 builds rows.  A one-family space is built as a pair whose first family has
-no variables, and each degree's columns come in blocks: one partition rho1
-of the first family with the list of second-family partitions it keeps,
-built once per (|rho1|, len rho1), whose images each condition looks up
-once per list.  The expansion of m_rho walks the multiplicity vector of rho over
-the sub-multisets that fill the t and -t slots: with binomial coefficients
-for a plain diagonal, and with a closed-form signed count for a pattern
-with -t slots.  Each image is memoised per process as a list of (free
-partition id, coefficient), the free partitions interned as small ids, so
-a row is keyed by one packed integer.
+no variables.  Each condition builds every degree in one pass: a partition
+rho1 of the first family spans the degrees from |rho1| up, with the list of
+second-family partitions it keeps, built once per (|rho2|, len rho1), and
+the images of each rho1 and each list are looked up once.  The expansion of
+m_rho walks the multiplicity vector of rho over the sub-multisets that fill
+the t and -t slots: with binomial coefficients for a plain diagonal, and
+with a closed-form signed count for a pattern with -t slots.  An image is
+memoised per process as [(code, coefficient)], a free partition of an
+n-variable family coded as sum_v mult_v 2^(w (v - 1)), w the bit length of
+n, and a row of one degree is keyed by the two codes packed into one int.
 Each constraint is a sparse row {column: value} with no zeros and ascending
 columns.  The rank is exact: fraction-free forward elimination in Python
 integers, shortest rows first, reduces each row at its smallest column
@@ -46,7 +47,7 @@ exponents used by the fermionic sums is an independent check of the matrices.
 
 from __future__ import annotations
 
-from itertools import groupby, product
+from itertools import product
 from math import comb, factorial, gcd, perm
 
 from .configurations import CapacityError, _ValueRecord, validate_b, validate_window
@@ -84,9 +85,9 @@ class VanishingSpec(_ValueRecord):
                     )
 
 
-# (d, parts): partitions_max_parts(d, parts) for 0 <= parts <= d, shared by
-# every basis of the process like _SUBSTITUTED, and by the conjugates that
-# fermionic.level_restricted_partitions reads; callers do not mutate them.
+# (d, parts): the partitions of d into at most parts <= d parts, one table
+# shared by every basis of the process like _SUBSTITUTED, and by the
+# conjugates fermionic.level_restricted_partitions reads; never mutated.
 _PARTITIONS: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
 
@@ -95,54 +96,56 @@ def partitions_max_parts(d: int, max_parts: int) -> list[tuple[int, ...]]:
 
     The list is memoised and shared between callers, who must not mutate it.
     """
-    key = (d, max(0, min(max_parts, d)))  # d has at most d parts
-    out = _PARTITIONS.get(key)
+    return _partition_row(d, max(0, min(max_parts, d)))  # d has at most d parts
+
+
+def _partition_row(d, parts):
+    """_PARTITIONS[d, parts], built from the table's rows on first use.
+
+    The partitions come in descending lexicographic order: by largest part
+    a, from d down to ceil(d / parts), then a followed by each partition of
+    d - a into at most parts - 1 parts of size at most a, in the order of
+    row (d - a, parts - 1) filtered by its largest part.
+    """
+    out = _PARTITIONS.get((d, parts))
     if out is None:
-        out = _PARTITIONS[key] = []
-        _append_partitions(out, d, d, key[1], ())
+        out = [()] if d == 0 else []
+        if d > 0 and parts:
+            for a in range(d, -(-d // parts) - 1, -1):
+                rests = _partition_row(d - a, min(parts - 1, d - a))
+                out += [(a, *rest) for rest in rests if not rest or rest[0] <= a]
+        _PARTITIONS[d, parts] = out
     return out
 
 
-def _append_partitions(out, remaining, largest, parts_left, prefix) -> None:
-    """Append prefix + rho to out for each partition rho of remaining into at
-    most parts_left parts of size at most largest, descending."""
-    if remaining == 0:
-        out.append(prefix)
-        return
-    if parts_left == 0:
-        return
-    for part in range(min(remaining, largest), 0, -1):
-        _append_partitions(out, remaining - part, part, parts_left - 1, prefix + (part,))
-
-
-# Free partitions interned as small ids, and (rho, n, pattern) -> the image
-# of m_rho as [(sigma_id, coefficient)], each shared by every condition and
-# degree of the process; callers do not mutate the lists.
-_SIGMA_IDS: dict[tuple[int, ...], int] = {}
+# (rho, n, pattern) -> the image of m_rho as [(free partition code,
+# coefficient)], shared by every condition and degree of the process;
+# callers do not mutate the lists.
 _SUBSTITUTED: dict[tuple, list[tuple[int, int]]] = {}
 # (p, m, total, odd): _signed_count(p, m, total, odd), shared like
 # _SUBSTITUTED.
 _SIGNED_COUNTS: dict[tuple[int, int, int, int], int] = {}
 
 
-def _substitute_monomial(rho, n, pattern):
+def _image_codes(rho, n, pattern):
     """Expand a monomial symmetric polynomial under a substitution pattern.
 
     rho is a partition (descending tuple) with at most n parts; pattern is
     (num_plus, num_minus, num_zero), summing to at most n: the first
     variables are set to t, the next to -t, the next to 0, the rest stay
-    free.  The result is returned
-    as a map (t_exponent, free_partition) -> integer coefficient, where
-    free_partition indexes a monomial symmetric polynomial in the free
-    variables.
+    free.  The result is [(code of sigma, integer coefficient of m_sigma)]
+    over the free partitions sigma, the code sum_v mult_v 2^(w (v - 1))
+    with w = n.bit_length(): a multiplicity is at most n < 2^w, so distinct
+    free partitions have distinct codes.  The t exponent, |rho| - |sigma|,
+    is dropped.
 
     The p + m signed slots take a sub-multiset tau of rho, s_v copies of
     each value v, and zeros; the free partition is rho less tau, so
-    distinct tau give distinct keys and nothing merges.  The zeros of rho
-    fill the zero slots and whatever signed slots tau leaves, so tau needs
-    S = sum s_v >= p + m - (n - len(rho) - z): the walk over the distinct
-    values of rho, largest first, drops a state with more slots left than
-    values and zeros left to fill them.
+    nothing merges.  The walk over the distinct values of rho, largest
+    first, starts from the code of rho and subtracts s_v 2^(w (v - 1)).
+    The zeros of rho fill the zero slots and whatever signed slots tau
+    leaves, so tau needs S = sum s_v >= p + m - (n - len(rho) - z): the walk
+    drops a state with more slots left than values and zeros to fill them.
 
     With no -t slot (a plain diagonal) the s_v copies of v go to the t
     slots in comb(p_left, s_v) ways.  Otherwise a split of each s_v into
@@ -157,39 +160,43 @@ def _substitute_monomial(rho, n, pattern):
     p_cnt, m_cnt, z_cnt = pattern
     free_zeros = n - len(rho) - z_cnt
     if free_zeros < 0:
-        return {}  # a positive exponent would land on a zero slot
+        return []  # a positive exponent would land on a zero slot
+    w = n.bit_length()
+    code = 0
+    for v in rho:
+        code += 1 << w * (v - 1)
     unwalked = len(rho)
     if not m_cnt:
-        # (p_left, t_exponent, free_partition, coefficient)
-        plain = [(p_cnt, 0, (), 1)]
-        for v, group in groupby(rho):
-            a = len(list(group))
+        plain = [(p_cnt, code, 1)]  # (p_left, code, coefficient)
+        for v in dict.fromkeys(rho):
+            a, unit = rho.count(v), 1 << w * (v - 1)
             unwalked -= a
             capacity = unwalked + free_zeros
             plain = [
-                (p_left - c, t_exp + v * c, sigma + (v,) * (a - c), coeff * comb(p_left, c))
-                for p_left, t_exp, sigma, coeff in plain
-                for c in range(max(0, p_left - capacity), min(a, p_left) + 1)
+                (p_left - c, left_code - c * unit, coeff * comb(p_left, c))
+                for p_left, left_code, coeff in plain
+                for c in range(p_left - capacity if p_left > capacity else 0,
+                               (a if a < p_left else p_left) + 1)
             ]
-        return {(t_exp, sigma): coeff for _, t_exp, sigma, coeff in plain}
+        return [(left_code, coeff) for _, left_code, coeff in plain]
     slots = p_cnt + m_cnt
-    # (slots_left, odd_values, t_exponent, free_partition, prod s_v!)
-    states = [(slots, 0, 0, (), 1)]
-    for v, group in groupby(rho):
-        a = len(list(group))
+    states = [(slots, 0, code, 1)]  # (slots_left, odd_values, code, prod s_v!)
+    for v in dict.fromkeys(rho):
+        a = rho.count(v)
+        unit, odd_step = 1 << w * (v - 1), v & 1
         unwalked -= a
         capacity = unwalked + free_zeros  # values left for the signed slots
         states = [
-            (left - s, odd + (s if v & 1 else 0), t_exp + v * s,
-             sigma + (v,) * (a - s), den * factorial(s))
-            for left, odd, t_exp, sigma, den in states
-            for s in range(max(0, left - capacity), min(a, left) + 1)
+            (left - s, odd + s * odd_step, left_code - s * unit, den * factorial(s))
+            for left, odd, left_code, den in states
+            for s in range(left - capacity if left > capacity else 0,
+                           (a if a < left else left) + 1)
         ]
-    out = {}
-    for left, odd, t_exp, sigma, den in states:
+    out = []
+    for left, odd, left_code, den in states:
         count = _signed_count(p_cnt, m_cnt, slots - left, odd)
         if count:
-            out[t_exp, sigma] = count // den
+            out.append((left_code, count // den))
     return out
 
 
@@ -199,8 +206,8 @@ def _signed_count(p, m, total, odd):
 
     For a sub-multiset of total values, odd of them odd, N / prod_v s_v! is
     the signed number of ways to place it on p t slots and m -t slots (see
-    _substitute_monomial), so N depends on nothing else.  N = 0 drops the
-    term: there the t and -t placements cancel.  Memoised in _SIGNED_COUNTS.
+    _image_codes), so N depends on nothing else.  N = 0 drops the term:
+    there the t and -t placements cancel.  Memoised in _SIGNED_COUNTS.
     """
     key = (p, m, total, odd)
     count = _SIGNED_COUNTS.get(key)
@@ -218,23 +225,13 @@ def _signed_count(p, m, total, odd):
 
 
 def _images(rhos, n, pattern):
-    """[_substitute_monomial(rho, n, pattern) for rho in rhos], each image as
-    [(sigma_id, coefficient)].
-
-    The t exponent is dropped: it is |rho| less the size of the free
-    partition.  Memoised in _SUBSTITUTED; ids are interned in _SIGMA_IDS.
-    """
-    memo, ids = _SUBSTITUTED, _SIGMA_IDS
+    """[_image_codes(rho, n, pattern) for rho in rhos], memoised."""
+    memo = _SUBSTITUTED
     out = []
     for rho in rhos:
         image = memo.get((rho, n, pattern))
         if image is None:
-            image = memo[rho, n, pattern] = []
-            for (_, sigma), c in _substitute_monomial(rho, n, pattern).items():
-                sid = ids.get(sigma)
-                if sid is None:
-                    sid = ids[sigma] = len(ids)
-                image.append((sid, c))
+            image = memo[rho, n, pattern] = _image_codes(rho, n, pattern)
         out.append(image)
     return out
 
@@ -252,63 +249,73 @@ def _pair_form(spec: VanishingSpec):
     return (0, *spec.family_sizes), tuple(((0, 0, 0), *cond) for cond in spec.conditions)
 
 
-def _degree_blocks(d, sizes, deleted):
-    """The kept basis of degree d as blocks: ([(rho1, group)], groups).
+def _column_blocks(sizes, deleted, cap):
+    """The kept columns of degrees 0..cap: ((firsts, spans, groups), ncols).
 
-    Column order is that of the pairs (rho1, rho2) with d1 = |rho1|
-    ascending, then rho1, then rho2 in partitions_max_parts order.  A
-    block is rho1 with the list groups[group] of the rho2 it keeps: the
-    pair is deleted when (len rho1, len rho2) is in deleted, so the list is
-    built once per (d1, len rho1) and shared by every rho1 of that length.
+    Column order in degree d is that of the pairs (rho1, rho2) with
+    d1 = |rho1| ascending, then rho1, then rho2 in partitions_max_parts
+    order; ncols[d] counts them.  firsts lists every rho1 in that order,
+    and spans[i] holds (d, first column, group) for each degree d in which
+    firsts[i] keeps a column.  The pair is deleted when (len rho1, len rho2)
+    is in deleted, so the list groups[group] of the rho2 kept is built once
+    per (|rho2|, len rho1), and the spans once per (d1, len rho1).
     """
     n1, n2 = sizes
-    blocks, groups = [], []
-    for d1 in range(d + 1 if n1 else 1):
-        seconds = partitions_max_parts(d - d1, n2)
-        if not seconds:
-            continue
-        group_of_len = {}
+    firsts, spans, groups, ncols = [], [], [], [0] * (cap + 1)
+    group_of = {}
+    for d1 in range(cap + 1 if n1 else 1):
+        kept_of_len = {}  # len rho1 -> [(d, group, its length)]
         for rho1 in partitions_max_parts(d1, n1):
-            g = group_of_len.get(len(rho1))
-            if g is None:
-                kept = seconds
-                if deleted:
-                    kept = [rho2 for rho2 in seconds if (len(rho1), len(rho2)) not in deleted]
-                g = group_of_len[len(rho1)] = len(groups)
-                groups.append(kept)
-            if groups[g]:
-                blocks.append((rho1, g))
-    return blocks, groups
+            kept = kept_of_len.get(len(rho1))
+            if kept is None:
+                kept = kept_of_len[len(rho1)] = []
+                for d in range(d1, cap + 1):
+                    g = group_of.get((d - d1, len(rho1)))
+                    if g is None:
+                        groups.append([rho2 for rho2 in partitions_max_parts(d - d1, n2)
+                                       if (len(rho1), len(rho2)) not in deleted])
+                        g = group_of[d - d1, len(rho1)] = len(groups) - 1
+                    if groups[g]:
+                        kept.append((d, g, len(groups[g])))
+            if kept:
+                span = []
+                for d, g, size in kept:
+                    span.append((d, ncols[d], g))
+                    ncols[d] += size
+                firsts.append(rho1)
+                spans.append(span)
+    return (firsts, spans, groups), ncols
 
 
-def _block_rows(blocks, groups, sizes, cond) -> list[dict[int, int]]:
-    """One sparse row {column: value} per surviving monomial of the images.
+def _rows_by_degree(blocks, sizes, cond, cap) -> list[list[dict[int, int]]]:
+    """For each degree 0..cap, one sparse row {column: value} per surviving
+    monomial of the images of the blocks (_column_blocks) under cond.
 
-    Columns index the blocks' pairs in order; each row holds no zeros and
-    its columns ascend.  Every pair has one degree d, and the t exponent
-    of a term is d less the sizes of its free partitions, so rows are keyed
-    by the two free partitions' ids, packed as sid1 * width + sid2 with
-    width the number of ids interned once every image is built, which
-    bounds every id; distinct pairs of terms give distinct keys, and their
-    products are nonzero.  The rho2 images of a group are looked up once.
+    Each row holds no zeros and its columns ascend.  In degree d the t
+    exponent of a term is d less the sizes of its free partitions, so a row
+    is keyed by the two codes, packed as code1 << shift | code2: a free
+    partition of the second family has values at most cap, so
+    code2 < 2^shift.  Distinct pairs of terms give distinct keys, and their
+    products are nonzero.
     """
+    firsts, spans, groups = blocks
     (n1, n2), (pattern1, pattern2) = sizes, cond
-    firsts = _images([rho1 for rho1, _ in blocks], n1, pattern1)
     seconds = [_images(kept, n2, pattern2) for kept in groups]
-    width = len(_SIGMA_IDS)
-    rows_by_key: dict[int, dict[int, int]] = {}
-    col = 0
-    for (_, g), first in zip(blocks, firsts):
-        for second in seconds[g]:
-            for sid1, c1 in first:
-                base = sid1 * width
-                for sid2, c2 in second:
-                    row = rows_by_key.get(base + sid2)
-                    if row is None:
-                        row = rows_by_key[base + sid2] = {}
-                    row[col] = c1 * c2
-            col += 1
-    return list(rows_by_key.values())
+    shift = n2.bit_length() * cap
+    rows_by_key: list[dict[int, dict[int, int]]] = [{} for _ in range(cap + 1)]
+    for image, span in zip(_images(firsts, n1, pattern1), spans):
+        first = [(code1 << shift, c1) for code1, c1 in image]
+        for d, col, g in span:
+            by_key = rows_by_key[d]
+            for second in seconds[g]:
+                for base, c1 in first:
+                    for code2, c2 in second:
+                        row = by_key.get(base | code2)
+                        if row is None:
+                            row = by_key[base | code2] = {}
+                        row[col] = c1 * c2
+                col += 1
+    return [list(by_key.values()) for by_key in rows_by_key]
 
 
 def _exact_rank(rows: list[dict[int, int]], ncols: int) -> int:
@@ -375,18 +382,17 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
     polynomial ring, so the two conditions have the same kernel (their rows
     differ by the signs (-1)^(t exponent)), and only the first condition of
     each mirror pair builds rows.
-    A one-family spec is built as a pair (_pair_form).  Each degree's kept
-    columns come as blocks (_degree_blocks), the rows of each condition
-    from the blocks' memoised images (_block_rows); a degree that keeps no
-    column has dimension 0 and takes no rank.
+    A one-family spec is built as a pair (_pair_form).  The kept columns of
+    every degree come as blocks (_column_blocks), and each condition builds
+    the rows of every degree in one pass (_rows_by_degree); a degree that
+    keeps no column has dimension 0 and takes no rank.
     Refuses (CapacityError) rather than degrade when the problem exceeds
     MAX_VARS or MAX_DEGREE_CAP.
     """
     _check_vars(sum(spec.family_sizes))
-    if spec.degree_cap > MAX_DEGREE_CAP:
-        raise CapacityError(
-            f"degree cap {spec.degree_cap} exceeds the limit of {MAX_DEGREE_CAP}"
-        )
+    cap = spec.degree_cap
+    if cap > MAX_DEGREE_CAP:
+        raise CapacityError(f"degree cap {cap} exceeds the limit of {MAX_DEGREE_CAP}")
     sizes, conditions = _pair_form(spec)
     substituted, seen = [], set()
     deleted = set()  # (len rho_1, len rho_2) of the basis elements deleted
@@ -397,18 +403,13 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
         elif cond not in seen:
             substituted.append(cond)
             seen.update((cond, tuple((m, p, z) for p, m, z in cond)))
-    dims = []
-    for d in range(spec.degree_cap + 1):
-        blocks, groups = _degree_blocks(d, sizes, deleted)
-        ncols = sum(len(groups[g]) for _, g in blocks)
-        if not ncols:
-            dims.append(0)
-            continue
-        rows: list[dict[int, int]] = []
-        for cond in substituted:
-            rows.extend(_block_rows(blocks, groups, sizes, cond))
-        dims.append(ncols - _exact_rank(rows, ncols))
-    return dims
+    blocks, ncols = _column_blocks(sizes, deleted, cap)
+    rows = [_rows_by_degree(blocks, sizes, cond, cap) for cond in substituted]
+    return [
+        ncols[d] - _exact_rank([row for by_degree in rows for row in by_degree[d]], ncols[d])
+        if ncols[d] else 0
+        for d in range(cap + 1)
+    ]
 
 
 def _check_vars(total_vars: int) -> None:
@@ -539,7 +540,9 @@ def weight_degree(lam, variant: str, k: int, b0: int, mu=None) -> int:
     (x + x')^(a + b - k) in one family, and (x - y)^(a + b - k) across; none
     where the exponent is not positive.
     Every factor is a nonzero homogeneous integer polynomial, so the product
-    is too, and its degree is the sum of the factor exponents.
+    is too, and its degree is the sum of the factor exponents: parts a < b
+    of one family give m_a m_b pairs of variables, a = b gives
+    comb(m_a, 2), and parts a of lam and b of mu give lam_a mu_b.
     """
     if variant not in ("G2", "G3", "G_pair"):
         raise ValueError(f"unknown weight variant: {variant}")
@@ -554,22 +557,17 @@ def weight_degree(lam, variant: str, k: int, b0: int, mu=None) -> int:
     for multiplicities in families:
         if min(multiplicities, default=0) < 0:
             raise ValueError(f"multiplicities must be non-negative: {tuple(multiplicities)}")
-    variables = [
-        (f, a + 1)
-        for f, multiplicities in enumerate(families)
-        for a, m in enumerate(multiplicities)
-        for _ in range(m)
-    ]
-    for _, a in variables:
-        if a > k:
-            raise ValueError(f"part {a} violates the level-{k} restriction")
-    degree = sum(a - b0 for f, a in variables if f == 0 and a > b0)
-    for i, (f, a) in enumerate(variables):
-        for g, b in variables[i + 1:]:
-            if f == g:
-                degree += 2 * min(a, b)
-                if variant == "G3" and a + b > k:
-                    degree += a + b - k
-            elif a + b > k:
-                degree += a + b - k
+    present = [[(a, m) for a, m in enumerate(family, 1) if m] for family in families]
+    over = [a for parts in present for a, _ in parts if a > k]
+    if over:
+        raise ValueError(f"part {over[0]} violates the level-{k} restriction")
+    degree = sum(m * (a - b0) for a, m in present[0] if a > b0)
+    for parts in present:
+        for i, (a, m_a) in enumerate(parts):
+            for b, m_b in parts[i:]:
+                exponent = 2 * a + (a + b - k if variant == "G3" and a + b > k else 0)
+                degree += (m_a * m_b if b > a else comb(m_a, 2)) * exponent
+    if variant == "G_pair":
+        degree += sum(m_a * m_b * (a + b - k)
+                      for a, m_a in present[0] for b, m_b in present[1] if a + b > k)
     return degree

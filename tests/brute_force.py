@@ -9,16 +9,22 @@ total, the slow side of the fermionic walk and of
 configuration is ().  ``_basis`` and ``_condition_rows`` build the oracle's
 matrices column by column over the full basis, and ``_kept_basis`` drops the
 columns a zero condition deletes: the slow side of the block builder in
-``graded_dimension``.  ``_substitute_by_splits`` expands a monomial under a
-signed pattern one (t, -t) split at a time, the slow side of
-``_substitute_monomial``'s closed-form count.
+``graded_dimension``.  ``_substitute_monomial`` expands a monomial under a
+pattern into a map (t exponent, free partition tuple) -> coefficient, the
+slow side of the integer-coded walk ``polyspaces._image_codes``; and
+``_substitute_by_splits`` expands it under a signed pattern one (t, -t)
+split at a time, the slow side of their closed-form count.
+``partitions_by_recursion`` lists the partitions of d into at most
+max_parts parts depth first, the slow side of ``partitions_max_parts``,
+and ``weight_degree_by_pairs`` sums the weight exponents one pair of
+variables at a time, the slow side of ``weight_degree``.
 """
 
 from itertools import groupby
-from math import comb
+from math import comb, factorial
 
 from admissible.configurations import validate_b, validate_window
-from admissible.polyspaces import VanishingSpec, _substitute_monomial, partitions_max_parts
+from admissible.polyspaces import VanishingSpec, _signed_count, partitions_max_parts
 
 
 def is_admissible(a, k: int, r: int, b) -> bool:
@@ -216,3 +222,136 @@ def _substitute_by_splits(rho, n, pattern):
         key = (t_exp, sigma)
         out[key] = out.get(key, 0) + coeff
     return {key: c for key, c in out.items() if c}
+
+
+def partitions_by_recursion(d: int, max_parts: int) -> list[tuple[int, ...]]:
+    """Partitions of d into at most max_parts parts, descending tuples, by
+    the depth-first recursion: the slow side of ``partitions_max_parts``."""
+    out = []
+    _append_partitions(out, d, d, max(0, min(max_parts, d)), ())
+    return out
+
+
+def _append_partitions(out, remaining, largest, parts_left, prefix) -> None:
+    """Append prefix + rho to out for each partition rho of remaining into at
+    most parts_left parts of size at most largest, descending."""
+    if remaining == 0:
+        out.append(prefix)
+        return
+    if parts_left == 0:
+        return
+    for part in range(min(remaining, largest), 0, -1):
+        _append_partitions(out, remaining - part, part, parts_left - 1, prefix + (part,))
+
+
+def _substitute_monomial(rho, n, pattern):
+    """Expand a monomial symmetric polynomial under a substitution pattern.
+
+    rho is a partition (descending tuple) with at most n parts; pattern is
+    (num_plus, num_minus, num_zero), summing to at most n: the first
+    variables are set to t, the next to -t, the next to 0, the rest stay
+    free.  The result is returned
+    as a map (t_exponent, free_partition) -> integer coefficient, where
+    free_partition indexes a monomial symmetric polynomial in the free
+    variables.
+
+    The p + m signed slots take a sub-multiset tau of rho, s_v copies of
+    each value v, and zeros; the free partition is rho less tau, so
+    distinct tau give distinct keys and nothing merges.  The zeros of rho
+    fill the zero slots and whatever signed slots tau leaves, so tau needs
+    S = sum s_v >= p + m - (n - len(rho) - z): the walk over the distinct
+    values of rho, largest first, drops a state with more slots left than
+    values and zeros left to fill them.
+
+    With no -t slot (a plain diagonal) the s_v copies of v go to the t
+    slots in comb(p_left, s_v) ways.  Otherwise a split of each s_v into
+    c_v copies on t and d_v on -t fills the slots in
+    perm(p, C) perm(m, D) / prod_v c_v! d_v! ways (C = sum c_v,
+    D = sum d_v), with sign (-1)^(sum_v v d_v).  Summed over the splits,
+    prod_v (x + (-1)^v y)^(s_v) / s_v! = (x + y)^(S - O) (x - y)^O / prod_v s_v!
+    gives the coefficient of tau as _signed_count(p, m, S, O) / prod_v s_v!,
+    with O the number of odd values in tau, counted with multiplicity.  The
+    quotient counts signed fillings, so the division is exact.
+    """
+    p_cnt, m_cnt, z_cnt = pattern
+    free_zeros = n - len(rho) - z_cnt
+    if free_zeros < 0:
+        return {}  # a positive exponent would land on a zero slot
+    unwalked = len(rho)
+    if not m_cnt:
+        # (p_left, t_exponent, free_partition, coefficient)
+        plain = [(p_cnt, 0, (), 1)]
+        for v, group in groupby(rho):
+            a = len(list(group))
+            unwalked -= a
+            capacity = unwalked + free_zeros
+            plain = [
+                (p_left - c, t_exp + v * c, sigma + (v,) * (a - c), coeff * comb(p_left, c))
+                for p_left, t_exp, sigma, coeff in plain
+                for c in range(max(0, p_left - capacity), min(a, p_left) + 1)
+            ]
+        return {(t_exp, sigma): coeff for _, t_exp, sigma, coeff in plain}
+    slots = p_cnt + m_cnt
+    # (slots_left, odd_values, t_exponent, free_partition, prod s_v!)
+    states = [(slots, 0, 0, (), 1)]
+    for v, group in groupby(rho):
+        a = len(list(group))
+        unwalked -= a
+        capacity = unwalked + free_zeros  # values left for the signed slots
+        states = [
+            (left - s, odd + (s if v & 1 else 0), t_exp + v * s,
+             sigma + (v,) * (a - s), den * factorial(s))
+            for left, odd, t_exp, sigma, den in states
+            for s in range(max(0, left - capacity), min(a, left) + 1)
+        ]
+    out = {}
+    for left, odd, t_exp, sigma, den in states:
+        count = _signed_count(p_cnt, m_cnt, slots - left, odd)
+        if count:
+            out[t_exp, sigma] = count // den
+    return out
+
+
+def weight_degree_by_pairs(lam, variant: str, k: int, b0: int, mu=None) -> int:
+    """``weight_degree`` one pair of variables at a time.
+
+    Each part a of the multiplicity tuple lam is a variable x (of mu, for
+    G_pair, a variable y).  The factors are x^(a - b0) and, per pair of
+    variables of parts a and b, (x - x')^(2 min(a, b)) and, for G3,
+    (x + x')^(a + b - k) in one family, and (x - y)^(a + b - k) across; none
+    where the exponent is not positive.
+    Every factor is a nonzero homogeneous integer polynomial, so the product
+    is too, and its degree is the sum of the factor exponents.
+    """
+    if variant not in ("G2", "G3", "G_pair"):
+        raise ValueError(f"unknown weight variant: {variant}")
+    validate_b(k, 2, (b0,))
+    families = [lam]
+    if variant == "G_pair":
+        if mu is None:
+            raise ValueError("G_pair needs a second partition")
+        families.append(mu)
+    elif mu is not None:
+        raise ValueError(f"{variant} takes a single partition")
+    for multiplicities in families:
+        if min(multiplicities, default=0) < 0:
+            raise ValueError(f"multiplicities must be non-negative: {tuple(multiplicities)}")
+    variables = [
+        (f, a + 1)
+        for f, multiplicities in enumerate(families)
+        for a, m in enumerate(multiplicities)
+        for _ in range(m)
+    ]
+    for _, a in variables:
+        if a > k:
+            raise ValueError(f"part {a} violates the level-{k} restriction")
+    degree = sum(a - b0 for f, a in variables if f == 0 and a > b0)
+    for i, (f, a) in enumerate(variables):
+        for g, b in variables[i + 1:]:
+            if f == g:
+                degree += 2 * min(a, b)
+                if variant == "G3" and a + b > k:
+                    degree += a + b - k
+            elif a + b > k:
+                degree += a + b - k
+    return degree

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -21,12 +22,12 @@ from admissible.fermionic import (
 from admissible.polyspaces import (
     CapacityError,
     VanishingSpec,
-    _block_rows,
-    _degree_blocks,
+    _column_blocks,
     _exact_rank,
+    _image_codes,
     _pair_form,
+    _rows_by_degree,
     _signed_count,
-    _substitute_monomial,
     graded_dimension,
     oracle_block,
     partitions_max_parts,
@@ -37,7 +38,14 @@ from admissible.polyspaces import (
     weight_degree,
 )
 from admissible.series import TruncatedSeries, first_mismatch
-from brute_force import _basis, _condition_rows, _substitute_by_splits
+from brute_force import (
+    _basis,
+    _condition_rows,
+    _substitute_by_splits,
+    _substitute_monomial,
+    partitions_by_recursion,
+    weight_degree_by_pairs,
+)
 
 
 def oracle_series(k, r, b, q_order, n):
@@ -67,28 +75,62 @@ class TestBasis:
         assert partitions_max_parts(0, 0) == [()]
         assert partitions_max_parts(3, 0) == []
 
+    def test_table_rows_equal_the_recursion(self):
+        # the same lists, order included, for d <= 16 at every bound, with
+        # negative d and bounds past d; each list is shared between calls
+        for d in range(-2, 17):
+            for max_parts in range(-1, d + 3):
+                got = partitions_max_parts(d, max_parts)
+                assert got == partitions_by_recursion(d, max_parts), (d, max_parts)
+                assert partitions_max_parts(d, max_parts) is got
+
+
+@functools.lru_cache(maxsize=None)
+def _decode(code, n):
+    """The free partition, a descending tuple, of an n-variable code: the
+    multiplicity of v is digit v - 1 in base 2^(n.bit_length())."""
+    w = n.bit_length()
+    parts = []
+    v = 1
+    while code:
+        parts[:0] = [v] * (code & ((1 << w) - 1))
+        code >>= w
+        v += 1
+    return tuple(parts)
+
+
+def _decoded(rho, n, pattern):
+    """_image_codes(rho, n, pattern) as the map (t exponent, free partition)
+    -> coefficient that _substitute_monomial returns; no two terms of the
+    image may share a code."""
+    image = _image_codes(rho, n, pattern)
+    sigmas = [_decode(code, n) for code, _ in image]
+    out = {(sum(rho) - sum(sigma), sigma): c for sigma, (_, c) in zip(sigmas, image)}
+    assert len(out) == len(image), (rho, n, pattern)
+    return out
+
 
 class TestSubstitution:
     # hand-expanded images of m_(2,1)(x1, x2, x3)
 
     def test_plus_minus_free(self):
         # x1 = t, x2 = -t, x3 free: everything cancels except 2 t^2 x3
-        got = _substitute_monomial((2, 1), 3, (1, 1, 0))
+        got = _decoded((2, 1), 3, (1, 1, 0))
         assert got == {(2, (1,)): 2}
 
     def test_leading_zero(self):
         # x1 = 0: the surviving terms form m_(2,1) in the two free variables
-        got = _substitute_monomial((2, 1), 3, (0, 0, 1))
+        got = _decoded((2, 1), 3, (0, 0, 1))
         assert got == {(0, (2, 1)): 1}
 
     def test_double_diagonal(self):
         # x1 = x2 = t: 2t^3 + 2t^2 x3 + 2t x3^2
-        got = _substitute_monomial((2, 1), 3, (2, 0, 0))
+        got = _decoded((2, 1), 3, (2, 0, 0))
         assert got == {(3, ()): 2, (2, (1,)): 2, (1, (2,)): 2}
 
     def test_degree_zero_constant(self):
         # the constant 1 maps to 1 under any pattern
-        assert _substitute_monomial((), 2, (1, 1, 0)) == {(0, ()): 1}
+        assert _decoded((), 2, (1, 1, 0)) == {(0, ()): 1}
 
     def test_equals_literal_expansion(self):
         # every rho with n <= 5 and |rho| <= 7, under every pattern
@@ -98,9 +140,37 @@ class TestSubstitution:
                     for p in range(n + 1):
                         for m in range(n + 1 - p):
                             for z in range(n + 1 - p - m):
-                                got = _substitute_monomial(rho, n, (p, m, z))
+                                got = _decoded(rho, n, (p, m, z))
                                 want = _expand_literally(rho, n, (p, m, z))
                                 assert got == want, (rho, n, (p, m, z))
+
+    def test_code_images_equal_the_tuple_walk(self):
+        # every rho with n <= 8 and |rho| <= 12, under every pattern: the
+        # decoded image equals the reference walk's, term order included
+        for n in range(9):
+            for size in range(13):
+                for rho in partitions_max_parts(size, n):
+                    for p in range(n + 1):
+                        for m in range(n + 1 - p):
+                            for z in range(n + 1 - p - m):
+                                got = _decoded(rho, n, (p, m, z)).items()
+                                want = _substitute_monomial(rho, n, (p, m, z)).items()
+                                assert list(got) == list(want), (rho, n, (p, m, z))
+
+    def test_codes_are_distinct_past_eight_variables(self):
+        # At n = 20 a free partition can hold a value 16 or more times, which
+        # a 4-bit digit (wide enough for 8 variables) would carry into the
+        # next value: 16 ones would read as one 2.
+        code_of = {}
+        for rho in [(3,) + (2,) * 2 + (1,) * 17, (2,) + (1,) * 16, (2,), (1,) * 16]:
+            for pattern in [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (1, 2, 0)]:
+                image = _image_codes(rho, 20, pattern)
+                want = _substitute_monomial(rho, 20, pattern)
+                assert _decoded(rho, 20, pattern) == want, (rho, pattern)
+                for (code, _), (_, sigma) in zip(image, want):
+                    assert code_of.setdefault(sigma, code) == code, sigma
+        assert len(set(code_of.values())) == len(code_of)
+        assert {(1,) * 16, (2,)} <= code_of.keys()
 
     def test_signed_closed_form_equals_split_walk(self):
         # every rho with n <= 8 and |rho| <= 12, under every pattern with a
@@ -111,7 +181,7 @@ class TestSubstitution:
                     for p in range(n):
                         for m in range(1, n + 1 - p):
                             for z in range(n + 1 - p - m):
-                                got = _substitute_monomial(rho, n, (p, m, z))
+                                got = _decoded(rho, n, (p, m, z))
                                 want = _substitute_by_splits(rho, n, (p, m, z))
                                 assert got == want, (rho, n, (p, m, z))
 
@@ -291,17 +361,21 @@ class TestGradedDimension:
         ids=["signed", "pair"],
     )
     def test_condition_rows_are_sparse_and_ascending(self, spec):
+        # every degree's columns are the full basis, in the reference's
+        # order, and its rows are the reference's, row for row
+        cap = spec.degree_cap
         sizes, conditions = _pair_form(spec)
-        blocks, groups = _degree_blocks(spec.degree_cap, sizes, set())
-        ncols = sum(len(groups[g]) for _, g in blocks)
-        assert ncols == len(_basis(spec, spec.degree_cap))
-        for cond in conditions:
-            rows = _block_rows(blocks, groups, sizes, cond)
-            assert rows
-            for row in rows:
-                assert row and all(row.values())
-                assert list(row) == sorted(row)
-                assert all(0 <= c < ncols for c in row)
+        blocks, ncols = _column_blocks(sizes, set(), cap)
+        assert ncols == [len(_basis(spec, d)) for d in range(cap + 1)]
+        for own, cond in zip(spec.conditions, conditions):
+            rows = _rows_by_degree(blocks, sizes, cond, cap)
+            assert len(rows) == cap + 1 and rows[cap]
+            for d, degree_rows in enumerate(rows):
+                assert degree_rows == _condition_rows(spec, own, _basis(spec, d)), (own, d)
+                for row in degree_rows:
+                    assert row and all(row.values())
+                    assert list(row) == sorted(row)
+                    assert all(0 <= c < ncols[d] for c in row)
 
 
 def _is_zero_condition(cond):
@@ -659,6 +733,66 @@ class TestGordonWeights:
             weight_degree((-1,), "G2", 1, 0)
         with pytest.raises(ValueError, match="multiplicities must be non-negative"):
             weight_degree((1,), "G_pair", 2, 0, mu=(0, -1))
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's value, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestWeightDegreeClosedSum:
+    """weight_degree sums over multiplicity pairs; weight_degree_by_pairs,
+    over pairs of variables, is its slow reference."""
+
+    def test_g2_and_g3_equal_the_pairwise_walk(self):
+        for k in range(1, 7):
+            parts = [part for size in range(13) for part in level_restricted_partitions(size, k)]
+            for b0 in range(k + 1):
+                for part in parts:
+                    for variant in ("G2", "G3"):
+                        want = weight_degree_by_pairs(part, variant, k, b0)
+                        assert weight_degree(part, variant, k, b0) == want, (variant, k, b0, part)
+
+    def test_g_pair_equals_the_pairwise_walk(self):
+        # every lam and mu with |lam| + |mu| <= 12; b0 enters only through
+        # lam's linear factors, so three values of it suffice
+        for k in range(1, 7):
+            by_size = [list(level_restricted_partitions(size, k)) for size in range(13)]
+            for b0 in sorted({0, k // 2, k}):
+                for s1 in range(13):
+                    for lam in by_size[s1]:
+                        for mu in (mu for s2 in range(13 - s1) for mu in by_size[s2]):
+                            want = weight_degree_by_pairs(lam, "G_pair", k, b0, mu=mu)
+                            got = weight_degree(lam, "G_pair", k, b0, mu=mu)
+                            assert got == want, (k, b0, lam, mu)
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            (((1, 0, 1), "G2", 2, 0), {}),  # part 3 over k = 2
+            (((0, 0, 0, 2), "G3", 3, 1), {}),
+            (((1,), "G_pair", 2, 0), {"mu": (0, 0, 0, 1)}),
+            (((0, 0, 0, 1), "G_pair", 2, 0), {"mu": (0, 0, 1)}),  # lam's part first
+            (((-1, 2), "G2", 2, 0), {}),
+            (((1, 0, 5), "G3", 2, 1), {}),  # over k, not negative
+            (((1, -1, 5), "G3", 2, 1), {}),  # negative before over k
+            (((1,), "G_pair", 2, 0), {"mu": (0, -1)}),
+            (((0, 0, 9), "G_pair", 2, 0), {"mu": (-1,)}),
+            (((1,), "G2", 2, 3), {}),  # b0 past k
+            (((1,), "G2", 0, 0), {}),  # k below 1
+            (((1,), "G9", 1, 0), {}),
+            (((1,), "G_pair", 1, 0), {}),
+            (((1,), "G3", 1, 0), {"mu": (1,)}),
+            (((0, 0, 0), "G2", 1, 0), {}),  # trailing zeros past k name no part
+            (((2, 0, 0), "G_pair", 1, 1), {"mu": (3, 0)}),
+        ],
+    )
+    def test_refusals_equal_the_pairwise_walk(self, args, kwargs):
+        want = _outcome(weight_degree_by_pairs, *args, **kwargs)
+        assert _outcome(weight_degree, *args, **kwargs) == want
 
 
 class TestConjectureEvidence:
