@@ -11,7 +11,9 @@ symmetric basis element under each substitution, reading off one linear
 constraint per surviving monomial, and subtracting the rank.  A condition
 that only sets variables to 0 sends each basis element to itself or to 0,
 and the monomial symmetric polynomials are independent, so its constraints
-are unit vectors: it deletes basis elements and builds no rows.  The
+are unit vectors: it deletes basis elements and builds no rows.  The t^0
+term of any condition (p, m, z) is the zero condition (0, 0, p + m + z),
+so every condition deletes the basis elements that one keeps.  The
 substitution t -> -t swaps the t and -t counts of a condition in every
 family and keeps its kernel, so of two such mirror conditions only one
 builds rows.  A one-family space is built as a pair whose first family has
@@ -21,17 +23,19 @@ second-family partitions it keeps, built once per (|rho2|, len rho1), and
 the images of each rho1 and each list are looked up once.  The expansion of
 m_rho walks the multiplicity vector of rho over the sub-multisets that fill
 the t and -t slots: with binomial coefficients for a plain diagonal, and
-with a closed-form signed count for a pattern with -t slots.  An image is
-memoised per process as [(code, coefficient)], a free partition of an
-n-variable family coded as sum_v mult_v 2^(w (v - 1)), w the bit length of
-n, and a row of one degree is keyed by the two codes packed into one int.
-Each constraint is a sparse row {column: value} with no zeros and ascending
-columns.  The rank is exact: fraction-free forward elimination in Python
-integers, shortest rows first, reduces each row at its smallest column
-against that column's pivot row, scaled by the two entries over their gcd,
-and keeps a row that survives as a new pivot row, divided by the gcd of its
-entries.  No modulus is involved, so no certificate is needed, and no
-floating point is involved anywhere, so rank decisions are exact.
+with a closed-form signed count for a pattern with -t slots.  The walk of
+each partition tail is memoised, so a partition extends its tail's walks
+by its largest value, and each image is memoised per process as
+[(code, coefficient)], a free partition of an n-variable family coded as
+sum_v mult_v 2^(w (v - 1)), w the bit length of n.  A row of one degree is
+keyed by the two codes packed into one int.  Each constraint is a sparse
+row {column: value} with no zeros and ascending columns.  The rank is
+exact: fraction-free forward elimination in Python integers, shortest rows
+first, reduces each row at its largest column against that column's pivot
+row, scaled by the two entries over their gcd, and keeps a row that
+survives as a new pivot row, divided by the gcd of its entries.  No
+modulus is involved, so no certificate is needed, and no floating point is
+involved anywhere, so rank decisions are exact.
 
 The rank-3 block character is a regraded sum of pair-space sectors, and
 sector l2 enters at q^(2d + l2).  oracle_block, which builds every oracle
@@ -122,6 +126,12 @@ def _partition_row(d, parts):
 # coefficient)], shared by every condition and degree of the process;
 # callers do not mutate the lists.
 _SUBSTITUTED: dict[tuple, list[tuple[int, int]]] = {}
+# (rho, free zeros, w, slots) -> the walk of rho: [(code, coefficient)]
+# for a plain pattern, [(code, S, O, prod s_v!)] for a signed one (see
+# _image_codes); shared like _SUBSTITUTED, every tail of a partition walked
+# once per process.
+_PLAIN_WALKS: dict[tuple, list[tuple[int, int]]] = {}
+_SIGNED_WALKS: dict[tuple, list[tuple[int, int, int, int]]] = {}
 # (p, m, total, odd): _signed_count(p, m, total, odd), shared like
 # _SUBSTITUTED.
 _SIGNED_COUNTS: dict[tuple[int, int, int, int], int] = {}
@@ -134,18 +144,22 @@ def _image_codes(rho, n, pattern):
     (num_plus, num_minus, num_zero), summing to at most n: the first
     variables are set to t, the next to -t, the next to 0, the rest stay
     free.  The result is [(code of sigma, integer coefficient of m_sigma)]
-    over the free partitions sigma, the code sum_v mult_v 2^(w (v - 1))
-    with w = n.bit_length(): a multiplicity is at most n < 2^w, so distinct
-    free partitions have distinct codes.  The t exponent, |rho| - |sigma|,
-    is dropped.
+    over the free partitions sigma, codes descending, the code
+    sum_v mult_v 2^(w (v - 1)) with w = n.bit_length(): a multiplicity is
+    at most n < 2^w, so distinct free partitions have distinct codes.  The
+    t exponent, |rho| - |sigma|, is dropped.
 
     The p + m signed slots take a sub-multiset tau of rho, s_v copies of
     each value v, and zeros; the free partition is rho less tau, so
-    nothing merges.  The walk over the distinct values of rho, largest
-    first, starts from the code of rho and subtracts s_v 2^(w (v - 1)).
-    The zeros of rho fill the zero slots and whatever signed slots tau
-    leaves, so tau needs S = sum s_v >= p + m - (n - len(rho) - z): the walk
-    drops a state with more slots left than values and zeros to fill them.
+    nothing merges.  The zeros of rho fill the zero slots and whatever
+    signed slots tau leaves, so tau needs S = sum s_v >= p + m - f, with
+    f = n - len(rho) - z the free zeros.  The walk (_plain_walk,
+    _signed_walk) takes the largest value a of rho, s copies of it, and
+    each count c of them for the slots, then the walk of the tail
+    rho = (a,)^s + rest with c fewer slots: rest keeps the f free zeros of
+    rho among n - s variables, and w is fixed here, so a tail's walk is
+    memoised per (rest, f, w, slots) and shared by every partition that
+    ends in it.
 
     With no -t slot (a plain diagonal) the s_v copies of v go to the t
     slots in comb(p_left, s_v) ways.  Otherwise a split of each s_v into
@@ -162,41 +176,64 @@ def _image_codes(rho, n, pattern):
     if free_zeros < 0:
         return []  # a positive exponent would land on a zero slot
     w = n.bit_length()
-    code = 0
-    for v in rho:
-        code += 1 << w * (v - 1)
-    unwalked = len(rho)
     if not m_cnt:
-        plain = [(p_cnt, code, 1)]  # (p_left, code, coefficient)
-        for v in dict.fromkeys(rho):
-            a, unit = rho.count(v), 1 << w * (v - 1)
-            unwalked -= a
-            capacity = unwalked + free_zeros
-            plain = [
-                (p_left - c, left_code - c * unit, coeff * comb(p_left, c))
-                for p_left, left_code, coeff in plain
-                for c in range(p_left - capacity if p_left > capacity else 0,
-                               (a if a < p_left else p_left) + 1)
-            ]
-        return [(left_code, coeff) for _, left_code, coeff in plain]
-    slots = p_cnt + m_cnt
-    states = [(slots, 0, code, 1)]  # (slots_left, odd_values, code, prod s_v!)
-    for v in dict.fromkeys(rho):
-        a = rho.count(v)
-        unit, odd_step = 1 << w * (v - 1), v & 1
-        unwalked -= a
-        capacity = unwalked + free_zeros  # values left for the signed slots
-        states = [
-            (left - s, odd + s * odd_step, left_code - s * unit, den * factorial(s))
-            for left, odd, left_code, den in states
-            for s in range(left - capacity if left > capacity else 0,
-                           (a if a < left else left) + 1)
-        ]
+        return _plain_walk(rho, free_zeros, w, p_cnt)
     out = []
-    for left, odd, left_code, den in states:
-        count = _signed_count(p_cnt, m_cnt, slots - left, odd)
+    for code, total, odd, den in _signed_walk(rho, free_zeros, w, p_cnt + m_cnt):
+        count = _signed_count(p_cnt, m_cnt, total, odd)
         if count:
-            out.append((left_code, count // den))
+            out.append((code, count // den))
+    return out
+
+
+_EMPTY_WALK = [(0, 1)]  # no values left: the slots left take free zeros
+
+
+def _plain_walk(rho, free_zeros, w, slots):
+    """The plain walk of rho into slots t slots: [(code, coefficient)] over
+    the sub-multisets tau of rho that the slots take, codes descending, the
+    coefficient prod_v comb(p_left, s_v); memoised in _PLAIN_WALKS (see
+    _image_codes)."""
+    if not rho:
+        return _EMPTY_WALK
+    key = (rho, free_zeros, w, slots)
+    out = _PLAIN_WALKS.get(key)
+    if out is None:
+        a = rho[0]
+        s = rho.count(a)
+        rest, unit = rho[s:], 1 << w * (a - 1)
+        capacity = len(rest) + free_zeros  # values and zeros left after a
+        out = []
+        for c in range(max(0, slots - capacity), min(s, slots) + 1):
+            head, ways = (s - c) * unit, comb(slots, c)
+            out += [(head + code, ways * coeff)
+                    for code, coeff in _plain_walk(rest, free_zeros, w, slots - c)]
+        _PLAIN_WALKS[key] = out
+    return out
+
+
+_EMPTY_SIGNED_WALK = [(0, 0, 0, 1)]
+
+
+def _signed_walk(rho, free_zeros, w, slots):
+    """The signed walk of rho into slots t and -t slots: [(code, S, O,
+    prod_v s_v!)] over the sub-multisets tau of rho that the slots take,
+    codes descending; memoised in _SIGNED_WALKS (see _image_codes)."""
+    if not rho:
+        return _EMPTY_SIGNED_WALK
+    key = (rho, free_zeros, w, slots)
+    out = _SIGNED_WALKS.get(key)
+    if out is None:
+        a = rho[0]
+        s = rho.count(a)
+        rest, unit, odd_step = rho[s:], 1 << w * (a - 1), a & 1
+        capacity = len(rest) + free_zeros
+        out = []
+        for c in range(max(0, slots - capacity), min(s, slots) + 1):
+            head, odd_c, fact = (s - c) * unit, c * odd_step, factorial(c)
+            out += [(head + code, c + total, odd_c + odd, fact * den)
+                    for code, total, odd, den in _signed_walk(rest, free_zeros, w, slots - c)]
+        _SIGNED_WALKS[key] = out
     return out
 
 
@@ -323,10 +360,10 @@ def _exact_rank(rows: list[dict[int, int]], ncols: int) -> int:
 
     rows are sparse {column: value} maps over columns 0..ncols-1 with no
     zero entries; copies of them are taken shortest first.  A row is
-    reduced at its smallest column c against the pivot row of c: with a
+    reduced at its largest column c against the pivot row of c: with a
     and b the pivot and the row's entry at c, each divided by their gcd,
     the row becomes a * row - b * pivot_row, which is 0 at c and holds no
-    column below c.  A row that reaches a column with no pivot row becomes
+    column above c.  A row that reaches a column with no pivot row becomes
     its pivot row, divided by the gcd of its entries and signed so that the
     pivot is positive; a pivot of 1 then needs no multiplication.  Each
     step multiplies by a nonzero integer or subtracts a kept row, so the
@@ -339,7 +376,7 @@ def _exact_rank(rows: list[dict[int, int]], ncols: int) -> int:
     for vec in sorted(rows, key=len):
         vec = dict(vec)
         while vec:
-            c = min(vec)
+            c = max(vec)
             pivot_row = pivots.get(c)
             if pivot_row is None:
                 g = gcd(*vec.values())
@@ -375,8 +412,13 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
     A zero condition (no t or -t slot) keeps m_rho when len(rho_f) <=
     n_f - z_f in every family f and sends it to 0 otherwise; the kept images
     are independent, so it deletes the kept columns and builds no rows.
-    Which columns it deletes depends only on the part counts, so the part
-    count tuples of every zero condition are gathered once per spec.
+    The t^0 coefficient of a condition (p, m, z) is the zero condition
+    (0, 0, p + m + z), so every condition deletes the columns with
+    len(rho_f) <= n_f - p_f - m_f - z_f in every family f: their unit rows
+    take one pivot each and clear those columns from every other row, so
+    the rows of positive t exponent are built over the columns left.  Which
+    columns a condition deletes depends only on the part counts, so their
+    tuples are gathered once per spec.
     The substitution t -> -t turns a condition into its mirror, with the t
     and -t counts swapped in every family.  It is an automorphism of the
     polynomial ring, so the two conditions have the same kernel (their rows
@@ -397,10 +439,9 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
     substituted, seen = [], set()
     deleted = set()  # (len rho_1, len rho_2) of the basis elements deleted
     for cond in conditions:
-        if not any(p or m for p, m, _ in cond):
-            most = [n - z for n, (_, _, z) in zip(sizes, cond)]
-            deleted.update(product(*(range(m + 1) for m in most)))
-        elif cond not in seen:
+        most = [n - p - m - z for n, (p, m, z) in zip(sizes, cond)]
+        deleted.update(product(*(range(m + 1) for m in most)))
+        if any(p or m for p, m, _ in cond) and cond not in seen:
             substituted.append(cond)
             seen.update((cond, tuple((m, p, z) for p, m, z in cond)))
     blocks, ncols = _column_blocks(sizes, deleted, cap)

@@ -8,8 +8,8 @@ total, the slow side of the fermionic walk and of
 (a_0, a_1, ..., a_l), ending at its last nonzero entry; the empty
 configuration is ().  ``_basis`` and ``_condition_rows`` build the oracle's
 matrices column by column over the full basis, and ``_kept_basis`` drops the
-columns a zero condition deletes: the slow side of the block builder in
-``graded_dimension``.  ``_substitute_monomial`` expands a monomial under a
+columns the t^0 terms of the conditions delete: the slow side of the block
+builder in ``graded_dimension``.  ``_substitute_monomial`` expands a monomial under a
 pattern into a map (t exponent, free partition tuple) -> coefficient, the
 slow side of the integer-coded walk ``polyspaces._image_codes``; and
 ``_substitute_by_splits`` expands it under a signed pattern one (t, -t)
@@ -117,18 +117,19 @@ def _basis(spec: VanishingSpec, degree: int):
 
 
 def _kept_basis(spec: VanishingSpec, degree: int):
-    """_basis(spec, degree) less what a zero condition deletes.
+    """_basis(spec, degree) less what the t^0 terms of the conditions delete.
 
-    A zero condition (no t or -t slot) sends m_rho to 0 unless
-    len(rho_f) <= n_f - z_f in every family f, and to itself otherwise;
-    the basis elements it keeps are deleted.
+    At t = 0 a condition (p, m, z) is the zero condition (0, 0, p + m + z),
+    which sends m_rho to itself when len(rho_f) <= n_f - p_f - m_f - z_f in
+    every family f, and to 0 otherwise; the basis elements it keeps are
+    deleted.  A zero condition is its own t^0 term.
     """
-    zeros = [cond for cond in spec.conditions if not any(p or m for p, m, _ in cond)]
     return [
         elem for elem in _basis(spec, degree)
         if not any(
-            all(len(rho) <= n - z for rho, n, (_, _, z) in zip(elem, spec.family_sizes, cond))
-            for cond in zeros
+            all(len(rho) <= n - p - m - z
+                for rho, n, (p, m, z) in zip(elem, spec.family_sizes, cond))
+            for cond in spec.conditions
         )
     ]
 

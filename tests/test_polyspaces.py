@@ -172,6 +172,21 @@ class TestSubstitution:
         assert len(set(code_of.values())) == len(code_of)
         assert {(1,) * 16, (2,)} <= code_of.keys()
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["n8-first", "n20-first"])
+    def test_tail_walks_are_keyed_by_digit_width(self, monkeypatch, reverse):
+        # (3,3,3,2,1) at n = 8 and (3)^15 + (2,1) at n = 20 share the tail
+        # (2,1) with 5 variables and the same free zeros, but their codes
+        # have 4- and 5-bit digits: from cold memos, in either order, each
+        # image decodes to the reference walk's, term order included.
+        for memo in ("_SUBSTITUTED", "_PLAIN_WALKS", "_SIGNED_WALKS"):
+            monkeypatch.setattr(polyspaces, memo, {})
+        cases = [((3, 3, 3, 2, 1), 8), ((3,) * 15 + (2, 1), 20)]
+        for rho, n in reversed(cases) if reverse else cases:
+            for pattern in [(3, 0, 0), (2, 1, 0), (4, 0, 1)]:
+                got = _decoded(rho, n, pattern).items()
+                want = _substitute_monomial(rho, n, pattern).items()
+                assert got and list(got) == list(want), (rho, n, pattern)
+
     def test_signed_closed_form_equals_split_walk(self):
         # every rho with n <= 8 and |rho| <= 12, under every pattern with a
         # -t slot
@@ -412,6 +427,10 @@ def _zero_condition_reference_specs():
     yield VanishingSpec((4, 2), (*twice, ((2, 0, 0), (1, 0, 0))), 6)
     yield VanishingSpec((0,), (((0, 0, 0),),), 3)
     yield VanishingSpec((0, 2), (((0, 0, 0), (0, 0, 1)),), 4)
+    # no zero condition: only the t^0 terms of the conditions delete columns
+    yield VanishingSpec((4,), (((2, 0, 0),),), 8)
+    yield VanishingSpec((4,), (((1, 1, 0),),), 8)
+    yield VanishingSpec((3, 3), (((1, 0, 0), (2, 0, 0)),), 6)
 
 
 class TestZeroConditions:

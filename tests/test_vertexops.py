@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admissible.configurations import CapacityError
 from admissible.fermionic import gordon_a, gordon_a2, gordon_b, gordon_b3
 from admissible.vertexops import (
+    MAX_PAIR_TERMS,
     PairingTable,
     PairingUndefined,
     VOSpec,
+    _check_pair_terms,
     build_family,
     closed_form_series,
     family_r3_mixed,
@@ -163,6 +166,14 @@ class TestPairFunction:
             pair_function(spec, spec, t, -1)
         with pytest.raises(ValueError, match="non-negative"):
             closed_form_series(2, 0, -1)
+
+    def test_pair_term_budget_is_inclusive(self):
+        # 250,000 pair functions of level 1 to order 1 sum 250,000 * (1 + 3)
+        # terms: exactly the budget, which passes; one pair more is refused
+        assert MAX_PAIR_TERMS == 250_000 * 4
+        _check_pair_terms(250_000, 1, 1)
+        with pytest.raises(CapacityError, match="1000004 terms"):
+            _check_pair_terms(250_001, 1, 1)
 
     def test_half_integer_exponents_have_no_closed_form(self):
         t = PairingTable({("a", "a"): 2, ("d", "d"): 1, ("a", "d"): 0})
