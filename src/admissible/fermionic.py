@@ -12,11 +12,18 @@ entry of the matrix, the boundary vector and the sector weights is >= 0 and
 every z-weight is >= 1 (GordonData enforces this), so raising any m_i never
 lowers the q-exponent or the z-degree, and a vector past the window has no
 descendant inside it.  Every coordinate shares one Pochhammer base, so the
-inverse for m_j = v depends on v alone: each node of the walk divides its own
-inverse into one run, 1/(q^step; q^step)_v for v = 1, 2, ..., and hands
-run[v-1] to the child m_j = v for every later coordinate j.  No per-vector
-product is formed, and the division for m_j = v is done once per node, not
-once per coordinate, unless a later child needs the entry longer.
+inverse for m_j = v depends on v alone: the children m + v e_j of one node
+m with one v all have m's inverse divided by (q^step; q^step)_v, whatever j
+is, and so their own runs of inverses are one series too.  A node keeps
+one run list per v and hands it to every child with that v, so an entry is
+divided once for all the siblings that read it, and rebuilt only when a
+later one needs it longer.  No per-vector product is formed.
+
+The sums are sized by the window, not by the level: coordinate a of a block
+has z-weight a, so one past z_max is never raised, and fermionic_r2,
+fermionic_r3 and fermionic_r3_special build the Gordon data of the leading
+min(k, z_max) coordinates of each block only.  The public gordon_* and
+gordon_data_* builders keep the full k x k (2k x 2k) matrices.
 """
 
 from __future__ import annotations
@@ -29,36 +36,61 @@ from .polyspaces import partitions_max_parts
 from .series import TruncatedSeries, _divide_by_one_minus
 
 
+def _check_matrix(k: int, n: int) -> None:
+    """Refuse a bad level k, or an n x n Gordon matrix of more than
+    MAX_CELLS entries, before any entry is built."""
+    validate_k(k)
+    _check_cells(n * n, f"a {n} x {n} Gordon matrix needs {{}} entries")
+
+
+def _a2_rows(w: int) -> list[list[int]]:
+    """The leading w x w block of every A2: entries 2*min(a, b)."""
+    return [[2 * min(a, b) for b in range(1, w + 1)] for a in range(1, w + 1)]
+
+
+def _b3_rows(k: int, w: int) -> list[list[int]]:
+    """The leading w x w block of the level-k B3: entries max(0, a + b - k)."""
+    return [[max(0, a + b - k) for b in range(1, w + 1)] for a in range(1, w + 1)]
+
+
+def _c2_entries(b0: int, w: int) -> list[int]:
+    """The leading w entries of boundary_c2(k, b0), for any k >= w."""
+    return [max(0, a - b0) for a in range(1, w + 1)]
+
+
 def gordon_a2(k: int) -> list[list[int]]:
     """k x k matrix with entries 2*min(a, b)."""
-    validate_k(k)
-    _check_cells(k * k, f"a {k} x {k} Gordon matrix needs {{}} entries")
-    return [[2 * min(a, b) for b in range(1, k + 1)] for a in range(1, k + 1)]
+    _check_matrix(k, k)
+    return _a2_rows(k)
 
 
 def gordon_b3(k: int) -> list[list[int]]:
     """k x k matrix with entries max(0, a + b - k)."""
-    validate_k(k)
-    _check_cells(k * k, f"a {k} x {k} Gordon matrix needs {{}} entries")
-    return [[max(0, a + b - k) for b in range(1, k + 1)] for a in range(1, k + 1)]
+    _check_matrix(k, k)
+    return _b3_rows(k, k)
 
 
 def gordon_a(k: int) -> list[list[int]]:
     """2k x 2k block matrix [[A2, B3], [B3, A2]]."""
-    validate_k(k)
-    _check_cells(4 * k * k, f"a {2 * k} x {2 * k} Gordon matrix needs {{}} entries")
-    a2 = gordon_a2(k)
-    b3 = gordon_b3(k)
-    top = [a2[i] + b3[i] for i in range(k)]
-    bottom = [b3[i] + a2[i] for i in range(k)]
-    return top + bottom
+    _check_matrix(k, 2 * k)
+    return _a_rows(k, k)
+
+
+def _a_rows(k: int, w: int) -> list[list[int]]:
+    """gordon_a(k) on the leading w coordinates of each block: 2w x 2w."""
+    a2, b3 = _a2_rows(w), _b3_rows(k, w)
+    return [x + y for x, y in zip(a2, b3)] + [y + x for x, y in zip(a2, b3)]
 
 
 def gordon_b(k: int) -> list[list[int]]:
     """k x k matrix with entries 2*min(a, b) + max(0, a + b - k)."""
-    a2 = gordon_a2(k)
-    b3 = gordon_b3(k)
-    return [[a2[i][j] + b3[i][j] for j in range(k)] for i in range(k)]
+    _check_matrix(k, k)
+    return _b_rows(k, k)
+
+
+def _b_rows(k: int, w: int) -> list[list[int]]:
+    """gordon_b(k) on the leading w coordinates: w x w."""
+    return [list(map(add, x, y)) for x, y in zip(_a2_rows(w), _b3_rows(k, w))]
 
 
 def boundary_c2(k: int, b0: int) -> list[int]:
@@ -112,12 +144,19 @@ def _freeze(matrix) -> tuple[tuple[int, ...], ...]:
 
 def gordon_data_r2(k: int, b0: int) -> GordonData:
     """Sum data for the rank-2 character with initial cap b0."""
+    return _data_r2(k, b0, k)
+
+
+def _data_r2(k: int, b0: int, w: int) -> GordonData:
+    """gordon_data_r2(k, b0) on its leading w coordinates, in O(w^2)."""
+    _check_matrix(k, w)
+    validate_b(k, 2, (b0,))
     return GordonData(
-        matrix=_freeze(gordon_a2(k)),
-        boundary=tuple(boundary_c2(k, b0)),
+        matrix=_freeze(_a2_rows(w)),
+        boundary=tuple(_c2_entries(b0, w)),
         q_step=1,
-        z_weights=tuple(range(1, k + 1)),
-        extra_q_weights=(0,) * k,
+        z_weights=tuple(range(1, w + 1)),
+        extra_q_weights=(0,) * w,
     )
 
 
@@ -129,12 +168,20 @@ def gordon_data_r3(k: int, b0: int) -> GordonData:
     Pochhammer factors run in q^2.  The exponent m'Am - diag(A).m + 2c.m of
     A = gordon_a(k), c = boundary_c3(k, b0) is carried as 2A and 2c.
     """
+    return _data_r3(k, b0, k)
+
+
+def _data_r3(k: int, b0: int, w: int) -> GordonData:
+    """gordon_data_r3(k, b0) on the leading w coordinates of each block:
+    (m_{1,1}, ..., m_{1,w}, m_{2,1}, ..., m_{2,w}), in O(w^2)."""
+    _check_matrix(k, 2 * w)
+    validate_b(k, 2, (b0,))
     return GordonData(
-        matrix=_freeze([2 * x for x in row] for row in gordon_a(k)),
-        boundary=tuple(2 * c for c in boundary_c3(k, b0)),
+        matrix=_freeze([2 * x for x in row] for row in _a_rows(k, w)),
+        boundary=tuple(2 * c for c in _c2_entries(b0, w)) + (0,) * w,
         q_step=2,
-        z_weights=tuple(range(1, k + 1)) * 2,
-        extra_q_weights=(0,) * k + tuple(range(1, k + 1)),
+        z_weights=tuple(range(1, w + 1)) * 2,
+        extra_q_weights=(0,) * w + tuple(range(1, w + 1)),
     )
 
 
@@ -144,12 +191,18 @@ def gordon_data_r3_special(k: int) -> GordonData:
     Uses the k x k matrix B with the boundary vector taken at
     b0 = floor((k+1)/2); this is the only b0 the closed form covers.
     """
+    return _data_r3_special(k, k)
+
+
+def _data_r3_special(k: int, w: int) -> GordonData:
+    """gordon_data_r3_special(k) on its leading w coordinates, in O(w^2)."""
+    _check_matrix(k, w)
     return GordonData(
-        matrix=_freeze(gordon_b(k)),
-        boundary=tuple(boundary_c2(k, (k + 1) // 2)),
+        matrix=_freeze(_b_rows(k, w)),
+        boundary=tuple(_c2_entries((k + 1) // 2, w)),
         q_step=1,
-        z_weights=tuple(range(1, k + 1)),
-        extra_q_weights=(0,) * k,
+        z_weights=tuple(range(1, w + 1)),
+        extra_q_weights=(0,) * w,
     )
 
 
@@ -189,7 +242,10 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     vector's later siblings nor its descendants can lie inside it.  The
     Pochhammer inverse of m_j = v is the parent's divided by
     (q^step; q^step)_v, whatever j is, so each parent keeps one run of these
-    inverses for all its children (see ``_walk``).
+    inverses for all its children, and the children with one v share the run
+    of their own children's inverses (see ``_walk``).  data may cover only
+    the coordinates a window can raise; the fermionic_* functions pass the
+    leading min(k, z_max) coordinates of each block.
     """
     validate_window(q_max, z_max)
     _check_cells(
@@ -199,25 +255,30 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     m = [0] * len(data.matrix)
     root_shift = quadratic_exponent(data, m)
     if root_shift <= q_max:
-        _walk(data, rows, m, 0, 0, 0, root_shift, [1] + [0] * (q_max - root_shift))
+        _walk(data, rows, m, 0, 0, 0, root_shift, [1] + [0] * (q_max - root_shift), [])
     return TruncatedSeries(rows, q_max, z_max)
 
 
-def _walk(data, rows, m, first, z, extra, shift, poch) -> None:
+def _walk(data, rows, m, first, z, extra, shift, poch, run) -> None:
     """Add the terms of m (0 from coordinate first on) and of its descendants
     that lie in the window, which is the shape of rows; m is left as found.
 
     poch is m's Pochhammer inverse; only its first q_max - shift + 1 entries
     are read, and it is never changed.  run[v-1] is poch divided by
-    prod_{u<=v} (1 - q^(step*u)), long enough for every child m_j = v priced
-    so far.  A child at shift cshift needs q_max - cshift + 1 entries; when
-    run[v-1] is missing or shorter, it is rebuilt from run[v-2] (or poch),
-    which the sibling m_j = v - 1 (or m itself) made long enough at a shift
-    no larger.
+    prod_{u<=v} (1 - q^(step*u)): the inverse of every child m_j = v.  run is
+    shared with every sibling of m that has the same inverse (the vectors
+    m' + v e_i of one parent m' and one v), so an entry one of them divided
+    serves them all; an entry is replaced, never changed, and holds at least
+    as many coefficients as every child m_j = v priced so far needed.  A
+    child at shift cshift needs q_max - cshift + 1; when run[v-1] is missing
+    or shorter, it is rebuilt from run[v-2], which the child m_j = v - 1 made
+    long enough at a shift no larger, or, for v = 1, from poch, which is
+    long enough for every child.  The node keeps one run per v for its own
+    children, runs[v-1], and hands it to each child m_j = v.
     """
     q_max, z_max = len(rows[0]) - 1, len(rows) - 1
     rows[z][shift:] = map(add, rows[z][shift:], poch)
-    run = []
+    runs = []
     for j in range(first, len(m)):
         cz, cx = z, extra
         for v in range(1, z_max + 1):
@@ -234,23 +295,31 @@ def _walk(data, rows, m, first, z, extra, shift, poch) -> None:
                 cur = (run[v - 2] if v > 1 else poch)[:need]
                 _divide_by_one_minus(cur, data.q_step * v)
                 run[v - 1 : v] = [cur]
-            _walk(data, rows, m, j + 1, cz, cx, cshift, run[v - 1])
+            if v > len(runs):
+                runs.append([])
+            _walk(data, rows, m, j + 1, cz, cx, cshift, run[v - 1], runs[v - 1])
         m[j] = 0
+
+
+def _leading(k: int, z_max: int) -> int:
+    """How many leading coordinates of a level-k block a window can raise:
+    coordinate a has z-weight a, so those past z_max stay 0."""
+    return min(k, max(z_max, 0))
 
 
 def fermionic_r2(k: int, b0: int, q_max: int, z_max: int) -> TruncatedSeries:
     """Fermionic character for rank 2, initial cap b0."""
-    return evaluate_gordon_sum(gordon_data_r2(k, b0), q_max, z_max)
+    return evaluate_gordon_sum(_data_r2(k, b0, _leading(k, z_max)), q_max, z_max)
 
 
 def fermionic_r3(k: int, b0: int, q_max: int, z_max: int) -> TruncatedSeries:
     """Fermionic character for rank 3 with b = (b0, k)."""
-    return evaluate_gordon_sum(gordon_data_r3(k, b0), q_max, z_max)
+    return evaluate_gordon_sum(_data_r3(k, b0, _leading(k, z_max)), q_max, z_max)
 
 
 def fermionic_r3_special(k: int, q_max: int, z_max: int) -> TruncatedSeries:
     """Fermionic character for rank 3 at b = (floor((k+1)/2), k)."""
-    return evaluate_gordon_sum(gordon_data_r3_special(k), q_max, z_max)
+    return evaluate_gordon_sum(_data_r3_special(k, _leading(k, z_max)), q_max, z_max)
 
 
 def level_restricted_partitions(n: int, k: int):

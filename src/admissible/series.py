@@ -21,6 +21,7 @@ because the benchmark's tracer wraps it by name.
 from __future__ import annotations
 
 import _json
+from itertools import compress
 from operator import add
 
 
@@ -162,16 +163,19 @@ class TruncatedSeries:
 
 def series_json(series: TruncatedSeries) -> str:
     """The bytes of dumps(series.to_json_obj()), written in one pass over the
-    rows: one string per nonzero term, in (dz, dq) order, joined once."""
-    terms = ",".join(
-        [
-            f'[{dq},{dz},"{c}"]'
-            for dz, row in enumerate(series.rows)
-            for dq, c in enumerate(row)
-            if c
-        ]
-    )
-    return f'{{"q_order":{series.q_order},"terms":[{terms}],"z_order":{series.z_order}}}'
+    rows: one string per nonzero term, in (dz, dq) order, joined once.
+
+    ``compress`` skips the zero cells in C, each row formats its dz once,
+    and each dq is formatted once, in a table as long as the longest row
+    (not the q_order, which may be far larger).
+    """
+    rows = series.rows
+    heads = [f"[{dq}," for dq in range(max(map(len, rows), default=0))]
+    terms = []
+    for dz, row in enumerate(rows):
+        mid = f'{dz},"'
+        terms += [f'{heads[dq]}{mid}{c}"]' for dq, c in compress(enumerate(row), row)]
+    return f'{{"q_order":{series.q_order},"terms":[{",".join(terms)}],"z_order":{series.z_order}}}'
 
 
 def _pochhammer_inverse_coeffs(ms, step: int, q_order: int) -> list[int]:

@@ -290,7 +290,7 @@ class TestTable:
         "argv",
         [
             ("char", "--method", "fermionic-r2", "--k", "100000", "--r", "2", "--b", "0",
-             "--qmax", "5", "--zmax", "5"),
+             "--qmax", "0", "--zmax", "100000"),
             ("table", "--k", "100000", "--which", "A2"),
             ("table", "--k", str(10**12), "--which", "c2", "--b0", "0"),
             ("table", "--k", str(10**12), "--which", "c3", "--b0", "0"),

@@ -353,12 +353,51 @@ class TestEvaluatorPlumbing:
             evaluate_gordon_sum(gordon_data_r2(1, 0), 3, -2)
 
     @pytest.mark.parametrize(
-        "build", [lambda: fermionic_r2(10**5, 0, 5, 5), lambda: fermionic_r3(2000, 0, 5, 5)],
-        ids=["r2", "r3"],
+        "build",
+        [
+            lambda: fermionic_r2(10**5, 0, 0, 10**5),
+            lambda: fermionic_r3(2000, 0, 0, 2000),
+            lambda: gordon_a2(10**5),
+        ],
+        ids=["r2", "r3", "gordon_a2"],
     )
     def test_oversized_gordon_matrix_refused(self, build):
+        # The sums build the leading min(k, z_max) coordinates of each block,
+        # so only a window with a large z_max needs the large matrix.
         with pytest.raises(CapacityError, match="Gordon matrix needs [0-9]+ entries"):
             build()
+
+
+class TestWindowSizedData:
+    """A coordinate whose z-weight is past z_max is never raised, so the
+    sums build the Gordon data of the leading min(k, z_max) coordinates of
+    each block only."""
+
+    @pytest.mark.parametrize(
+        "got, k, r, b",
+        [
+            (lambda: fermionic_r2(10**5, 3, 5, 5), 10**5, 2, (3,)),
+            (lambda: fermionic_r3(2000, 3, 5, 5), 2000, 3, (3, 2000)),
+            (lambda: fermionic_r3_special(2001, 5, 5), 2001, 3, (1001, 2001)),
+        ],
+        ids=["r2", "r3", "r3-special"],
+    )
+    def test_large_level_small_window_equals_direct(self, got, k, r, b):
+        assert got() == character_direct(k, r, b, 5, 5)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_window_below_the_level_equals_direct(self, k):
+        for z_max in range(k):
+            for b0 in range(k + 1):
+                assert fermionic_r2(k, b0, 16, z_max) == character_direct(
+                    k, 2, (b0,), 16, z_max
+                ), (b0, z_max)
+                assert fermionic_r3(k, b0, 16, z_max) == character_direct(
+                    k, 3, (b0, k), 16, z_max
+                ), (b0, z_max)
+            assert fermionic_r3_special(k, 16, z_max) == character_direct(
+                k, 3, ((k + 1) // 2, k), 16, z_max
+            ), z_max
 
 
 def brute_force_sum(data, q_max, z_max):
@@ -472,7 +511,10 @@ class TestPrunedWalkAgainstBruteForce:
         # The pruned walk against every vector of the window, priced one by one.
         assert evaluate_gordon_sum(data, 20, 8) == brute_force_sum(data, 20, 8)
 
-    def test_pruning_stays_on(self, monkeypatch):
+    @staticmethod
+    def _priced(monkeypatch, *window):
+        """The quadratic_exponent calls of fermionic_r2(*window): the walk
+        looks the module's function up at call time."""
         calls = 0
         price = fermionic.quadratic_exponent
 
@@ -482,21 +524,33 @@ class TestPrunedWalkAgainstBruteForce:
             return price(data, m)
 
         monkeypatch.setattr(fermionic, "quadratic_exponent", counted)
-        fermionic_r2(6, 1, 100, 50)
+        fermionic_r2(*window)
+        return calls
+
+    def test_pruning_stays_on(self, monkeypatch):
+        calls = self._priced(monkeypatch, 6, 1, 100, 50)
         weights = tuple(range(1, 7))
         brute = sum(1 for n in range(51) for _ in _multiplicity_vectors(weights, n))
         assert 0 < calls < brute // 10
 
+    @pytest.mark.parametrize("window, priced", [((2, 1, 20, 6), 16), ((6, 1, 100, 50), 2455)])
+    def test_each_visited_vector_is_priced_once(self, monkeypatch, window, priced):
+        # The benchmark counts priced vectors by these calls.
+        assert self._priced(monkeypatch, *window) == priced
+
 
 class TestSharedPochhammerRun:
-    """Each node of the walk divides its Pochhammer run once for all its
-    children: the child m_j = v reads run[v-1] for every coordinate j."""
+    """Every sibling m + v e_j of one parent m and one v has the inverse
+    run[v-1], whatever j is, so the parent divides its run once for all its
+    children, and hands the child m_j = v one run of its own children's
+    inverses, runs[v-1], that every sibling with that v shares."""
 
     @staticmethod
     def _count(monkeypatch):
         """Count the walk's nodes below the root and its divisions, each
         division sorted by whether it extends the node's run or rebuilds an
-        entry that a child at a larger shift had left too short."""
+        entry that a child at a larger shift, of this node or of a sibling
+        that shares the run, had left too short."""
         counts = {"kept": -1, "new": 0, "rebuilt": 0}
         walk, divide = fermionic._walk, fermionic._divide_by_one_minus
 
@@ -518,6 +572,28 @@ class TestSharedPochhammerRun:
         fermionic_r2(6, 1, 100, 50)
         assert counts["rebuilt"] == 0
         assert 0 < counts["new"] < counts["kept"]
+
+    def test_r2_divides_at_most_a_quarter_as_often_as_it_keeps_vectors(self, monkeypatch):
+        counts = self._count(monkeypatch)
+        fermionic_r2(6, 1, 100, 50)
+        assert 0 < 4 * (counts["new"] + counts["rebuilt"]) <= counts["kept"]
+
+    def test_siblings_with_one_value_share_one_run(self, monkeypatch):
+        walk = fermionic._walk
+        runs = {}
+
+        def spied_walk(*args):
+            m, run = args[2], args[-1]
+            if sum(map(bool, m)) == 1:  # a child of the root: m = v e_j
+                runs.setdefault(max(m), []).append(run)
+            return walk(*args)
+
+        monkeypatch.setattr(fermionic, "_walk", spied_walk)
+        fermionic_r2(6, 1, 100, 50)
+        assert len(runs[1]) == 6 and len(runs[2]) > 1
+        for v, shared in runs.items():
+            assert all(run is shared[0] for run in shared), v
+        assert runs[1][0] is not runs[2][0]
 
     def test_r3_rebuilds_a_short_entry_and_stays_exact(self, monkeypatch):
         data = gordon_data_r3(2, 1)

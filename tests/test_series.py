@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +207,19 @@ class TestJson:
         text = series_json(s)
         assert text == dumps(s.to_json_obj())
         assert json.loads(text) == s.to_json_obj()
+
+    def test_series_json_sizes_by_the_rows_not_the_window(self):
+        # A short row in a huge q-window: the writer formats the dq of the
+        # row's cells, not of every q-order up to 10^7.
+        s = TruncatedSeries([[1, 0, 2]], 10**7)
+        tracemalloc.start()
+        try:
+            text = series_json(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == dumps(s.to_json_obj())
+        assert peak < 10**5
 
 
 # Any code point, lone surrogates included, or only the ones the writer
