@@ -12,7 +12,9 @@ chi_b(q, z) = sum_{v=0}^{b_0} z^v chi_{b(v)}(q, qz), with
 b(v) = (b_1 - v, ..., b_{r-2} - v, k - v), Andrews' route to Gordon's
 theorem (The Theory of Partitions, 1976, ch. 7).  A demand pass first finds
 each z-block the requested window reads and the highest q-degree it reads
-there; only those blocks are built, as dense q-lists.
+there; only those blocks are built, as packed q-lists of the one series
+kernel (``series._Packing``): each block is one integer, its terms are
+added in with shifted adds in C, and only the requested rows are unpacked.
 
 Every direct and fermionic character is refused with ``CapacityError``
 before it allocates more than ``MAX_CELLS`` q-coefficients.
@@ -20,9 +22,7 @@ before it allocates more than ``MAX_CELLS`` q-coefficients.
 
 from __future__ import annotations
 
-from operator import add
-
-from .series import TruncatedSeries, _divide_by_one_minus
+from .series import TruncatedSeries, _add_shifted, _divide, _packed, _unpack
 
 # The most q-coefficients the direct recursion or a fermionic sum may
 # allocate; both count them before allocating any.
@@ -153,10 +153,13 @@ def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeri
     The demand pass ``_block_demands`` first finds every block the
     requested ones read and the highest q-degree read from each; a block
     whose shift q^m already passes that degree is never built.  The blocks
-    are then built as dense q-lists with C-level slice adds, each after its
-    terms.  More than MAX_CELLS q-coefficients, counted first for the
-    requested blocks and then over the demand pass, raise CapacityError
-    before any block is allocated.
+    are then built as packed q-lists, each after its terms, by the shifted
+    adds and the one division of the series kernel; a coefficient past the
+    packed width restarts the build at twice the width (``series._packed``).
+    Every block coefficient counts configurations of one q-degree, so all
+    of them are >= 0, as the kernel requires.  More than MAX_CELLS
+    q-coefficients, counted first for the requested blocks and then over
+    the demand pass, raise CapacityError before any block is allocated.
     """
     b = validate_b(k, r, b)
     validate_window(q_max, z_max)
@@ -165,21 +168,26 @@ def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeri
         (top + 1) * (q_max + 1), "the direct character's z-blocks need {} q-coefficients"
     )
     levels, terms = _block_demands(k, b, top, q_max)
-    blocks: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    return TruncatedSeries(_packed(_build_blocks, q_max, b, top, levels, terms), q_max, z_max)
+
+
+def _build_blocks(b, top, levels, terms, packing) -> list[list[int]]:
+    """The rows of the direct character: the blocks of ``_block_demands``
+    built in order as packed q-lists, and the roots unpacked."""
+    blocks: dict[tuple[tuple[int, ...], int], int] = {}
     for n, depth in sorted(levels):
         for vec, demand in levels[n, depth].items():
-            acc = [0] * (demand + 1)
+            acc = 0
             for v, child in enumerate(terms[vec][: n + 1]):
                 m = n - v
-                if m == 0:
-                    acc[0] += 1
+                if m == 0:  # the constant 1: no other term reaches q^0
+                    acc += 1
                 elif m <= demand and child is not None:
-                    acc[m:] = map(add, acc[m:], blocks[child, m])
+                    acc = _add_shifted(acc, blocks[child, m], m, demand + 1, packing)
             if depth == 0:  # vec is K: the v = 0 term is the block itself
-                _divide_by_one_minus(acc, n)
+                acc = _divide(acc, n, demand + 1, packing)
             blocks[vec, n] = acc
-    rows = [[1]] + [blocks[b, n] for n in range(1, top + 1)]
-    return TruncatedSeries(rows, q_max, z_max)
+    return [[1]] + [_unpack(blocks[b, n], packing.width) for n in range(1, top + 1)]
 
 
 def _block_demands(k: int, b: tuple[int, ...], top: int, q_max: int):

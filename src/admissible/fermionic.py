@@ -17,7 +17,10 @@ m with one v all have m's inverse divided by (q^step; q^step)_v, whatever j
 is, and so their own runs of inverses are one series too.  A node keeps
 one run list per v and hands it to every child with that v, so an entry is
 divided once for all the siblings that read it, and rebuilt only when a
-later one needs it longer.  No per-vector product is formed.
+later one needs it longer.  No per-vector product is formed.  The rows
+and the inverses are packed q-lists of the one series kernel
+(``series._Packing``), all >= 0, so each term is one shifted add and each
+division one short run of shifted adds, in C.
 
 The sums are sized by the window, not by the level: coordinate a of a block
 has z-weight a, so one past z_max is never raised, and fermionic_r2,
@@ -33,7 +36,7 @@ from operator import add, sub
 from .configurations import _ValueRecord, _check_cells
 from .configurations import validate_b, validate_k, validate_window
 from .polyspaces import partitions_max_parts
-from .series import TruncatedSeries, _divide_by_one_minus
+from .series import TruncatedSeries, _add_shifted, _divide, _packed, _unpack
 
 
 def _check_matrix(k: int, n: int) -> None:
@@ -243,41 +246,51 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     Pochhammer inverse of m_j = v is the parent's divided by
     (q^step; q^step)_v, whatever j is, so each parent keeps one run of these
     inverses for all its children, and the children with one v share the run
-    of their own children's inverses (see ``_walk``).  data may cover only
-    the coordinates a window can raise; the fermionic_* functions pass the
-    leading min(k, z_max) coordinates of each block.
+    of their own children's inverses (see ``_walk``).  The rows and the
+    inverses are packed q-lists; a coefficient past the packed width
+    restarts the walk at twice the width (``series._packed``), which prices
+    every vector again.  data may cover only the coordinates a window can
+    raise; the fermionic_* functions pass the leading min(k, z_max)
+    coordinates of each block.
     """
     validate_window(q_max, z_max)
     _check_cells(
         (z_max + 1) * (q_max + 1), "the fermionic sum's z-rows need {} q-coefficients"
     )
-    rows = [[0] * (q_max + 1) for _ in range(z_max + 1)]
+    return TruncatedSeries(_packed(_sum_rows, q_max, data, z_max), q_max, z_max)
+
+
+def _sum_rows(data, z_max, packing) -> list[list[int]]:
+    """The z-rows of the sum: the walk's packed rows, unpacked."""
+    rows = [0] * (z_max + 1)
     m = [0] * len(data.matrix)
     root_shift = quadratic_exponent(data, m)
-    if root_shift <= q_max:
-        _walk(data, rows, m, 0, 0, 0, root_shift, [1] + [0] * (q_max - root_shift), [])
-    return TruncatedSeries(rows, q_max, z_max)
+    if root_shift < packing.length:
+        _walk(data, rows, m, 0, 0, 0, root_shift, 1, packing, [])
+    return [_unpack(row, packing.width) for row in rows]
 
 
-def _walk(data, rows, m, first, z, extra, shift, poch, run) -> None:
+def _walk(data, rows, m, first, z, extra, shift, poch, packing, run) -> None:
     """Add the terms of m (0 from coordinate first on) and of its descendants
-    that lie in the window, which is the shape of rows; m is left as found.
+    that lie in the window to the packed rows; m is left as found.
 
-    poch is m's Pochhammer inverse; only its first q_max - shift + 1 entries
-    are read, and it is never changed.  run[v-1] is poch divided by
-    prod_{u<=v} (1 - q^(step*u)): the inverse of every child m_j = v.  run is
-    shared with every sibling of m that has the same inverse (the vectors
-    m' + v e_i of one parent m' and one v), so an entry one of them divided
-    serves them all; an entry is replaced, never changed, and holds at least
-    as many coefficients as every child m_j = v priced so far needed.  A
-    child at shift cshift needs q_max - cshift + 1; when run[v-1] is missing
-    or shorter, it is rebuilt from run[v-2], which the child m_j = v - 1 made
-    long enough at a shift no larger, or, for v = 1, from poch, which is
-    long enough for every child.  The node keeps one run per v for its own
+    The window is z <= len(rows) - 1 and q < packing.length.  poch is m's
+    packed Pochhammer inverse; only its first q_max - shift + 1 fields are
+    read, and it is never changed.  run[v-1] is (inverse, length): poch
+    divided by prod_{u<=v} (1 - q^(step*u)), the inverse of every child
+    m_j = v, exact through its first length fields.  run is shared with
+    every sibling of m that has the same inverse (the vectors m' + v e_i of
+    one parent m' and one v), so an entry one of them divided serves them
+    all; an entry is replaced, never changed, and is at least as long as
+    every child m_j = v priced so far needed.  A child at shift cshift
+    needs q_max - cshift + 1 fields; when run[v-1] is missing or shorter,
+    it is rebuilt from run[v-2], which the child m_j = v - 1 made long
+    enough at a shift no larger, or, for v = 1, from poch, which is long
+    enough for every child.  The node keeps one run per v for its own
     children, runs[v-1], and hands it to each child m_j = v.
     """
-    q_max, z_max = len(rows[0]) - 1, len(rows) - 1
-    rows[z][shift:] = map(add, rows[z][shift:], poch)
+    q_max, z_max = packing.length - 1, len(rows) - 1
+    rows[z] = _add_shifted(rows[z], poch, shift, packing.length, packing)
     runs = []
     for j in range(first, len(m)):
         cz, cx = z, extra
@@ -291,13 +304,12 @@ def _walk(data, rows, m, first, z, extra, shift, poch, run) -> None:
             if cshift > q_max:
                 break
             need = q_max - cshift + 1
-            if v > len(run) or len(run[v - 1]) < need:
-                cur = (run[v - 2] if v > 1 else poch)[:need]
-                _divide_by_one_minus(cur, data.q_step * v)
-                run[v - 1 : v] = [cur]
+            if v > len(run) or run[v - 1][1] < need:
+                cur = _divide(run[v - 2][0] if v > 1 else poch, data.q_step * v, need, packing)
+                run[v - 1 : v] = [(cur, need)]
             if v > len(runs):
                 runs.append([])
-            _walk(data, rows, m, j + 1, cz, cx, cshift, run[v - 1], runs[v - 1])
+            _walk(data, rows, m, j + 1, cz, cx, cshift, run[v - 1][0], packing, runs[v - 1])
         m[j] = 0
 
 

@@ -6,10 +6,14 @@ int coefficients and propagates truncation as the componentwise minimum of
 the operand windows, so "equal up to order" is a total, decidable relation.
 A series stores its coefficients as dense z-rows, rows[dz][dq], and its one
 constructor takes such rows; the sparse map {(dq, dz): c} is a read-only
-view, ``coeffs``, built on demand.  The character routes work on dense
-q-lists too: they divide by one Pochhammer factor at a time with
-``_divide_by_one_minus``, accumulate rows by slice adds and hand the rows to
-``TruncatedSeries``, which only clips and copies them.  ``series_json``,
+view, ``coeffs``, built on demand.  The character routes share one packed
+q-series kernel: a q-list c_0, ..., c_(L-1) is the one integer
+sum_i c_i 2^(i W), with W-bit fields whose top bits are guard bits (see
+``_Packing``), so a shifted add (``_add_shifted``) and a division by one
+factor (1 - q^s) (``_divide``) are a few big-integer operations in C, and
+``_packed`` restarts a route at twice the width when a guard bit shows.
+Each route unpacks its rows once, at the end (``_unpack``), and hands them
+to ``TruncatedSeries``, which only clips and copies them.  ``series_json``,
 ``terms`` and ``first_mismatch`` scan the rows in (dz, dq) order, so none of
 them sorts.  ``char`` prints ``series_json``, which writes the canonical JSON
 text straight from the rows; ``to_json_obj`` builds the same object for
@@ -21,8 +25,9 @@ because the benchmark's tracer wraps it by name.
 from __future__ import annotations
 
 import _json
-from itertools import compress
-from operator import add
+import sys
+from itertools import compress, repeat
+from operator import add, lshift, or_
 
 
 def _unserializable(obj):
@@ -178,25 +183,115 @@ def series_json(series: TruncatedSeries) -> str:
     return f'{{"q_order":{series.q_order},"terms":[{",".join(terms)}],"z_order":{series.z_order}}}'
 
 
-def _pochhammer_inverse_coeffs(ms, step: int, q_order: int) -> list[int]:
-    """Dense coefficients of prod_i 1/(q^step; q^step)_{ms[i]} through q^q_order."""
-    out = [1] + [0] * q_order
-    for m in ms:
-        for j in range(1, min(m, q_order // step) + 1):
-            _divide_by_one_minus(out, step * j)
-    return out
+class _Overflow(Exception):
+    """A packed field reached its guard bit: the route restarts at twice the width."""
 
 
-def _divide_by_one_minus(coeffs: list[int], stride: int) -> None:
-    """Divide the dense q-list by (1 - q^stride) in place, keeping its length.
+class _Packing:
+    """The packed form of the q-lists of one route, at one width.
 
-    1/(1 - q^stride) is the geometric series in q^stride; multiplying by it
-    in increasing degree is coeffs[d] += coeffs[d - stride].
+    A q-list c_0, ..., c_(L-1) is the integer sum_i c_i 2^(i width): one
+    field of ``width`` bits per coefficient, width a multiple of 8.  Every
+    value packed here is >= 0 (counts, Pochhammer inverses and their sums),
+    and the top bit of each field is its guard; a value is clean when every
+    guard bit is clear.  Two clean operands sum field by field without a
+    carry between fields, so a clear guard after an add proves every field
+    of the sum exact, and a set one raises ``_Overflow`` before any carry
+    can happen; ``_divide`` proves its result the same way with one test.
+    This is an exactness certificate, not a modulus: a route that finishes
+    at any width has every coefficient exact.  ``guard`` covers ``length``
+    fields, the longest q-list of the route.
     """
-    for d in range(stride, len(coeffs)):
-        lower = coeffs[d - stride]
-        if lower:
-            coeffs[d] += lower
+
+    __slots__ = ("width", "length", "guard")
+
+    def __init__(self, width: int, length: int):
+        self.width = width
+        self.length = length
+        self.guard = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * length, "little")
+
+
+# The width every route starts at.  A coefficient that outgrows it costs
+# one restart per doubling; starting wider would slow every window whose
+# coefficients fit, since each packed operation costs its bit count.
+_START_WIDTH = 64
+
+
+def _packed(build, q_max: int, *args):
+    """build(*args, packing) for q-lists of at most q_max + 1 fields, at
+    ``_START_WIDTH`` and again at twice the width after every ``_Overflow``."""
+    width = _START_WIDTH
+    while True:
+        try:
+            return build(*args, _Packing(width, q_max + 1))
+        except _Overflow:
+            width *= 2
+
+
+def _add_shifted(row: int, x: int, shift: int, length: int, packing: _Packing) -> int:
+    """row + q^shift x, truncated to its first length fields; row and x
+    clean.  Carries run upwards only, so dropping the fields past length
+    after the add leaves the lower ones exact."""
+    bits = length * packing.width
+    row += x << shift * packing.width
+    if row.bit_length() > bits:
+        row &= (1 << bits) - 1
+    if row & packing.guard:
+        raise _Overflow
+    return row
+
+
+def _divide(x: int, stride: int, length: int, packing: _Packing) -> int:
+    """x / (1 - q^stride), through its first length fields; x clean.
+
+    1/(1 - q^s) = (1 + q^s)(1 + q^2s)(1 + q^4s)..., and the factors with
+    exponent at least length change no kept field, so the division takes
+    ceil(log2(length / stride)) shifted adds, each under one mask.  One
+    guard test, at the end, certifies them all: whatever the steps carried,
+    the result is sum_i y_i 2^(i width) mod 2^(length width) for the true
+    quotient y, and y_i = y_(i-stride) + x_i.  So the lowest y_i that
+    reaches the guard is still below 2^width, every field under it is
+    exact, and its guard bit is set.
+    """
+    width = packing.width
+    mask = (1 << length * width) - 1
+    x &= mask
+    while stride < length:
+        x = (x + (x << stride * width)) & mask
+        stride *= 2
+    if x & packing.guard:
+        raise _Overflow
+    return x
+
+
+# memoryview formats of the machine words a field is read in.
+_WORD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _unpack(x: int, width: int) -> list[int]:
+    """The q-list of packed x, with no trailing zero fields.
+
+    The fields are read from the bytes of x in C, one machine word each; a
+    field wider than 64 bits is read as 64-bit words, and the words above
+    the lowest are folded in where any of them is nonzero.  Leading zero
+    fields are read like the rest: skipping them (from the lowest set bit)
+    costs more than reading them.
+    """
+    word = 64 if width > 64 else width
+    data = x.to_bytes(-(-x.bit_length() // width) * width // 8, sys.byteorder)
+    words = memoryview(data).cast(_WORD_FORMATS[word]).tolist()
+    if _BIG_ENDIAN:
+        words.reverse()
+    if word == width:
+        return words
+    per = width // word
+    fields = words[::per]
+    for j in range(1, per):
+        high = words[j::per]
+        if any(high):
+            fields = list(map(or_, fields, map(lshift, high, repeat(word * j))))
+    return fields
 
 
 def first_mismatch(a: TruncatedSeries, b: TruncatedSeries):

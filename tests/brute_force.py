@@ -18,6 +18,9 @@ split at a time, the slow side of their closed-form count.
 max_parts parts depth first, the slow side of ``partitions_max_parts``,
 and ``weight_degree_by_pairs`` sums the weight exponents one pair of
 variables at a time, the slow side of ``weight_degree``.
+``_divide_by_one_minus`` and ``_pochhammer_inverse_coeffs`` divide dense
+q-lists one cell at a time, the slow side of the packed kernel in
+``series`` (``_add_shifted``, ``_divide``, ``_unpack``).
 """
 
 from itertools import groupby
@@ -25,6 +28,27 @@ from math import comb, factorial
 
 from admissible.configurations import validate_b, validate_window
 from admissible.polyspaces import VanishingSpec, _signed_count, partitions_max_parts
+
+
+def _pochhammer_inverse_coeffs(ms, step: int, q_order: int) -> list[int]:
+    """Dense coefficients of prod_i 1/(q^step; q^step)_{ms[i]} through q^q_order."""
+    out = [1] + [0] * q_order
+    for m in ms:
+        for j in range(1, min(m, q_order // step) + 1):
+            _divide_by_one_minus(out, step * j)
+    return out
+
+
+def _divide_by_one_minus(coeffs: list[int], stride: int) -> None:
+    """Divide the dense q-list by (1 - q^stride) in place, keeping its length.
+
+    1/(1 - q^stride) is the geometric series in q^stride; multiplying by it
+    in increasing degree is coeffs[d] += coeffs[d - stride].
+    """
+    for d in range(stride, len(coeffs)):
+        lower = coeffs[d - stride]
+        if lower:
+            coeffs[d] += lower
 
 
 def is_admissible(a, k: int, r: int, b) -> bool:

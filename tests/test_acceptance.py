@@ -21,7 +21,7 @@ from admissible.fermionic import (
     quadratic_exponent,
 )
 from admissible.polyspaces import oracle_block, weight_degree
-from admissible.series import TruncatedSeries, _pochhammer_inverse_coeffs, first_mismatch
+from admissible.series import TruncatedSeries, first_mismatch
 from admissible.vertexops import (
     closed_form_series,
     family_r2,
@@ -29,7 +29,7 @@ from admissible.vertexops import (
     family_r3_split,
     pair_function,
 )
-from brute_force import _multiplicity_vectors
+from brute_force import _multiplicity_vectors, _pochhammer_inverse_coeffs
 
 
 def _oracle(k, r, b, q_order, n):

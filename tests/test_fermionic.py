@@ -1,10 +1,11 @@
+import gc
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admissible import fermionic
+from admissible import fermionic, series
 from admissible.configurations import CapacityError, character_direct
 from admissible.fermionic import (
     GordonData,
@@ -24,8 +25,8 @@ from admissible.fermionic import (
     level_restricted_partitions,
     quadratic_exponent,
 )
-from admissible.series import TruncatedSeries, _pochhammer_inverse_coeffs
-from brute_force import _multiplicity_vectors
+from admissible.series import TruncatedSeries
+from brute_force import _multiplicity_vectors, _pochhammer_inverse_coeffs, enumerate_configs
 
 
 class TestMatrices:
@@ -552,19 +553,19 @@ class TestSharedPochhammerRun:
         entry that a child at a larger shift, of this node or of a sibling
         that shares the run, had left too short."""
         counts = {"kept": -1, "new": 0, "rebuilt": 0}
-        walk, divide = fermionic._walk, fermionic._divide_by_one_minus
+        walk, divide = fermionic._walk, fermionic._divide
 
         def counted_walk(*args):
             counts["kept"] += 1
             return walk(*args)
 
-        def counted_divide(coeffs, stride):
+        def counted_divide(*args):
             caller = sys._getframe(1).f_locals
             counts["new" if caller["v"] > len(caller["run"]) else "rebuilt"] += 1
-            return divide(coeffs, stride)
+            return divide(*args)
 
         monkeypatch.setattr(fermionic, "_walk", counted_walk)
-        monkeypatch.setattr(fermionic, "_divide_by_one_minus", counted_divide)
+        monkeypatch.setattr(fermionic, "_divide", counted_divide)
         return counts
 
     def test_r2_divides_fewer_times_than_it_keeps_vectors(self, monkeypatch):
@@ -603,3 +604,60 @@ class TestSharedPochhammerRun:
         assert counts["new"] + counts["rebuilt"] < counts["kept"]
         monkeypatch.undo()
         assert got == brute_force_sum(data, 20, 10) == fermionic_r3(2, 1, 20, 10)
+
+
+def tally(k, r, b, q_max, z_max):
+    """The character counted one enumerated configuration at a time."""
+    rows = [[0] * (q_max + 1) for _ in range(z_max + 1)]
+    for cfg in enumerate_configs(k, r, b, q_max, z_max):
+        rows[sum(cfg)][sum(j * a for j, a in enumerate(cfg))] += 1
+    return TruncatedSeries(rows, q_max, z_max)
+
+
+class TestRestartFromANarrowWidth:
+    """Started at 8 bits, each route overflows, restarts at twice the width
+    until its coefficients fit, and returns its reference character exactly;
+    the abandoned attempts leave no cyclic garbage."""
+
+    @pytest.mark.parametrize(
+        "route, reference",
+        [
+            (lambda: character_direct(3, 2, (1,), 22, 11), lambda: tally(3, 2, (1,), 22, 11)),
+            (
+                lambda: fermionic_r2(2, 1, 30, 15),
+                lambda: brute_force_sum(gordon_data_r2(2, 1), 30, 15),
+            ),
+            (
+                lambda: fermionic_r3(2, 1, 30, 15),
+                lambda: brute_force_sum(gordon_data_r3(2, 1), 30, 15),
+            ),
+            (
+                lambda: fermionic_r3_special(3, 22, 11),
+                lambda: brute_force_sum(gordon_data_r3_special(3), 22, 11),
+            ),
+        ],
+        ids=["direct", "fermionic-r2", "fermionic-r3", "fermionic-r3-special"],
+    )
+    def test_restarts_stay_exact_and_leave_no_garbage(self, monkeypatch, route, reference):
+        want = reference()
+        assert max(max(row) for row in want.rows) > 127  # past an 8-bit field
+        widths = []
+        packing = series._Packing
+
+        def spied(width, length):
+            widths.append(width)
+            return packing(width, length)
+
+        monkeypatch.setattr(series, "_START_WIDTH", 8)
+        monkeypatch.setattr(series, "_Packing", spied)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            got = route()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(widths) > 1 and widths == [8 << i for i in range(len(widths))]
+        assert got == want

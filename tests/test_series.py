@@ -9,11 +9,17 @@ from admissible import configurations
 from admissible.configurations import CapacityError
 from admissible.series import (
     TruncatedSeries,
-    _pochhammer_inverse_coeffs,
+    _add_shifted,
+    _divide,
+    _Overflow,
+    _packed,
+    _Packing,
+    _unpack,
     dumps,
     first_mismatch,
     series_json,
 )
+from brute_force import _divide_by_one_minus, _pochhammer_inverse_coeffs
 
 
 def S(coeffs, q=6, z=6):
@@ -155,6 +161,114 @@ class TestPochhammerInverse:
         q_order = 40
         inv = _pochhammer_inverse_coeffs((m,), step, q_order)
         assert times_pochhammer(inv, m, step) == [1] + [0] * q_order
+
+
+def pack(coeffs, width):
+    """The packed integer of a q-list: coeffs[i] in bits [i width, (i+1) width)."""
+    return sum(c << i * width for i, c in enumerate(coeffs))
+
+
+def unpacked(coeffs):
+    """A q-list as ``_unpack`` returns it: no trailing zeros."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+# Every width a route can reach from a start of 8 or 64 bits, and clean
+# q-lists for each: zeros, small values and values up to the guard.
+width_st = st.sampled_from([8, 16, 32, 64, 128, 256])
+
+
+@st.composite
+def clean_lists(draw, width, max_size=12):
+    top = 2 ** (min(width, 64) - 1) - 1
+    value = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, top))
+    return draw(st.lists(value, max_size=max_size))
+
+
+class TestPackedKernel:
+    """The packed kernel against the list references, overflow included:
+    an operation raises ``_Overflow`` exactly when a true coefficient of
+    its result reaches the guard bit, and is exact otherwise."""
+
+    @settings(max_examples=200)
+    @given(st.data(), width_st)
+    def test_unpack_inverts_pack(self, data, width):
+        coeffs = data.draw(clean_lists(width, max_size=40))
+        assert _unpack(pack(coeffs, width), width) == unpacked(coeffs)
+
+    def test_unpack_folds_wide_fields(self):
+        coeffs = [0, 0, 2**127 - 1, 0, 5, 2**64, 0]
+        for width in (128, 256):
+            assert _unpack(pack(coeffs, width), width) == unpacked(coeffs)
+        assert _unpack(0, 64) == [] and _unpack(1 << 64 * 3, 64) == [0, 0, 0, 1]
+
+    @settings(max_examples=200)
+    @given(st.data(), width_st)
+    def test_add_shifted_equals_the_list_add(self, data, width):
+        top = 12
+        length = data.draw(st.integers(0, top))
+        row = data.draw(clean_lists(width, max_size=length))
+        x = data.draw(clean_lists(width))
+        shift = data.draw(st.integers(0, top + 2))
+        want = (row + [0] * top)[:length]
+        for d, c in enumerate(x[: max(0, length - shift)], shift):
+            want[d] += c
+        packing = _Packing(width, top)
+        if any(c >= 2 ** (width - 1) for c in want):
+            with pytest.raises(_Overflow):
+                _add_shifted(pack(row, width), pack(x, width), shift, length, packing)
+        else:
+            got = _add_shifted(pack(row, width), pack(x, width), shift, length, packing)
+            assert _unpack(got, width) == unpacked(want)
+
+    @settings(max_examples=200)
+    @given(st.data(), width_st)
+    def test_divide_equals_the_list_division(self, data, width):
+        top = 12
+        x = data.draw(clean_lists(width))
+        length = data.draw(st.integers(0, top))
+        stride = data.draw(st.integers(1, top + 2))
+        want = (x + [0] * top)[:length]
+        _divide_by_one_minus(want, stride)
+        packing = _Packing(width, top)
+        if any(c >= 2 ** (width - 1) for c in want):
+            with pytest.raises(_Overflow):
+                _divide(pack(x, width), stride, length, packing)
+        else:
+            got = _divide(pack(x, width), stride, length, packing)
+            assert _unpack(got, width) == unpacked(want)
+
+    @pytest.mark.parametrize("m, step", [(0, 1), (5, 1), (4, 2), (12, 1)])
+    def test_pochhammer_inverse_by_repeated_division(self, m, step):
+        packing = _Packing(64, 41)
+        x = 1
+        for j in range(1, m + 1):
+            x = _divide(x, step * j, 41, packing)
+        assert _unpack(x, 64) == unpacked(_pochhammer_inverse_coeffs((m,), step, 40))
+
+    @pytest.mark.parametrize(
+        "first, second, widths",
+        [
+            (2**63 - 1, 0, [64]),
+            (2**62, 2**62 - 1, [64]),
+            (2**63, 0, [64, 128]),
+            (2**62, 2**62, [64, 128]),
+        ],
+    )
+    def test_guard_boundary(self, first, second, widths):
+        # 2^63 - 1 is the largest field a 64-bit width holds exactly.
+        tried = []
+
+        def build(packing):
+            tried.append(packing.width)
+            row = _add_shifted(0, first, 0, 1, packing)
+            return _unpack(_add_shifted(row, second, 0, 1, packing), packing.width)
+
+        assert _packed(build, 0) == [first + second]
+        assert tried == widths
 
 
 # Zeros, and small and 300-bit coefficients of either sign.
