@@ -41,7 +41,6 @@ from .vertexops import (
     VOFamily,
     VOSpec,
     build_family,
-    closed_form_series,
     family_r2,
     family_r3_mixed,
     family_r3_split,

@@ -20,13 +20,13 @@ builds rows.  A one-family space is built as a pair whose first family has
 no variables.  Each condition builds every degree in one pass: a partition
 rho1 of the first family spans the degrees from |rho1| up, with the list of
 second-family partitions it keeps, built once per (|rho2|, len rho1), and
-the images of each rho1 and each list are looked up once.  The expansion of
+each condition expands each rho1 and each list once.  The expansion of
 m_rho walks the multiplicity vector of rho over the sub-multisets that fill
 the t and -t slots: with binomial coefficients for a plain diagonal, and
 with a closed-form signed count for a pattern with -t slots.  The walk of
-each partition tail is memoised, so a partition extends its tail's walks
-by its largest value, and each image is memoised per process as
-[(code, coefficient)], a free partition of an n-variable family coded as
+each partition tail is memoised per process, so a partition extends its
+tail's walks by its largest value.  An image is a list [(code,
+coefficient)], a free partition of an n-variable family coded as
 sum_v mult_v 2^(w (v - 1)), w the bit length of n.  A row of one degree is
 keyed by the two codes packed into one int.  Each constraint is a sparse
 row {column: value} with no zeros and ascending columns.  The rank is
@@ -90,8 +90,8 @@ class VanishingSpec(_ValueRecord):
 
 
 # (d, parts): the partitions of d into at most parts <= d parts, one table
-# shared by every basis of the process like _SUBSTITUTED, and by the
-# conjugates fermionic.level_restricted_partitions reads; never mutated.
+# shared by every basis of the process, and by the conjugates
+# fermionic.level_restricted_partitions reads; never mutated.
 _PARTITIONS: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
 
@@ -122,18 +122,14 @@ def _partition_row(d, parts):
     return out
 
 
-# (rho, n, pattern) -> the image of m_rho as [(free partition code,
-# coefficient)], shared by every condition and degree of the process;
-# callers do not mutate the lists.
-_SUBSTITUTED: dict[tuple, list[tuple[int, int]]] = {}
 # (rho, free zeros, w, slots) -> the walk of rho: [(code, coefficient)]
 # for a plain pattern, [(code, S, O, prod s_v!)] for a signed one (see
-# _image_codes); shared like _SUBSTITUTED, every tail of a partition walked
-# once per process.
+# _image_codes); shared by every condition and degree of the process, every
+# tail of a partition walked once; callers do not mutate the lists.
 _PLAIN_WALKS: dict[tuple, list[tuple[int, int]]] = {}
 _SIGNED_WALKS: dict[tuple, list[tuple[int, int, int, int]]] = {}
-# (p, m, total, odd): _signed_count(p, m, total, odd), shared like
-# _SUBSTITUTED.
+# (p, m, total, odd): _signed_count(p, m, total, odd), shared like the
+# walks.
 _SIGNED_COUNTS: dict[tuple[int, int, int, int], int] = {}
 
 
@@ -261,18 +257,6 @@ def _signed_count(p, m, total, odd):
     return count
 
 
-def _images(rhos, n, pattern):
-    """[_image_codes(rho, n, pattern) for rho in rhos], memoised."""
-    memo = _SUBSTITUTED
-    out = []
-    for rho in rhos:
-        image = memo.get((rho, n, pattern))
-        if image is None:
-            image = memo[rho, n, pattern] = _image_codes(rho, n, pattern)
-        out.append(image)
-    return out
-
-
 def _pair_form(spec: VanishingSpec):
     """The spec's family sizes and conditions as two families.
 
@@ -337,11 +321,11 @@ def _rows_by_degree(blocks, sizes, cond, cap) -> list[list[dict[int, int]]]:
     """
     firsts, spans, groups = blocks
     (n1, n2), (pattern1, pattern2) = sizes, cond
-    seconds = [_images(kept, n2, pattern2) for kept in groups]
+    seconds = [[_image_codes(rho2, n2, pattern2) for rho2 in kept] for kept in groups]
     shift = n2.bit_length() * cap
     rows_by_key: list[dict[int, dict[int, int]]] = [{} for _ in range(cap + 1)]
-    for image, span in zip(_images(firsts, n1, pattern1), spans):
-        first = [(code1 << shift, c1) for code1, c1 in image]
+    for rho1, span in zip(firsts, spans):
+        first = [(code1 << shift, c1) for code1, c1 in _image_codes(rho1, n1, pattern1)]
         for d, col, g in span:
             by_key = rows_by_key[d]
             for second in seconds[g]:

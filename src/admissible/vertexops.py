@@ -25,13 +25,12 @@ For specs i and j of a built-in family, in build order, (p, s) is entry
 and compares them with ``pair_expansion`` in integers: h_d = c_d d! D^d for
 every closed-form coefficient c_d.
 
-``Fraction`` is built only where a value is returned as one:
-``pair_function``, ``closed_form_series`` and ``PairingTable.pairing`` are
-the Fraction views of the integer routines, and a PairingTable given a value
-that is not an int reads it through Fraction.  Each imports ``fractions``
-inside the function, as only ``pairs`` reaches them on the built-in
-families: ``fractions`` imports ``decimal`` and ``re``, which every other
-command would load for nothing.
+``Fraction`` is built in two places only: ``pair_function``, the Fraction
+view of ``pair_expansion`` that ``pairs`` prints, and ``_over_lcd``, which
+reads a pairing or coefficient that is not an int at its exact Fraction
+value.  Each imports ``fractions`` inside the function, as only ``pairs``
+reaches them on the built-in families: ``fractions`` imports ``decimal`` and
+``re``, which every other command would load for nothing.
 """
 
 from __future__ import annotations
@@ -55,62 +54,46 @@ class PairingUndefined(KeyError):
     """No pairing stored for a generator pair (for instance an irrational one)."""
 
 
-def _scaled(vec: dict) -> tuple[list, int]:
-    """The nonzero coefficients of vec as integer numerators over their
-    common denominator: ([(generator, numerator), ...], denominator).
+def _over_lcd(items) -> tuple[list, int]:
+    """The values of (key, value) pairs as integer numerators over their
+    least common denominator: ([(key, numerator), ...], denominator).
 
-    A coefficient that is not an int is taken at its exact Fraction value,
-    a float included.
+    An int is its own numerator; any other value is read at its exact
+    Fraction value, a float included.
     """
-    terms = [(g, c) for g, c in vec.items() if c]
-    for _, c in terms:
-        if type(c) is not int:
+    for _, value in items:
+        if type(value) is not int:
             break
     else:
-        return terms, 1
+        return items, 1
     from fractions import Fraction
 
-    exact = [(g, Fraction(c)) for g, c in vec.items() if c]
-    den = lcm(*(c.denominator for _, c in exact))
-    return [(g, c.numerator * (den // c.denominator)) for g, c in exact], den
+    exact = [(key, Fraction(value)) for key, value in items]
+    den = lcm(*(value.denominator for _, value in exact))
+    return [(key, value.numerator * (den // value.denominator)) for key, value in exact], den
 
 
 class PairingTable:
     """Symmetric table of rational inner products of named generators, kept
-    as integer numerators over one common denominator: ``_ratio`` sums
-    integer products, and ``pairing`` builds a single Fraction of it."""
+    as integer numerators over one common denominator, so that ``_ratio``
+    sums integer products."""
 
     def __init__(self, pairings: dict):
-        # An int is its own numerator over denominator 1; any other value is
-        # read at its exact Fraction value.
-        if all(type(value) is int for value in pairings.values()):
-            exact = pairings
-        else:
-            from fractions import Fraction
-
-            exact = {pair: Fraction(value) for pair, value in pairings.items()}
-        table = {}
-        for (g, h), value in exact.items():
-            key = (g, h) if g <= h else (h, g)
-            if key in table and table[key] != value:
-                raise ValueError(f"conflicting pairings for {key}")
-            table[key] = value
-        den = lcm(*(value.denominator for value in table.values()))
+        # A stored 0 is a defined pairing, so zeros are kept; two entries
+        # for one pair share the denominator and must share the numerator.
+        nums, den = _over_lcd(list(pairings.items()))
         rows: dict = {}
-        for (g, h), value in table.items():
-            num = value.numerator * (den // value.denominator)
-            rows.setdefault(g, {})[h] = num
+        for (g, h), num in nums:
+            if rows.setdefault(g, {}).setdefault(h, num) != num:
+                raise ValueError(f"conflicting pairings for {(g, h) if g <= h else (h, g)}")
             rows.setdefault(h, {})[g] = num
         self._rows = rows
         self._den = den
 
-    def pairing_of(self, g: str, h: str) -> Fraction:
-        return self.pairing({g: 1}, {h: 1})
-
     def _ratio(self, u: dict, v: dict) -> tuple[int, int]:
         """<u, v> in lowest terms as (numerator, positive denominator)."""
-        u_terms, u_den = _scaled(u)
-        v_terms, v_den = _scaled(v)
+        u_terms, u_den = _over_lcd([(g, c) for g, c in u.items() if c])
+        v_terms, v_den = _over_lcd([(h, c) for h, c in v.items() if c])
         rows = self._rows
         total = 0
         for g, cu in u_terms:
@@ -123,12 +106,6 @@ class PairingTable:
         den = u_den * v_den * self._den
         common = gcd(total, den)
         return total // common, den // common
-
-    def pairing(self, u: dict, v: dict) -> Fraction:
-        """Bilinear extension to sparse rational combinations of generators."""
-        from fractions import Fraction
-
-        return Fraction(*self._ratio(u, v))
 
 
 def _vec_add(u: dict, v: dict) -> dict:
@@ -241,14 +218,6 @@ def _closed_form_coefficients(p: int, s: int, trunc: int) -> list[int]:
         for j in range(min(s, trunc - i) + 1):
             out[i + j] += ci * comb(s, j)
     return out
-
-
-def closed_form_series(p: int, s: int, trunc: int) -> list[Fraction]:
-    """Coefficients of (1 - x)^p (1 + x)^s through order trunc, as Fractions."""
-    from fractions import Fraction
-
-    _check_order(trunc)
-    return [Fraction(c) for c in _closed_form_coefficients(p, s, trunc)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,34 @@ variables at a time, the slow side of ``weight_degree``.
 ``_divide_by_one_minus`` and ``_pochhammer_inverse_coeffs`` divide dense
 q-lists one cell at a time, the slow side of the packed kernel in
 ``series`` (``_add_shifted``, ``_divide``, ``_unpack``).
+``closed_form_series``, ``pairing`` and ``pairing_of`` are the ``Fraction``
+values the integer vertex-operator routines stand for: the closed-form
+coefficients, and a PairingTable's bilinear pairing and stored entries.
 """
 
+from fractions import Fraction
 from itertools import groupby
 from math import comb, factorial
 
 from admissible.configurations import validate_b, validate_window
 from admissible.polyspaces import VanishingSpec, _signed_count, partitions_max_parts
+from admissible.vertexops import _closed_form_coefficients
+
+
+def closed_form_series(p: int, s: int, trunc: int) -> list[Fraction]:
+    """Coefficients of (1 - x)^p (1 + x)^s through order trunc, as Fractions."""
+    return [Fraction(c) for c in _closed_form_coefficients(p, s, trunc)]
+
+
+def pairing(table, u: dict, v: dict) -> Fraction:
+    """<u, v> under a PairingTable, extended bilinearly to sparse rational
+    combinations of generators."""
+    return Fraction(*table._ratio(u, v))
+
+
+def pairing_of(table, g: str, h: str) -> Fraction:
+    """The table's pairing of generators g and h."""
+    return pairing(table, {g: 1}, {h: 1})
 
 
 def _pochhammer_inverse_coeffs(ms, step: int, q_order: int) -> list[int]:

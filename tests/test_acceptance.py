@@ -23,13 +23,12 @@ from admissible.fermionic import (
 from admissible.polyspaces import oracle_block, weight_degree
 from admissible.series import TruncatedSeries, first_mismatch
 from admissible.vertexops import (
-    closed_form_series,
     family_r2,
     family_r3_mixed,
     family_r3_split,
     pair_function,
 )
-from brute_force import _multiplicity_vectors, _pochhammer_inverse_coeffs
+from brute_force import _multiplicity_vectors, _pochhammer_inverse_coeffs, closed_form_series
 
 
 def _oracle(k, r, b, q_order, n):

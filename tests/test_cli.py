@@ -28,7 +28,7 @@ from admissible.polyspaces import (
     vanishing_spec_r3_pair,
 )
 from admissible.series import TruncatedSeries, dumps
-from brute_force import _kept_basis
+from brute_force import _kept_basis, closed_form_series
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGOLD = os.environ.get("REGOLD") == "1"
@@ -524,7 +524,7 @@ def reference_pair_check(spec_a, spec_b, table, p) -> str:
     pf = vertexops.pair_function(spec_a, spec_b, table, p["order"])
     ok = (
         pf.closed_form == (p["p"], p["s"])
-        and list(pf.coeffs) == vertexops.closed_form_series(p["p"], p["s"], p["order"])
+        and list(pf.coeffs) == closed_form_series(p["p"], p["s"], p["order"])
         and pf.z_power == p["p"] + p["s"]
     )
     return "ok" if ok else f"closed={pf.closed_form}"
@@ -634,22 +634,13 @@ class TestVerify:
             assert sink.getvalue() == full[:limit]
             assert capsys.readouterr().err == ""
 
-    def test_cli_import_leaves_process_pool_unloaded(self):
-        code = (
-            "import sys, admissible.cli; "
-            "print('concurrent.futures.process' in sys.modules)"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert done.stdout == "False\n"
-
     @pytest.mark.parametrize("module", ["admissible.cli", "admissible", "admissible.vertexops"])
     def test_start_up_footprint(self, module):
         # A fresh isolated interpreter: the test process has loaded them all.
         absent = (
             "dataclasses", "inspect", "traceback", "argparse", "gettext", "locale", "shutil",
             "re", "json", "fractions", "decimal", "functools", "enum", "collections", "os",
+            "concurrent.futures.process",
         )
         src = str(Path(cli.__file__).parents[1])
         # Nothing freezes at import; the count is compared with the bare
@@ -807,6 +798,19 @@ class TestVerify:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == (
             f"error: verify r2 builds more than the limit of {cli.MAX_CASES} cases\n"
+        )
+
+    def test_case_limit_is_inclusive(self, capsys, monkeypatch):
+        # verify r2 --kmax 2 builds 5 cases: a limit of 5 runs them all, and
+        # a limit of 4 refuses the run
+        argv = ("verify", "r2", "--kmax", "2", "--qmax", "1", "--zmax", "1")
+        monkeypatch.setattr(cli, "MAX_CASES", 5)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(json.loads(out)["reports"]) == 5
+        monkeypatch.setattr(cli, "MAX_CASES", 4)
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: verify r2 builds more than the limit of 4 cases\n"
         )
 
     @pytest.mark.parametrize("suite", cli.SUITES)

@@ -178,7 +178,7 @@ class TestSubstitution:
         # (2,1) with 5 variables and the same free zeros, but their codes
         # have 4- and 5-bit digits: from cold memos, in either order, each
         # image decodes to the reference walk's, term order included.
-        for memo in ("_SUBSTITUTED", "_PLAIN_WALKS", "_SIGNED_WALKS"):
+        for memo in ("_PLAIN_WALKS", "_SIGNED_WALKS"):
             monkeypatch.setattr(polyspaces, memo, {})
         cases = [((3, 3, 3, 2, 1), 8), ((3,) * 15 + (2, 1), 20)]
         for rho, n in reversed(cases) if reverse else cases:
@@ -467,17 +467,15 @@ class TestZeroConditions:
 
 
 def _spy_on_images(monkeypatch):
-    """The set of patterns polyspaces._images substitutes from now on."""
-    real_images = polyspaces._images
+    """The set of patterns polyspaces._image_codes substitutes from now on."""
+    real_image_codes = polyspaces._image_codes
     seen = set()
 
-    def spying_images(rhos, n, pattern):
-        images = real_images(rhos, n, pattern)
-        if images:
-            seen.add(pattern)
-        return images
+    def spying_image_codes(rho, n, pattern):
+        seen.add(pattern)
+        return real_image_codes(rho, n, pattern)
 
-    monkeypatch.setattr(polyspaces, "_images", spying_images)
+    monkeypatch.setattr(polyspaces, "_image_codes", spying_image_codes)
     return seen
 
 
