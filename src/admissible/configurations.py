@@ -10,11 +10,12 @@ ground truth every formula here is checked against.
 ``character_direct`` computes that sum by the first-entry recursion
 chi_b(q, z) = sum_{v=0}^{b_0} z^v chi_{b(v)}(q, qz), with
 b(v) = (b_1 - v, ..., b_{r-2} - v, k - v), Andrews' route to Gordon's
-theorem (The Theory of Partitions, 1976, ch. 7).  A demand pass first finds
-each z-block the requested window reads and the highest q-degree it reads
-there; only those blocks are built, as packed q-lists of the one series
-kernel (``series._Packing``): each block is one integer, its terms are
-added in with shifted adds in C, and only the requested rows are unpacked.
+theorem (The Theory of Partitions, 1976, ch. 7).  The z-blocks the
+requested window reads, and the highest q-degree read from each, are read
+off each vector b(v), b(v)(v'), ... and its number of steps from b; only
+those blocks are built, as packed q-lists of the one series kernel
+(``series._Packing``): each block is one integer, its terms are added in
+with shifted adds in C, and only the requested rows are unpacked.
 
 Every direct and fermionic character is refused with ``CapacityError``
 before it allocates more than ``MAX_CELLS`` q-coefficients.
@@ -150,16 +151,14 @@ def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeri
     a_1 + a_2 + ... <= q_max, no block above z^(q_max + b_0) is needed; the
     result still reports z_order = z_max.
 
-    The demand pass ``_block_demands`` first finds every block the
-    requested ones read and the highest q-degree read from each; a block
-    whose shift q^m already passes that degree is never built.  The blocks
-    are then built as packed q-lists, each after its terms, by the shifted
-    adds and the one division of the series kernel; a coefficient past the
-    packed width restarts the build at twice the width (``series._packed``).
-    Every block coefficient counts configurations of one q-degree, so all
-    of them are >= 0, as the kernel requires.  More than MAX_CELLS
-    q-coefficients, counted first for the requested blocks and then over
-    the demand pass, raise CapacityError before any block is allocated.
+    ``_block_plan`` finds the blocks that the requested ones read and the
+    highest q-degree read from each.  They are built level by level as
+    packed q-lists by the shifted adds and the one division of the series
+    kernel; a coefficient past the packed width restarts the build at
+    twice the width (``series._packed``).  Block coefficients count
+    configurations, so they are >= 0, as the kernel requires.  More than
+    MAX_CELLS q-coefficients, counted first for the requested blocks and
+    then over the plan, raise CapacityError before any block is allocated.
     """
     b = validate_b(k, r, b)
     validate_window(q_max, z_max)
@@ -167,70 +166,70 @@ def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeri
     _check_cells(
         (top + 1) * (q_max + 1), "the direct character's z-blocks need {} q-coefficients"
     )
-    levels, terms = _block_demands(k, b, top, q_max)
-    return TruncatedSeries(_packed(_build_blocks, q_max, b, top, levels, terms), q_max, z_max)
+    plan = _block_plan(k, b, top, q_max)
+    return TruncatedSeries(_packed(_build_blocks, q_max, b, top, plan), q_max, z_max)
 
 
-def _build_blocks(b, top, levels, terms, packing) -> list[list[int]]:
-    """The rows of the direct character: the blocks of ``_block_demands``
-    built in order as packed q-lists, and the roots unpacked."""
-    blocks: dict[tuple[tuple[int, ...], int], int] = {}
-    for n, depth in sorted(levels):
-        for vec, demand in levels[n, depth].items():
+def _build_blocks(b, top, plan, packing) -> list[list[int]]:
+    """The rows of the direct character: the planned blocks built level by
+    level as packed q-lists, and the roots unpacked.  vec(0) is entrywise
+    larger than vec, so the vectors go in descending order, K first."""
+    order = sorted(plan.items(), reverse=True)
+    blocks = {}
+    for n in range(1, top + 1):
+        for vec, (a, base, last, terms) in order:
+            if n > last:
+                continue
+            demand = base - a * n
             acc = 0
-            for v, child in enumerate(terms[vec][: n + 1]):
+            for v, child in enumerate(terms[:n]):
                 m = n - v
-                if m == 0:  # the constant 1: no other term reaches q^0
-                    acc += 1
-                elif m <= demand and child is not None:
+                if m <= demand and child is not None:
                     acc = _add_shifted(acc, blocks[child, m], m, demand + 1, packing)
-            if depth == 0:  # vec is K: the v = 0 term is the block itself
+            if n <= vec[0]:  # the v = n term, 1: no other term reaches q^0
+                acc += 1
+            if terms[0] is None:  # vec is K: the v = 0 term is the block itself
                 acc = _divide(acc, n, demand + 1, packing)
             blocks[vec, n] = acc
     return [[1]] + [_unpack(blocks[b, n], packing.width) for n in range(1, top + 1)]
 
 
-def _block_demands(k: int, b: tuple[int, ...], top: int, q_max: int):
-    """The blocks the roots read, and the terms of each vector read.
+def _block_plan(k: int, b: tuple[int, ...], top: int, q_max: int):
+    """The blocks that the roots (b, n), 1 <= n <= top, read.
 
-    levels[n, depth][vec] is the highest q-degree read from block (vec, n);
-    the depth of vec is its number of entries below k, so K alone has depth
-    0.  terms[vec][v] is vec(v) for v = 0, ..., min(vec_0, top), with None
-    for the v = 0 term of K, which is the block itself; a block (vec, n)
-    reads only v <= n <= top.
+    plan[vec] = (a, base, last, terms): block (vec, n) is read for
+    1 <= n <= last through q^(base - a n), and terms[v] = vec(v) for
+    v < min(vec_0 + 1, last), None for K(0) = K.  Block (vec, n) read
+    through q^d reads (vec(v), m = n - v) through q^(d - m) if 1 <= m <= d.
 
-    The roots (b, n), 1 <= n <= top, are read through q^q_max.  A block
-    read through q^d reads its term (vec(v), m = n - v) through q^(d - m),
-    and not at all when m > d or m = 0 (that term is the constant 1).  Each
-    term has a smaller n, or the same n and depth one less, so walking n
-    and the depth downwards visits every block after all of its readers.
-    The running cell count is checked against MAX_CELLS as blocks are
-    added, before any of them is built.
+    The walk goes breadth first from b, a steps away, and expands only the
+    vectors it plans.  A step appends k - v, so s_j = k - vec[r1 - j]
+    (s_0 = 0, r1 = r - 1) is the sum of the last j values of v on every
+    chain into vec.  Raising an entry only widens what a vector reads, so
+    a shortest chain may take v = 0 before its last r1 steps, and reads
+    most: through q^(q_max - a n - w), w = sum_{0<i<a} s_min(i, r1), for
+    n <= top - s_min(a, r1) while that degree is >= 0.
     """
     r1 = len(b)
-    root = sum(1 for x in b if x < k)
-    levels = {(n, root): {b: q_max} for n in range(1, top + 1)}
-    terms = {}
-    cells = (top + 1) * (q_max + 1)
-    for n in range(top, 0, -1):
-        for depth in range(r1, -1, -1):
-            for vec, demand in levels.get((n, depth), {}).items():
-                if vec not in terms:
-                    terms[vec] = [None if depth == 0 else vec[1:] + (k,)] + [
-                        tuple(x - v for x in vec[1:]) + (k - v,)
-                        for v in range(1, min(vec[0], top) + 1)
-                    ]
-                for v, child in enumerate(terms[vec][: n + 1]):
-                    m = n - v
-                    if m == 0 or m > demand or child is None:
-                        continue
-                    need = demand - m
-                    bucket = levels.setdefault((m, depth - 1 if v == 0 else r1), {})
-                    old = bucket.get(child, -1)
-                    if need > old:
-                        cells += need - old
-                        _check_cells(
-                            cells, "the direct recursion's blocks need {} q-coefficients"
-                        )
-                        bucket[child] = need
-    return levels, terms
+    plan = {}
+    cells = q_max + 1  # the z^0 row
+    steps = {b: 0}
+    queue = [b]
+    for vec in queue:  # the loop reads what it appends: breadth first
+        a = steps[vec]
+        s = [0] + [k - x for x in reversed(vec)]
+        w = sum(s[min(i, r1)] for i in range(1, a))
+        last = min(top - s[min(a, r1)], (q_max - w) // a if a else top)
+        if last < 1:
+            continue
+        cells += last * (q_max - w + 1) - a * last * (last + 1) // 2
+        _check_cells(cells, "the direct recursion's blocks need {} q-coefficients")
+        terms = [vec[1:] + (k,) if vec[0] < k else None] + [
+            tuple(x - v for x in vec[1:]) + (k - v,) for v in range(1, min(vec[0] + 1, last))
+        ]
+        plan[vec] = (a, q_max - w, last, terms)
+        for child in terms:
+            if child is not None and child not in steps:
+                steps[child] = a + 1
+                queue.append(child)
+    return plan

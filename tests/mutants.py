@@ -82,6 +82,13 @@ MUTANTS = [
     (PKG + "vertexops.py", "(D * (d - 1) - E)", "(D * d - E)", ["tests/test_vertexops.py"]),
     (PKG + "polyspaces.py", "(m_a * m_b if b > a else comb(m_a, 2))",
      "(m_a * m_b if b >= a else comb(m_a, 2))", ["tests/test_polyspaces.py"]),
+    # the direct route's plan: the level limit read at s_1, which plans
+    # blocks that nothing reads, and every demand one lower, which drops
+    # the top coefficient of every block
+    (PKG + "configurations.py", "top - s[min(a, r1)]", "top - s[min(a, 1)]",
+     ["tests/test_configurations.py"]),
+    (PKG + "configurations.py", "plan[vec] = (a, q_max - w, last, terms)",
+     "plan[vec] = (a, q_max - w - 1, last, terms)", ["tests/test_configurations.py"]),
 ]
 # A test run that takes longer than this is reported, not waited for.
 TIMEOUT_S = 600

@@ -196,6 +196,48 @@ class TestRecursionAgainstEnumeration:
         assert chi.coeffs == dfs_tally(k, r, b, 6, 10**6)
 
 
+@st.composite
+def plan_windows(draw):
+    k = draw(st.integers(1, 6))
+    r = draw(st.integers(2, 6))
+    b = tuple(sorted(draw(st.lists(st.integers(0, k), min_size=r - 1, max_size=r - 1))))
+    return k, b, draw(st.integers(0, 30)), draw(st.integers(0, 15))
+
+
+class TestBlockPlan:
+    """The plan of character_direct against the recurrence it solves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(plan_windows())
+    def test_plan_is_the_least_solution(self, window):
+        # Each block is read at the most any planned reader reads it, the
+        # roots at q_max.  Every read lowers n or moves vec towards K, so a
+        # plan that is read exactly as planned is the least solution.
+        k, b, q_max, z_max = window
+        top = min(z_max, q_max + b[0])
+        plan = configurations._block_plan(k, b, top, q_max)
+        planned = {
+            (vec, n): base - a * n
+            for vec, (a, base, last, _) in plan.items()
+            for n in range(1, last + 1)
+        }
+        read = {(b, n): q_max for n in range(1, top + 1)}
+        for vec, (a, base, last, terms) in plan.items():
+            assert len(terms) == min(vec[0] + 1, last)
+            for n in range(1, last + 1):
+                demand = base - a * n
+                for v in range(min(vec[0], n - 1) + 1):
+                    child = tuple(x - v for x in vec[1:]) + (k - v,)
+                    if v == 0 and child == vec:  # K(0) = K: the block divides itself
+                        child = None
+                    assert terms[v] == child, (vec, v)
+                    m = n - v
+                    if child is not None and m <= demand:
+                        assert (child, m) in planned, (vec, n, v)
+                        read[child, m] = max(read.get((child, m), -1), demand - m)
+        assert read == planned
+
+
 class TestCellBudget:
     def test_demand_pass_prunes(self, monkeypatch):
         # every block of every reachable b would be about 3 * 10**6 cells
@@ -210,9 +252,27 @@ class TestCellBudget:
             character_direct(3, 2, (2,), 300, 150)
 
     def test_terms_stop_at_the_top_block(self):
-        # block (vec, n) reads only terms v <= n <= top, whatever vec_0 is
-        _, terms = configurations._block_demands(50, (50,), 5, 5)
-        assert terms and all(len(t) <= 6 for t in terms.values())
+        # block (vec, n) reads only terms v < n <= top, whatever vec_0 is
+        plan = configurations._block_plan(50, (50,), 5, 5)
+        assert plan and all(len(terms) <= last <= 5 for _, _, last, terms in plan.values())
+
+    @pytest.mark.parametrize(
+        "window, least",
+        [
+            ((10, 8, (0, 1, 2, 3, 4, 5, 10), 16, 8), 1230),
+            ((3, 2, (2,), 300, 150), 134848),
+            ((3, 3, (1, 3), 42, 21), 4780),
+            ((50, 3, (10, 50), 60, 30), 157695),
+        ],
+    )
+    def test_least_budget_is_pinned(self, monkeypatch, window, least):
+        # the least budget counts every q-coefficient built: the z^0 row, the
+        # requested blocks and every block they read
+        monkeypatch.setattr(configurations, "MAX_CELLS", least)
+        character_direct(*window)
+        monkeypatch.setattr(configurations, "MAX_CELLS", least - 1)
+        with pytest.raises(CapacityError, match="over the limit"):
+            character_direct(*window)
 
     def test_huge_k_with_a_tiny_window(self):
         # z-degree <= 5 bounds every entry, so k and b_0 past 5 constrain nothing
