@@ -89,6 +89,13 @@ MUTANTS = [
      ["tests/test_configurations.py"]),
     (PKG + "configurations.py", "plan[vec] = (a, q_max - w, last, terms)",
      "plan[vec] = (a, q_max - w - 1, last, terms)", ["tests/test_configurations.py"]),
+    # the fermionic walk's cover cut: a child's bound one short, which drops
+    # the vectors at the bound, and the cover test without its z-weight
+    # clause, which bounds a coordinate that can go higher in z
+    (PKG + "fermionic.py", "cfirst, cbound = j + 1, last - v",
+     "cfirst, cbound = j + 1, last - v - 1", ["tests/test_fermionic.py"]),
+    (PKG + "fermionic.py", "            and weights[i] >= weights[i - 1]\n", "",
+     ["tests/test_fermionic.py"]),
 ]
 # A test run that takes longer than this is reported, not waited for.
 TIMEOUT_S = 600

@@ -680,7 +680,13 @@ class TestVerify:
         collections = []
 
         def record(phase, info):
-            if phase == "start":
+            # Only a collection that starts inside main counts: the test's own
+            # set-up and monkeypatch undo run with the collector on, and
+            # whether they reach its threshold depends on the tests before.
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not main.__code__:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
                 collections.append(info["generation"])
 
         def probe():

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import sys
 
 import pytest
@@ -401,20 +402,24 @@ class TestWindowSizedData:
             ), z_max
 
 
-def brute_force_sum(data, q_max, z_max):
-    """Every vector of each z-degree, priced and expanded on its own."""
-    rows = []
+def window_vectors(data, q_max, z_max):
+    """(m, z-degree, shift) of every vector in the window, one at a time."""
     for n in range(z_max + 1):
-        row = [0] * (q_max + 1)
         for m in _multiplicity_vectors(data.z_weights, n):
             shift = quadratic_exponent(data, m) + sum(
                 w * x for w, x in zip(data.extra_q_weights, m)
             )
             if shift <= q_max:
-                poch = _pochhammer_inverse_coeffs(m, data.q_step, q_max - shift)
-                for d, c in enumerate(poch, shift):
-                    row[d] += c
-        rows.append(row)
+                yield m, n, shift
+
+
+def brute_force_sum(data, q_max, z_max):
+    """Every vector of each z-degree, priced and expanded on its own."""
+    rows = [[0] * (q_max + 1) for _ in range(z_max + 1)]
+    for m, n, shift in window_vectors(data, q_max, z_max):
+        poch = _pochhammer_inverse_coeffs(m, data.q_step, q_max - shift)
+        for d, c in enumerate(poch, shift):
+            rows[n][d] += c
     return TruncatedSeries(rows, q_max, z_max)
 
 
@@ -437,6 +442,47 @@ def sum_windows(draw):
         extra_q_weights=vector(0, 2),
     )
     return data, draw(st.integers(0, 25)), draw(st.integers(0, 10))
+
+
+@st.composite
+def chained_windows(draw):
+    """Sum data, the heads of its chains, and a window.  The coordinates
+    fall into chains in which each coordinate covers the one before it
+    (``fermionic._chains``).
+
+    Within a chain the matrix is a two-way prefix sum of non-negative
+    symmetric increments, so every column is entrywise at least the one
+    before it; boundary plus extra q-weight and the z-weight never fall.
+    Zero increments give ties.  A chain head is drawn afresh, so it may
+    break any of the three.
+    """
+    n = draw(st.integers(2, 5))
+    heads = [0] + sorted(draw(st.sets(st.integers(1, n - 1), max_size=2)))
+    head = [max(h for h in heads if h <= i) for i in range(n)]
+    small = st.one_of(st.just(0), st.integers(0, 2))
+    upper = [[draw(small) for _ in range(n)] for _ in range(n)]
+    step = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    matrix = tuple(
+        tuple(
+            sum(step[s][t] for s in range(head[i], i + 1) for t in range(head[j], j + 1))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    lift, weights = [], []
+    for i in range(n):
+        fresh = head[i] == i
+        lift.append((0 if fresh else lift[-1]) + draw(st.integers(0, 2)))
+        weights.append(draw(st.integers(1, 3)) if fresh else weights[-1] + draw(st.integers(0, 1)))
+    boundary = tuple(draw(st.integers(0, x)) for x in lift)
+    data = GordonData(
+        matrix=matrix,
+        boundary=boundary,
+        q_step=draw(st.integers(1, 2)),
+        z_weights=tuple(weights),
+        extra_q_weights=tuple(x - c for x, c in zip(lift, boundary)),
+    )
+    return data, heads, draw(st.integers(0, 25)), draw(st.integers(0, 10))
 
 
 def dense_exponent(data, m):
@@ -483,6 +529,49 @@ class TestPrunedWalkAgainstBruteForce:
     def test_random_sum_data(self, case):
         data, q_max, z_max = case
         assert evaluate_gordon_sum(data, q_max, z_max) == brute_force_sum(data, q_max, z_max)
+
+    @settings(max_examples=120, deadline=None)
+    @given(chained_windows())
+    def test_covered_chains(self, case):
+        # The walk bounds each run of a chain by the run before it and
+        # jumps to the next head at a bound of 0.
+        data, heads, q_max, z_max = case
+        chain = fermionic._chains(data)
+        n = len(chain)
+        assert all(chain[i - 1] > i for i in range(1, n) if i not in heads)
+        assert evaluate_gordon_sum(data, q_max, z_max) == brute_force_sum(data, q_max, z_max)
+
+    # Two coordinates where all but one clause of the cover test hold; were
+    # coordinate 1 taken to cover 0, its run would stop at 0's last kept value
+    # and drop a vector of the window.
+    @pytest.mark.parametrize(
+        "matrix, boundary, extra, weights, q_max, z_max",
+        [
+            (((2, 1), (1, 1)), (0, 0), (0, 0), (1, 1), 1, 4),
+            (((0, 0), (0, 0)), (1, 0), (0, 0), (1, 1), 1, 4),
+            (((0, 0), (0, 0)), (0, 0), (1, 0), (1, 1), 1, 4),
+            (((0, 0), (0, 0)), (0, 0), (0, 0), (2, 1), 9, 3),
+        ],
+        ids=["column", "boundary", "extra-q-weight", "z-weight"],
+    )
+    def test_one_broken_clause_breaks_the_chain(
+        self, matrix, boundary, extra, weights, q_max, z_max
+    ):
+        data = GordonData(
+            matrix=matrix, boundary=boundary, q_step=1, z_weights=weights,
+            extra_q_weights=extra,
+        )
+        assert fermionic._chains(data) == [1, 2]
+        assert evaluate_gordon_sum(data, q_max, z_max) == brute_force_sum(data, q_max, z_max)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_chains_of_the_gordon_data(self, k):
+        # Every block covers itself coordinate by coordinate; the r3 data
+        # breaks at the second block's head.
+        for b0 in range(k + 1):
+            assert fermionic._chains(gordon_data_r2(k, b0)) == [k] * k
+            assert fermionic._chains(gordon_data_r3(k, b0)) == [k] * k + [2 * k] * k
+        assert fermionic._chains(gordon_data_r3_special(k)) == [k] * k
 
     @pytest.mark.parametrize(
         "data",
@@ -534,9 +623,12 @@ class TestPrunedWalkAgainstBruteForce:
         brute = sum(1 for n in range(51) for _ in _multiplicity_vectors(weights, n))
         assert 0 < calls < brute // 10
 
-    @pytest.mark.parametrize("window, priced", [((2, 1, 20, 6), 16), ((6, 1, 100, 50), 2455)])
+    @pytest.mark.parametrize("window, priced", [((2, 1, 20, 6), 16), ((6, 1, 100, 50), 1274)])
     def test_each_visited_vector_is_priced_once(self, monkeypatch, window, priced):
-        # The benchmark counts priced vectors by these calls.
+        # The benchmark counts priced vectors by these calls.  At
+        # (6, 1, 100, 50) the window keeps 1,163 vectors; runs that stop at
+        # their first vector past it price 2,455, and runs that also stop at
+        # the bound a covered coordinate inherits price 1,274.
         assert self._priced(monkeypatch, *window) == priced
 
 
@@ -548,50 +640,59 @@ class TestSharedPochhammerRun:
 
     @staticmethod
     def _count(monkeypatch):
-        """Count the walk's nodes below the root and its divisions, each
-        division sorted by whether it extends the node's run or rebuilds an
-        entry that a child at a larger shift, of this node or of a sibling
-        that shares the run, had left too short."""
-        counts = {"kept": -1, "new": 0, "rebuilt": 0}
-        walk, divide = fermionic._walk, fermionic._divide
-
-        def counted_walk(*args):
-            counts["kept"] += 1
-            return walk(*args)
+        """Count the walk's divisions, each sorted by whether it extends the
+        node's run or rebuilds an entry that a child at a larger shift, of
+        this node or of a sibling that shares the run, had left too short."""
+        counts = {"new": 0, "rebuilt": 0}
+        divide = fermionic._divide
 
         def counted_divide(*args):
             caller = sys._getframe(1).f_locals
             counts["new" if caller["v"] > len(caller["run"]) else "rebuilt"] += 1
             return divide(*args)
 
-        monkeypatch.setattr(fermionic, "_walk", counted_walk)
         monkeypatch.setattr(fermionic, "_divide", counted_divide)
         return counts
 
-    def test_r2_divides_fewer_times_than_it_keeps_vectors(self, monkeypatch):
+    @staticmethod
+    def _kept(data, q_max, z_max):
+        """The window's vectors below the root, counted one by one."""
+        return sum(1 for m, _, _ in window_vectors(data, q_max, z_max) if any(m))
+
+    @pytest.fixture(scope="class")
+    def r2_kept(self):
+        return self._kept(gordon_data_r2(6, 1), 100, 50)
+
+    def test_r2_divides_fewer_times_than_it_keeps_vectors(self, monkeypatch, r2_kept):
         counts = self._count(monkeypatch)
         fermionic_r2(6, 1, 100, 50)
         assert counts["rebuilt"] == 0
-        assert 0 < counts["new"] < counts["kept"]
+        assert 0 < counts["new"] < r2_kept
 
-    def test_r2_divides_at_most_a_quarter_as_often_as_it_keeps_vectors(self, monkeypatch):
+    def test_r2_divides_at_most_a_quarter_as_often_as_it_keeps_vectors(
+        self, monkeypatch, r2_kept
+    ):
         counts = self._count(monkeypatch)
         fermionic_r2(6, 1, 100, 50)
-        assert 0 < 4 * (counts["new"] + counts["rebuilt"]) <= counts["kept"]
+        assert 0 < 4 * (counts["new"] + counts["rebuilt"]) <= r2_kept
 
     def test_siblings_with_one_value_share_one_run(self, monkeypatch):
         walk = fermionic._walk
+        signature = inspect.signature(walk)
         runs = {}
 
-        def spied_walk(*args):
-            m, run = args[2], args[-1]
+        def spied_walk(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            m, run = bound["m"], bound["run"]
             if sum(map(bool, m)) == 1:  # a child of the root: m = v e_j
                 runs.setdefault(max(m), []).append(run)
-            return walk(*args)
+            return walk(*args, **kwargs)
 
         monkeypatch.setattr(fermionic, "_walk", spied_walk)
         fermionic_r2(6, 1, 100, 50)
-        assert len(runs[1]) == 6 and len(runs[2]) > 1
+        # e_1, ..., e_5 are walked; e_6 has no coordinate left to raise, so
+        # the root adds its term without a call.
+        assert len(runs[1]) == 5 and len(runs[2]) > 1
         for v, shared in runs.items():
             assert all(run is shared[0] for run in shared), v
         assert runs[1][0] is not runs[2][0]
@@ -601,7 +702,7 @@ class TestSharedPochhammerRun:
         counts = self._count(monkeypatch)
         got = evaluate_gordon_sum(data, 20, 10)
         assert counts["rebuilt"] >= 1
-        assert counts["new"] + counts["rebuilt"] < counts["kept"]
+        assert counts["new"] + counts["rebuilt"] < self._kept(data, 20, 10)
         monkeypatch.undo()
         assert got == brute_force_sum(data, 20, 10) == fermionic_r3(2, 1, 20, 10)
 
