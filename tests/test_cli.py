@@ -142,7 +142,11 @@ class TestChar:
             "oracle": ["--r", "2", "--b", "1"],
         }
         for method, rb in methods.items():
-            for window in (["--qmax", "-1", "--zmax", "2"], ["--qmax", "3", "--zmax", "-1"]):
+            for window in (
+                ["--qmax", "-1", "--zmax", "2"],
+                ["--qmax", "3", "--zmax", "-1"],
+                ["--qmax", "3", "--zmax", "-2"],
+            ):
                 argv = ["char", "--method", method, "--k", "2", *rb, *window]
                 code, out, err = run_cli(capsys, *argv)
                 assert (code, out, err) == (
@@ -467,12 +471,12 @@ class TestPairs:
         )
         assert code == 2 and "even" in err
 
-    @pytest.mark.parametrize("b0_past", ["below", "above"])
+    @pytest.mark.parametrize("b0_past", ["below", "above", "far-above"])
     @pytest.mark.parametrize(
         "family, k", [("r2", 2), ("r3-split", 2), ("r3-odd-k", 3), ("r3-even-k", 2)]
     )
     def test_b0_out_of_range_is_an_error(self, capsys, family, k, b0_past):
-        b0 = -1 if b0_past == "below" else k + 1
+        b0 = {"below": -1, "above": k + 1, "far-above": 9}[b0_past]
         code, out, err = run_cli(
             capsys, "pairs", "--family", family, "--k", str(k), "--b0", str(b0),
             "--order", "2",
@@ -1216,6 +1220,7 @@ PARSER_CORPUS = [
     ["verify", "r9"],
     ["table", "--k", "3", "--which", "A", "--format", "xml"],
     ["char", "--k", "x", "--method", "direct", "--b", "0", "--qmax", "4", "--zmax", "2"],
+    ["char", "--method", "direct", "--k", "x", "--b", "0", "--qmax", "4", "--zmax", "2"],
     ["char", "--b", "a,b", "--method", "direct", "--k", "1", "--qmax", "4", "--zmax", "2"],
     ["char", "--meth", "direct", "--k", "1", "--b", "0", "--qmax", "4", "--zmax", "2"],
     ["verify", "r2", "--km", "1", "--qm", "4", "--zm", "2"],
