@@ -25,16 +25,16 @@ r3 and r3-special data and fails at the r3 block boundary; it is checked
 on the data, once per sum.  On the benchmark's fermionic pool this prices
 7,188 vectors a pass instead of 11,992.
 
-Every coordinate shares one Pochhammer base, so the inverse for m_j = v
-depends on v alone: the children m + v e_j of one node m with one v all
-have m's inverse divided by (q^step; q^step)_v, whatever j is, and so their
-own runs of inverses are one series too.  A node keeps
-one run list per v and hands it to every child with that v, so an entry is
-divided once for all the siblings that read it, and rebuilt only when a
-later one needs it longer.  No per-vector product is formed.  The rows
-and the inverses are packed q-lists of the one series kernel
-(``series._Packing``), all >= 0, so each term is one shifted add and each
-division one short run of shifted adds, in C.
+Every coordinate shares one Pochhammer base, so the denominator
+prod_j (q^step; q^step)_(m_j) depends only on the partition the m_j form,
+not on which coordinates hold them.  Each sum keeps one memo of inverses
+keyed by that partition, and every vector of one partition, in whatever
+subtree, reads one entry: an inverse is divided once per distinct
+partition, and again only when a vector at a smaller shift needs it
+longer.  No per-vector product is formed.  The rows and the inverses are
+packed q-lists of the one series kernel (``series._Packing``), all >= 0,
+so each term is one shifted add and each division one short run of
+shifted adds, in C.
 
 The sums are sized by the window, not by the level: coordinate a of a block
 has z-weight a, so one past z_max is never raised, and fermionic_r2,
@@ -263,13 +263,12 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     vector past that bound; a bound of 0 skips to the start of the next
     chain.  Each vector priced is one quadratic_exponent call, and a child
     with no coordinate left to raise is added by its parent without a
-    ``_walk`` call.  The Pochhammer inverse of m_j = v is the parent's
-    divided by (q^step; q^step)_v, whatever j is, so each parent keeps one
-    run of these inverses for all its children, and the children with one v
-    share the run of their own children's inverses (see ``_walk``).  The
-    rows and the inverses are packed q-lists; a coefficient past the packed
-    width restarts the walk at twice the width (``series._packed``), which
-    prices every vector again.  data may cover only the coordinates a window
+    ``_walk`` call.  A vector's Pochhammer inverse depends only on the
+    partition its entries form, so the sum keeps one memo of inverses,
+    keyed by that partition (see ``_walk``).  The rows and the inverses are
+    packed q-lists; a coefficient past the packed width restarts the walk
+    at twice the width (``series._packed``), which prices every vector
+    again.  data may cover only the coordinates a window
     can raise; the fermionic_* functions pass the leading min(k, z_max)
     coordinates of each block.
     """
@@ -284,10 +283,10 @@ def _sum_rows(data, z_max, packing) -> list[list[int]]:
     """The z-rows of the sum: the walk's packed rows, unpacked."""
     rows = [0] * (z_max + 1)
     m = [0] * len(data.matrix)
-    root_shift = quadratic_exponent(data, m)
-    if root_shift < packing.length:
-        rows[0] = _add_shifted(0, 1, root_shift, packing.length, packing)
-        _walk(data, rows, m, 0, z_max, 0, 0, 1, packing, [], _chains(data))
+    # the root's shift is 0; its quadratic_exponent call stays, as one of the
+    # 16 vectors that bench/test_bench.py's test_traced_counters_are_exact counts
+    rows[0] = _add_shifted(0, 1, quadratic_exponent(data, m), packing.length, packing)
+    _walk(data, rows, m, 0, z_max, 0, 0, {0: (1, packing.length)}, 0, packing, _chains(data))
     return [_unpack(row, packing.width) for row in rows]
 
 
@@ -310,7 +309,7 @@ def _chains(data) -> list[int]:
     return chain
 
 
-def _walk(data, rows, m, first, bound, z, extra, poch, packing, run, chain) -> None:
+def _walk(data, rows, m, first, bound, z, extra, inverses, key, packing, chain) -> None:
     """Add the terms of m's descendants in the window to the packed rows;
     m is 0 from coordinate first on, and is left as found.
 
@@ -327,23 +326,19 @@ def _walk(data, rows, m, first, bound, z, extra, poch, packing, run, chain) -> N
     On the benchmark's fermionic pool a pass makes 1,838 calls, not the
     5,850 of one call per kept vector.
 
-    poch is m's packed Pochhammer inverse; only its first q_max - shift + 1
-    fields are read, shift being m's, and it is never changed.  run[v-1] is
-    (inverse, length): poch divided by prod_{u<=v} (1 - q^(step*u)), the
-    inverse of every child m_j = v, exact through its first length fields.
-    run is shared with every sibling of m that has the same inverse (the
-    vectors m' + v e_i of one parent m' and one v), so an entry one of them
-    divided serves them all; an entry is replaced, never changed, and is at
-    least as long as every child m_j = v priced so far needed.  A child at
-    shift cshift needs q_max - cshift + 1 fields; when run[v-1] is missing
-    or shorter, it is rebuilt from run[v-2], which the child m_j = v - 1
-    made long enough at a shift no larger, or, for v = 1, from poch, which
-    is long enough for every child.  The node keeps one run per v for its
-    own children, runs[v-1], and hands it to each child m_j = v.
+    inverses is the sum's one memo of Pochhammer inverses, keyed by the
+    partition code sum_v count_v 2^(w v) of a vector, count_v its number of
+    coordinates equal to v and w = len(m).bit_length(); key is m's.  An
+    entry is (inverse, length), exact through its first length fields, and
+    is replaced, never changed, by a longer one only.  A child at shift
+    cshift needs q_max - cshift + 1 fields; when its entry is missing or
+    shorter, it is divided once by (1 - q^(step v)) from the entry of the
+    child m_j = v - 1, which was made long enough at a shift no larger, or,
+    for v = 1, from m's own, which is long enough for every child.
     """
     length = packing.length
     z_max, n = len(rows) - 1, len(m)
-    runs = []
+    w = n.bit_length()
     j = first
     while j < n:
         step, lift, nxt = data.z_weights[j], data.extra_q_weights[j], chain[j]
@@ -355,14 +350,15 @@ def _walk(data, rows, m, first, bound, z, extra, poch, packing, run, chain) -> N
                 break
             shifts.append(cshift)
         last = len(shifts)
+        ckey = key
         for v, cshift in enumerate(shifts, 1):
-            need = length - cshift
-            if v > len(run) or run[v - 1][1] < need:
-                cur = _divide(run[v - 2][0] if v > 1 else poch, data.q_step * v, need, packing)
-                run[v - 1 : v] = [(cur, need)]
-            cur = run[v - 1][0]
+            need, prev, ckey = length - cshift, ckey, key + (1 << w * v)
+            entry = inverses.get(ckey)
+            if entry is None or entry[1] < need:
+                cur = _divide(inverses[prev][0], data.q_step * v, need, packing)
+                entry = inverses[ckey] = (cur, need)
             cz = z + v * step
-            rows[cz] = _add_shifted(rows[cz], cur, cshift, length, packing)
+            rows[cz] = _add_shifted(rows[cz], entry[0], cshift, length, packing)
             # the child walks on from j + 1, bounded there if j + 1 covers
             # j, or from the next chain's start at a bound of 0
             if nxt == j + 1:
@@ -372,11 +368,9 @@ def _walk(data, rows, m, first, bound, z, extra, poch, packing, run, chain) -> N
             else:
                 cfirst, cbound = nxt, z_max
             if cfirst < n:
-                if v > len(runs):
-                    runs.append([])
                 m[j] = v
-                _walk(data, rows, m, cfirst, cbound, cz, extra + v * lift, cur, packing,
-                      runs[v - 1], chain)
+                _walk(data, rows, m, cfirst, cbound, cz, extra + v * lift, inverses, ckey,
+                      packing, chain)
         m[j] = 0
         # the same rule at v = 0 moves this node on to its next coordinate
         if nxt == j + 1:

@@ -321,7 +321,10 @@ def _rows_by_degree(blocks, sizes, cond, cap) -> list[list[dict[int, int]]]:
     """
     firsts, spans, groups = blocks
     (n1, n2), (pattern1, pattern2) = sizes, cond
-    seconds = [[_image_codes(rho2, n2, pattern2) for rho2 in kept] for kept in groups]
+    # groups share their rho2, so each is expanded once, into one dict
+    distinct = dict.fromkeys(rho2 for kept in groups for rho2 in kept)
+    images = {rho2: _image_codes(rho2, n2, pattern2) for rho2 in distinct}
+    seconds = [[images[rho2] for rho2 in kept] for kept in groups]
     shift = n2.bit_length() * cap
     rows_by_key: list[dict[int, dict[int, int]]] = [{} for _ in range(cap + 1)]
     for rho1, span in zip(firsts, spans):

@@ -36,6 +36,7 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 BIG = "--k 3 --r 2 --b 1 --qmax 1000000000000 --zmax 1000000000000"
 Q5 = "--qmax 5 --zmax 5"
 Q60 = "--qmax 60 --zmax 30"
+Q400 = "--qmax 400 --zmax 200"
 ROWS = [
     # large requests that must be accepted, the two largest pairs requests first
     ("pairs-order-1413", "ok", "pairs --family r2 --k 1 --order 1413", 3),
@@ -64,8 +65,8 @@ ROWS = [
     ("verify-conjecture", "ok", "verify conjecture-10.2", 20),
     ("verify-r2-q100", "ok", "verify r2 --kmax 6 --qmax 100 --zmax 50", 20),
     ("verify-r3-q60", "ok", "verify r3 --kmax 3 --qmax 60 --zmax 30", 20),
-    # long Pochhammer runs (r2 to q^400), and r3 windows whose walk rebuilds
-    # a run entry that a child at a larger shift left short
+    # long Pochhammer inverses (r2 to q^400), and r3 windows whose walk
+    # lengthens a memo entry that a vector at a larger shift left short
     ("verify-r2-q400", "ok", "verify r2 --kmax 3 --qmax 400 --zmax 200", 20),
     ("verify-special-q80", "ok", "verify special-equality --kmax 6 --qmax 80 --zmax 40", 20),
     ("verify-pairs-order-8", "ok", "verify pair-functions --kmax 8 --order 8", 20),
@@ -89,6 +90,10 @@ ROWS = [
                            f"char --method direct --k 2000 --r 3 --b 3,2000 {Q5}"), 10),
     ("r3-special-k-2001", "same", (f"char --method fermionic-r3-special --k 2001 --r 3 {Q5}",
                                    f"char --method direct --k 2001 --r 3 --b 1001,2001 {Q5}"), 10),
+    # the memo of Pochhammer inverses at the window where one partition
+    # recurs in the most subtrees
+    ("r2-k-6-q400", "same", (f"char --method fermionic-r2 --k 6 --r 2 --b 1 {Q400}",
+                             f"char --method direct --k 6 --r 2 --b 1 {Q400}"), 10),
     # windows where the direct plan's level limit, top - s_min(a, r - 1), cuts blocks
     ("r3-k-50-q60", "same", (f"char --method direct --k 50 --r 3 --b 10,50 {Q60}",
                              f"char --method fermionic-r3 --k 50 --r 3 --b 10,50 {Q60}"), 10),

@@ -67,14 +67,16 @@ MUTANTS = [
      "    key = (rho, free_zeros, slots)\n    out = _PLAIN_WALKS.get(key)",
      ["tests/test_polyspaces.py"]),
     # one per fast path against its slow reference: the packed division one
-    # doubling short, a short Pochhammer run entry never rebuilt, the signed
-    # count's sign, the rank never taking the longest row, the pair
-    # recurrence's lower term one step off, and a part's own pairs in the
-    # weight counted m_a^2 times
+    # doubling short, a short Pochhammer memo entry never lengthened, the
+    # memo's partition code without its field width (which merges {1, 1}
+    # with {2}), the signed count's sign, the rank never taking the longest
+    # row, the pair recurrence's lower term one step off, and a part's own
+    # pairs in the weight counted m_a^2 times
     (PKG + "series.py", "    while stride < length:", "    while 2 * stride < length:",
      ["tests/test_series.py"]),
-    (PKG + "fermionic.py", "if v > len(run) or run[v - 1][1] < need:", "if v > len(run):",
+    (PKG + "fermionic.py", "if entry is None or entry[1] < need:", "if entry is None:",
      ["tests/test_fermionic.py"]),
+    (PKG + "fermionic.py", "1 << w * v", "1 << v", ["tests/test_fermionic.py"]),
     (PKG + "polyspaces.py", "(-1 if (odd - i) & 1 else 1)", "(-1 if i & 1 else 1)",
      ["tests/test_polyspaces.py"]),
     (PKG + "polyspaces.py", "for vec in sorted(rows, key=len):",

@@ -1,6 +1,5 @@
 import gc
 import inspect
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -632,79 +631,72 @@ class TestPrunedWalkAgainstBruteForce:
         assert self._priced(monkeypatch, *window) == priced
 
 
-class TestSharedPochhammerRun:
-    """Every sibling m + v e_j of one parent m and one v has the inverse
-    run[v-1], whatever j is, so the parent divides its run once for all its
-    children, and hands the child m_j = v one run of its own children's
-    inverses, runs[v-1], that every sibling with that v shares."""
+class TestPochhammerMemo:
+    """One memo per sum holds the Pochhammer inverse of each partition the
+    window reaches, keyed by the partition's code sum_v count_v 2^(w v), so
+    every vector of one partition, in whatever subtree, reads one inverse."""
 
     @staticmethod
-    def _count(monkeypatch):
-        """Count the walk's divisions, each sorted by whether it extends the
-        node's run or rebuilds an entry that a child at a larger shift, of
-        this node or of a sibling that shares the run, had left too short."""
-        counts = {"new": 0, "rebuilt": 0}
-        divide = fermionic._divide
+    def _spy(monkeypatch):
+        """Count the walk's divisions, and record (m, key, memo) at each call."""
+        calls = {"divide": 0, "walks": []}
+        divide, walk = fermionic._divide, fermionic._walk
+        signature = inspect.signature(walk)
 
         def counted_divide(*args):
-            caller = sys._getframe(1).f_locals
-            counts["new" if caller["v"] > len(caller["run"]) else "rebuilt"] += 1
+            calls["divide"] += 1
             return divide(*args)
-
-        monkeypatch.setattr(fermionic, "_divide", counted_divide)
-        return counts
-
-    @staticmethod
-    def _kept(data, q_max, z_max):
-        """The window's vectors below the root, counted one by one."""
-        return sum(1 for m, _, _ in window_vectors(data, q_max, z_max) if any(m))
-
-    @pytest.fixture(scope="class")
-    def r2_kept(self):
-        return self._kept(gordon_data_r2(6, 1), 100, 50)
-
-    def test_r2_divides_fewer_times_than_it_keeps_vectors(self, monkeypatch, r2_kept):
-        counts = self._count(monkeypatch)
-        fermionic_r2(6, 1, 100, 50)
-        assert counts["rebuilt"] == 0
-        assert 0 < counts["new"] < r2_kept
-
-    def test_r2_divides_at_most_a_quarter_as_often_as_it_keeps_vectors(
-        self, monkeypatch, r2_kept
-    ):
-        counts = self._count(monkeypatch)
-        fermionic_r2(6, 1, 100, 50)
-        assert 0 < 4 * (counts["new"] + counts["rebuilt"]) <= r2_kept
-
-    def test_siblings_with_one_value_share_one_run(self, monkeypatch):
-        walk = fermionic._walk
-        signature = inspect.signature(walk)
-        runs = {}
 
         def spied_walk(*args, **kwargs):
             bound = signature.bind(*args, **kwargs).arguments
-            m, run = bound["m"], bound["run"]
-            if sum(map(bool, m)) == 1:  # a child of the root: m = v e_j
-                runs.setdefault(max(m), []).append(run)
+            calls["walks"].append((tuple(bound["m"]), bound["key"], bound["inverses"]))
             return walk(*args, **kwargs)
 
+        monkeypatch.setattr(fermionic, "_divide", counted_divide)
         monkeypatch.setattr(fermionic, "_walk", spied_walk)
-        fermionic_r2(6, 1, 100, 50)
-        # e_1, ..., e_5 are walked; e_6 has no coordinate left to raise, so
-        # the root adds its term without a call.
-        assert len(runs[1]) == 5 and len(runs[2]) > 1
-        for v, shared in runs.items():
-            assert all(run is shared[0] for run in shared), v
-        assert runs[1][0] is not runs[2][0]
+        return calls
 
-    def test_r3_rebuilds_a_short_entry_and_stays_exact(self, monkeypatch):
+    @staticmethod
+    def _below_root(data, q_max, z_max):
+        """The window's vectors below the root, and their distinct partitions."""
+        kept = [m for m, _, _ in window_vectors(data, q_max, z_max) if any(m)]
+        return len(kept), len({tuple(sorted(filter(None, m))) for m in kept})
+
+    @staticmethod
+    def _code(m):
+        return sum(1 << len(m).bit_length() * v for v in m if v)
+
+    def test_r2_builds_each_partition_once_and_divides_157_times(self, monkeypatch):
+        kept, partitions = self._below_root(gordon_data_r2(6, 1), 100, 50)
+        calls = self._spy(monkeypatch)
+        fermionic_r2(6, 1, 100, 50)
+        (_, _, inverses), *_ = calls["walks"]
+        # every entry but the root's was built once, then maybe lengthened
+        assert len(inverses) - 1 == partitions == 77
+        assert calls["divide"] == 157
+        assert 0 < 4 * calls["divide"] <= kept
+
+    def test_r3_lengthens_an_entry_and_stays_exact(self, monkeypatch):
         data = gordon_data_r3(2, 1)
-        counts = self._count(monkeypatch)
+        kept, partitions = self._below_root(data, 20, 10)
+        calls = self._spy(monkeypatch)
         got = evaluate_gordon_sum(data, 20, 10)
-        assert counts["rebuilt"] >= 1
-        assert counts["new"] + counts["rebuilt"] < self._kept(data, 20, 10)
+        (_, _, inverses), *_ = calls["walks"]
+        assert len(inverses) - 1 == partitions < calls["divide"] < kept
         monkeypatch.undo()
         assert got == brute_force_sum(data, 20, 10) == fermionic_r3(2, 1, 20, 10)
+
+    def test_one_partition_in_two_subtrees_reads_one_inverse(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        fermionic_r2(6, 1, 100, 50)
+        entries = {}
+        for m, key, inverses in calls["walks"]:
+            assert key == self._code(m)
+            entries[m] = inverses[key]
+        # {1, 1} under e_1 and under e_2; and {1, 1} and {2}, whose codes
+        # the field width of len(m).bit_length() bits keeps apart
+        assert entries[(1, 1, 0, 0, 0, 0)] is entries[(0, 1, 1, 0, 0, 0)]
+        assert entries[(1, 1, 0, 0, 0, 0)] is not entries[(2, 0, 0, 0, 0, 0)]
 
 
 def tally(k, r, b, q_max, z_max):

@@ -392,6 +392,27 @@ class TestGradedDimension:
                     assert list(row) == sorted(row)
                     assert all(0 <= c < ncols[d] for c in row)
 
+    def test_each_second_partition_is_expanded_once_per_condition(self, monkeypatch):
+        spec = vanishing_spec_r3_pair(3, 2, 2, 1, 1, 6)
+        sizes, conditions = _pair_form(spec)
+        assert sizes == (3, 2)  # so a call's n tells the families apart
+        blocks, _ = _column_blocks(sizes, set(), spec.degree_cap)
+        distinct = {rho2 for kept in blocks[2] for rho2 in kept}
+        # the groups share partitions: one expansion per group would repeat them
+        assert len(distinct) < sum(map(len, blocks[2]))
+        real_image_codes, calls = polyspaces._image_codes, []
+
+        def counted_image_codes(rho, n, pattern):
+            calls.append((rho, n, pattern))
+            return real_image_codes(rho, n, pattern)
+
+        monkeypatch.setattr(polyspaces, "_image_codes", counted_image_codes)
+        for cond in conditions:
+            calls.clear()
+            _rows_by_degree(blocks, sizes, cond, spec.degree_cap)
+            seconds = [(rho, pattern) for rho, n, pattern in calls if n == sizes[1]]
+            assert sorted(seconds) == sorted((rho2, cond[1]) for rho2 in distinct), cond
+
 
 def _is_zero_condition(cond):
     return all(p == 0 and m == 0 for p, m, _ in cond)
