@@ -421,7 +421,13 @@ _PAIR_EXPONENTS = {
 
 def _pair_cases(suite, args):
     """Each pair function of the built-in families against the closed form
-    its Gordon matrices give."""
+    its Gordon matrices give.
+
+    The closed form's coefficients depend only on (p, s) at the run's
+    order, so each distinct (p, s) is expanded once, by the first case
+    that reads it, into `closed_forms`, kept for this run of the builder
+    only."""
+    closed_forms = {}
     for k in range(1, args.kmax + 1):
         for family in ("r2", "r3-odd-k" if k % 2 else "r3-even-k", "r3-split"):
             fam = build_family(family, k, 0)
@@ -443,27 +449,32 @@ def _pair_cases(suite, args):
                     "params": params,
                     "methods": ["exponential-expansion", "closed-form"],
                     "sides": [
-                        lambda a=spec_a, b=spec_b, t=fam.table, p=params: _pair_check(a, b, t, p),
+                        lambda a=spec_a, b=spec_b, t=fam.table, p=params: _pair_check(
+                            a, b, t, p, closed_forms
+                        ),
                         lambda: "ok",
                     ],
                 }
 
 
-def _pair_check(spec_a, spec_b, table, p) -> str:
+def _pair_check(spec_a, spec_b, table, p, closed_forms: dict) -> str:
     """"ok" if the pair function of the two specs has the closed form
     (p["p"], p["s"]), its series and the z power p + s, else its closed form.
 
     Compared in integers: each numerator h_d of the expansion must be the
-    closed-form coefficient c_d times its scale d! D^d."""
+    closed-form coefficient c_d times its scale d! D^d.  The c_d are read
+    from `closed_forms`, the builder's coefficients by (p, s), or expanded
+    and stored there."""
     order = p["order"]
     _check_pair_terms(1, p["k"], order)
     z_power, numerators, scales, closed = pair_expansion(spec_a, spec_b, table, order)
     expected = (p["p"], p["s"])
+    coeffs = closed_forms.get(expected)
+    if coeffs is None:
+        coeffs = closed_forms[expected] = _closed_form_coefficients(*expected, order)
     ok = (
         closed == expected
-        and numerators == [
-            c * scale for c, scale in zip(_closed_form_coefficients(*expected, order), scales)
-        ]
+        and numerators == [c * scale for c, scale in zip(coeffs, scales)]
         and z_power == (p["p"] + p["s"], 1)
     )
     return "ok" if ok else f"closed={closed}"

@@ -108,25 +108,29 @@ def _check_cells(cells: int, what: str) -> None:
 
 
 def validate_k(k: int) -> None:
-    """Check the level: a positive integer."""
-    if k < 1:
+    """Check the level: a positive int."""
+    if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
 
 
 def validate_b(k: int, r: int, b) -> tuple[int, ...]:
-    """Check k, r and the initial-condition vector: length r-1, monotone,
-    within [0, k].  The one validator of every k, r, b input."""
+    """Check k, r and the initial-condition vector: whole numbers, length
+    r-1, monotone, within [0, k]; return it as a tuple of ints.  The one
+    validator of every k, r, b input."""
     validate_k(k)
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
-    b = tuple(int(x) for x in b)
-    if len(b) != r - 1:
-        raise ValueError(f"b must have r-1 = {r - 1} entries, got {len(b)}")
-    if any(x < 0 or x > k for x in b):
-        raise ValueError(f"b entries must lie in [0, {k}]: {b}")
-    if any(b[i] > b[i + 1] for i in range(len(b) - 1)):
-        raise ValueError(f"b must be weakly increasing: {b}")
-    return b
+    b = tuple(b)
+    ints = tuple(map(int, b))
+    if ints != b:
+        raise ValueError(f"b entries must be whole numbers: {b}")
+    if len(ints) != r - 1:
+        raise ValueError(f"b must have r-1 = {r - 1} entries, got {len(ints)}")
+    if min(ints) < 0 or max(ints) > k:
+        raise ValueError(f"b entries must lie in [0, {k}]: {ints}")
+    if list(ints) != sorted(ints):
+        raise ValueError(f"b must be weakly increasing: {ints}")
+    return ints
 
 
 def validate_window(q_max: int, z_max: int) -> None:

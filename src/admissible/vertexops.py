@@ -16,7 +16,10 @@ its log-derivative gives, carried in integers, so the closed form is an
 independent check.  It returns the pair function in integers: the z power
 as a ratio, and each coefficient as a numerator over its scale d! D^d.
 A PairingTable keeps every pairing as an integer over one common
-denominator.
+denominator.  A pair function reads up to three pairings, <a_even, b_even>,
+<a_odd, b_odd> and <a_even, b_zero>; where a spec's vectors are equal dicts
+(every spec of a built-in family but the mixed family's middle one) the
+odd pairing or the z power is the even pairing, and is not taken again.
 
 For specs i and j of a built-in family, in build order, (p, s) is entry
 (i, j) of the Gordon matrices its fermionic sum reads: (A2, 0) for r2,
@@ -28,9 +31,12 @@ every closed-form coefficient c_d.
 ``Fraction`` is built in two places only: ``pair_function``, the Fraction
 view of ``pair_expansion`` that ``pairs`` prints, and ``_over_lcd``, which
 reads a pairing or coefficient that is not an int at its exact Fraction
-value.  Each imports ``fractions`` inside the function, as only ``pairs``
-reaches them on the built-in families: ``fractions`` imports ``decimal`` and
-``re``, which every other command would load for nothing.
+value.  A pairing sums int coefficients in one integer pass and reaches
+``_over_lcd`` only when a coefficient is not an int, so the built-in
+families, whose coefficients are all ints, never do.  Each imports
+``fractions`` inside the function, as only ``pairs`` reaches them on the
+built-in families: ``fractions`` imports ``decimal`` and ``re``, which every
+other command would load for nothing.
 """
 
 from __future__ import annotations
@@ -91,21 +97,38 @@ class PairingTable:
         self._den = den
 
     def _ratio(self, u: dict, v: dict) -> tuple[int, int]:
-        """<u, v> in lowest terms as (numerator, positive denominator)."""
-        u_terms, u_den = _over_lcd([(g, c) for g, c in u.items() if c])
-        v_terms, v_den = _over_lcd([(h, c) for h, c in v.items() if c])
+        """<u, v> in lowest terms as (numerator, positive denominator).
+
+        One pass sums cu cv <g, h> over the nonzero coefficients as they
+        are; a zero coefficient's pairing is never looked up.  If the sum is
+        not an int, some coefficient was not one: the sum is taken again
+        with every coefficient read at its exact Fraction value by
+        ``_over_lcd``, so a float or Fraction costs a second pass and an int
+        none."""
+        total = self._sum(u.items(), v.items())
+        den = self._den
+        if type(total) is not int:
+            u_terms, u_den = _over_lcd(list(u.items()))
+            v_terms, v_den = _over_lcd(list(v.items()))
+            total = self._sum(u_terms, v_terms)
+            den *= u_den * v_den
+        common = gcd(total, den)
+        return total // common, den // common
+
+    def _sum(self, u_terms, v_terms):
+        """sum cu cv row[g][h] over the nonzero (g, cu) and (h, cv)."""
         rows = self._rows
         total = 0
         for g, cu in u_terms:
-            row = rows.get(g, {})
-            for h, cv in v_terms:
-                try:
-                    total += cu * cv * row[h]
-                except KeyError:
-                    raise PairingUndefined(f"pairing <{g}, {h}> is not defined") from None
-        den = u_den * v_den * self._den
-        common = gcd(total, den)
-        return total // common, den // common
+            if cu:
+                row = rows.get(g, {})
+                for h, cv in v_terms:
+                    if cv:
+                        try:
+                            total += cu * cv * row[h]
+                        except KeyError:
+                            raise PairingUndefined(f"pairing <{g}, {h}> is not defined") from None
+        return total
 
 
 def _vec_add(u: dict, v: dict) -> dict:
@@ -176,11 +199,18 @@ def pair_expansion(a: VOSpec, b: VOSpec, table: PairingTable, trunc: int) -> tup
     the integers h_d = d! D^d g_d obey
     h_{d+1} = -A h_d + (D (d - 1) - E) D d h_{d-1}: the numerators are h_d
     and the scales d! D^d.
+
+    c_even = <a_even, b_even> is always taken.  c_odd = <a_odd, b_odd> is
+    c_even when a.odd == a.even and b.odd == b.even, and the z power
+    <a_even, b_zero> is c_even when b.zero_mode == b.even: equal dicts hold
+    equal exact values, so these pairings are implied and not taken again.
     """
     _check_order(trunc)
-    even_num, even_den = table._ratio(a.even, b.even)
-    odd_num, odd_den = table._ratio(a.odd, b.odd)
-    z_power = table._ratio(a.even, b.zero_mode)
+    even = table._ratio(a.even, b.even)
+    odd = even if a.odd == a.even and b.odd == b.even else table._ratio(a.odd, b.odd)
+    z_power = even if b.zero_mode == b.even else table._ratio(a.even, b.zero_mode)
+    even_num, even_den = even
+    odd_num, odd_den = odd
     D = lcm(even_den, odd_den)
     A = odd_num * (D // odd_den)
     E = even_num * (D // even_den)

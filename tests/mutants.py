@@ -98,6 +98,37 @@ MUTANTS = [
      "cfirst, cbound = j + 1, last - v - 1", ["tests/test_fermionic.py"]),
     (PKG + "fermionic.py", "            and weights[i] >= weights[i - 1]\n", "",
      ["tests/test_fermionic.py"]),
+    # the pair check's shortcuts: the odd pairing reused when only a's
+    # parity vectors are equal, the integer pass of a pairing taken as the
+    # result when a coefficient is not an int, and the closed forms of one
+    # run keyed by p alone (which merges two closed forms of one p)
+    (PKG + "vertexops.py", "if a.odd == a.even and b.odd == b.even else",
+     "if a.odd == a.even else", ["tests/test_vertexops.py"]),
+    (PKG + "vertexops.py",
+     "        if type(total) is not int:\n"
+     "            u_terms, u_den = _over_lcd(list(u.items()))\n"
+     "            v_terms, v_den = _over_lcd(list(v.items()))\n"
+     "            total = self._sum(u_terms, v_terms)\n"
+     "            den *= u_den * v_den\n",
+     "",
+     ["tests/test_vertexops.py"]),
+    (PKG + "cli.py",
+     "coeffs = closed_forms.get(expected)\n"
+     "    if coeffs is None:\n"
+     "        coeffs = closed_forms[expected] =",
+     'coeffs = closed_forms.get(p["p"])\n'
+     "    if coeffs is None:\n"
+     '        coeffs = closed_forms[p["p"]] =',
+     ["tests/test_cli.py"]),
+    # the validators without their whole-number checks: a b entry truncated
+    # to an int, and a k that is not an int let through
+    (PKG + "configurations.py",
+     "    if ints != b:\n"
+     '        raise ValueError(f"b entries must be whole numbers: {b}")\n',
+     "",
+     ["tests/test_configurations.py"]),
+    (PKG + "configurations.py", "if not isinstance(k, int) or k < 1:", "if k < 1:",
+     ["tests/test_configurations.py"]),
 ]
 # A test run that takes longer than this is reported, not waited for.
 TIMEOUT_S = 600

@@ -552,7 +552,7 @@ class TestPairCheck:
                     params = {"k": k, "order": order, "p": p, "s": s}
                     expected = reference_pair_check(a, b, fam.table, params)
                     assert expected == ("ok" if (p, s) == (p0, s0) else f"closed={(p0, s0)}")
-                    assert cli._pair_check(a, b, fam.table, params) == expected
+                    assert cli._pair_check(a, b, fam.table, params, {}) == expected
 
     @pytest.mark.parametrize(
         "zero_mode, even, odd",
@@ -578,7 +578,7 @@ class TestPairCheck:
             for order in (0, 3, 9):
                 params = {"k": 1, "order": order, "p": p, "s": s}
                 expected = reference_pair_check(spec, spec, table, params)
-                assert cli._pair_check(spec, spec, table, params) == expected
+                assert cli._pair_check(spec, spec, table, params, {}) == expected
 
 
 class TestVerify:
@@ -658,6 +658,21 @@ class TestVerify:
             [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
         )
         assert done.stdout == "[] 0\n"
+
+    def test_pair_functions_expands_each_closed_form_once(self, capsys, monkeypatch):
+        calls = []
+        expand = cli._closed_form_coefficients
+        monkeypatch.setattr(
+            cli, "_closed_form_coefficients", lambda *a: calls.append(a) or expand(*a)
+        )
+        code, out, _ = run_cli(capsys, "verify", "pair-functions")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert len(reports) == 110
+        assert all(r["status"] == "match" for r in reports)
+        distinct = {(r["params"]["p"], r["params"]["s"]) for r in reports}
+        assert sorted(calls) == sorted((p, s, 12) for p, s in distinct)
+        assert len(calls) == 13  # of 110 cases
 
     def test_verify_pair_functions_loads_no_fractions(self):
         # The built-in families pair in ints: the whole run stays off

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -383,6 +384,7 @@ _ENTRY_POINTS = {
     "vanishing_spec_r2": lambda k, b0: vanishing_spec_r2(3, k, b0, 4),
     "family_r2": lambda k, b0: build_family("r2", k, b0),
     "character_direct": lambda k, b0: character_direct(k, 2, (b0,), 4, 2),
+    "fermionic_r2": lambda k, b0: fermionic_r2(k, b0, 4, 2),
 }
 _K_ONLY = ("gordon_a2", "family_r3_mixed")
 
@@ -390,7 +392,9 @@ _K_ONLY = ("gordon_a2", "family_r3_mixed")
 @pytest.mark.parametrize(
     "name,k,b0",
     [(name, 0, 0) for name in _ENTRY_POINTS]
-    + [(name, 2, 3) for name in _ENTRY_POINTS if name not in _K_ONLY],
+    + [(name, 2.5, 0) for name in _ENTRY_POINTS]
+    + [(name, 2, 3) for name in _ENTRY_POINTS if name not in _K_ONLY]
+    + [(name, 2, 1.5) for name in _ENTRY_POINTS if name not in _K_ONLY],
 )
 def test_entry_points_share_the_validator(name, k, b0):
     with pytest.raises(ValueError) as expected:
@@ -398,3 +402,13 @@ def test_entry_points_share_the_validator(name, k, b0):
     with pytest.raises(ValueError) as got:
         _ENTRY_POINTS[name](k, b0)
     assert str(got.value) == str(expected.value)
+
+
+def test_whole_b_entries_are_read_as_ints():
+    # a float or Fraction equal to an integer is that integer; k must be an int
+    b = validate_b(3, 3, (1.0, Fraction(3)))
+    assert b == (1, 3) and {type(x) for x in b} == {int}
+    with pytest.raises(ValueError, match=r"^b entries must be whole numbers: \(1, 2.5\)$"):
+        validate_b(3, 3, [1, 2.5])
+    with pytest.raises(ValueError, match=r"^k must be a positive integer, got 2.0$"):
+        validate_b(2.0, 2, (1,))

@@ -32,11 +32,12 @@ def reference_pairing(table, u, v):
     )
 
 
-def reference_pair_function(a, b, table, trunc):
+def reference_pair_function(a, b, table, trunc, pair=reference_pairing):
     """(z power, coefficients, closed form) by the O(trunc^2) convolution
-    of the log-derivative: d g_d = -sum_j c_j g_{d-j}."""
-    c_even = reference_pairing(table, a.even, b.even)
-    c_odd = reference_pairing(table, a.odd, b.odd)
+    of the log-derivative: d g_d = -sum_j c_j g_{d-j}, from three pairings,
+    each taken by `pair`."""
+    c_even = pair(table, a.even, b.even)
+    c_odd = pair(table, a.odd, b.odd)
     coeffs = [Fraction(1)]
     for d in range(1, trunc + 1):
         acc = Fraction(0)
@@ -47,7 +48,7 @@ def reference_pair_function(a, b, table, trunc):
     closed = None
     if p.denominator == 1 and s.denominator == 1 and p >= 0 and s >= 0:
         closed = (int(p), int(s))
-    return reference_pairing(table, a.even, b.zero_mode), coeffs, closed
+    return pair(table, a.even, b.zero_mode), coeffs, closed
 
 
 def assert_matches_reference(a, b, table, trunc):
@@ -67,6 +68,27 @@ rationals = st.one_of(
 )
 vectors = st.dictionaries(st.sampled_from(GENERATORS), rationals, max_size=3)
 specs = st.builds(VOSpec, vectors, vectors, vectors)
+
+
+# int, Fraction and float coefficients; each float is read at its exact value
+mixed = st.one_of(rationals, st.sampled_from([0.0, 1.0, -0.25, 0.5, 0.1]))
+mixed_vectors = st.dictionaries(st.sampled_from(GENERATORS), mixed, max_size=3)
+
+
+@st.composite
+def parity_specs(draw):
+    """A spec whose odd vector and zero mode are each its even vector (the
+    same dict), an equal dict (a copy, or its values as Fractions) or an
+    independent draw."""
+    even = draw(mixed_vectors)
+    kinds = {
+        "same": lambda: even,
+        "copy": lambda: dict(even),
+        "fractions": lambda: {g: Fraction(c) for g, c in even.items()},
+        "other": lambda: draw(mixed_vectors),
+    }
+    odd, zero_mode = (kinds[draw(st.sampled_from(sorted(kinds)))]() for _ in range(2))
+    return VOSpec(even, odd, zero_mode)
 
 
 @st.composite
@@ -229,6 +251,18 @@ class TestPairFunction:
             reference_pairing(t, a.odd, b.odd).denominator,
         )
         assert scales == [factorial(d) * D**d for d in range(trunc + 1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables(), parity_specs(), parity_specs(), st.integers(0, 8))
+    def test_implied_pairings_are_the_three_pairing_reference(self, t, a, b, trunc):
+        """pair_expansion, which reuses the even pairing where the odd
+        vectors or the zero mode equal the even ones, is the convolution of
+        the three pairings each taken on its own."""
+        z_power, numerators, scales, closed = pair_expansion(a, b, t, trunc)
+        ref_z, ref_coeffs, ref_closed = reference_pair_function(a, b, t, trunc, pairing)
+        assert z_power == (ref_z.numerator, ref_z.denominator)
+        assert [Fraction(h, scale) for h, scale in zip(numerators, scales)] == ref_coeffs
+        assert closed == ref_closed
 
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("family", ["r2", "r3-split", "r3-mixed"])
