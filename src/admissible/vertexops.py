@@ -18,8 +18,10 @@ as a ratio, and each coefficient as a numerator over its scale d! D^d.
 A PairingTable keeps every pairing as an integer over one common
 denominator.  A pair function reads up to three pairings, <a_even, b_even>,
 <a_odd, b_odd> and <a_even, b_zero>; where a spec's vectors are equal dicts
-(every spec of a built-in family but the mixed family's middle one) the
-odd pairing or the z power is the even pairing, and is not taken again.
+the odd pairing or the z power is the even pairing, and is not taken
+again.  Every r2 and r3-split spec is constant, so its pair functions take
+one pairing; every spec of the mixed families has its even vector as its
+zero mode, so theirs take at most two.
 
 For specs i and j of a built-in family, in build order, (p, s) is entry
 (i, j) of the Gordon matrices its fermionic sum reads: (A2, 0) for r2,
