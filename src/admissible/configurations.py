@@ -35,13 +35,14 @@ class CapacityError(Exception):
 
 
 class _Record:
-    """Base of the package's immutable records, compared by identity.
+    """Base of the package's immutable records, compared and hashed by identity.
 
     A subclass names its fields, in order, in ``__slots__`` and may check
     them in ``_validate``.  The fields are given by position or keyword,
-    the repr lists them, and assigning or deleting one raises
-    AttributeError.  Plain slotted classes keep ``dataclasses`` (and the
-    ``inspect`` it loads) out of the start-up of every command.
+    the repr lists them, ``_values()`` returns them as a tuple, and
+    assigning or deleting one raises AttributeError.  Plain slotted
+    classes keep ``dataclasses`` (and the ``inspect`` it loads) out of the
+    start-up of every command.
     """
 
     __slots__ = ()
@@ -78,23 +79,6 @@ class _Record:
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
         return f"{type(self).__name__}({inner})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class _ValueRecord(_Record):
-    """An immutable record compared and hashed by its field values."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
 
 def _check_cells(cells: int, what: str) -> None:
@@ -134,7 +118,9 @@ def validate_b(k: int, r: int, b) -> tuple[int, ...]:
 
 
 def validate_window(q_max: int, z_max: int) -> None:
-    """Check a truncation window: both orders non-negative."""
+    """Check a truncation window: both orders non-negative ints."""
+    if not (isinstance(q_max, int) and isinstance(z_max, int)):
+        raise ValueError(f"q_max and z_max must be integers, got {q_max} and {z_max}")
     if q_max < 0 or z_max < 0:
         raise ValueError("q_max and z_max must be non-negative")
 

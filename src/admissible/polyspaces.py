@@ -54,13 +54,13 @@ from __future__ import annotations
 from itertools import product
 from math import comb, factorial, gcd, perm
 
-from .configurations import CapacityError, _ValueRecord, validate_b, validate_window
+from .configurations import CapacityError, _Record, validate_b, validate_window
 
 MAX_VARS = 8
 MAX_DEGREE_CAP = 16
 
 
-class VanishingSpec(_ValueRecord):
+class VanishingSpec(_Record):
     """A vanishing-condition space: variable counts, conditions, degree cap.
 
     family_sizes is one or two variable counts; each condition gives one
@@ -74,6 +74,8 @@ class VanishingSpec(_ValueRecord):
             raise ValueError("one or two variable families are supported")
         if any(n < 0 for n in self.family_sizes):
             raise ValueError("variable counts must be non-negative")
+        if not isinstance(self.degree_cap, int):
+            raise ValueError(f"degree_cap must be an integer, got {self.degree_cap}")
         if self.degree_cap < 0:
             raise ValueError("degree_cap must be non-negative")
         for cond in self.conditions:

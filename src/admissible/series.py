@@ -65,6 +65,10 @@ class TruncatedSeries:
     __slots__ = ("rows", "q_order", "z_order")
 
     def __init__(self, rows, q_order: int, z_order: int = 0):
+        if not (isinstance(q_order, int) and isinstance(z_order, int)):
+            raise ValueError(
+                f"truncation orders must be integers, got {q_order} and {z_order}"
+            )
         if q_order < 0 or z_order < 0:
             raise ValueError("truncation orders must be non-negative")
         if not isinstance(rows, (list, tuple)) or not all(

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from math import comb, gcd, lcm
 
-from .configurations import CapacityError, _Record, _ValueRecord, validate_b, validate_k
+from .configurations import CapacityError, _Record, validate_b, validate_k
 
 # The most terms the pair functions of one request may sum, counted before
 # any family or pair function is built.  The count charges each pair
@@ -157,7 +157,7 @@ class VOSpec(_Record):
         return cls(dict(vec), dict(vec), dict(vec))
 
 
-class PairFunction(_ValueRecord):
+class PairFunction(_Record):
     """Expansion of one contraction scalar.
 
     z_power is the leading power of z; coeffs[d] is the coefficient of
@@ -169,6 +169,8 @@ class PairFunction(_ValueRecord):
 
 
 def _check_order(trunc: int) -> None:
+    if not isinstance(trunc, int):
+        raise ValueError(f"truncation order must be an integer, got {trunc}")
     if trunc < 0:
         raise ValueError(f"truncation order must be non-negative, got {trunc}")
 

@@ -1,14 +1,17 @@
 """Mutation gate: each entry of MUTANTS breaks the package in one place, and
-the test files it names must then fail.
+the killers it names must then fail.
 
-An entry is (file, old text, new text, test files).  The script copies
-``src``, ``tests`` and ``pyproject.toml`` to a temporary directory, applies
-each entry alone to that copy (its old text must occur exactly once), and
-runs pytest on the named test files against the copy, stopping at the first
-failure.  A mutant is killed when pytest reports a failing test.  The script
-prints one line per mutant and the kill count, and exits 1 if a mutant
-survives or an entry no longer applies.  Mend a survivor with a test; never
-delete the mutant.  Standard library only (pytest runs in a subprocess);
+An entry is (file, old text, new text, killers).  A killer is a test file
+(a path under ``tests/``) or the name of a row of ``tests/crosschecks.py``.
+The script copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
+directory, applies each entry alone to that copy (its old text must occur
+exactly once), and runs the killers against the copy: pytest on the named
+test files, stopping at the first failure, then each named row through
+``crosschecks.check`` in a fresh interpreter.  A mutant is killed when
+pytest reports a failing test or a row fails.  The script prints one line
+per mutant and the kill count, and exits 1 if a mutant survives or an entry
+no longer applies.  Mend a survivor with a test or a row; never delete the
+mutant.  Standard library only (pytest and the rows run in subprocesses);
 run from the repository root:
 
     python tests/mutants.py
@@ -24,6 +27,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PKG = "src/admissible/"
+# Run in the copy's root: exits 1 if the row named by argv[1] fails, 0 if it
+# passes, and 2 if no row has that name.
+ROW_CHECK = (
+    "import sys; sys.path.insert(0, 'tests'); import crosschecks\n"
+    "row = {row[0]: row for row in crosschecks.ROWS}.get(sys.argv[1])\n"
+    "sys.exit(2 if row is None else crosschecks.check(row) is not None)"
+)
 
 MUTANTS = [
     # refusal bounds, each off by one
@@ -129,34 +139,63 @@ MUTANTS = [
      ["tests/test_configurations.py"]),
     (PKG + "configurations.py", "if not isinstance(k, int) or k < 1:", "if k < 1:",
      ["tests/test_configurations.py"]),
+    # the order checks without their int checks: a window, a series order,
+    # a pair function's order and a degree cap that are not ints let through
+    # to fail later, and the fermionic sums building data for a z_max that
+    # the window check will refuse
+    (PKG + "configurations.py",
+     "    if not (isinstance(q_max, int) and isinstance(z_max, int)):\n",
+     "    if False:\n", ["tests/test_configurations.py"]),
+    (PKG + "series.py",
+     "        if not (isinstance(q_order, int) and isinstance(z_order, int)):\n",
+     "        if False:\n", ["tests/test_configurations.py"]),
+    (PKG + "vertexops.py", "    if not isinstance(trunc, int):\n", "    if False:\n",
+     ["tests/test_configurations.py"]),
+    (PKG + "polyspaces.py", "        if not isinstance(self.degree_cap, int):\n",
+     "        if False:\n", ["tests/test_configurations.py"]),
+    (PKG + "fermionic.py", "if isinstance(z_max, int) and z_max > 0 else 0",
+     "if z_max > 0 else 0", ["tests/test_configurations.py"]),
+    # a fermionic sum sized by the level, not the window: the outputs are
+    # unchanged, but a large k with a small window is refused
+    (PKG + "fermionic.py", "return min(k, z_max) if", "return k if", ["r2-k-1e5"]),
 ]
 # A test run that takes longer than this is reported, not waited for.
 TIMEOUT_S = 600
 
 
+def killer_argvs(killers) -> list:
+    """One pytest run for the killers that are test files, then one run per row."""
+    tests = [killer for killer in killers if killer.startswith("tests/")]
+    rows = [killer for killer in killers if not killer.startswith("tests/")]
+    pytest = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return ([pytest] if tests else []) + [[sys.executable, "-c", ROW_CHECK, row] for row in rows]
+
+
 def run(copy: Path, env: dict, entry) -> str:
-    """Apply one entry to the copy, run its tests, restore the file; return
-    'killed', 'SURVIVED', or why the entry could not be judged."""
-    path, old, new, tests = entry
+    """Apply one entry to the copy, run its killers until one fails, restore
+    the file; return 'killed', 'SURVIVED', or why the entry could not be
+    judged."""
+    path, old, new, killers = entry
     target = copy / path
     text = target.read_text()
     if text.count(old) != 1:
         return f"STALE: the old text occurs {text.count(old)} times"
     target.write_text(text.replace(old, new))
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
-        )
+        for argv in killer_argvs(killers):
+            done = subprocess.run(
+                argv, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+            )
+            if done.returncode == 1:
+                return "killed"
+            if done.returncode != 0:
+                last = (done.stdout.strip() or done.stderr.strip()).splitlines()[-1:]
+                return f"ERROR: {argv[-1]} exited {done.returncode}: {last}"
     except subprocess.TimeoutExpired:
-        return f"ERROR: the tests ran past {TIMEOUT_S} s"
+        return f"ERROR: a killer ran past {TIMEOUT_S} s"
     finally:
         target.write_text(text)
-    if done.returncode == 1:
-        return "killed"
-    if done.returncode == 0:
-        return "SURVIVED"
-    return f"ERROR: pytest exited {done.returncode}: {done.stdout.strip().splitlines()[-1:]}"
+    return "SURVIVED"
 
 
 def main() -> int:

@@ -35,7 +35,7 @@ EXTRA = [
     ["dims", "--r", "2", "--k", "1", "--b0", "0", "--n", "-1", "--cap", "4"],
 ]
 
-_RECORD = "record protocol: immutability, repr, pickling and value equality"
+_RECORD = "record protocol: immutability, repr and field values"
 ALLOWED = {
     "series.TruncatedSeries.__mul__": "kept while bench/tracer.py wraps it (ROADMAP items 2, 12)",
     "series.TruncatedSeries.coeffs": "kept while bench/tracer.py reads it (ROADMAP items 2, 12)",
@@ -48,10 +48,7 @@ ALLOWED = {
     "configurations._Record.__setattr__": _RECORD,
     "configurations._Record.__delattr__": _RECORD,
     "configurations._Record.__repr__": _RECORD,
-    "configurations._Record.__reduce__": _RECORD,
     "configurations._Record._values": _RECORD,
-    "configurations._ValueRecord.__eq__": _RECORD,
-    "configurations._ValueRecord.__hash__": _RECORD,
 }
 
 

@@ -10,13 +10,28 @@ from admissible import configurations
 from admissible.configurations import CapacityError, character_direct, validate_b
 from admissible.fermionic import (
     boundary_c2,
+    evaluate_gordon_sum,
     fermionic_r2,
     fermionic_r3,
     fermionic_r3_special,
     gordon_a2,
+    gordon_data_r2,
 )
-from admissible.polyspaces import vanishing_spec_r2
-from admissible.vertexops import build_family, family_r3_mixed
+from admissible.polyspaces import (
+    VanishingSpec,
+    graded_dimension,
+    oracle_block,
+    regrade_pair_sectors,
+    vanishing_spec_r2,
+)
+from admissible.series import TruncatedSeries
+from admissible.vertexops import (
+    _check_pair_terms,
+    build_family,
+    family_r3_mixed,
+    pair_expansion,
+    pair_function,
+)
 from brute_force import enumerate_configs, is_admissible
 
 
@@ -402,6 +417,64 @@ def test_entry_points_share_the_validator(name, k, b0):
     with pytest.raises(ValueError) as got:
         _ENTRY_POINTS[name](k, b0)
     assert str(got.value) == str(expected.value)
+
+
+def _pair_call(route):
+    family = build_family("r2", 2)
+    spec = dict(family.specs)["gamma1"]
+    return lambda: route(spec, spec, family.table, 2.5)
+
+
+# Every entry point that takes a truncation order refuses one that is not an
+# int, whole floats included, with its validator's one-line ValueError.
+_WINDOW = "q_max and z_max must be integers, got "
+_NON_INT_ORDERS = {
+    "character_direct": (lambda: character_direct(2, 2, (1,), 5.5, 2), _WINDOW + "5.5 and 2"),
+    "character_direct_whole": (
+        lambda: character_direct(2, 2, (1,), 5.0, 2), _WINDOW + "5.0 and 2"
+    ),
+    "fermionic_r2": (lambda: fermionic_r2(2, 1, 5, 2.5), _WINDOW + "5 and 2.5"),
+    "fermionic_r3": (lambda: fermionic_r3(2, 1, 5.5, 2), _WINDOW + "5.5 and 2"),
+    "fermionic_r3_special": (lambda: fermionic_r3_special(3, 5, 2.5), _WINDOW + "5 and 2.5"),
+    "evaluate_gordon_sum": (
+        lambda: evaluate_gordon_sum(gordon_data_r2(2, 1), 5.5, 2), _WINDOW + "5.5 and 2"
+    ),
+    "oracle_block": (lambda: oracle_block(2, 2, (1,), 5.5, 2), _WINDOW + "5.5 and 2"),
+    "regrade_pair_sectors": (
+        lambda: regrade_pair_sectors([[1, 2]], 2.5), _WINDOW + "2.5 and 0"
+    ),
+    "TruncatedSeries": (
+        lambda: TruncatedSeries([[1]], 2.5), "truncation orders must be integers, got 2.5 and 0"
+    ),
+    "pair_expansion": (_pair_call(pair_expansion), "truncation order must be an integer, got 2.5"),
+    "pair_function": (_pair_call(pair_function), "truncation order must be an integer, got 2.5"),
+    "_check_pair_terms": (
+        lambda: _check_pair_terms(1, 2, 2.5), "truncation order must be an integer, got 2.5"
+    ),
+    "graded_dimension": (
+        lambda: graded_dimension(VanishingSpec((2,), (), 2.5)),
+        "degree_cap must be an integer, got 2.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _NON_INT_ORDERS)
+def test_entry_points_refuse_a_non_int_order(name):
+    call, message = _NON_INT_ORDERS[name]
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == message
+
+
+def test_negative_orders_keep_their_messages():
+    with pytest.raises(ValueError, match=r"^q_max and z_max must be non-negative$"):
+        fermionic_r3_special(3, 5, -1)
+    with pytest.raises(ValueError, match=r"^truncation orders must be non-negative$"):
+        TruncatedSeries([[1]], -1)
+    with pytest.raises(ValueError, match=r"^truncation order must be non-negative, got -1$"):
+        _check_pair_terms(1, 2, -1)
+    with pytest.raises(ValueError, match=r"^degree_cap must be non-negative$"):
+        VanishingSpec((2,), (), -1)
 
 
 def test_whole_b_entries_are_read_as_ints():
