@@ -14,8 +14,9 @@ theorem (The Theory of Partitions, 1976, ch. 7).  The z-blocks the
 requested window reads, and the highest q-degree read from each, are read
 off each vector b(v), b(v)(v'), ... and its number of steps from b; only
 those blocks are built, as packed q-lists of the one series kernel
-(``series._Packing``): each block is one integer, its terms are added in
-with shifted adds in C, and only the requested rows are unpacked.
+(``series._Packing``) at the one width ``series._width`` picks from
+q_max: each block is one integer, its terms are added in with shifted adds
+in C, and only the requested rows are unpacked.
 
 Every direct and fermionic character is refused with ``CapacityError``
 before it allocates more than ``MAX_CELLS`` q-coefficients.
@@ -144,11 +145,12 @@ def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeri
     ``_block_plan`` finds the blocks that the requested ones read and the
     highest q-degree read from each.  They are built level by level as
     packed q-lists by the shifted adds and the one division of the series
-    kernel; a coefficient past the packed width restarts the build at
-    twice the width (``series._packed``).  Block coefficients count
-    configurations, so they are >= 0, as the kernel requires.  More than
-    MAX_CELLS q-coefficients, counted first for the requested blocks and
-    then over the plan, raise CapacityError before any block is allocated.
+    kernel.  Block coefficients count configurations, so they are >= 0, as
+    the kernel requires, and the coefficient of q^d is at most p(d): the
+    packed width chosen from q_max (``series._width``) holds every block,
+    and the build runs once.  More than MAX_CELLS q-coefficients, counted
+    first for the requested blocks and then over the plan, raise
+    CapacityError before any block is allocated.
     """
     b = validate_b(k, r, b)
     validate_window(q_max, z_max)

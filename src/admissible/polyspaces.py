@@ -72,6 +72,8 @@ class VanishingSpec(_Record):
     def _validate(self):
         if len(self.family_sizes) not in (1, 2):
             raise ValueError("one or two variable families are supported")
+        if not all(isinstance(n, int) for n in self.family_sizes):
+            raise ValueError(f"variable counts must be integers, got {self.family_sizes}")
         if any(n < 0 for n in self.family_sizes):
             raise ValueError("variable counts must be non-negative")
         if not isinstance(self.degree_cap, int):
@@ -476,6 +478,8 @@ def vanishing_spec_r3_pair(
     conjectural combined zero conditions (s x's and t y's zero, s + t = b1+1)
     are added as well."""
     validate_b(k, 3, (b0, b1))
+    if not (isinstance(l1, int) and isinstance(l2, int)):
+        raise ValueError(f"variable counts must be integers, got {(l1, l2)}")
     _check_vars(l1 + l2)
     conds = [
         ((a, 0, 0), (k + 1 - a, 0, 0)) for a in range(max(0, k + 1 - l2), min(l1, k + 1) + 1)
@@ -534,6 +538,8 @@ def oracle_block(k: int, r: int, b, q_order: int, n: int) -> list[int]:
 
 def pair_sector_dims(n: int, k: int, b0: int, b1: int, degree_cap: int) -> list[list[int]]:
     """Graded dimensions of the (n - l2, l2) pair spaces, indexed by l2 = 0..n."""
+    if not isinstance(n, int):
+        raise ValueError(f"variable counts must be integers, got {n}")
     if n < 0:
         raise ValueError("variable counts must be non-negative")
     return [

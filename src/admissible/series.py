@@ -10,8 +10,13 @@ view, ``coeffs``, built on demand.  The character routes share one packed
 q-series kernel: a q-list c_0, ..., c_(L-1) is the one integer
 sum_i c_i 2^(i W), with W-bit fields whose top bits are guard bits (see
 ``_Packing``), so a shifted add (``_add_shifted``) and a division by one
-factor (1 - q^s) (``_divide``) are a few big-integer operations in C, and
-``_packed`` restarts a route at twice the width when a guard bit shows.
+factor (1 - q^s) (``_divide``) are a few big-integer operations in C.
+``_packed`` picks W once per route from q_max (``_width``): a character's
+coefficient of q^a z^n is at most the partition number p(a) <= p(q_max),
+so the least W whose fields hold p(q_max) under their guard bit never
+overflows on a character.  The guard bits stay as the exactness
+certificate, and a set one restarts the route at twice the width, which
+only sums over other data reach.
 Each route unpacks its rows once, at the end (``_unpack``), and hands them
 to ``TruncatedSeries``, which only clips and copies them.  ``series_json``,
 ``terms`` and ``first_mismatch`` scan the rows in (dz, dq) order, so none of
@@ -188,7 +193,9 @@ def series_json(series: TruncatedSeries) -> str:
 
 
 class _Overflow(Exception):
-    """A packed field reached its guard bit: the route restarts at twice the width."""
+    """A packed field reached its guard bit: ``_packed`` restarts the route
+    at twice the width.  No character route raises it (see ``_width``); a
+    Gordon sum over other data may."""
 
 
 class _Packing:
@@ -215,16 +222,48 @@ class _Packing:
         self.guard = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * length, "little")
 
 
-# The width every route starts at.  A coefficient that outgrows it costs
-# one restart per doubling; starting wider would slow every window whose
-# coefficients fit, since each packed operation costs its bit count.
-_START_WIDTH = 64
+# (q_max, width): up to each q_max, the least width of 8, 16, 32, ... bits
+# with bits(p(q_max)) + 1 <= width, p the partition numbers.  Each q_max is
+# the last that fits its width (tests/test_series.py checks this against
+# Euler's pentagonal recurrence); a table, so no process pays for the
+# recurrence.
+_WIDTHS = ((13, 8), (39, 16), (121, 32), (405, 64), (1437, 128), (5330, 256))
+
+
+def _partition_bits(n: int) -> int:
+    """An upper bound on bits(p(n)), from Apostol's p(n) < exp(pi sqrt(2n/3)),
+    that is log2 p(n) < 3.7007 sqrt(n), with the constant rounded up to
+    3.71.  Past the table the rounding leaves more than half a bit to
+    spare, far more than the float error of the product."""
+    return int(3.71 * n**0.5) + 1
+
+
+def _width(q_max: int) -> int:
+    """The packed width of a route whose q-lists end at q^q_max.
+
+    A character's coefficient of q^a z^n counts configurations of weight a
+    with n particles; their positions >= 1 form a partition of a, and a_0
+    is what is left of n, so it is at most p(a) <= p(q_max).  Every field
+    a route packs is a partial sum of the non-negative terms of one
+    coefficient in its window (a block, a term, a Pochhammer inverse, each
+    truncated to the window), so the least width with
+    bits(p(q_max)) + 1 <= width never sees a guard bit.
+    """
+    for top, width in _WIDTHS:
+        if q_max <= top:
+            return width
+    need = _partition_bits(q_max) + 1
+    width = 8
+    while width < need:
+        width *= 2
+    return width
 
 
 def _packed(build, q_max: int, *args):
     """build(*args, packing) for q-lists of at most q_max + 1 fields, at
-    ``_START_WIDTH`` and again at twice the width after every ``_Overflow``."""
-    width = _START_WIDTH
+    ``_width(q_max)``, and again at twice the width after every
+    ``_Overflow``, which only data that is not a character can raise."""
+    width = _width(q_max)
     while True:
         try:
             return build(*args, _Packing(width, q_max + 1))

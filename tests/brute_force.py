@@ -20,7 +20,10 @@ and ``weight_degree_by_pairs`` sums the weight exponents one pair of
 variables at a time, the slow side of ``weight_degree``.
 ``_divide_by_one_minus`` and ``_pochhammer_inverse_coeffs`` divide dense
 q-lists one cell at a time, the slow side of the packed kernel in
-``series`` (``_add_shifted``, ``_divide``, ``_unpack``).
+``series`` (``_add_shifted``, ``_divide``, ``_unpack``), and
+``partition_numbers`` computes p(0), ..., p(n) exactly by Euler's
+pentagonal recurrence, the reference for the width table ``series._width``
+reads.
 ``closed_form_series``, ``pairing`` and ``pairing_of`` are the ``Fraction``
 values the integer vertex-operator routines stand for: the closed-form
 coefficients, and a PairingTable's bilinear pairing and stored entries.
@@ -70,6 +73,24 @@ def _divide_by_one_minus(coeffs: list[int], stride: int) -> None:
         lower = coeffs[d - stride]
         if lower:
             coeffs[d] += lower
+
+
+def partition_numbers(n: int) -> list[int]:
+    """p(0), ..., p(n), by Euler's pentagonal recurrence (Andrews, The
+    Theory of Partitions, ch. 1): p(i) is the sum over j >= 1 of
+    (-1)^(j+1) (p(i - j(3j-1)/2) + p(i - j(3j+1)/2)), with p of a negative
+    argument 0."""
+    p = [1] + [0] * n
+    for i in range(1, n + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= i:
+            sign = 1 if j % 2 else -1
+            total += sign * p[i - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= i:
+                total += sign * p[i - j * (3 * j + 1) // 2]
+            j += 1
+        p[i] = total
+    return p
 
 
 def is_admissible(a, k: int, r: int, b) -> bool:

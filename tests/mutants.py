@@ -155,6 +155,23 @@ MUTANTS = [
      "        if False:\n", ["tests/test_configurations.py"]),
     (PKG + "fermionic.py", "if isinstance(z_max, int) and z_max > 0 else 0",
      "if z_max > 0 else 0", ["tests/test_configurations.py"]),
+    # the variable-count checks without their int checks: a count that is
+    # not an int built into a spec, or let through to fail inside the route
+    (PKG + "polyspaces.py",
+     "        if not all(isinstance(n, int) for n in self.family_sizes):\n",
+     "        if False:\n", ["tests/test_configurations.py"]),
+    (PKG + "polyspaces.py", "    if not (isinstance(l1, int) and isinstance(l2, int)):\n",
+     "    if False:\n", ["tests/test_configurations.py"]),
+    (PKG + "polyspaces.py", "    if not isinstance(n, int):\n", "    if False:\n",
+     ["tests/test_configurations.py"]),
+    (PKG + "fermionic.py", "    if not isinstance(n, int):\n", "    if False:\n",
+     ["tests/test_configurations.py"]),
+    # the packed width: the q_max = 122 row given 32 bits, where p(122) has
+    # 32 bits and needs 33, and every route started one width narrower than
+    # the table says; each restarts, which the tests refuse
+    (PKG + "series.py", "(121, 32)", "(122, 32)", ["tests/test_series.py"]),
+    (PKG + "series.py", "    width = _width(q_max)\n", "    width = max(8, _width(q_max) // 2)\n",
+     ["tests/test_series.py"]),
     # a fermionic sum sized by the level, not the window: the outputs are
     # unchanged, but a large k with a small window is refused
     (PKG + "fermionic.py", "return min(k, z_max) if", "return k if", ["r2-k-1e5"]),

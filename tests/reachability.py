@@ -3,8 +3,8 @@
 Runs ``cli.main`` in this process under ``sys.setprofile`` on three sets of
 command lines: every golden case of ``tests/test_cli.py``, every case of the
 benchmark pools in ``bench/workloads.py``, and the few lines in EXTRA that
-reach the other table formats and tables, the help text and a refused
-negative flag.  It prints every module-level function and method of the
+reach the other table formats and tables, the help text, a refused
+negative flag and a q_max past the packed-width table.  It prints every module-level function and method of the
 package that none of them called.  It exits 1 if one of those is not in
 ALLOWED, or if a function in ALLOWED was called, so that the list cannot go
 stale.  Standard library only; run from the repository root:
@@ -33,6 +33,9 @@ EXTRA = [
     ["--help"],
     ["char", "--help"],
     ["dims", "--r", "2", "--k", "1", "--b0", "0", "--n", "-1", "--cap", "4"],
+    # a q_max past the packed-width table, which takes the Apostol bound
+    ["char", "--method", "direct", "--k", "1", "--r", "2", "--b", "0", "--qmax", "6000",
+     "--zmax", "0"],
 ]
 
 _RECORD = "record protocol: immutability, repr and field values"

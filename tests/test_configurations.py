@@ -16,13 +16,16 @@ from admissible.fermionic import (
     fermionic_r3_special,
     gordon_a2,
     gordon_data_r2,
+    level_restricted_partitions,
 )
 from admissible.polyspaces import (
     VanishingSpec,
     graded_dimension,
     oracle_block,
+    pair_sector_dims,
     regrade_pair_sectors,
     vanishing_spec_r2,
+    vanishing_spec_r3_pair,
 )
 from admissible.series import TruncatedSeries
 from admissible.vertexops import (
@@ -461,6 +464,32 @@ _NON_INT_ORDERS = {
 @pytest.mark.parametrize("name", _NON_INT_ORDERS)
 def test_entry_points_refuse_a_non_int_order(name):
     call, message = _NON_INT_ORDERS[name]
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == message
+
+
+# Every entry point that takes a variable count (or, for the partitions, a
+# size) refuses one that is not an int with a one-line ValueError.
+_COUNTS = "variable counts must be integers, got "
+_NON_INT_COUNTS = {
+    "VanishingSpec": (lambda: VanishingSpec((2.5,), (), 3), _COUNTS + "(2.5,)"),
+    "graded_dimension": (
+        lambda: graded_dimension(vanishing_spec_r2(2.5, 2, 1, 4)), _COUNTS + "(2.5,)"
+    ),
+    "vanishing_spec_r3_pair": (
+        lambda: vanishing_spec_r3_pair(2.5, 1, 2, 1, 2, 4), _COUNTS + "(2.5, 1)"
+    ),
+    "pair_sector_dims": (lambda: pair_sector_dims(2.5, 2, 1, 2, 4), _COUNTS + "2.5"),
+    "level_restricted_partitions": (
+        lambda: list(level_restricted_partitions(2.5, 2)), "n must be an integer, got 2.5"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _NON_INT_COUNTS)
+def test_entry_points_refuse_a_non_int_count(name):
+    call, message = _NON_INT_COUNTS[name]
     with pytest.raises(ValueError) as got:
         call()
     assert str(got.value) == message

@@ -707,41 +707,62 @@ def tally(k, r, b, q_max, z_max):
     return TruncatedSeries(rows, q_max, z_max)
 
 
+# A 4 x 4 sum with every matrix, boundary and extra entry 0 is no character:
+# its coefficients grow past p(q_max), and an 8-bit start overflows.
+ZERO_DATA = GordonData(((0,) * 4,) * 4, (0,) * 4, 1, (1,) * 4, (0,) * 4)
+
+
 class TestRestartFromANarrowWidth:
     """Started at 8 bits, each route overflows, restarts at twice the width
     until its coefficients fit, and returns its reference character exactly;
-    the abandoned attempts leave no cyclic garbage."""
+    the abandoned attempts leave no cyclic garbage.  The character routes
+    start there only when the width table is made to say 8 bits; a sum over
+    data that is no character starts there at its own width."""
 
     @pytest.mark.parametrize(
-        "route, reference",
+        "route, reference, widths",
         [
-            (lambda: character_direct(3, 2, (1,), 22, 11), lambda: tally(3, 2, (1,), 22, 11)),
+            (
+                lambda: character_direct(3, 2, (1,), 22, 11),
+                lambda: tally(3, 2, (1,), 22, 11),
+                ((10**9, 8),),
+            ),
             (
                 lambda: fermionic_r2(2, 1, 30, 15),
                 lambda: brute_force_sum(gordon_data_r2(2, 1), 30, 15),
+                ((10**9, 8),),
             ),
             (
                 lambda: fermionic_r3(2, 1, 30, 15),
                 lambda: brute_force_sum(gordon_data_r3(2, 1), 30, 15),
+                ((10**9, 8),),
             ),
             (
                 lambda: fermionic_r3_special(3, 22, 11),
                 lambda: brute_force_sum(gordon_data_r3_special(3), 22, 11),
+                ((10**9, 8),),
+            ),
+            (
+                lambda: evaluate_gordon_sum(ZERO_DATA, 6, 6),
+                lambda: brute_force_sum(ZERO_DATA, 6, 6),
+                series._WIDTHS,
             ),
         ],
-        ids=["direct", "fermionic-r2", "fermionic-r3", "fermionic-r3-special"],
+        ids=["direct", "fermionic-r2", "fermionic-r3", "fermionic-r3-special", "zero-matrix"],
     )
-    def test_restarts_stay_exact_and_leave_no_garbage(self, monkeypatch, route, reference):
+    def test_restarts_stay_exact_and_leave_no_garbage(
+        self, monkeypatch, route, reference, widths
+    ):
         want = reference()
         assert max(max(row) for row in want.rows) > 127  # past an 8-bit field
-        widths = []
+        tried = []
         packing = series._Packing
 
         def spied(width, length):
-            widths.append(width)
+            tried.append(width)
             return packing(width, length)
 
-        monkeypatch.setattr(series, "_START_WIDTH", 8)
+        monkeypatch.setattr(series, "_WIDTHS", widths)
         monkeypatch.setattr(series, "_Packing", spied)
         gc.collect()
         enabled = gc.isenabled()
@@ -752,5 +773,21 @@ class TestRestartFromANarrowWidth:
         finally:
             if enabled:
                 gc.enable()
-        assert len(widths) > 1 and widths == [8 << i for i in range(len(widths))]
+        assert len(tried) > 1 and tried == [8 << i for i in range(len(tried))]
         assert got == want
+
+
+def test_a_wide_window_prices_each_vector_once(monkeypatch):
+    # 77-bit coefficients: the walk starts at 128 bits and runs once; a
+    # 64-bit start priced 565 vectors, the abandoned attempt's included
+    calls = []
+    price = fermionic.quadratic_exponent
+
+    def counted(data, m):
+        calls.append(1)
+        return price(data, m)
+
+    monkeypatch.setattr(fermionic, "quadratic_exponent", counted)
+    got = fermionic_r2(2, 1, 1000, 500)
+    assert len(calls) == 464
+    assert max(max(row, default=0) for row in got.rows).bit_length() == 77

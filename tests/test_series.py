@@ -1,25 +1,26 @@
 import json
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admissible import configurations
-from admissible.configurations import CapacityError
+from admissible import configurations, series
+from admissible.configurations import CapacityError, character_direct
+from admissible.fermionic import fermionic_r2, fermionic_r3, fermionic_r3_special
 from admissible.series import (
     TruncatedSeries,
     _add_shifted,
     _divide,
     _Overflow,
-    _packed,
     _Packing,
     _unpack,
     dumps,
     first_mismatch,
     series_json,
 )
-from brute_force import _divide_by_one_minus, _pochhammer_inverse_coeffs
+from brute_force import _divide_by_one_minus, _pochhammer_inverse_coeffs, partition_numbers
 
 
 def S(coeffs, q=6, z=6):
@@ -176,7 +177,7 @@ def unpacked(coeffs):
     return coeffs
 
 
-# Every width a route can reach from a start of 8 or 64 bits, and clean
+# Packed widths up to 256 bits (``series._width`` to q_max = 5,330), and clean
 # q-lists for each: zeros, small values and values up to the guard.
 width_st = st.sampled_from([8, 16, 32, 64, 128, 256])
 
@@ -250,25 +251,104 @@ class TestPackedKernel:
         assert _unpack(x, 64) == unpacked(_pochhammer_inverse_coeffs((m,), step, 40))
 
     @pytest.mark.parametrize(
-        "first, second, widths",
+        "first, second, fits",
         [
-            (2**63 - 1, 0, [64]),
-            (2**62, 2**62 - 1, [64]),
-            (2**63, 0, [64, 128]),
-            (2**62, 2**62, [64, 128]),
+            (2**63 - 1, 0, True),
+            (2**62, 2**62 - 1, True),
+            (2**63, 0, False),
+            (2**62, 2**62, False),
         ],
     )
-    def test_guard_boundary(self, first, second, widths):
+    def test_guard_boundary(self, first, second, fits):
         # 2^63 - 1 is the largest field a 64-bit width holds exactly.
-        tried = []
+        packing = _Packing(64, 1)
 
-        def build(packing):
-            tried.append(packing.width)
+        def add_both():
             row = _add_shifted(0, first, 0, 1, packing)
-            return _unpack(_add_shifted(row, second, 0, 1, packing), packing.width)
+            return _unpack(_add_shifted(row, second, 0, 1, packing), 64)
 
-        assert _packed(build, 0) == [first + second]
-        assert tried == widths
+        if fits:
+            assert add_both() == [first + second]
+        else:
+            with pytest.raises(_Overflow):
+                add_both()
+
+
+# p(0), ..., p(5331): one past the last row of the width table.
+PARTITIONS = partition_numbers(series._WIDTHS[-1][0] + 1)
+
+
+class TestWidthFromThePartitionBound:
+    """``_width`` against the exact partition numbers: the table's rows, the
+    Apostol bound past it, and the routes, which each build one packing."""
+
+    def test_each_row_is_the_last_q_max_its_width_holds(self):
+        rows = series._WIDTHS
+        assert [width for _, width in rows] == [8 << i for i in range(len(rows))]
+        for top, width in rows:
+            assert PARTITIONS[top].bit_length() + 1 <= width
+            assert PARTITIONS[top + 1].bit_length() + 1 > width
+
+    def test_the_least_width_that_holds_p_of_q_max(self):
+        for q_max, p in enumerate(PARTITIONS):
+            width = series._width(q_max)
+            assert p.bit_length() + 1 <= width
+            assert width == 8 or p.bit_length() + 1 > width // 2, q_max
+
+    def test_apostol_bound_is_at_least_p(self):
+        for n, p in enumerate(PARTITIONS):
+            assert series._partition_bits(n) >= p.bit_length(), n
+
+    @pytest.mark.parametrize("q_max", [5331, 6000, 10**5, 10**7])
+    def test_past_the_table_the_width_holds_the_apostol_bound(self, q_max):
+        width = series._width(q_max)
+        need = series._partition_bits(q_max) + 1
+        assert width // 2 < need <= width
+        assert width & (width - 1) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["direct-r2", "direct-r3", "r2", "r3", "r3-special"]),
+        st.integers(1, 5),
+        st.data(),
+    )
+    def test_every_route_builds_one_packing(self, route, k, data):
+        q_max = data.draw(st.integers(0, 60 if route in ("direct-r2", "r2") else 36))
+        z_max = data.draw(st.integers(0, 30))
+        b0 = data.draw(st.integers(0, k))
+        call = {
+            "direct-r2": lambda: character_direct(k, 2, (b0,), q_max, z_max),
+            "direct-r3": lambda: character_direct(
+                k, 3, (b0, data.draw(st.integers(b0, k))), q_max, z_max
+            ),
+            "r2": lambda: fermionic_r2(k, b0, q_max, z_max),
+            "r3": lambda: fermionic_r3(k, b0, q_max, z_max),
+            "r3-special": lambda: fermionic_r3_special(k, q_max, z_max),
+        }[route]
+        widths, got = self._widths_of(call)
+        assert widths == [series._width(q_max)]
+        assert max(max(row, default=0) for row in got.rows) <= PARTITIONS[q_max]
+
+    def test_direct_r2_reaching_p_of_q_max_takes_one_width(self):
+        # b0 = k >= q_max admits every partition of 122 at z^122
+        widths, got = self._widths_of(lambda: character_direct(200, 2, (200,), 122, 122))
+        assert got.coefficient(122, 122) == PARTITIONS[122]
+        assert PARTITIONS[122].bit_length() == 32
+        assert widths == [64]
+
+    @staticmethod
+    def _widths_of(call):
+        """call() and the width of every ``_Packing`` it built."""
+        widths = []
+        packing = series._Packing
+
+        def spied(width, length):
+            widths.append(width)
+            return packing(width, length)
+
+        with mock.patch.object(series, "_Packing", spied):
+            got = call()
+        return widths, got
 
 
 # Zeros, and small and 300-bit coefficients of either sign.
