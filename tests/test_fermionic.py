@@ -710,6 +710,8 @@ def tally(k, r, b, q_max, z_max):
 # A 4 x 4 sum with every matrix, boundary and extra entry 0 is no character:
 # its coefficients grow past p(q_max), and an 8-bit start overflows.
 ZERO_DATA = GordonData(((0,) * 4,) * 4, (0,) * 4, 1, (1,) * 4, (0,) * 4)
+# A width table that gives every window here 8 bits.
+EIGHT_BITS = ((10**9, 8),)
 
 
 class TestRestartFromANarrowWidth:
@@ -725,22 +727,22 @@ class TestRestartFromANarrowWidth:
             (
                 lambda: character_direct(3, 2, (1,), 22, 11),
                 lambda: tally(3, 2, (1,), 22, 11),
-                ((10**9, 8),),
+                EIGHT_BITS,
             ),
             (
                 lambda: fermionic_r2(2, 1, 30, 15),
                 lambda: brute_force_sum(gordon_data_r2(2, 1), 30, 15),
-                ((10**9, 8),),
+                EIGHT_BITS,
             ),
             (
                 lambda: fermionic_r3(2, 1, 30, 15),
                 lambda: brute_force_sum(gordon_data_r3(2, 1), 30, 15),
-                ((10**9, 8),),
+                EIGHT_BITS,
             ),
             (
                 lambda: fermionic_r3_special(3, 22, 11),
                 lambda: brute_force_sum(gordon_data_r3_special(3), 22, 11),
-                ((10**9, 8),),
+                EIGHT_BITS,
             ),
             (
                 lambda: evaluate_gordon_sum(ZERO_DATA, 6, 6),
@@ -778,8 +780,8 @@ class TestRestartFromANarrowWidth:
 
 
 def test_a_wide_window_prices_each_vector_once(monkeypatch):
-    # 77-bit coefficients: the walk starts at 128 bits and runs once; a
-    # 64-bit start priced 565 vectors, the abandoned attempt's included
+    # 77-bit coefficients: the walk starts at 128 bits and prices each
+    # vector once, where a restart from 64 bits would price 565
     calls = []
     price = fermionic.quadratic_exponent
 

@@ -283,13 +283,9 @@ class TestWidthFromThePartitionBound:
     Apostol bound past it, and the routes, which each build one packing."""
 
     def test_each_row_is_the_last_q_max_its_width_holds(self):
-        rows = series._WIDTHS
-        assert [width for _, width in rows] == [8 << i for i in range(len(rows))]
-        for top, width in rows:
-            assert PARTITIONS[top].bit_length() + 1 <= width
-            assert PARTITIONS[top + 1].bit_length() + 1 > width
-
-    def test_the_least_width_that_holds_p_of_q_max(self):
+        # the least width that holds p(q_max) at every q_max through the
+        # table and one past it, so each row's q_max is the last its width
+        # holds
         for q_max, p in enumerate(PARTITIONS):
             width = series._width(q_max)
             assert p.bit_length() + 1 <= width
