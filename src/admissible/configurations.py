@@ -15,8 +15,8 @@ requested window reads, and the highest q-degree read from each, are read
 off each vector b(v), b(v)(v'), ... and its number of steps from b; only
 those blocks are built, as packed q-lists of the one series kernel
 (``series._Packing``) at the one width ``series._width`` picks from
-q_max: each block is one integer, its terms are added in with shifted adds
-in C, and only the requested rows are unpacked.
+the window: each block is one integer, its terms are added in with
+shifted adds in C, and only the requested rows are unpacked.
 
 Every direct and fermionic character is refused with ``CapacityError``
 before it allocates more than ``MAX_CELLS`` q-coefficients.
@@ -146,11 +146,12 @@ def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeri
     highest q-degree read from each.  They are built level by level as
     packed q-lists by the shifted adds and the one division of the series
     kernel.  Block coefficients count configurations, so they are >= 0, as
-    the kernel requires, and the coefficient of q^d is at most p(d): the
-    packed width chosen from q_max (``series._width``) holds every block,
-    and the build runs once.  More than MAX_CELLS q-coefficients, counted
-    first for the requested blocks and then over the plan, raise
-    CapacityError before any block is allocated.
+    the kernel requires, and the coefficient of q^d z^n is at most the
+    number of partitions of d into at most n parts: the packed width
+    chosen from the window (``series._width``) holds every block, and the
+    build runs once.  More than MAX_CELLS q-coefficients, counted first
+    for the requested blocks and then over the plan, raise CapacityError
+    before any block is allocated.
     """
     b = validate_b(k, r, b)
     validate_window(q_max, z_max)
@@ -159,7 +160,7 @@ def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeri
         (top + 1) * (q_max + 1), "the direct character's z-blocks need {} q-coefficients"
     )
     plan = _block_plan(k, b, top, q_max)
-    return TruncatedSeries(_packed(_build_blocks, q_max, b, top, plan), q_max, z_max)
+    return TruncatedSeries(_packed(_build_blocks, q_max, z_max, b, top, plan), q_max, z_max)
 
 
 def _build_blocks(b, top, plan, packing) -> list[list[int]]:

@@ -33,7 +33,8 @@ partition, and again only when a vector at a smaller shift needs it
 longer.  No per-vector product is formed.  The rows and the inverses are
 packed q-lists of the one series kernel (``series._Packing``), all >= 0,
 so each term is one shifted add and each division one short run of
-shifted adds, in C, at the one width ``series._width`` picks from q_max.
+shifted adds, in C, at the one width ``series._width`` picks from the
+window.
 
 The sums are sized by the window, not by the level: coordinate a of a block
 has z-weight a, so one past z_max is never raised, and fermionic_r2,
@@ -265,20 +266,21 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     ``_walk`` call.  A vector's Pochhammer inverse depends only on the
     partition its entries form, so the sum keeps one memo of inverses,
     keyed by that partition (see ``_walk``).  The rows and the inverses are
-    packed q-lists at the width ``series._width`` picks from q_max.  Every
-    field is a partial sum of one coefficient of the window, so on the
-    data of a character, whose coefficients are at most p(q_max), the walk
-    runs once.  On other data a coefficient past the packed width restarts
-    the walk at twice the width (``series._packed``), which prices every
-    vector again.  data may cover only the coordinates a window can raise;
-    the fermionic_* functions pass the leading min(k, z_max) coordinates
-    of each block.
+    packed q-lists at the width ``series._width`` picks from the window.
+    Every field is a partial sum of one coefficient of the window, so on
+    the data of a character, whose coefficient of q^a z^n is at most the
+    number of partitions of a into at most n parts, the walk runs once.
+    On other data a coefficient past the packed width restarts the walk
+    at twice the width (``series._packed``), which prices every vector
+    again.  data may cover only the coordinates a window can raise; the
+    fermionic_* functions pass the leading min(k, z_max) coordinates of
+    each block.
     """
     validate_window(q_max, z_max)
     _check_cells(
         (z_max + 1) * (q_max + 1), "the fermionic sum's z-rows need {} q-coefficients"
     )
-    return TruncatedSeries(_packed(_sum_rows, q_max, data, z_max), q_max, z_max)
+    return TruncatedSeries(_packed(_sum_rows, q_max, z_max, data, z_max), q_max, z_max)
 
 
 def _sum_rows(data, z_max, packing) -> list[list[int]]:

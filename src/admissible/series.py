@@ -11,12 +11,13 @@ q-series kernel: a q-list c_0, ..., c_(L-1) is the one integer
 sum_i c_i 2^(i W), with W-bit fields whose top bits are guard bits (see
 ``_Packing``), so a shifted add (``_add_shifted``) and a division by one
 factor (1 - q^s) (``_divide``) are a few big-integer operations in C.
-``_packed`` picks W once per route from q_max (``_width``): a character's
-coefficient of q^a z^n is at most the partition number p(a) <= p(q_max),
-so the least W whose fields hold p(q_max) under their guard bit never
-overflows on a character.  The guard bits stay as the exactness
-certificate, and a set one restarts the route at twice the width, which
-only sums over other data reach.
+``_packed`` picks W once per route from the window (``_width``): a
+character's coefficient of q^a z^n is at most p(a, <= n parts), the
+partitions of a into at most n parts, so the least W whose fields hold
+the smaller of p(q_max) and a bound on p(q_max, <= z_max parts) under
+their guard bit never overflows on a character.  The guard bits stay as
+the exactness certificate, and a set one restarts the route at twice the
+width, which only sums over other data reach.
 Each route unpacks its rows once, at the end (``_unpack``), and hands them
 to ``TruncatedSeries``, which only clips and copies them.  ``series_json``,
 ``terms`` and ``first_mismatch`` scan the rows in (dz, dq) order, so none of
@@ -32,6 +33,7 @@ from __future__ import annotations
 import _json
 import sys
 from itertools import compress, repeat
+from math import comb, factorial
 from operator import add, lshift, or_
 
 
@@ -238,32 +240,62 @@ def _partition_bits(n: int) -> int:
     return int(3.71 * n**0.5) + 1
 
 
-def _width(q_max: int) -> int:
-    """The packed width of a route whose q-lists end at q^q_max.
+def _parts_bound(n: int, z: int) -> int:
+    """An upper bound on p(n, <= z parts), the partitions of n into at most
+    z parts: 1 for z = 0, else C(n + z(z+1)/2 - 1, z - 1) / z!.
 
-    A character's coefficient of q^a z^n counts configurations of weight a
-    with n particles; their positions >= 1 form a partition of a, and a_0
-    is what is left of n, so it is at most p(a) <= p(q_max).  Every field
-    a route packs is a partial sum of the non-negative terms of one
-    coefficient in its window (a block, a term, a Pochhammer inverse, each
-    truncated to the window), so the least width with
-    bits(p(q_max)) + 1 <= width never sees a guard bit.
+    Adding 1 to each of z parts, 0 allowed, makes them z positive parts of
+    n + z, and adding z - 1, ..., 1, 0 to them, largest first, makes them
+    z distinct parts of n + z(z+1)/2.  Each such partition gives z!
+    distinct compositions into z positive parts, of which there are
+    C(n + z(z+1)/2 - 1, z - 1).  At z = 1 and 2 the bound is exact.
     """
-    for top, width in _WIDTHS:
-        if q_max <= top:
-            return width
-    need = _partition_bits(q_max) + 1
+    if not z:
+        return 1
+    return comb(n + z * (z + 1) // 2 - 1, z - 1) // factorial(z)
+
+
+def _fit(bits: int) -> int:
+    """The least width of 8, 16, 32, ... bits that holds bits under a guard bit."""
     width = 8
-    while width < need:
+    while width < bits + 1:
         width *= 2
     return width
 
 
-def _packed(build, q_max: int, *args):
-    """build(*args, packing) for q-lists of at most q_max + 1 fields, at
-    ``_width(q_max)``, and again at twice the width after every
-    ``_Overflow``, which only data that is not a character can raise."""
-    width = _width(q_max)
+def _width(q_max: int, z_max: int) -> int:
+    """The packed width of a route whose q-lists end at q^q_max and whose
+    z-rows end at z^z_max.
+
+    A character's coefficient of q^a z^n counts configurations of weight a
+    with n particles; their positions >= 1 form a partition of a into at
+    most n parts, and a_0 is what is left of n, so it is at most
+    p(a, <= n parts), which grows with a and n.  On the window that is at
+    most p(q_max) (``_WIDTHS``, ``_partition_bits``) and at most
+    ``_parts_bound(q_max, z_max)``.  Every field a route packs is a partial
+    sum of the non-negative terms of one coefficient in its window (a
+    block, a term, a Pochhammer inverse, each truncated to the window), so
+    the least width that holds the smaller bound under its guard bit never
+    sees a guard bit.  The z_max bound is taken only for 3 z_max < q_max:
+    above that it never gives the narrower width (tests/test_series.py
+    checks this through q_max = 200), so those windows skip its binomial.
+    """
+    for top, width in _WIDTHS:
+        if q_max <= top:
+            break
+    else:
+        width = _fit(_partition_bits(q_max))
+    if 3 * z_max < q_max:
+        width = min(width, _fit(_parts_bound(q_max, z_max).bit_length()))
+    return width
+
+
+def _packed(build, q_max: int, z_max: int, *args):
+    """build(*args, packing) for q-lists of at most q_max + 1 fields and
+    z-rows through z^z_max, at ``_width(q_max, z_max)``, and again at twice
+    the width after every ``_Overflow``, which only data that is not a
+    character can raise."""
+    width = _width(q_max, z_max)
     while True:
         try:
             return build(*args, _Packing(width, q_max + 1))

@@ -117,7 +117,7 @@ def _stdout(cmd):
 
 
 def q700_68_bits():
-    """68-bit coefficients: both routes run at the 128 bits q_max = 700 takes, and agree."""
+    """68-bit coefficients: both routes run at the 128 bits the window takes, and agree."""
     window = "--k 3 --r 2 --b 0 --qmax 700 --zmax 60"
     direct = _stdout(f"char --method direct {window}")
     assert _stdout(f"char --method fermionic-r2 {window}") == direct

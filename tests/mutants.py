@@ -168,9 +168,16 @@ MUTANTS = [
      ["tests/test_configurations.py"]),
     # the packed width: the q_max = 122 row given 32 bits, where p(122) has
     # 32 bits and needs 33, and every route started one width narrower than
-    # the table says; each restarts, which the tests refuse
+    # the table says; each restarts, which the tests refuse.  The bound on
+    # partitions into at most z parts taken as the one into exactly z parts,
+    # below the exact count, and dropped, so that z_max = 0 with a long
+    # q-list takes p(q_max)'s width
     (PKG + "series.py", "(121, 32)", "(122, 32)", ["tests/test_series.py"]),
-    (PKG + "series.py", "    width = _width(q_max)\n", "    width = max(8, _width(q_max) // 2)\n",
+    (PKG + "series.py", "    width = _width(q_max, z_max)\n",
+     "    width = max(8, _width(q_max, z_max) // 2)\n", ["tests/test_series.py"]),
+    (PKG + "series.py", "n + z * (z + 1) // 2 - 1", "n + z * (z - 1) // 2 - 1",
+     ["tests/test_series.py"]),
+    (PKG + "series.py", "    if 3 * z_max < q_max:\n", "    if False:\n",
      ["tests/test_series.py"]),
     # a fermionic sum sized by the level, not the window: the outputs are
     # unchanged, but a large k with a small window is refused

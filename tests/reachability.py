@@ -33,7 +33,8 @@ EXTRA = [
     ["--help"],
     ["char", "--help"],
     ["dims", "--r", "2", "--k", "1", "--b0", "0", "--n", "-1", "--cap", "4"],
-    # a q_max past the packed-width table, which takes the Apostol bound
+    # a q_max past the packed-width table, which takes the Apostol bound, at
+    # z_max = 0, whose bound of one partition gives 8-bit fields
     ["char", "--method", "direct", "--k", "1", "--r", "2", "--b", "0", "--qmax", "6000",
      "--zmax", "0"],
 ]

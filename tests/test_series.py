@@ -280,14 +280,15 @@ PARTITIONS = partition_numbers(series._WIDTHS[-1][0] + 1)
 
 class TestWidthFromThePartitionBound:
     """``_width`` against the exact partition numbers: the table's rows, the
-    Apostol bound past it, and the routes, which each build one packing."""
+    Apostol bound past it, the bound on partitions into at most z_max parts,
+    and the routes, which each build one packing."""
 
     def test_each_row_is_the_last_q_max_its_width_holds(self):
         # the least width that holds p(q_max) at every q_max through the
         # table and one past it, so each row's q_max is the last its width
-        # holds
+        # holds; z_max = q_max leaves the bound p(q_max) alone
         for q_max, p in enumerate(PARTITIONS):
-            width = series._width(q_max)
+            width = series._width(q_max, q_max)
             assert p.bit_length() + 1 <= width
             assert width == 8 or p.bit_length() + 1 > width // 2, q_max
 
@@ -297,10 +298,42 @@ class TestWidthFromThePartitionBound:
 
     @pytest.mark.parametrize("q_max", [5331, 6000, 10**5, 10**7])
     def test_past_the_table_the_width_holds_the_apostol_bound(self, q_max):
-        width = series._width(q_max)
+        width = series._width(q_max, q_max)
         need = series._partition_bits(q_max) + 1
         assert width // 2 < need <= width
         assert width & (width - 1) == 0
+
+    def test_parts_bound_is_at_least_the_exact_count(self):
+        for z in range(0, 41):
+            exact = _pochhammer_inverse_coeffs((z,), 1, 300)
+            for n, count in enumerate(exact):
+                bound = series._parts_bound(n, z)
+                assert bound >= count, (n, z)
+                assert bound == count or z not in (1, 2), (n, z)
+
+    def test_the_z_max_bound_narrows_nothing_at_a_third_of_q_max_or_more(self):
+        # why _width takes it only for 3 z_max < q_max
+        for q_max in range(1, 201):
+            p_width = series._width(q_max, q_max)
+            for z_max in range(-(-q_max // 3), q_max):
+                bits = series._parts_bound(q_max, z_max).bit_length()
+                assert series._fit(bits) >= p_width, (q_max, z_max)
+
+    def test_a_small_z_max_narrows_the_width(self):
+        # at z_max = 0 every coefficient is 0 or 1, however long the q-list;
+        # checked before the routes run, which at p(q_max)'s width would
+        # pack 10^7 fields of 16,384 bits
+        assert series._width(9_999_999, 0) == 8
+        for call in (
+            lambda: character_direct(1, 2, (0,), 9_999_999, 0),
+            lambda: fermionic_r2(1, 0, 9_999_999, 0),
+        ):
+            widths, got = self._widths_of(call)
+            assert widths == [8] and got.rows == [[1]]
+        # 50-bit coefficients under p(1000)'s 105 bits
+        widths, got = self._widths_of(lambda: character_direct(2, 2, (1,), 1000, 10))
+        assert widths == [64]
+        assert max(max(row) for row in got.rows).bit_length() == 50
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -322,8 +355,11 @@ class TestWidthFromThePartitionBound:
             "r3-special": lambda: fermionic_r3_special(k, q_max, z_max),
         }[route]
         widths, got = self._widths_of(call)
-        assert widths == [series._width(q_max)]
-        assert max(max(row, default=0) for row in got.rows) <= PARTITIONS[q_max]
+        assert widths == [series._width(q_max, z_max)]
+        # the coefficient of q^a z^n is at most p(a, <= n parts) <= p(a)
+        for n, row in enumerate(got.rows):
+            bound = _pochhammer_inverse_coeffs((n,), 1, q_max)
+            assert all(c <= bound[a] <= PARTITIONS[a] for a, c in enumerate(row)), n
 
     def test_direct_r2_reaching_p_of_q_max_takes_one_width(self):
         # b0 = k >= q_max admits every partition of 122 at z^122
