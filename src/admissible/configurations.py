@@ -99,10 +99,12 @@ def validate_k(k: int) -> None:
 
 
 def validate_b(k: int, r: int, b) -> tuple[int, ...]:
-    """Check k, r and the initial-condition vector: whole numbers, length
-    r-1, monotone, within [0, k]; return it as a tuple of ints.  The one
+    """Check k, r and the initial-condition vector: k and r ints, b whole
+    numbers, length r-1, monotone, within [0, k]; return it as a tuple of ints.  The one
     validator of every k, r, b input."""
     validate_k(k)
+    if not isinstance(r, int):
+        raise ValueError(f"r must be an integer, got {r}")
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
     b = tuple(b)

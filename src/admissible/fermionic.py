@@ -138,6 +138,13 @@ class GordonData(_Record):
 
     def _validate(self):
         n = len(self.matrix)
+        if not all(isinstance(x, int) for row in self.matrix for x in row):
+            raise ValueError(f"matrix entries must be integers, got {self.matrix}")
+        if not isinstance(self.q_step, int):
+            raise ValueError(f"q_step must be an integer, got {self.q_step}")
+        for name in ("boundary", "z_weights", "extra_q_weights"):
+            if not all(isinstance(x, int) for x in getattr(self, name)):
+                raise ValueError(f"{name} entries must be integers, got {getattr(self, name)}")
         if list(zip(*self.matrix)) != list(map(tuple, self.matrix)):
             raise ValueError("matrix must be square and symmetric")
         if min(map(min, self.matrix), default=0) < 0:

@@ -84,6 +84,8 @@ class VanishingSpec(_Record):
             if len(cond) != len(self.family_sizes):
                 raise ValueError("condition must give one pattern per family")
             for (p, m, z), n in zip(cond, self.family_sizes):
+                if not (isinstance(p, int) and isinstance(m, int) and isinstance(z, int)):
+                    raise ValueError(f"pattern counts must be integers, got ({p},{m},{z})")
                 if p < 0 or m < 0 or z < 0:
                     raise ValueError("pattern counts must be non-negative")
                 if p + m + z > n:

@@ -1,9 +1,9 @@
 """Truncated bivariate power series in q and z with exact integer coefficients.
 
 Every series carries explicit truncation orders: coefficients of q^i z^j with
-i > q_order or j > z_order are unknown (not zero).  Arithmetic keeps exact
-int coefficients and propagates truncation as the componentwise minimum of
-the operand windows, so "equal up to order" is a total, decidable relation.
+i > q_order or j > z_order are unknown (not zero).  Coefficients are exact
+ints, and two series compare on the componentwise minimum of their windows,
+so "equal up to order" is a total, decidable relation.
 A series stores its coefficients as dense z-rows, rows[dz][dq], and its one
 constructor takes such rows; the sparse map {(dq, dz): c} is a read-only
 view, ``coeffs``, built on demand.  The character routes share one packed
@@ -24,8 +24,9 @@ to ``TruncatedSeries``, which only clips and copies them.  ``series_json``,
 them sorts.  ``char`` prints ``series_json``, which writes the canonical JSON
 text straight from the rows; ``to_json_obj`` builds the same object for
 callers that embed it, and is the reference ``series_json`` is tested
-against.  No command multiplies two series; ``TruncatedSeries.__mul__`` stays
-because the benchmark's tracer wraps it by name.
+against.  No route multiplies two series, so there is no product: ``a * b``
+raises TypeError.  ``TruncatedSeries.__mul__`` is a stub that returns
+NotImplemented, kept because the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import _json
 import sys
 from itertools import compress, repeat
 from math import comb, factorial
-from operator import add, lshift, or_
+from operator import lshift, or_
 
 
 def _unserializable(obj):
@@ -96,6 +97,8 @@ class TruncatedSeries:
 
     def coefficient(self, dq: int, dz: int = 0) -> int:
         """Coefficient of q^dq z^dz.  Raises outside the truncation window."""
+        if not (isinstance(dq, int) and isinstance(dz, int)):
+            raise ValueError(f"exponents must be integers, got {dq} and {dz}")
         if not (0 <= dq <= self.q_order and 0 <= dz <= self.z_order):
             raise ValueError(
                 f"coefficient ({dq},{dz}) is outside the truncation window "
@@ -107,37 +110,16 @@ class TruncatedSeries:
     def z_block(self, n: int) -> "TruncatedSeries":
         """The q-series multiplying z^n, as a series with z_order 0.  Raises
         outside the truncation window."""
+        if not isinstance(n, int):
+            raise ValueError(f"the z exponent must be an integer, got {n}")
         if not 0 <= n <= self.z_order:
             raise ValueError(f"z^{n} is outside z_order={self.z_order}")
         return TruncatedSeries(self.rows[n : n + 1], self.q_order)
 
+    # No product: ``a * b`` raises TypeError.  The stub is only the name that
+    # bench/tracer.py wraps; it goes when ROADMAP item 2 drops it from SERIES_METHODS.
     def __mul__(self, other):
-        """The product on the common window.  Each output row is as long as
-        its operand rows allow; more than MAX_CELLS rows and slots together
-        are refused with CapacityError before anything is allocated."""
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        from .configurations import _check_cells  # configurations imports this module
-
-        q = min(self.q_order, other.q_order)
-        z = min(self.z_order, other.z_order)
-        a = [row[: q + 1] for row in self.rows[: z + 1]]
-        b = [row[: q + 1] for row in other.rows[: z + 1]]
-        widths = [0] * min(z + 1, len(a) + len(b) - 1)
-        for az, ra in enumerate(a):
-            for bz, rb in enumerate(b[: z + 1 - az]):
-                if ra and rb:
-                    widths[az + bz] = max(widths[az + bz], min(q + 1, len(ra) + len(rb) - 1))
-        _check_cells(len(widths) + sum(widths), "the product's dense rows need {} cells")
-        rows = [[0] * width for width in widths]
-        for az, ra in enumerate(a):
-            for bz, rb in enumerate(b[: z + 1 - az]):
-                out = rows[az + bz]
-                for dq, c in enumerate(ra):
-                    if c:
-                        top = min(len(rb), q + 1 - dq) + dq
-                        out[dq:top] = map(add, out[dq:top], [c * x for x in rb[: top - dq]])
-        return TruncatedSeries(rows, q, z)
+        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -154,14 +136,7 @@ class TruncatedSeries:
         parts = []
         terms = self.terms()
         for dq, dz, c in terms[:8]:
-            mono = "".join(
-                s
-                for s in (
-                    f"q^{dq}" if dq else "",
-                    f"z^{dz}" if dz else "",
-                )
-                if s
-            )
+            mono = (f"q^{dq}" if dq else "") + (f"z^{dz}" if dz else "")
             parts.append(f"{c}*{mono}" if mono else str(c))
         body = " + ".join(parts) if parts else "0"
         if len(terms) > 8:

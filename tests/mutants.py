@@ -166,6 +166,26 @@ MUTANTS = [
      ["tests/test_configurations.py"]),
     (PKG + "fermionic.py", "    if not isinstance(n, int):\n", "    if False:\n",
      ["tests/test_configurations.py"]),
+    # the other integer inputs without their int checks: a series exponent,
+    # a Gordon data entry, a pattern count or r that is not an int read
+    # silently, or let through to fail inside the arithmetic
+    (PKG + "series.py", "        if not (isinstance(dq, int) and isinstance(dz, int)):\n",
+     "        if False:\n", ["tests/test_configurations.py"]),
+    (PKG + "series.py", "        if not isinstance(n, int):\n", "        if False:\n",
+     ["tests/test_configurations.py"]),
+    (PKG + "fermionic.py",
+     "        if not all(isinstance(x, int) for row in self.matrix for x in row):\n",
+     "        if False:\n", ["tests/test_configurations.py"]),
+    (PKG + "fermionic.py", "        if not isinstance(self.q_step, int):\n",
+     "        if False:\n", ["tests/test_configurations.py"]),
+    (PKG + "fermionic.py",
+     "            if not all(isinstance(x, int) for x in getattr(self, name)):\n",
+     "            if False:\n", ["tests/test_configurations.py"]),
+    (PKG + "polyspaces.py",
+     "                if not (isinstance(p, int) and isinstance(m, int) and isinstance(z, int)):\n",
+     "                if False:\n", ["tests/test_configurations.py"]),
+    (PKG + "configurations.py", "    if not isinstance(r, int):\n", "    if False:\n",
+     ["tests/test_configurations.py"]),
     # the packed width: the q_max = 122 row given 32 bits, where p(122) has
     # 32 bits and needs 33, and every route started one width narrower than
     # the table says; each restarts, which the tests refuse.  The bound on

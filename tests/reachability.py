@@ -41,7 +41,7 @@ EXTRA = [
 
 _RECORD = "record protocol: immutability, repr and field values"
 ALLOWED = {
-    "series.TruncatedSeries.__mul__": "kept while bench/tracer.py wraps it (ROADMAP items 2, 12)",
+    "series.TruncatedSeries.__mul__": "the NotImplemented stub bench/tracer.py wraps (ROADMAP items 2, 12)",
     "series.TruncatedSeries.coeffs": "kept while bench/tracer.py reads it (ROADMAP items 2, 12)",
     "series.TruncatedSeries.coefficient": "a test accessor",
     "series.TruncatedSeries.__eq__": "a test accessor",

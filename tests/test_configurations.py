@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from admissible import configurations
 from admissible.configurations import CapacityError, character_direct, validate_b
 from admissible.fermionic import (
+    GordonData,
     boundary_c2,
     evaluate_gordon_sum,
     fermionic_r2,
@@ -464,6 +465,64 @@ _NON_INT_ORDERS = {
 @pytest.mark.parametrize("name", _NON_INT_ORDERS)
 def test_entry_points_refuse_a_non_int_order(name):
     call, message = _NON_INT_ORDERS[name]
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == message
+
+
+def _gordon(**fields):
+    """The 1 x 1 Gordon data of q^(m(m-1)) z^m / (q)_m, with fields replaced."""
+    data = dict(matrix=((2,),), boundary=(0,), q_step=1, z_weights=(1,), extra_q_weights=(0,))
+    return lambda: evaluate_gordon_sum(GordonData(**{**data, **fields}), 4, 2)
+
+
+# Every other integer input refuses a value that is not an int, whole floats
+# included, with a one-line ValueError, before it reaches arithmetic that
+# would fail on it or silently read it: series exponents, Gordon data, the
+# counts of a vanishing pattern, and r.
+_NON_INT_ENTRIES = {
+    "coefficient": (
+        lambda: TruncatedSeries([[1]], 3).coefficient(1.5),
+        "exponents must be integers, got 1.5 and 0",
+    ),
+    "coefficient_long_row": (
+        lambda: TruncatedSeries([[1, 2, 3]], 3, 2).coefficient(1, 1.0),
+        "exponents must be integers, got 1 and 1.0",
+    ),
+    "z_block": (
+        lambda: TruncatedSeries([[1], [2]], 3, 2).z_block(1.0),
+        "the z exponent must be an integer, got 1.0",
+    ),
+    "gordon_matrix": (
+        _gordon(matrix=((2.5,),)), "matrix entries must be integers, got ((2.5,),)"
+    ),
+    "gordon_q_step": (_gordon(q_step=1.5), "q_step must be an integer, got 1.5"),
+    "gordon_boundary": (
+        _gordon(boundary=(1.0,)), "boundary entries must be integers, got (1.0,)"
+    ),
+    "gordon_z_weights": (
+        _gordon(z_weights=(1.5,)), "z_weights entries must be integers, got (1.5,)"
+    ),
+    "gordon_extra_q_weights": (
+        _gordon(extra_q_weights=(0.5,)),
+        "extra_q_weights entries must be integers, got (0.5,)",
+    ),
+    "VanishingSpec_pattern": (
+        lambda: VanishingSpec((2,), (((1.5, 0, 0),),), 3),
+        "pattern counts must be integers, got (1.5,0,0)",
+    ),
+    "validate_b_whole_r": (
+        lambda: character_direct(2, 3.0, (1, 2), 5, 2), "r must be an integer, got 3.0"
+    ),
+    "validate_b_r": (
+        lambda: character_direct(2, 2.5, (1,), 5, 2), "r must be an integer, got 2.5"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _NON_INT_ENTRIES)
+def test_entry_points_refuse_a_non_int_entry(name):
+    call, message = _NON_INT_ENTRIES[name]
     with pytest.raises(ValueError) as got:
         call()
     assert str(got.value) == message

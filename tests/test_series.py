@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admissible import configurations, series
-from admissible.configurations import CapacityError, character_direct
+from admissible import series
+from admissible.configurations import character_direct
 from admissible.fermionic import fermionic_r2, fermionic_r3, fermionic_r3_special
 from admissible.series import (
     TruncatedSeries,
@@ -33,65 +33,6 @@ def S(coeffs, q=6, z=6):
     return TruncatedSeries(rows, q, z)
 
 
-def plus(a, b):
-    """The sum on the common window, from the two coefficient maps."""
-    out = a.coeffs
-    for e, c in b.coeffs.items():
-        out[e] = out.get(e, 0) + c
-    return S(out, min(a.q_order, b.q_order), min(a.z_order, b.z_order))
-
-
-def convolve(a, b):
-    """The product on the common window, as a plain dict convolution."""
-    q, z = min(a.q_order, b.q_order), min(a.z_order, b.z_order)
-    out = {}
-    for (aq, az), ca in a.coeffs.items():
-        for (bq, bz), cb in b.coeffs.items():
-            if aq + bq <= q and az + bz <= z:
-                out[aq + bq, az + bz] = out.get((aq + bq, az + bz), 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-class TestMul:
-    def test_telescoping(self):
-        a = S({(0, 0): 1, (1, 0): -1}, 3, 0)
-        b = S({(d, 0): 1 for d in range(4)}, 3, 0)
-        assert (a * b) == S({(0, 0): 1}, 3, 0)
-
-    def test_multiplicative_identity(self):
-        s = S({(2, 2): 7, (5, 0): -1, (0, 4): 3})
-        assert (s * S({(0, 0): 1})) == s
-
-    def test_binomial_square(self):
-        s = S({(0, 0): 1, (1, 1): 1}, 2, 2)
-        sq = s * s
-        assert sq == S({(0, 0): 1, (1, 1): 2, (2, 2): 1}, 2, 2)
-
-    def test_no_coefficient_escapes_window(self):
-        a = S({(3, 0): 1, (0, 2): 1}, 4, 3)
-        b = S({(2, 0): 1, (0, 2): 1}, 4, 3)
-        prod = a * b
-        assert all(dq <= 4 and dz <= 3 for dq, dz in prod.coeffs)
-        assert all(len(row) <= 5 for row in prod.rows) and len(prod.rows) <= 4
-        assert (prod.q_order, prod.z_order) == (4, 3)
-
-    @settings(max_examples=200)
-    @given(
-        st.lists(st.lists(st.integers(-9, 9), max_size=8), max_size=8),
-        st.lists(st.lists(st.integers(-9, 9), max_size=8), max_size=8),
-        st.integers(0, 9),
-        st.integers(0, 9),
-        st.integers(0, 9),
-        st.integers(0, 9),
-    )
-    def test_equals_a_dict_convolution(self, rows_a, rows_b, qa, za, qb, zb):
-        # Empty rows, ragged rows and rows past either window included.
-        a, b = TruncatedSeries(rows_a, qa, za), TruncatedSeries(rows_b, qb, zb)
-        prod = a * b
-        assert prod.coeffs == convolve(a, b)
-        assert (prod.q_order, prod.z_order) == (min(qa, qb), min(za, zb))
-
-
 class TestEquality:
     def test_truncation_aware(self):
         # differ only beyond the common window
@@ -111,6 +52,13 @@ class TestEquality:
         # (dz, dq) order puts (1, 0) before (0, 2)
         assert first_mismatch(a, b) == (1, 0, 1, 2)
         assert first_mismatch(a, a) is None
+
+
+def test_multiplying_two_series_raises_type_error():
+    # No route multiplies two series, so there is no product to get wrong.
+    a = S({(0, 0): 1, (1, 1): 2})
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*"):
+        a * a
 
 
 def brute_force_step_counts(m, step, q_order):
@@ -152,9 +100,6 @@ class TestPochhammerInverse:
     def test_m1_step2_geometric(self):
         got = _pochhammer_inverse_coeffs((1,), 2, 4)
         assert got == [1, 0, 1, 0, 1]
-        # term-by-term check against the defining factor
-        factor = S({(0, 0): 1, (2, 0): -1}, 4, 0)
-        assert TruncatedSeries([got], 4) * factor == S({(0, 0): 1}, 4, 0)
 
     @pytest.mark.parametrize("step", [1, 2])
     @pytest.mark.parametrize("m", range(9))
@@ -504,15 +449,6 @@ class TestWindowAccess:
             s.z_block(-1)
 
 
-class TestBigCoefficients:
-    def test_exact_huge_products(self):
-        a = TruncatedSeries([[10**30, 1]], 2)
-        b = TruncatedSeries([[10**30, -1]], 2)
-        prod = a * b
-        assert prod.coefficient(0) == 10**60
-        assert prod.coefficient(2) == -1
-
-
 coeff_st = st.integers(min_value=-9, max_value=9)
 key_st = st.tuples(st.integers(0, 5), st.integers(0, 5))
 series_st = st.builds(
@@ -521,14 +457,6 @@ series_st = st.builds(
     q=st.integers(0, 7),
     z=st.integers(0, 7),
 )
-
-
-@settings(max_examples=200)
-@given(series_st, series_st, series_st)
-def test_ring_axioms(a, b, c):
-    assert (a * b) == (b * a)
-    assert ((a * b) * c) == (a * (b * c))
-    assert (a * plus(b, c)) == plus(a * b, a * c)
 
 
 class TestFromBlocks:
@@ -624,29 +552,3 @@ class TestDenseRows:
         by_row = sorted(coeffs.items(), key=lambda term: term[0][::-1])
         assert dense.to_json_obj()["terms"] == [[dq, dz, str(c)] for (dq, dz), c in by_row]
         assert first_mismatch(dense, S(coeffs, q, z)) is None
-
-    def test_high_degree_term_is_refused_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(configurations, "MAX_CELLS", 10)
-        high = TruncatedSeries([[0] * 6 + [1]], 20, 20)  # q^6, seven slots
-        with pytest.raises(CapacityError, match="product's dense rows need 14 cells"):
-            high * high
-        tall = TruncatedSeries([[]] * 6 + [[1]], 20, 20)  # z^6, seven rows
-        with pytest.raises(CapacityError, match="product's dense rows need 14 cells"):
-            tall * tall
-        # Terms past the window are dropped before they are counted.
-        assert high * TruncatedSeries([[0] * 6 + [1]], 5) == TruncatedSeries([], 5)
-        assert tall * TruncatedSeries(tall.rows, 20, 5) == TruncatedSeries([], 20, 5)
-
-    def test_dense_size_is_rows_plus_slots(self, monkeypatch):
-        monkeypatch.setattr(configurations, "MAX_CELLS", 10)
-        q4, q5 = TruncatedSeries([[0] * 4 + [1]], 20), TruncatedSeries([[0] * 5 + [1]], 20)
-        # One row of 5 + 5 - 1 = 9 slots, then one of 10: 11 cells.
-        assert (q4 * q4).rows == [[0] * 8 + [1]]
-        with pytest.raises(CapacityError, match="11 cells"):
-            q4 * q5
-        # Three rows of 2 + 0 + 5 slots, then of 2 + 0 + 6.
-        q1 = TruncatedSeries([[0, 1]], 20, 20)
-        a = TruncatedSeries([[1], [], [0, 0, 0, 1]], 20, 20)
-        assert (a * q1).rows == [[0, 1], [], [0, 0, 0, 0, 1]]
-        with pytest.raises(CapacityError, match="11 cells"):
-            TruncatedSeries([[1], [], [0, 0, 0, 0, 1]], 20, 20) * q1
