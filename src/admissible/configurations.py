@@ -100,8 +100,8 @@ def validate_k(k: int) -> None:
 
 def validate_b(k: int, r: int, b) -> tuple[int, ...]:
     """Check k, r and the initial-condition vector: k and r ints, b whole
-    numbers, length r-1, monotone, within [0, k]; return it as a tuple of ints.  The one
-    validator of every k, r, b input."""
+    numbers, length r-1, monotone, within [0, k]; return b as a tuple of
+    ints.  The one validator of every k, r, b input."""
     validate_k(k)
     if not isinstance(r, int):
         raise ValueError(f"r must be an integer, got {r}")

@@ -24,9 +24,8 @@ to ``TruncatedSeries``, which only clips and copies them.  ``series_json``,
 them sorts.  ``char`` prints ``series_json``, which writes the canonical JSON
 text straight from the rows; ``to_json_obj`` builds the same object for
 callers that embed it, and is the reference ``series_json`` is tested
-against.  No route multiplies two series, so there is no product: ``a * b``
-raises TypeError.  ``TruncatedSeries.__mul__`` is a stub that returns
-NotImplemented, kept because the benchmark's tracer wraps it by name.
+against.  No route multiplies two series, so ``a * b`` raises TypeError;
+``TruncatedSeries.__mul__`` is a stub the benchmark's tracer wraps by name.
 """
 
 from __future__ import annotations

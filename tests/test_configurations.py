@@ -486,8 +486,12 @@ _NON_INT_ENTRIES = {
         "exponents must be integers, got 1.5 and 0",
     ),
     "coefficient_long_row": (
-        lambda: TruncatedSeries([[1, 2, 3]], 3, 2).coefficient(1, 1.0),
-        "exponents must be integers, got 1 and 1.0",
+        lambda: TruncatedSeries([[1, 2, 3]], 3).coefficient(1.5),
+        "exponents must be integers, got 1.5 and 0",
+    ),
+    "coefficient_z": (
+        lambda: TruncatedSeries([[1], [2]], 3, 2).coefficient(0, 1.0),
+        "exponents must be integers, got 0 and 1.0",
     ),
     "z_block": (
         lambda: TruncatedSeries([[1], [2]], 3, 2).z_block(1.0),
