@@ -24,7 +24,7 @@ before it allocates more than ``MAX_CELLS`` q-coefficients.
 
 from __future__ import annotations
 
-from .series import TruncatedSeries, _add_shifted, _divide, _packed, _unpack
+from .series import TruncatedSeries, _add_shifted, _divide, _is_int, _packed, _unpack
 
 # The most q-coefficients the direct recursion or a fermionic sum may
 # allocate; both count them before allocating any.
@@ -93,8 +93,8 @@ def _check_cells(cells: int, what: str) -> None:
 
 
 def validate_k(k: int) -> None:
-    """Check the level: a positive int."""
-    if not isinstance(k, int) or k < 1:
+    """Check the level: a positive int, not a bool."""
+    if not _is_int(k) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
 
 
@@ -121,8 +121,8 @@ def validate_b(k: int, r: int, b) -> tuple[int, ...]:
 
 
 def validate_window(q_max: int, z_max: int) -> None:
-    """Check a truncation window: both orders non-negative ints."""
-    if not (isinstance(q_max, int) and isinstance(z_max, int)):
+    """Check a truncation window: both orders non-negative ints, not bools."""
+    if not (_is_int(q_max) and _is_int(z_max)):
         raise ValueError(f"q_max and z_max must be integers, got {q_max} and {z_max}")
     if q_max < 0 or z_max < 0:
         raise ValueError("q_max and z_max must be non-negative")

@@ -41,6 +41,12 @@ has z-weight a, so one past z_max is never raised, and fermionic_r2,
 fermionic_r3 and fermionic_r3_special build the Gordon data of the leading
 min(k, z_max) coordinates of each block only.  The public gordon_* and
 gordon_data_* builders keep the full k x k (2k x 2k) matrices.
+
+Where the window raises four or more coordinates, fermionic_r2 does not
+walk: it folds the r2 sum over the partial sums of m, one coordinate at a
+time (``_transfer_r2``), at a cost the window sets, not the number of
+vectors in it.  The walk stays the route of r3, r3-special and the
+smaller r2 windows, and the slow path the fold is tested against.
 """
 
 from __future__ import annotations
@@ -50,7 +56,8 @@ from operator import add, sub
 from .configurations import _Record, _check_cells
 from .configurations import validate_b, validate_k, validate_window
 from .polyspaces import partitions_max_parts
-from .series import TruncatedSeries, _add_shifted, _divide, _packed, _unpack
+from .series import TruncatedSeries, _Overflow, _add_shifted, _divide, _is_int
+from .series import _packed, _unpack
 
 
 def _check_matrix(k: int, n: int) -> None:
@@ -280,14 +287,20 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     On other data a coefficient past the packed width restarts the walk
     at twice the width (``series._packed``), which prices every vector
     again.  data may cover only the coordinates a window can raise; the
-    fermionic_* functions pass the leading min(k, z_max) coordinates of
-    each block.
+    fermionic_* functions that walk pass the leading min(k, z_max)
+    coordinates of each block.
     """
+    _check_sum_window(q_max, z_max)
+    return TruncatedSeries(_packed(_sum_rows, q_max, z_max, data, z_max), q_max, z_max)
+
+
+def _check_sum_window(q_max: int, z_max: int) -> None:
+    """Refuse a bad window, or one whose z-rows hold more than MAX_CELLS
+    q-coefficients, before a sum starts."""
     validate_window(q_max, z_max)
     _check_cells(
         (z_max + 1) * (q_max + 1), "the fermionic sum's z-rows need {} q-coefficients"
     )
-    return TruncatedSeries(_packed(_sum_rows, q_max, z_max, data, z_max), q_max, z_max)
 
 
 def _sum_rows(data, z_max, packing) -> list[list[int]]:
@@ -394,12 +407,105 @@ def _leading(k: int, z_max: int) -> int:
     """How many leading coordinates of a level-k block a window can raise:
     coordinate a has z-weight a, so those past z_max stay 0.  A z_max that
     the window check refuses gives 0, so k and b are checked before it."""
-    return min(k, z_max) if isinstance(z_max, int) and z_max > 0 else 0
+    return min(k, z_max) if _is_int(z_max) and z_max > 0 else 0
+
+
+# fermionic_r2 folds its sum over partial sums (``_transfer_r2``) when the
+# window raises at least this many coordinates, and walks it below that.
+# Measured in-process (best of 15 calls, outputs equal; CPython 3.11, x86-64
+# Linux) at (q_max, z_max) = (70, 35), (100, 50) and (150, 75), four b0
+# each, fold/walk time was 0.23-1.06 at k = 4-8 and 1.16-1.70 at k = 2-3.
+_TRANSFER_FROM = 4
 
 
 def fermionic_r2(k: int, b0: int, q_max: int, z_max: int) -> TruncatedSeries:
-    """Fermionic character for rank 2, initial cap b0."""
-    return evaluate_gordon_sum(_data_r2(k, b0, _leading(k, z_max)), q_max, z_max)
+    """Fermionic character for rank 2, initial cap b0.
+
+    The window raises w = min(k, z_max) coordinates.  From w =
+    _TRANSFER_FROM on, the sum is folded over its partial sums
+    (``_transfer_r2``), whose cost the window sets; below that it is
+    walked (``evaluate_gordon_sum``), which is faster where the window
+    holds few vectors.  Both refuse bad input with the same checks, in the
+    same order."""
+    w = _leading(k, z_max)
+    if w < _TRANSFER_FROM:
+        return evaluate_gordon_sum(_data_r2(k, b0, w), q_max, z_max)
+    _check_matrix(k, w)
+    validate_b(k, 2, (b0,))
+    _check_sum_window(q_max, z_max)
+    return TruncatedSeries(_packed(_transfer_r2, q_max, z_max, w, b0, z_max), q_max, z_max)
+
+
+def _transfer_r2(w, b0, z_max, packing) -> list[list[int]]:
+    """The z-rows of the r2 sum on its leading w coordinates, folded over
+    the partial sums N_i = m_i + ... + m_w (Andrews, PNAS 71, 1974).
+
+    With A = 2 min(a, b) and c_a = max(0, a - b0), the exponent
+    (m'Am - diag(A).m)/2 + c.m is sum_i (N_i^2 - N_i) + sum_(i>b0) N_i,
+    the z-degree is sum_i N_i, and the denominator is
+    prod_i (q)_(N_i - N_(i+1)), with N_(w+1) = 0.  So the sweep
+    i = w, ..., 1 keeps, for each value N of N_i, the z-rows
+
+        G_i(N) = q^(e_i(N)) z^N sum_(M <= N) G_(i+1)(M) / (q)_(N-M),
+
+    e_i(N) = N^2 - N + [i > b0] N, from G_(w+1)(0) = 1; the sum is
+    sum_N G_1(N).  For each M, the quotient G_(i+1)(M) / (q)_(N-M) runs up
+    N one ``_divide`` by (1 - q^(N-M)) at a time.
+
+    Every coordinate j < i still to come has N_j >= N, so together they
+    add at least (i-1) N to the z-degree and rest_i(N) = (i-1)(N^2 - N)
+    + #{j < i : j > b0} N to the shift.  So a quotient keeps its rows
+    z <= z_max - iN, truncated to q_max + 1 - rest_i(N) - e_i(N) fields,
+    and N runs while both leave something.  That is also the length at
+    which G_(i+1)(N) was kept, so the quotient at M = N is G_(i+1)(N) as it
+    stands.  Setting m_j = 0 for every j < i completes a term at exactly
+    that rest, and maps the fields of a quotient or a state one to one
+    onto terms of one coefficient of the window: each field is a partial
+    sum of it, which the width ``series._width`` picks holds.  Every add
+    and every quotient is still tested for the guard (``_add_rows``,
+    ``_divide``).
+    """
+    length, width, guard = packing.length, packing.width, packing.guard
+    states = [[1]]  # G_(w+1): at N = 0, the row z^0 holding the packed 1
+    for i in range(w, 0, -1):
+        lift, below = i > b0, max(0, i - 1 - b0)
+        quotients, nxt = [], []
+        n = 0
+        while True:
+            shift = n * n - n + lift * n
+            need = length - (i - 1) * (n * n - n) - below * n - shift
+            top = z_max - i * n
+            if need <= 0 or top < 0:
+                break
+            if n < len(states):
+                quotients.append(states[n])
+                states[n] = None  # so it is freed once its quotient is divided
+            total = [0] * (top + 1)
+            for m, rows in enumerate(quotients):
+                if m < n:
+                    rows = quotients[m] = [
+                        _divide(x, n - m, need, packing) if x else 0 for x in rows[: top + 1]
+                    ]
+                _add_rows(total, rows, guard)
+            nxt.append([0] * n + [x << shift * width for x in total])
+            n += 1
+        states = nxt
+    rows = [0] * (z_max + 1)
+    for state in states:
+        _add_rows(rows, state, guard)
+    return [_unpack(row, width) for row in rows]
+
+
+def _add_rows(total, rows, guard) -> None:
+    """total[z] += rows[z] for every nonzero packed row, rows no longer
+    than total; each add of two clean values is tested for the guard, as
+    ``series._add_shifted`` tests it."""
+    for z, x in enumerate(rows):
+        if x:
+            x += total[z]
+            if x & guard:
+                raise _Overflow
+            total[z] = x
 
 
 def fermionic_r3(k: int, b0: int, q_max: int, z_max: int) -> TruncatedSeries:

@@ -83,7 +83,12 @@ class VanishingSpec(_Record):
         for cond in self.conditions:
             if len(cond) != len(self.family_sizes):
                 raise ValueError("condition must give one pattern per family")
-            for (p, m, z), n in zip(cond, self.family_sizes):
+            for pattern, n in zip(cond, self.family_sizes):
+                if not isinstance(pattern, (tuple, list)) or len(pattern) != 3:
+                    raise ValueError(
+                        f"patterns must be (t, -t, zero) triples of counts, got {pattern}"
+                    )
+                p, m, z = pattern
                 if not (isinstance(p, int) and isinstance(m, int) and isinstance(z, int)):
                     raise ValueError(f"pattern counts must be integers, got ({p},{m},{z})")
                 if p < 0 or m < 0 or z < 0:

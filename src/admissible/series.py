@@ -51,6 +51,13 @@ _encode = _json.make_encoder(
 )
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool.  A bool passes isinstance(x, int), but it
+    is no order or level: a series would keep True as its z_order and
+    write it into JSON as True."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def dumps(obj) -> str:
     """Canonical JSON of obj: the bytes of json.dumps(obj, sort_keys=True,
     separators=(",", ":"))."""
@@ -72,7 +79,7 @@ class TruncatedSeries:
     __slots__ = ("rows", "q_order", "z_order")
 
     def __init__(self, rows, q_order: int, z_order: int = 0):
-        if not (isinstance(q_order, int) and isinstance(z_order, int)):
+        if not (_is_int(q_order) and _is_int(z_order)):
             raise ValueError(
                 f"truncation orders must be integers, got {q_order} and {z_order}"
             )

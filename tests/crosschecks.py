@@ -36,6 +36,8 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 BIG = "--k 3 --r 2 --b 1 --qmax 1000000000000 --zmax 1000000000000"
 Q5 = "--qmax 5 --zmax 5"
 Q60 = "--qmax 60 --zmax 30"
+Q200 = "--qmax 200 --zmax 100"
+Q300 = "--qmax 300 --zmax 150"
 Q400 = "--qmax 400 --zmax 200"
 ROWS = [
     # large requests that must be accepted, the two largest pairs requests first
@@ -86,6 +88,12 @@ ROWS = [
                           f"char --method direct --k 100000 --r 2 --b 3 {Q5}"), 10),
     ("r2-k-2000", "same", (f"char --method fermionic-r2 --k 2000 --r 2 --b 1999 {Q5}",
                            f"char --method direct --k 2000 --r 2 --b 1999 {Q5}"), 10),
+    # fermionic-r2 folded over partial sums at windows the walk took 110 s
+    # and 9.2 s over
+    ("r2-k-50-q300", "same", (f"char --method fermionic-r2 --k 50 --r 2 --b 10 {Q300}",
+                              f"char --method direct --k 50 --r 2 --b 10 {Q300}"), 10),
+    ("r2-k-1000-q200", "same", (f"char --method fermionic-r2 --k 1000 --r 2 --b 3 {Q200}",
+                                f"char --method direct --k 1000 --r 2 --b 3 {Q200}"), 10),
     ("r3-k-2000", "same", (f"char --method fermionic-r3 --k 2000 --r 3 --b 3,2000 {Q5}",
                            f"char --method direct --k 2000 --r 3 --b 3,2000 {Q5}"), 10),
     ("r3-special-k-2001", "same", (f"char --method fermionic-r3-special --k 2001 --r 3 {Q5}",

@@ -2,15 +2,15 @@
 the killers it names must then fail.
 
 An entry is (file, old text, new text, killers).  A killer is a test file
-(a path under ``tests/``) or the name of a row of ``tests/crosschecks.py``.
-The script copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
-directory, applies each entry alone to that copy (its old text must occur
-exactly once), and runs the killers against the copy: pytest on the named
-test files, stopping at the first failure, then each named row through
-``crosschecks.check`` in a fresh interpreter.  A mutant is killed when
-pytest reports a failing test or a row fails.  The script prints one line
-per mutant and the kill count, and exits 1 if a mutant survives or an entry
-no longer applies.  Mend a survivor with a test or a row; never delete the
+or one of its tests (a path under ``tests/``, or a pytest node id), or the
+name of a row of ``tests/crosschecks.py``.  The script copies ``src``,
+``tests`` and ``pyproject.toml`` to a temporary directory, applies each
+entry alone to that copy (its old text must occur exactly once), and runs
+the killers against the copy: pytest on the named tests, stopping at the
+first failure, then each named row through ``crosschecks.check`` in a
+fresh interpreter.  A mutant is killed when pytest reports a failing test
+or a row fails.  The script prints one line per mutant and the kill count,
+and exits 1 if a mutant survives or an entry no longer applies.  Mend a survivor with a test or a row; never delete the
 mutant.  Standard library only (pytest and the rows run in subprocesses);
 run from the repository root:
 
@@ -137,23 +137,21 @@ MUTANTS = [
      '        raise ValueError(f"b entries must be whole numbers: {b}")\n',
      "",
      ["tests/test_configurations.py"]),
-    (PKG + "configurations.py", "if not isinstance(k, int) or k < 1:", "if k < 1:",
+    (PKG + "configurations.py", "if not _is_int(k) or k < 1:", "if k < 1:",
      ["tests/test_configurations.py"]),
     # the order checks without their int checks: a window, a series order,
     # a pair function's order and a degree cap that are not ints let through
     # to fail later, and the fermionic sums building data for a z_max that
     # the window check will refuse
-    (PKG + "configurations.py",
-     "    if not (isinstance(q_max, int) and isinstance(z_max, int)):\n",
+    (PKG + "configurations.py", "    if not (_is_int(q_max) and _is_int(z_max)):\n",
      "    if False:\n", ["tests/test_configurations.py"]),
-    (PKG + "series.py",
-     "        if not (isinstance(q_order, int) and isinstance(z_order, int)):\n",
+    (PKG + "series.py", "        if not (_is_int(q_order) and _is_int(z_order)):\n",
      "        if False:\n", ["tests/test_configurations.py"]),
     (PKG + "vertexops.py", "    if not isinstance(trunc, int):\n", "    if False:\n",
      ["tests/test_configurations.py"]),
     (PKG + "polyspaces.py", "        if not isinstance(self.degree_cap, int):\n",
      "        if False:\n", ["tests/test_configurations.py"]),
-    (PKG + "fermionic.py", "if isinstance(z_max, int) and z_max > 0 else 0",
+    (PKG + "fermionic.py", "if _is_int(z_max) and z_max > 0 else 0",
      "if z_max > 0 else 0", ["tests/test_configurations.py"]),
     # the variable-count checks without their int checks: a count that is
     # not an int built into a spec, or let through to fail inside the route
@@ -186,6 +184,13 @@ MUTANTS = [
      "                if False:\n", ["tests/test_configurations.py"]),
     (PKG + "configurations.py", "    if not isinstance(r, int):\n", "    if False:\n",
      ["tests/test_configurations.py"]),
+    # a bool let through as an int order or level, and a vanishing pattern
+    # that is no triple let through to fail on unpacking
+    (PKG + "series.py", "return isinstance(x, int) and not isinstance(x, bool)",
+     "return isinstance(x, int)", ["tests/test_configurations.py"]),
+    (PKG + "polyspaces.py",
+     "                if not isinstance(pattern, (tuple, list)) or len(pattern) != 3:\n",
+     "                if False:\n", ["tests/test_polyspaces.py"]),
     # the packed width: the q_max = 122 row given 32 bits, where p(122) has
     # 32 bits and needs 33, and every route started one width narrower than
     # the table says; each restarts, which the tests refuse.  The bound on
@@ -202,6 +207,21 @@ MUTANTS = [
     # a fermionic sum sized by the level, not the window: the outputs are
     # unchanged, but a large k with a small window is refused
     (PKG + "fermionic.py", "return min(k, z_max) if", "return k if", ["r2-k-1e5"]),
+    # the r2 fold over partial sums: a state truncated one field short, the
+    # boundary's b0 test moved by one, and each Pochhammer step off by one;
+    # and the fold taking over windows of two coordinates, where the
+    # benchmark's pin counts the walk's priced vectors
+    (PKG + "fermionic.py",
+     "            need = length - (i - 1) * (n * n - n) - below * n - shift\n",
+     "            need = length - (i - 1) * (n * n - n) - below * n - shift - 1\n",
+     ["tests/test_fermionic.py"]),
+    (PKG + "fermionic.py", "lift, below = i > b0,", "lift, below = i >= b0,",
+     ["tests/test_fermionic.py"]),
+    (PKG + "fermionic.py", "_divide(x, n - m, need, packing)",
+     "_divide(x, n - m + 1, need, packing)", ["tests/test_fermionic.py"]),
+    (PKG + "fermionic.py", "_TRANSFER_FROM = 4", "_TRANSFER_FROM = 2",
+     ["tests/test_fermionic.py::TestPrunedWalkAgainstBruteForce::"
+      "test_each_visited_vector_is_priced_once[window0-16]"]),
 ]
 # A test run that takes longer than this is reported, not waited for.
 TIMEOUT_S = 600

@@ -470,6 +470,31 @@ def test_entry_points_refuse_a_non_int_order(name):
     assert str(got.value) == message
 
 
+# A bool passes isinstance(x, int), but is no level or order: each is
+# refused with the message of any other non-int, where True used to run
+# as 1 and be printed back as a z_order of True.
+_BOOLS = {
+    "character_direct": (lambda: character_direct(2, 2, (1,), 2, True), _WINDOW + "2 and True"),
+    "fermionic_r2": (lambda: fermionic_r2(2, 1, 2, True), _WINDOW + "2 and True"),
+    "fermionic_r2_folded": (lambda: fermionic_r2(6, 1, False, 10), _WINDOW + "False and 10"),
+    "validate_k": (
+        lambda: character_direct(True, 2, (1,), 2, 2), "k must be a positive integer, got True"
+    ),
+    "TruncatedSeries": (
+        lambda: TruncatedSeries([[1]], 3, True),
+        "truncation orders must be integers, got 3 and True",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _BOOLS)
+def test_entry_points_refuse_a_bool(name):
+    call, message = _BOOLS[name]
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == message
+
+
 def _gordon(**fields):
     """The 1 x 1 Gordon data of q^(m(m-1)) z^m / (q)_m, with fields replaced."""
     data = dict(matrix=((2,),), boundary=(0,), q_step=1, z_weights=(1,), extra_q_weights=(0,))

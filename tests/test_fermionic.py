@@ -422,6 +422,12 @@ def brute_force_sum(data, q_max, z_max):
     return TruncatedSeries(rows, q_max, z_max)
 
 
+def walk_r2_6_1():
+    """The walk of the data that fermionic_r2(6, 1, 100, 50) walked before
+    its window, which raises six coordinates, took the partial-sum fold."""
+    return evaluate_gordon_sum(gordon_data_r2(6, 1), 100, 50)
+
+
 @st.composite
 def sum_windows(draw):
     n = draw(st.integers(1, 4))
@@ -601,9 +607,9 @@ class TestPrunedWalkAgainstBruteForce:
         assert evaluate_gordon_sum(data, 20, 8) == brute_force_sum(data, 20, 8)
 
     @staticmethod
-    def _priced(monkeypatch, *window):
-        """The quadratic_exponent calls of fermionic_r2(*window): the walk
-        looks the module's function up at call time."""
+    def _priced(monkeypatch, run):
+        """The quadratic_exponent calls of run(): the walk looks the
+        module's function up at call time."""
         calls = 0
         price = fermionic.quadratic_exponent
 
@@ -613,22 +619,29 @@ class TestPrunedWalkAgainstBruteForce:
             return price(data, m)
 
         monkeypatch.setattr(fermionic, "quadratic_exponent", counted)
-        fermionic_r2(*window)
+        run()
         return calls
 
     def test_pruning_stays_on(self, monkeypatch):
-        calls = self._priced(monkeypatch, 6, 1, 100, 50)
+        calls = self._priced(monkeypatch, walk_r2_6_1)
         weights = tuple(range(1, 7))
         brute = sum(1 for n in range(51) for _ in _multiplicity_vectors(weights, n))
         assert 0 < calls < brute // 10
 
-    @pytest.mark.parametrize("window, priced", [((2, 1, 20, 6), 16), ((6, 1, 100, 50), 1274)])
-    def test_each_visited_vector_is_priced_once(self, monkeypatch, window, priced):
+    @pytest.mark.parametrize(
+        "run, priced",
+        [
+            # fermionic_r2 walks a window that raises two coordinates
+            pytest.param(lambda: fermionic_r2(2, 1, 20, 6), 16, id="window0-16"),
+            pytest.param(walk_r2_6_1, 1274, id="window1-1274"),
+        ],
+    )
+    def test_each_visited_vector_is_priced_once(self, monkeypatch, run, priced):
         # The benchmark counts priced vectors by these calls.  At
         # (6, 1, 100, 50) the window keeps 1,163 vectors; runs that stop at
         # their first vector past it price 2,455, and runs that also stop at
         # the bound a covered coordinate inherits price 1,274.
-        assert self._priced(monkeypatch, *window) == priced
+        assert self._priced(monkeypatch, run) == priced
 
 
 class TestPochhammerMemo:
@@ -669,7 +682,7 @@ class TestPochhammerMemo:
     def test_r2_builds_each_partition_once_and_divides_157_times(self, monkeypatch):
         kept, partitions = self._below_root(gordon_data_r2(6, 1), 100, 50)
         calls = self._spy(monkeypatch)
-        fermionic_r2(6, 1, 100, 50)
+        walk_r2_6_1()
         (_, _, inverses), *_ = calls["walks"]
         # every entry but the root's was built once, then maybe lengthened
         assert len(inverses) - 1 == partitions == 77
@@ -688,7 +701,7 @@ class TestPochhammerMemo:
 
     def test_one_partition_in_two_subtrees_reads_one_inverse(self, monkeypatch):
         calls = self._spy(monkeypatch)
-        fermionic_r2(6, 1, 100, 50)
+        walk_r2_6_1()
         entries = {}
         for m, key, inverses in calls["walks"]:
             assert key == self._code(m)
@@ -697,6 +710,110 @@ class TestPochhammerMemo:
         # the field width of len(m).bit_length() bits keeps apart
         assert entries[(1, 1, 0, 0, 0, 0)] is entries[(0, 1, 1, 0, 0, 0)]
         assert entries[(1, 1, 0, 0, 0, 0)] is not entries[(2, 0, 0, 0, 0, 0)]
+
+
+def transfer_r2(k, b0, q_max, z_max):
+    """The partial-sum fold of the r2 sum on the window's w = min(k, z_max)
+    coordinates, whatever w is, at the width the window takes."""
+    w = min(k, z_max)
+    rows = series._packed(fermionic._transfer_r2, q_max, z_max, w, b0, z_max)
+    return TruncatedSeries(rows, q_max, z_max)
+
+
+class TestTransferR2:
+    """fermionic_r2 folds its sum over partial sums where the window raises
+    fermionic._TRANSFER_FROM coordinates or more; the walk is its slow
+    path, and direct an independent one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_equals_the_walk_and_direct(self, k, data):
+        b0 = data.draw(st.integers(0, k), label="b0")
+        q_max = data.draw(st.integers(0, 60), label="q_max")
+        z_max = data.draw(st.integers(1, 30), label="z_max")
+        got = transfer_r2(k, b0, q_max, z_max)
+        assert got == evaluate_gordon_sum(gordon_data_r2(k, b0), q_max, z_max)
+        assert got == character_direct(k, 2, (b0,), q_max, z_max)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_every_cap_at_one_window(self, k):
+        for b0 in range(k + 1):
+            want = evaluate_gordon_sum(gordon_data_r2(k, b0), 24, 8)
+            assert transfer_r2(k, b0, 24, 8) == want, b0
+
+    @pytest.mark.parametrize("q_max, z_max", [(0, 6), (1, 4), (12, 1), (0, 1)])
+    def test_degenerate_windows(self, q_max, z_max):
+        for k in (1, 4, 6):
+            for b0 in range(k + 1):
+                want = brute_force_sum(gordon_data_r2(k, b0), q_max, z_max)
+                assert transfer_r2(k, b0, q_max, z_max) == want, (k, b0)
+
+    @pytest.mark.parametrize(
+        "window, folds",
+        [
+            ((3, 1, 60, 30), False),
+            ((30, 1, 60, 3), False),
+            ((4, 1, 60, 30), True),
+            ((30, 1, 60, 4), True),
+            ((6, 1, 100, 50), True),
+        ],
+    )
+    def test_the_fold_starts_where_the_window_raises_four_coordinates(
+        self, monkeypatch, window, folds
+    ):
+        assert fermionic._TRANSFER_FROM == 4
+        called = []
+        fold = fermionic._transfer_r2
+
+        def spied(*args):
+            called.append(args[:2])
+            return fold(*args)
+
+        monkeypatch.setattr(fermionic, "_transfer_r2", spied)
+        k, b0, q_max, z_max = window
+        got = fermionic_r2(*window)
+        assert called == ([(min(k, z_max), b0)] if folds else [])
+        assert got == character_direct(k, 2, (b0,), q_max, z_max)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (6, 7, 10, 10),  # b0 past k
+            (6, -1, 10, 10),
+            (6.5, 1, 10, 10),  # k not an int, its window raising six coordinates
+            (6, 1, 10.5, 10),
+            (6, 1, -1, 10),
+            (6, 1, True, 10),
+            (6, 1, 10**7, 10**6),  # the z-rows past MAX_CELLS
+            (10**5, 3, 0, 10**5),  # the Gordon matrix past MAX_CELLS
+        ],
+    )
+    def test_refusals_match_the_walk(self, args):
+        k, b0, q_max, z_max = args
+        w = fermionic._leading(k, z_max)
+        assert w >= fermionic._TRANSFER_FROM
+        with pytest.raises((ValueError, CapacityError)) as folded:
+            fermionic_r2(*args)
+        with pytest.raises((ValueError, CapacityError)) as walked:
+            evaluate_gordon_sum(fermionic._data_r2(k, b0, w), q_max, z_max)
+        assert type(folded.value) is type(walked.value)
+        assert str(folded.value) == str(walked.value)
+
+    def test_restarts_from_a_narrow_width_stay_exact(self, monkeypatch):
+        want = evaluate_gordon_sum(gordon_data_r2(4, 1), 40, 20)
+        assert max(max(row, default=0) for row in want.rows) > 127  # past an 8-bit field
+        tried = []
+        packing = series._Packing
+
+        def spied(width, length):
+            tried.append(width)
+            return packing(width, length)
+
+        monkeypatch.setattr(series, "_WIDTHS", EIGHT_BITS)
+        monkeypatch.setattr(series, "_Packing", spied)
+        got = fermionic_r2(4, 1, 40, 20)
+        assert len(tried) > 1 and tried == [8 << i for i in range(len(tried))]
+        assert got == want
 
 
 def tally(k, r, b, q_max, z_max):

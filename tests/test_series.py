@@ -313,6 +313,22 @@ class TestWidthFromThePartitionBound:
         assert PARTITIONS[122].bit_length() == 32
         assert widths == [64]
 
+    @pytest.mark.parametrize(
+        "window", [(6, 1, 400, 200), (4, 0, 405, 200), (4, 0, 406, 200)]
+    )
+    def test_each_r2_route_past_four_coordinates_builds_one_packing(self, window):
+        # the fermionic fold keeps each state truncated to what the window
+        # can still reach, so it never restarts; on both sides of the
+        # q_max = 405 row of the width table
+        k, b0, q_max, z_max = window
+        want = series._width(q_max, z_max)
+        folded_widths, folded = self._widths_of(lambda: fermionic_r2(*window))
+        direct_widths, direct = self._widths_of(
+            lambda: character_direct(k, 2, (b0,), q_max, z_max)
+        )
+        assert folded_widths == direct_widths == [want]
+        assert folded == direct
+
     @staticmethod
     def _widths_of(call):
         """call() and the width of every ``_Packing`` it built."""
