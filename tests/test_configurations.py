@@ -470,9 +470,9 @@ def test_entry_points_refuse_a_non_int_order(name):
     assert str(got.value) == message
 
 
-# A bool passes isinstance(x, int), but is no level or order: each is
-# refused with the message of any other non-int, where True used to run
-# as 1 and be printed back as a z_order of True.
+# A bool passes isinstance(x, int), but is no level or order: let through,
+# True would run as 1 and print back as a z_order of True.  Each is refused
+# with the message of any other non-int.
 _BOOLS = {
     "character_direct": (lambda: character_direct(2, 2, (1,), 2, True), _WINDOW + "2 and True"),
     "fermionic_r2": (lambda: fermionic_r2(2, 1, 2, True), _WINDOW + "2 and True"),

@@ -251,8 +251,8 @@ class TestSpecValidation:
         "conditions, shown", [((((1, 0),),), "(1, 0)"), (((1,),), "1")], ids=["pair", "int"]
     )
     def test_a_pattern_that_is_no_triple_is_refused(self, conditions, shown):
-        # it used to fail on unpacking, with a ValueError or a TypeError
-        # that named no field
+        # refused before it is unpacked, which would raise a ValueError or
+        # a TypeError that names no field
         with pytest.raises(ValueError) as got:
             VanishingSpec((2,), conditions, 3)
         assert str(got.value) == f"patterns must be (t, -t, zero) triples of counts, got {shown}"
