@@ -56,7 +56,7 @@ from .fermionic import (
 )
 from .polyspaces import (
     graded_dimension,
-    oracle_block,
+    oracle_blocks,
     pair_sector_dims,
     regrade_pair_sectors,
     vanishing_spec_r2,
@@ -106,7 +106,7 @@ def _compute_char(method, k, r, b, qmax, zmax) -> TruncatedSeries:
         return fermionic_r3_special(k, qmax, zmax)
     if method == "oracle":
         # Largest block (most variables, same degree cap) first: a refusal precedes all work.
-        rows = [oracle_block(k, r, b, qmax, n) for n in range(zmax, -1, -1)][::-1]
+        rows = [oracle_blocks(k, r, [b], qmax, n)[0] for n in range(zmax, -1, -1)][::-1]
         return TruncatedSeries(rows, qmax, zmax)
     raise ValueError(f"unknown method: {method}")
 
@@ -244,8 +244,6 @@ def _char_side(method, window, n) -> TruncatedSeries:
     """One side of a series case: the char of the window, or its z^n block."""
     if n is None:
         return _compute_char(method, *window)
-    if method == "oracle":  # the oracle builds the one block alone
-        return TruncatedSeries([oracle_block(*window[:4], n)], window[3])
     return _compute_char(method, *window).z_block(n)
 
 
@@ -342,23 +340,46 @@ def _special_cases(suite, args):
 
 def _oracle_cases(suite, args):
     """Each z^n block of the vanishing-space oracle against direct, n <= nmax.
-    conjecture-10.2 is the b1 < k block the fermionic formula does not cover."""
+    conjecture-10.2 is the b1 < k block the fermionic formula does not cover.
+
+    The oracle sides of one (k, n) read one oracle_blocks call for every b
+    of that k, made by the first case of the group that runs and kept in
+    `made` for this run of the builder only.  A call that raises is not
+    kept: every case of the group calls again and reports its own capacity
+    skip or error."""
     if suite == "conjecture-10.2":
-        r, blocks = 3, [(f"{suite} k=2 b=(1,1)", 2, (1, 1))]
+        r, groups = 3, [(2, {f"{suite} k=2 b=(1,1)": (1, 1)})]
     else:
         r = int(suite[-1])  # the suite name ends in its rank
-        blocks = (
-            (f"{suite} k={k} b0={b0}", k, (b0,) if r == 2 else (b0, k))
-            for k, b0 in _k_b0(args)
+        groups = (  # lazy, so an oversized --kmax is refused at MAX_CASES
+            (k, {f"{suite} k={k} b0={b0}": (b0,) if r == 2 else (b0, k) for b0 in range(k + 1)})
+            for k in range(1, args.kmax + 1)
         )
     qmax = args.cap if r == 2 else 2 * args.cap + 1
-    for label, k, b in blocks:
-        for n in range(args.nmax + 1):
-            params = {"k": k, **dict(zip(("b0", "b1"), b)), "n": n, "cap": args.cap}
-            if suite == "conjecture-10.2":
-                params["experimental"] = True
-            window = (k, r, b, qmax, n)
-            yield _series(f"{label} n={n}", ("oracle", "direct"), window, params, n)
+    made = {}
+    for k, labels in groups:
+        bs = list(labels.values())
+        for i, (label, b) in enumerate(labels.items()):
+            for n in range(args.nmax + 1):
+                params = {"k": k, **dict(zip(("b0", "b1"), b)), "n": n, "cap": args.cap}
+                if suite == "conjecture-10.2":
+                    params["experimental"] = True
+                window = (k, r, b, qmax, n)
+                case = _series(f"{label} n={n}", ("oracle", "direct"), window, params, n)
+                case["sides"][0] = lambda key=(k, r, n), bs=bs, i=i: _oracle_side(
+                    made, key, bs, qmax, i
+                )
+                yield case
+
+
+def _oracle_side(made: dict, key, bs, qmax, i) -> TruncatedSeries:
+    """The oracle side of a block case: block i of the oracle_blocks call
+    of key = (k, r, n) over bs, read from `made` or made and stored there."""
+    blocks = made.get(key)
+    if blocks is None:
+        k, r, n = key
+        blocks = made[key] = oracle_blocks(k, r, bs, qmax, n)
+    return TruncatedSeries([blocks[i]], qmax)
 
 
 def _weight_cases(suite, args):

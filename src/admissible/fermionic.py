@@ -119,7 +119,7 @@ def _b_rows(k: int, w: int) -> list[list[int]]:
 
 def boundary_c2(k: int, b0: int) -> list[int]:
     """Length-k vector (0, ..., 0, 1, 2, ..., k - b0) with b0 leading zeros."""
-    validate_b(k, 2, (b0,))
+    (b0,) = validate_b(k, 2, (b0,))
     _check_cells(k, "the boundary vector needs {} entries")
     return [0] * b0 + list(range(1, k - b0 + 1))
 
@@ -181,7 +181,7 @@ def gordon_data_r2(k: int, b0: int) -> GordonData:
 def _data_r2(k: int, b0: int, w: int) -> GordonData:
     """gordon_data_r2(k, b0) on its leading w coordinates, in O(w^2)."""
     _check_matrix(k, w)
-    validate_b(k, 2, (b0,))
+    (b0,) = validate_b(k, 2, (b0,))
     return GordonData(
         matrix=_freeze(_a2_rows(w)),
         boundary=tuple(_c2_entries(b0, w)),
@@ -206,7 +206,7 @@ def _data_r3(k: int, b0: int, w: int) -> GordonData:
     """gordon_data_r3(k, b0) on the leading w coordinates of each block:
     (m_{1,1}, ..., m_{1,w}, m_{2,1}, ..., m_{2,w}), in O(w^2)."""
     _check_matrix(k, 2 * w)
-    validate_b(k, 2, (b0,))
+    (b0,) = validate_b(k, 2, (b0,))
     return GordonData(
         matrix=_freeze([2 * x for x in row] for row in _a_rows(k, w)),
         boundary=tuple(2 * c for c in _c2_entries(b0, w)) + (0,) * w,
@@ -431,7 +431,7 @@ def fermionic_r2(k: int, b0: int, q_max: int, z_max: int) -> TruncatedSeries:
     if w < _TRANSFER_FROM:
         return evaluate_gordon_sum(_data_r2(k, b0, w), q_max, z_max)
     _check_matrix(k, w)
-    validate_b(k, 2, (b0,))
+    (b0,) = validate_b(k, 2, (b0,))
     _check_sum_window(q_max, z_max)
     return TruncatedSeries(_packed(_transfer_r2, q_max, z_max, w, b0, z_max), q_max, z_max)
 

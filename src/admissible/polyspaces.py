@@ -29,7 +29,7 @@ tail's walks by its largest value.  An image is a list [(code,
 coefficient)], a free partition of an n-variable family coded as
 sum_v mult_v 2^(w (v - 1)), w the bit length of n.  A row of one degree is
 keyed by the two codes packed into one int.  Each constraint is a sparse
-row {column: value} with no zeros and ascending columns.  The rank is
+row {column: value} with no zeros.  The rank is
 exact: fraction-free forward elimination in Python integers, shortest rows
 first, reduces each row at its largest column against that column's pivot
 row, scaled by the two entries over their gcd, and keeps a row that
@@ -38,9 +38,21 @@ modulus is involved, so no certificate is needed, and no floating point is
 involved anywhere, so rank decisions are exact.
 
 The rank-3 block character is a regraded sum of pair-space sectors, and
-sector l2 enters at q^(2d + l2).  oracle_block, which builds every oracle
+sector l2 enters at q^(2d + l2).  oracle_blocks, which builds every oracle
 block of either rank, therefore computes sector l2 of a block through q^qmax
 only through degree (qmax - l2) // 2.
+
+At fixed (k, n) the spaces of b0 = 0..k are nested (Feigin and
+Stoyanovsky, hep-th/9308079): the b0 space is the b0 = k space with one
+more zero condition, which deletes the basis columns with fewer than
+n - b0 parts (n - l2 - b0 parts of the first family in sector l2).  So
+oracle_blocks builds once, at the largest b0 asked for, with the columns
+of each degree ordered by that part count, stably, and each b0 keeps a
+suffix S of them.  The elimination keeps each pivot at its row's largest
+column, so the projection of the row space onto S has exactly as many
+dimensions as there are pivots in S, and that projection is the b0
+space's constraint space, because the zero condition's unit rows clear
+every other column: the b0 piece is |S| less the pivots in S.
 
 The same module gives the degree of the product-formula weight attached to a
 restricted partition, given by its multiplicity tuple.  A product of nonzero
@@ -55,6 +67,7 @@ from itertools import product
 from math import comb, factorial, gcd, perm
 
 from .configurations import CapacityError, _Record, validate_b, validate_window
+from .series import _is_int
 
 MAX_VARS = 8
 MAX_DEGREE_CAP = 16
@@ -72,11 +85,11 @@ class VanishingSpec(_Record):
     def _validate(self):
         if len(self.family_sizes) not in (1, 2):
             raise ValueError("one or two variable families are supported")
-        if not all(isinstance(n, int) for n in self.family_sizes):
+        if not all(_is_int(n) for n in self.family_sizes):
             raise ValueError(f"variable counts must be integers, got {self.family_sizes}")
         if any(n < 0 for n in self.family_sizes):
             raise ValueError("variable counts must be non-negative")
-        if not isinstance(self.degree_cap, int):
+        if not _is_int(self.degree_cap):
             raise ValueError(f"degree_cap must be an integer, got {self.degree_cap}")
         if self.degree_cap < 0:
             raise ValueError("degree_cap must be non-negative")
@@ -89,7 +102,7 @@ class VanishingSpec(_Record):
                         f"patterns must be (t, -t, zero) triples of counts, got {pattern}"
                     )
                 p, m, z = pattern
-                if not (isinstance(p, int) and isinstance(m, int) and isinstance(z, int)):
+                if not (_is_int(p) and _is_int(m) and _is_int(z)):
                     raise ValueError(f"pattern counts must be integers, got ({p},{m},{z})")
                 if p < 0 or m < 0 or z < 0:
                     raise ValueError("pattern counts must be non-negative")
@@ -319,6 +332,44 @@ def _column_blocks(sizes, deleted, cap):
     return (firsts, spans, groups), ncols
 
 
+def _by_parts(blocks, ncols, one_family):
+    """The blocks (_column_blocks) with the columns of each degree ordered
+    by the part count of the spec's first family, ascending and stably, and
+    for each degree a tally {part count: number of columns}.  So the
+    columns of at least f parts are a suffix of each degree's columns,
+    after those the tally counts under part counts below f.
+
+    A one-family spec is the second family of its pair form, with one rho1,
+    so each degree's columns are one group, sorted by len rho2.  Otherwise
+    each span's columns share one rho1, and the spans of each degree move
+    whole, in order of len rho1.
+    """
+    firsts, spans, groups = blocks
+    tallies = [{} for _ in ncols]
+    if one_family:
+        groups = [sorted(kept, key=len) for kept in groups]
+        for span in spans:
+            for d, _, g in span:
+                for rho2 in groups[g]:
+                    tallies[d][len(rho2)] = tallies[d].get(len(rho2), 0) + 1
+        return (firsts, spans, groups), tallies
+    # per degree, (len rho1, i, j) for span j of firsts[i]: in build order,
+    # so sorting the triples is a stable sort by len rho1
+    runs = [[] for _ in ncols]
+    for i, (rho1, span) in enumerate(zip(firsts, spans)):
+        for j, (d, _, g) in enumerate(span):
+            runs[d].append((len(rho1), i, j))
+    spans = [list(span) for span in spans]
+    for d, by_degree in enumerate(runs):
+        col = 0
+        for parts, i, j in sorted(by_degree):
+            g = spans[i][j][2]
+            spans[i][j] = (d, col, g)
+            col += len(groups[g])
+            tallies[d][parts] = tallies[d].get(parts, 0) + len(groups[g])
+    return (firsts, spans, groups), tallies
+
+
 def _rows_by_degree(blocks, sizes, cond, cap) -> list[list[dict[int, int]]]:
     """For each degree 0..cap, one sparse row {column: value} per surviving
     monomial of the images of the blocks (_column_blocks) under cond.
@@ -353,8 +404,10 @@ def _rows_by_degree(blocks, sizes, cond, cap) -> list[list[dict[int, int]]]:
     return [list(by_key.values()) for by_key in rows_by_key]
 
 
-def _exact_rank(rows: list[dict[int, int]], ncols: int) -> int:
-    """Exact rank of an integer matrix by fraction-free sparse elimination.
+def _pivot_columns(rows: list[dict[int, int]], ncols: int):
+    """The pivot columns of an integer matrix by fraction-free sparse
+    elimination: the largest column of each row of an echelon basis of the
+    row space, so their count is its exact rank.
 
     rows are sparse {column: value} maps over columns 0..ncols-1 with no
     zero entries; copies of them are taken shortest first.  A row is
@@ -369,6 +422,11 @@ def _exact_rank(rows: list[dict[int, int]], ncols: int) -> int:
     columns, are independent: their count is the exact rank of every
     prefix, with no modulus and no certificate.  A duplicate row reduces to
     0 like any dependent one.  Stops once every column has a pivot.
+
+    Each pivot is the largest column of its row, so the projection of the
+    row space onto the columns from s on has exactly as many dimensions as
+    there are pivots from s on: the rows with a pivot there project to rows
+    with distinct leading columns, and the others to 0.
     """
     pivots: dict[int, dict[int, int]] = {}
     for vec in sorted(rows, key=len):
@@ -401,7 +459,44 @@ def _exact_rank(rows: list[dict[int, int]], ncols: int) -> int:
                     del vec[j]
         if len(pivots) == ncols:
             break
-    return len(pivots)
+    return pivots.keys()
+
+
+def _exact_rank(rows: list[dict[int, int]], ncols: int) -> int:
+    """Exact rank of an integer matrix: the number of its pivot columns
+    (_pivot_columns)."""
+    return len(_pivot_columns(rows, ncols))
+
+
+def _constraints(spec: VanishingSpec, by_parts: bool):
+    """(ncols, rows, tallies) of the spec: the number of kept columns and
+    the rows of every substituted condition in each degree 0..degree_cap
+    (see graded_dimension).  With by_parts the columns of each degree are
+    ordered by the part count of the spec's first family, and tallies[d]
+    counts the columns of each part count (_by_parts); without it the
+    columns keep their build order and tallies is None.  Refuses
+    (CapacityError) past MAX_VARS or MAX_DEGREE_CAP before it builds
+    anything."""
+    _check_vars(sum(spec.family_sizes))
+    cap = spec.degree_cap
+    if cap > MAX_DEGREE_CAP:
+        raise CapacityError(f"degree cap {cap} exceeds the limit of {MAX_DEGREE_CAP}")
+    sizes, conditions = _pair_form(spec)
+    substituted, seen = [], set()
+    deleted = set()  # (len rho_1, len rho_2) of the basis elements deleted
+    for cond in conditions:
+        most = [n - p - m - z for n, (p, m, z) in zip(sizes, cond)]
+        deleted.update(product(*(range(m + 1) for m in most)))
+        if any(p or m for p, m, _ in cond) and cond not in seen:
+            substituted.append(cond)
+            seen.update((cond, tuple((m, p, z) for p, m, z in cond)))
+    blocks, ncols = _column_blocks(sizes, deleted, cap)
+    tallies = None
+    if by_parts:
+        blocks, tallies = _by_parts(blocks, ncols, len(spec.family_sizes) == 1)
+    rows = [_rows_by_degree(blocks, sizes, cond, cap) for cond in substituted]
+    by_degree = [[row for cond_rows in rows for row in cond_rows[d]] for d in range(cap + 1)]
+    return ncols, by_degree, tallies
 
 
 def graded_dimension(spec: VanishingSpec) -> list[int]:
@@ -429,26 +524,32 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
     Refuses (CapacityError) rather than degrade when the problem exceeds
     MAX_VARS or MAX_DEGREE_CAP.
     """
-    _check_vars(sum(spec.family_sizes))
-    cap = spec.degree_cap
-    if cap > MAX_DEGREE_CAP:
-        raise CapacityError(f"degree cap {cap} exceeds the limit of {MAX_DEGREE_CAP}")
-    sizes, conditions = _pair_form(spec)
-    substituted, seen = [], set()
-    deleted = set()  # (len rho_1, len rho_2) of the basis elements deleted
-    for cond in conditions:
-        most = [n - p - m - z for n, (p, m, z) in zip(sizes, cond)]
-        deleted.update(product(*(range(m + 1) for m in most)))
-        if any(p or m for p, m, _ in cond) and cond not in seen:
-            substituted.append(cond)
-            seen.update((cond, tuple((m, p, z) for p, m, z in cond)))
-    blocks, ncols = _column_blocks(sizes, deleted, cap)
-    rows = [_rows_by_degree(blocks, sizes, cond, cap) for cond in substituted]
-    return [
-        ncols[d] - _exact_rank([row for by_degree in rows for row in by_degree[d]], ncols[d])
-        if ncols[d] else 0
-        for d in range(cap + 1)
-    ]
+    ncols, rows, _ = _constraints(spec, False)
+    return [ncols[d] - _exact_rank(rows[d], ncols[d]) if ncols[d] else 0
+            for d in range(spec.degree_cap + 1)]
+
+
+def _nested_dimensions(spec: VanishingSpec, floors) -> list[list[int]]:
+    """For each floor f, the graded dimension of the spec's space with the
+    zero condition that also deletes the columns of fewer than f parts in
+    the spec's first family, from one elimination per degree.
+
+    That condition deletes a suffix of the columns ordered by that part
+    count (_by_parts), and its unit rows clear every other column, so its
+    constraint space is the spec's rows projected onto the suffix S, whose
+    dimension is the number of pivots in S (_pivot_columns): the graded
+    piece is |S| less that count.  A floor the spec's own conditions
+    already meet keeps every column.
+    """
+    ncols, rows, tallies = _constraints(spec, True)
+    dims = [[0] * len(ncols) for _ in floors]
+    for d, size in enumerate(ncols):
+        if size:
+            pivots = _pivot_columns(rows[d], size)
+            for dim, floor in zip(dims, floors):
+                start = sum(cols for parts, cols in tallies[d].items() if parts < floor)
+                dim[d] = size - start - sum(c >= start for c in pivots)
+    return dims
 
 
 def _check_vars(total_vars: int) -> None:
@@ -467,7 +568,7 @@ def vanishing_spec_r2(n: int, k: int, b0: int, degree_cap: int) -> VanishingSpec
     """Symmetric polynomials in n variables vanishing on the (k+1)-fold
     diagonal and when b0+1 variables are set to zero.  Patterns that need
     more variables than n are skipped (no constraint)."""
-    validate_b(k, 2, (b0,))
+    (b0,) = validate_b(k, 2, (b0,))
     _check_vars(n)
     conds = []
     if k + 1 <= n:
@@ -484,7 +585,7 @@ def vanishing_spec_r3_pair(
     a value (a + b = k + 1), and when b0+1 x's are zero.  For b1 < k the
     conjectural combined zero conditions (s x's and t y's zero, s + t = b1+1)
     are added as well."""
-    validate_b(k, 3, (b0, b1))
+    b0, b1 = validate_b(k, 3, (b0, b1))
     if not (isinstance(l1, int) and isinstance(l2, int)):
         raise ValueError(f"variable counts must be integers, got {(l1, l2)}")
     _check_vars(l1 + l2)
@@ -505,7 +606,7 @@ def vanishing_spec_r3_signed(n: int, k: int, b0: int, degree_cap: int) -> Vanish
     """Single-family space with signed diagonals: vanishing when a leading
     variables equal t and the next k+1-a equal -t (all a), and when b0+1
     variables are zero."""
-    validate_b(k, 2, (b0,))
+    (b0,) = validate_b(k, 2, (b0,))
     _check_vars(n)
     conds = []
     if k + 1 <= n:
@@ -520,27 +621,48 @@ def vanishing_spec_r3_signed(n: int, k: int, b0: int, degree_cap: int) -> Vanish
 # Oracle characters
 
 def oracle_block(k: int, r: int, b, q_order: int, n: int) -> list[int]:
-    """The z^n block of the rank-r oracle character: its q^0..q^q_order
-    coefficients.
+    """The z^n block of the rank-r oracle character at b: its q^0..q^q_order
+    coefficients, oracle_blocks(k, r, [b], q_order, n)[0]."""
+    return oracle_blocks(k, r, [b], q_order, n)[0]
 
-    At r = 2 the block is the graded dimension of the n-variable space.  At
+
+def oracle_blocks(k: int, r: int, bs, q_order: int, n: int) -> list[list[int]]:
+    """The z^n block of the rank-r oracle character for each b of bs, which
+    differ only in b0: the q^0..q^q_order coefficients of each, in order.
+
+    At r = 2 a block is the graded dimension of the n-variable space.  At
     r = 3 it is the regraded sum of the (n - l2, l2) pair spaces, and sector
     l2 enters at q^(2d + l2), so it is computed through degree
     (q_order - l2) // 2, and not at all past l2 = q_order.  Sector 0 comes
     first, with the most variables and the largest degree cap, so a
-    refusal precedes the other sectors.
+    refusal precedes the other sectors; no refusal depends on b0.
+    The b0 spaces are nested: the space at b0 is the one at the largest b0
+    of bs with one more zero condition, which deletes the columns with
+    fewer than n - b0 parts (n - l2 - b0 parts of the first family in
+    sector l2).  So every block comes from one build and one elimination
+    per degree at the largest b0 (_nested_dimensions).  A single b is built
+    as its graded dimension, with its columns in build order.
     """
     if r not in (2, 3):
         raise ValueError("oracle supports r = 2 or r = 3")
-    b = validate_b(k, r, b)
+    bs = [validate_b(k, r, b) for b in bs]
+    if len({b[1:] for b in bs}) != 1:
+        raise ValueError(f"oracle blocks take one or more b that differ only in b0, got {bs}")
     validate_window(q_order, n)
+    top = max(bs)
+
+    def dims(spec, free):  # free: the variables of the family b0 bounds
+        if len(bs) == 1:
+            return [graded_dimension(spec)]
+        return _nested_dimensions(spec, [free - b[0] for b in bs])
+
     if r == 2:
-        return graded_dimension(vanishing_spec_r2(n, k, *b, q_order))
-    sector_dims = [
-        graded_dimension(vanishing_spec_r3_pair(n - l2, l2, k, *b, (q_order - l2) // 2))
+        return dims(vanishing_spec_r2(n, k, *top, q_order), n)
+    sectors = [
+        dims(vanishing_spec_r3_pair(n - l2, l2, k, *top, (q_order - l2) // 2), n - l2)
         for l2 in range(min(n, q_order) + 1)
     ]
-    return regrade_pair_sectors(sector_dims, q_order)
+    return [regrade_pair_sectors(sector_dims, q_order) for sector_dims in zip(*sectors)]
 
 
 def pair_sector_dims(n: int, k: int, b0: int, b1: int, degree_cap: int) -> list[list[int]]:
@@ -589,7 +711,7 @@ def weight_degree(lam, variant: str, k: int, b0: int, mu=None) -> int:
     """
     if variant not in ("G2", "G3", "G_pair"):
         raise ValueError(f"unknown weight variant: {variant}")
-    validate_b(k, 2, (b0,))
+    (b0,) = validate_b(k, 2, (b0,))
     families = [lam]
     if variant == "G_pair":
         if mu is None:

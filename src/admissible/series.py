@@ -103,7 +103,7 @@ class TruncatedSeries:
 
     def coefficient(self, dq: int, dz: int = 0) -> int:
         """Coefficient of q^dq z^dz.  Raises outside the truncation window."""
-        if not (isinstance(dq, int) and isinstance(dz, int)):
+        if not (_is_int(dq) and _is_int(dz)):
             raise ValueError(f"exponents must be integers, got {dq} and {dz}")
         if not (0 <= dq <= self.q_order and 0 <= dz <= self.z_order):
             raise ValueError(
@@ -116,7 +116,7 @@ class TruncatedSeries:
     def z_block(self, n: int) -> "TruncatedSeries":
         """The q-series multiplying z^n, as a series with z_order 0.  Raises
         outside the truncation window."""
-        if not isinstance(n, int):
+        if not _is_int(n):
             raise ValueError(f"the z exponent must be an integer, got {n}")
         if not 0 <= n <= self.z_order:
             raise ValueError(f"z^{n} is outside z_order={self.z_order}")

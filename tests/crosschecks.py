@@ -56,6 +56,8 @@ ROWS = [
     ("refuse-oracle-q21", "refuse",
      "char --method oracle --k 3 --r 3 --b 1,3 --qmax 21 --zmax 9", 20),
     ("refuse-verify-k-1e5", "refuse", "verify r2 --kmax 100000 --qmax 1 --zmax 1", 20),
+    ("refuse-verify-oracle-k-1e5", "refuse",
+     "verify oracle-r2 --kmax 100000 --nmax 0 --cap 1", 20),
     ("refuse-signed-k-1e12", "refuse",
      "dims --r 3 --variant signed --k 1000000000000 --b0 0 --n 1000000000001 --cap 2", 20),
     ("refuse-pairs-1e12", "refuse", "pairs --family r2 --k 1 --order 1000000000000", 20),
@@ -110,6 +112,7 @@ ROWS = [
     ("q700-68-bits", "python", "q700_68_bits", 10),
     ("dims-z7", "python", "dims_z7_against_direct", 10),
     ("signed-blocks", "python", "signed_blocks", 20),
+    ("oracle-blocks-caps", "python", "oracle_blocks_at_the_caps", 20),
     ("code-images", "python", "code_images", 60),
 ]
 
@@ -160,6 +163,23 @@ def signed_blocks():
             blocks += 1
             nonzero += any(dims)
     assert (blocks, nonzero) == (36, 26), (blocks, nonzero)
+
+
+def oracle_blocks_at_the_caps():
+    """Every b0 of one oracle_blocks call against each b0 alone, at the
+    largest sizes the caps allow: r2 with k <= 4, n <= 8 through q^16, and
+    r3 with k <= 3, n <= 6 through q^17, pair spaces to degree 8."""
+    from admissible.polyspaces import oracle_block, oracle_blocks
+
+    blocks = 0
+    for r, kmax, nmax, q_order in ((2, 4, 8, 16), (3, 3, 6, 17)):
+        for k in range(1, kmax + 1):
+            bs = [(b0,) if r == 2 else (b0, k) for b0 in range(k + 1)]
+            for n in range(nmax + 1):
+                want = [oracle_block(k, r, b, q_order, n) for b in bs]
+                assert oracle_blocks(k, r, bs, q_order, n) == want, (r, k, n)
+                blocks += len(bs)
+    assert blocks == 189, blocks
 
 
 def code_images():

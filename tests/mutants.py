@@ -35,6 +35,11 @@ ROW_CHECK = (
     "sys.exit(2 if row is None else crosschecks.check(row) is not None)"
 )
 
+ORACLE_BLOCKS = (
+    "tests/test_polyspaces.py::TestOracleBlocks::test_every_b0_at_once_equals_each_b0_alone"
+)
+BOOLS = "tests/test_configurations.py::test_entry_points_refuse_a_bool"
+
 MUTANTS = [
     # refusal bounds, each off by one
     (PKG + "configurations.py", "if cells > MAX_CELLS:", "if cells >= MAX_CELLS:",
@@ -149,14 +154,14 @@ MUTANTS = [
      "        if False:\n", ["tests/test_configurations.py"]),
     (PKG + "vertexops.py", "    if not isinstance(trunc, int):\n", "    if False:\n",
      ["tests/test_configurations.py"]),
-    (PKG + "polyspaces.py", "        if not isinstance(self.degree_cap, int):\n",
+    (PKG + "polyspaces.py", "        if not _is_int(self.degree_cap):\n",
      "        if False:\n", ["tests/test_configurations.py"]),
     (PKG + "fermionic.py", "if _is_int(z_max) and z_max > 0 else 0",
      "if z_max > 0 else 0", ["tests/test_configurations.py"]),
     # the variable-count checks without their int checks: a count that is
     # not an int built into a spec, or let through to fail inside the route
     (PKG + "polyspaces.py",
-     "        if not all(isinstance(n, int) for n in self.family_sizes):\n",
+     "        if not all(_is_int(n) for n in self.family_sizes):\n",
      "        if False:\n", ["tests/test_configurations.py"]),
     (PKG + "polyspaces.py", "    if not (isinstance(l1, int) and isinstance(l2, int)):\n",
      "    if False:\n", ["tests/test_configurations.py"]),
@@ -167,9 +172,9 @@ MUTANTS = [
     # the other integer inputs without their int checks: a series exponent,
     # a Gordon data entry, a pattern count or r that is not an int read
     # silently, or let through to fail inside the arithmetic
-    (PKG + "series.py", "        if not (isinstance(dq, int) and isinstance(dz, int)):\n",
+    (PKG + "series.py", "        if not (_is_int(dq) and _is_int(dz)):\n",
      "        if False:\n", ["tests/test_configurations.py"]),
-    (PKG + "series.py", "        if not isinstance(n, int):\n", "        if False:\n",
+    (PKG + "series.py", "        if not _is_int(n):\n", "        if False:\n",
      ["tests/test_configurations.py"]),
     (PKG + "fermionic.py",
      "        if not all(isinstance(x, int) for row in self.matrix for x in row):\n",
@@ -180,7 +185,7 @@ MUTANTS = [
      "            if not all(isinstance(x, int) for x in getattr(self, name)):\n",
      "            if False:\n", ["tests/test_configurations.py"]),
     (PKG + "polyspaces.py",
-     "                if not (isinstance(p, int) and isinstance(m, int) and isinstance(z, int)):\n",
+     "                if not (_is_int(p) and _is_int(m) and _is_int(z)):\n",
      "                if False:\n", ["tests/test_configurations.py"]),
     (PKG + "configurations.py", "    if not isinstance(r, int):\n", "    if False:\n",
      ["tests/test_configurations.py"]),
@@ -222,6 +227,32 @@ MUTANTS = [
     (PKG + "fermionic.py", "_TRANSFER_FROM = 4", "_TRANSFER_FROM = 2",
      ["tests/test_fermionic.py::TestPrunedWalkAgainstBruteForce::"
       "test_each_visited_vector_is_priced_once[window0-16]"]),
+    # every oracle block of a (k, n) read off one elimination at the largest
+    # b0: the pivot at a suffix's first column left out of its count, the
+    # columns of one family or of two left in build order under their
+    # sorted part counts, and the build made at the smallest b0, whose
+    # space holds no larger one's
+    (PKG + "polyspaces.py", "sum(c >= start for c in pivots)", "sum(c > start for c in pivots)",
+     [ORACLE_BLOCKS]),
+    (PKG + "polyspaces.py", "groups = [sorted(kept, key=len) for kept in groups]",
+     "groups = [list(kept) for kept in groups]", [ORACLE_BLOCKS]),
+    (PKG + "polyspaces.py", "for parts, i, j in sorted(by_degree):",
+     "for parts, i, j in by_degree:", [ORACLE_BLOCKS]),
+    (PKG + "polyspaces.py", "    top = max(bs)\n", "    top = min(bs)\n", [ORACLE_BLOCKS]),
+    # a bool let through as a variable count, a degree cap, a pattern
+    # count, a coefficient exponent and a z exponent
+    (PKG + "polyspaces.py", "all(_is_int(n) for n in self.family_sizes)",
+     "all(isinstance(n, int) for n in self.family_sizes)",
+     [BOOLS + "[VanishingSpec_count]"]),
+    (PKG + "polyspaces.py", "_is_int(self.degree_cap)", "isinstance(self.degree_cap, int)",
+     [BOOLS + "[graded_dimension]"]),
+    (PKG + "polyspaces.py", "(_is_int(p) and _is_int(m) and _is_int(z))",
+     "(isinstance(p, int) and isinstance(m, int) and isinstance(z, int))",
+     [BOOLS + "[VanishingSpec_pattern]"]),
+    (PKG + "series.py", "(_is_int(dq) and _is_int(dz))",
+     "(isinstance(dq, int) and isinstance(dz, int))", [BOOLS + "[coefficient]"]),
+    (PKG + "series.py", "        if not _is_int(n):\n", "        if not isinstance(n, int):\n",
+     [BOOLS + "[z_block]"]),
 ]
 # A test run that takes longer than this is reported, not waited for.
 TIMEOUT_S = 600

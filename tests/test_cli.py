@@ -875,12 +875,60 @@ class TestVerify:
         def broken(*args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "oracle_block", broken)
+        monkeypatch.setattr(cli, "oracle_blocks", broken)
         code, out, _ = run_cli(capsys, "verify", "conjecture-10.2", "--nmax", "1")
         assert code == 0
         reports = json.loads(out)["reports"]
         assert [r["status"] for r in reports] == ["error", "error"]
         assert all(r["experimental"] for r in reports)
+
+    def test_oracle_suite_ranks_only_the_largest_b0(self, capsys, monkeypatch):
+        # one oracle_blocks call per (k, n), built at b0 = k: as many ranks,
+        # of the same sizes, as building the b0 = k blocks alone
+        import admissible.polyspaces as polyspaces
+
+        real, calls = polyspaces._pivot_columns, []
+
+        def counting(rows, ncols):
+            calls.append(ncols)
+            return real(rows, ncols)
+
+        monkeypatch.setattr(polyspaces, "_pivot_columns", counting)
+        for k in range(1, 4):
+            for n in range(6):
+                oracle_block(k, 2, (k,), 12, n)
+        alone = sorted(calls)
+        calls.clear()
+        code, out, _ = run_cli(capsys, "verify", "oracle-r2", "--kmax", "3")
+        assert code == 0
+        assert len(json.loads(out)["reports"]) == 9 * 6
+        assert sorted(calls) == alone and len(alone) > 18
+
+    def test_raising_shared_oracle_call_fails_its_group_only(self, capsys, monkeypatch):
+        import admissible.cli as cli
+
+        real, tries = cli.oracle_blocks, []
+
+        def broken(k, r, bs, qmax, n):
+            if (k, n) == (2, 1):
+                tries.append(bs)
+                raise RuntimeError("boom")
+            return real(k, r, bs, qmax, n)
+
+        monkeypatch.setattr(cli, "oracle_blocks", broken)
+        code, out, err = run_cli(
+            capsys, "verify", "oracle-r2", "--kmax", "2", "--nmax", "2", "--cap", "6"
+        )
+        assert code == 1
+        reports = {r["case"]: r for r in json.loads(out)["reports"]}
+        assert len(reports) == 15
+        for b0 in range(3):
+            bad = reports.pop(f"oracle-r2 k=2 b0={b0} n=1")
+            assert (bad["status"], bad["detail"]) == ("error", "RuntimeError: boom")
+        assert all(r["status"] == "match" for r in reports.values())
+        # the raising call is not kept: each case of the group calls again
+        assert tries == [[(0,), (1,), (2,)]] * 3
+        assert err.count("detail: RuntimeError: boom") == 3
 
     def count_weight_builds(self, monkeypatch, raising_k=None, exc=RuntimeError):
         """Wrap both Gordon data builders of cli, counting the builds per
@@ -984,15 +1032,16 @@ class TestVerify:
     def test_block_mismatch_replays_the_oracle_block(self, capsys, monkeypatch):
         import admissible.cli as cli
 
-        real = cli.oracle_block
+        real = cli.oracle_blocks
 
-        def shifted(k, r, b, qmax, n):
-            row = real(k, r, b, qmax, n)
-            if (n, b[0]) == (2, 0):
-                row[5] += 1
-            return row
+        def shifted(k, r, bs, qmax, n):
+            rows = real(k, r, bs, qmax, n)
+            for b, row in zip(bs, rows):
+                if (n, b[0]) == (2, 0):
+                    row[5] += 1
+            return rows
 
-        monkeypatch.setattr(cli, "oracle_block", shifted)
+        monkeypatch.setattr(cli, "oracle_blocks", shifted)
         code, out, err = run_cli(
             capsys, "verify", "oracle-r3", "--kmax", "1", "--nmax", "2", "--cap", "4"
         )

@@ -27,6 +27,8 @@ from admissible.polyspaces import (
     regrade_pair_sectors,
     vanishing_spec_r2,
     vanishing_spec_r3_pair,
+    vanishing_spec_r3_signed,
+    weight_degree,
 )
 from admissible.series import TruncatedSeries
 from admissible.vertexops import (
@@ -484,6 +486,25 @@ _BOOLS = {
         lambda: TruncatedSeries([[1]], 3, True),
         "truncation orders must be integers, got 3 and True",
     ),
+    "graded_dimension": (
+        lambda: graded_dimension(VanishingSpec((2,), (), True)),
+        "degree_cap must be an integer, got True",
+    ),
+    "VanishingSpec_count": (
+        lambda: VanishingSpec((True,), (), 3), "variable counts must be integers, got (True,)"
+    ),
+    "VanishingSpec_pattern": (
+        lambda: VanishingSpec((2,), (((True, 0, 0),),), 3),
+        "pattern counts must be integers, got (True,0,0)",
+    ),
+    "coefficient": (
+        lambda: TruncatedSeries([[1, 2]], 3).coefficient(True),
+        "exponents must be integers, got True and 0",
+    ),
+    "z_block": (
+        lambda: TruncatedSeries([[1], [2]], 3, 2).z_block(True),
+        "the z exponent must be an integer, got True",
+    ),
 }
 
 
@@ -592,6 +613,33 @@ def test_negative_orders_keep_their_messages():
         _check_pair_terms(1, 2, -1)
     with pytest.raises(ValueError, match=r"^degree_cap must be non-negative$"):
         VanishingSpec((2,), (), -1)
+
+
+# Every route that takes b0 reads a whole float as the int validate_b
+# returns, and gives what the int gives.
+_WHOLE_B0 = {
+    "fermionic_r2_folded": (lambda b0: fermionic_r2(5, b0, 12, 6), 2),
+    "fermionic_r2_walked": (lambda b0: fermionic_r2(2, b0, 5, 2), 2),
+    "fermionic_r3": (lambda b0: fermionic_r3(3, b0, 5, 2), 1),
+    "boundary_c2": (lambda b0: boundary_c2(2, b0), 2),
+    "weight_degree": (lambda b0: weight_degree((1, 1), "G2", 2, b0), 1),
+    "vanishing_spec_r2": (lambda b0: _fields(vanishing_spec_r2(3, 2, b0, 4)), 1),
+    "vanishing_spec_r3_pair": (lambda b0: _fields(vanishing_spec_r3_pair(2, 1, 2, b0, 1, 4)), 1),
+    "vanishing_spec_r3_signed": (lambda b0: _fields(vanishing_spec_r3_signed(3, 2, b0, 4)), 0),
+}
+
+
+def _fields(spec):
+    return spec.family_sizes, spec.conditions, spec.degree_cap
+
+
+@pytest.mark.parametrize("name", _WHOLE_B0)
+def test_a_whole_float_b0_is_read_as_its_int(name):
+    route, b0 = _WHOLE_B0[name]
+    want = route(b0)
+    got = route(float(b0))
+    assert got == want
+    assert repr(got) == repr(want)  # no float left inside
 
 
 def test_whole_b_entries_are_read_as_ints():

@@ -26,10 +26,12 @@ from admissible.polyspaces import (
     _exact_rank,
     _image_codes,
     _pair_form,
+    _pivot_columns,
     _rows_by_degree,
     _signed_count,
     graded_dimension,
     oracle_block,
+    oracle_blocks,
     partitions_max_parts,
     regrade_pair_sectors,
     vanishing_spec_r2,
@@ -713,6 +715,103 @@ class TestFiltrationTelescoping:
         for n in range(5):
             total = fermionic_r2(k, b0, cap, n).z_block(n)
             assert total == oracle_series(k, 2, (b0,), cap, n), (k, b0, n)
+
+
+class TestOracleBlocks:
+    """oracle_blocks builds once at the largest b0 and reads every b0 off
+    one elimination; oracle_block, one b at a time, is its reference."""
+
+    # r2 with k <= 4, n <= 7 through q^12; r3 with k <= 3, n <= 5 through
+    # q^17, pair spaces to degree 8: 166 blocks
+    SWEEP = [(2, k, n, 12) for k in range(1, 5) for n in range(8)] + [
+        (3, k, n, 17) for k in range(1, 4) for n in range(6)
+    ]
+
+    def test_every_b0_at_once_equals_each_b0_alone(self):
+        blocks = 0
+        for r, k, n, q_order in self.SWEEP:
+            bs = [(b0,) if r == 2 else (b0, k) for b0 in range(k + 1)]
+            want = [oracle_block(k, r, b, q_order, n) for b in bs]
+            assert oracle_blocks(k, r, bs, q_order, n) == want, (r, k, n)
+            blocks += len(bs)
+        assert blocks == 166
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_b0_list_equals_each_b0_alone(self, data):
+        r = data.draw(st.sampled_from([2, 3]))
+        k = data.draw(st.integers(1, 4 if r == 2 else 3))
+        n = data.draw(st.integers(0, 7 if r == 2 else 5))
+        q_order = data.draw(st.integers(0, 12 if r == 2 else 17))
+        b0s = data.draw(st.lists(st.integers(0, k), min_size=1, max_size=k + 2))
+        bs = [(b0,) if r == 2 else (b0, k) for b0 in b0s]
+        want = [oracle_block(k, r, b, q_order, n) for b in bs]
+        assert oracle_blocks(k, r, bs, q_order, n) == want
+
+    def test_conjectural_b1_below_k_nests_too(self):
+        # b1 < k adds combined zero conditions on both families; the b0
+        # condition still only raises the first family's part count
+        for n in range(5):
+            bs = [(b0, 2) for b0 in range(3)]
+            want = [oracle_block(3, 3, b, 13, n) for b in bs]
+            assert oracle_blocks(3, 3, bs, 13, n) == want, n
+
+    def test_one_b_keeps_the_build_order(self, monkeypatch):
+        def no_sort(*args):
+            raise AssertionError("one b sorted its columns")
+
+        monkeypatch.setattr(polyspaces, "_by_parts", no_sort)
+        for r, b, q_order in [(2, (1,), 10), (3, (1, 2), 11)]:
+            (block,) = oracle_blocks(2, r, [b], q_order, 4)
+            assert TruncatedSeries([block], q_order) == (
+                character_direct(2, r, b, q_order, 4).z_block(4)
+            ), r
+
+    @pytest.mark.parametrize(
+        "k, r, bs, q_order, n",
+        [
+            (2, 4, [(0, 1, 2)], 5, 2),  # r
+            (2, 2, [(1,), (3,)], 5, 2),  # a b0 past k
+            (2, 2, [(1,), (0.5,)], 5, 2),  # a b0 that is no whole number
+            (2, 2, [(1,), (2,)], 5, -1),  # the window
+            (2, 2, [(0,), (2,)], 5, 9),  # nine variables
+            (2, 2, [(0,), (2,)], 17, 3),  # the degree cap
+            (2, 3, [(0, 2), (1, 2)], 35, 3),  # the pair spaces' degree cap
+            (2, 3, [(0, 2), (1, 2)], 5, 9),
+        ],
+        ids=["r", "b0-past-k", "b0-not-whole", "window", "vars", "cap", "pair-cap", "pair-vars"],
+    )
+    def test_refuses_as_each_b_alone(self, k, r, bs, q_order, n):
+        # the first b that oracle_block refuses gives oracle_blocks' refusal
+        for b in bs:
+            try:
+                oracle_block(k, r, b, q_order, n)
+            except (ValueError, CapacityError) as exc:
+                want = exc
+                break
+        with pytest.raises(type(want)) as got:
+            oracle_blocks(k, r, bs, q_order, n)
+        assert str(got.value) == str(want)
+
+    @pytest.mark.parametrize("bs", [[], [(0, 1), (0, 2)]], ids=["none", "two-b1"])
+    def test_refuses_b_that_differ_past_b0(self, bs):
+        with pytest.raises(ValueError) as got:
+            oracle_blocks(2, 3, bs, 5, 2)
+        assert str(got.value) == (
+            f"oracle blocks take one or more b that differ only in b0, got {bs}"
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_integer_matrices())
+    def test_pivots_from_each_column_on_count_the_projection(self, rows):
+        # the nesting argument: projected onto the columns from s on, the
+        # row space has as many dimensions as there are pivots from s on
+        sparse, ncols = _sparse(rows)
+        pivots = _pivot_columns(sparse, ncols)
+        assert len(pivots) == _bareiss_rank(rows)
+        for s in range(ncols + 1):
+            projected = [row[s:] for row in rows]
+            assert sum(c >= s for c in pivots) == _bareiss_rank(projected), s
 
 
 class TestGordonWeights:
