@@ -56,6 +56,7 @@ from .fermionic import (
 )
 from .polyspaces import (
     graded_dimension,
+    oracle_block,
     oracle_blocks,
     pair_sector_dims,
     regrade_pair_sectors,
@@ -106,7 +107,7 @@ def _compute_char(method, k, r, b, qmax, zmax) -> TruncatedSeries:
         return fermionic_r3_special(k, qmax, zmax)
     if method == "oracle":
         # Largest block (most variables, same degree cap) first: a refusal precedes all work.
-        rows = [oracle_blocks(k, r, [b], qmax, n)[0] for n in range(zmax, -1, -1)][::-1]
+        rows = [oracle_block(k, r, b, qmax, n) for n in range(zmax, -1, -1)][::-1]
         return TruncatedSeries(rows, qmax, zmax)
     raise ValueError(f"unknown method: {method}")
 
@@ -300,15 +301,20 @@ def _replay_lines(case: dict, witness: dict) -> list[str]:
     ]
 
 
-def _series(case_id, methods, window, params, n=None) -> dict:
+def _case(case_id, methods, sides, window, params, n=None) -> dict:
     return {
         "id": case_id,
         "params": params,
         "methods": methods,
-        "sides": [lambda m=method: _char_side(m, window, n) for method in methods],
+        "sides": sides,
         "window": window,
         "n": n,
     }
+
+
+def _series(case_id, methods, window, params, n=None) -> dict:
+    sides = [lambda m=method: _char_side(m, window, n) for method in methods]
+    return _case(case_id, methods, sides, window, params, n)
 
 
 def _k_b0(args):
@@ -365,11 +371,11 @@ def _oracle_cases(suite, args):
                 if suite == "conjecture-10.2":
                     params["experimental"] = True
                 window = (k, r, b, qmax, n)
-                case = _series(f"{label} n={n}", ("oracle", "direct"), window, params, n)
-                case["sides"][0] = lambda key=(k, r, n), bs=bs, i=i: _oracle_side(
-                    made, key, bs, qmax, i
-                )
-                yield case
+                sides = [
+                    lambda key=(k, r, n), bs=bs, i=i: _oracle_side(made, key, bs, qmax, i),
+                    lambda window=window, n=n: _char_side("direct", window, n),
+                ]
+                yield _case(f"{label} n={n}", ("oracle", "direct"), sides, window, params, n)
 
 
 def _oracle_side(made: dict, key, bs, qmax, i) -> TruncatedSeries:

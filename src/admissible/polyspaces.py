@@ -374,12 +374,14 @@ def _rows_by_degree(blocks, sizes, cond, cap) -> list[list[dict[int, int]]]:
     """For each degree 0..cap, one sparse row {column: value} per surviving
     monomial of the images of the blocks (_column_blocks) under cond.
 
-    Each row holds no zeros and its columns ascend.  In degree d the t
-    exponent of a term is d less the sizes of its free partitions, so a row
-    is keyed by the two codes, packed as code1 << shift | code2: a free
-    partition of the second family has values at most cap, so
-    code2 < 2^shift.  Distinct pairs of terms give distinct keys, and their
-    products are nonzero.
+    Each row holds no zeros.  Its columns ascend in the order of the blocks
+    that _column_blocks builds; after _by_parts they need not, so a row's
+    largest column is found with max.  In degree d the t exponent of a
+    term is d less the sizes of its free partitions, so a row is keyed by
+    the two codes, packed as code1 << shift | code2: a free partition of
+    the second family has values at most cap, so code2 < 2^shift.
+    Distinct pairs of terms give distinct keys, and their products are
+    nonzero.
     """
     firsts, spans, groups = blocks
     (n1, n2), (pattern1, pattern2) = sizes, cond
@@ -468,15 +470,12 @@ def _exact_rank(rows: list[dict[int, int]], ncols: int) -> int:
     return len(_pivot_columns(rows, ncols))
 
 
-def _constraints(spec: VanishingSpec, by_parts: bool):
-    """(ncols, rows, tallies) of the spec: the number of kept columns and
-    the rows of every substituted condition in each degree 0..degree_cap
-    (see graded_dimension).  With by_parts the columns of each degree are
-    ordered by the part count of the spec's first family, and tallies[d]
-    counts the columns of each part count (_by_parts); without it the
-    columns keep their build order and tallies is None.  Refuses
-    (CapacityError) past MAX_VARS or MAX_DEGREE_CAP before it builds
-    anything."""
+def _columns(spec: VanishingSpec):
+    """(sizes, substituted, blocks, ncols) of the spec: the family sizes of
+    its pair form (_pair_form), the conditions whose rows are built, and
+    the kept columns of each degree 0..degree_cap in build order
+    (_column_blocks); see graded_dimension.  Refuses (CapacityError) past
+    MAX_VARS or MAX_DEGREE_CAP before it builds anything."""
     _check_vars(sum(spec.family_sizes))
     cap = spec.degree_cap
     if cap > MAX_DEGREE_CAP:
@@ -490,13 +489,14 @@ def _constraints(spec: VanishingSpec, by_parts: bool):
         if any(p or m for p, m, _ in cond) and cond not in seen:
             substituted.append(cond)
             seen.update((cond, tuple((m, p, z) for p, m, z in cond)))
-    blocks, ncols = _column_blocks(sizes, deleted, cap)
-    tallies = None
-    if by_parts:
-        blocks, tallies = _by_parts(blocks, ncols, len(spec.family_sizes) == 1)
+    return (sizes, substituted, *_column_blocks(sizes, deleted, cap))
+
+
+def _degree_rows(blocks, sizes, substituted, cap) -> list[list[dict[int, int]]]:
+    """For each degree 0..cap, the rows of every substituted condition over
+    the columns of blocks (_rows_by_degree)."""
     rows = [_rows_by_degree(blocks, sizes, cond, cap) for cond in substituted]
-    by_degree = [[row for cond_rows in rows for row in cond_rows[d]] for d in range(cap + 1)]
-    return ncols, by_degree, tallies
+    return [[row for cond_rows in rows for row in cond_rows[d]] for d in range(cap + 1)]
 
 
 def graded_dimension(spec: VanishingSpec) -> list[int]:
@@ -520,11 +520,15 @@ def graded_dimension(spec: VanishingSpec) -> list[int]:
     A one-family spec is built as a pair (_pair_form).  The kept columns of
     every degree come as blocks (_column_blocks), and each condition builds
     the rows of every degree in one pass (_rows_by_degree); a degree that
-    keeps no column has dimension 0 and takes no rank.
+    keeps no column has dimension 0 and takes no rank.  The columns keep
+    their build order: the part-count order of _nested_dimensions gives
+    the same ranks but made the ten dims cases of the oracle-rank
+    benchmark about 12% slower in process.
     Refuses (CapacityError) rather than degrade when the problem exceeds
     MAX_VARS or MAX_DEGREE_CAP.
     """
-    ncols, rows, _ = _constraints(spec, False)
+    sizes, substituted, blocks, ncols = _columns(spec)
+    rows = _degree_rows(blocks, sizes, substituted, spec.degree_cap)
     return [ncols[d] - _exact_rank(rows[d], ncols[d]) if ncols[d] else 0
             for d in range(spec.degree_cap + 1)]
 
@@ -541,7 +545,9 @@ def _nested_dimensions(spec: VanishingSpec, floors) -> list[list[int]]:
     piece is |S| less that count.  A floor the spec's own conditions
     already meet keeps every column.
     """
-    ncols, rows, tallies = _constraints(spec, True)
+    sizes, substituted, blocks, ncols = _columns(spec)
+    blocks, tallies = _by_parts(blocks, ncols, len(spec.family_sizes) == 1)
+    rows = _degree_rows(blocks, sizes, substituted, spec.degree_cap)
     dims = [[0] * len(ncols) for _ in floors]
     for d, size in enumerate(ncols):
         if size:
@@ -640,8 +646,7 @@ def oracle_blocks(k: int, r: int, bs, q_order: int, n: int) -> list[list[int]]:
     of bs with one more zero condition, which deletes the columns with
     fewer than n - b0 parts (n - l2 - b0 parts of the first family in
     sector l2).  So every block comes from one build and one elimination
-    per degree at the largest b0 (_nested_dimensions).  A single b is built
-    as its graded dimension, with its columns in build order.
+    per degree at the largest b0 (_nested_dimensions), a single b too.
     """
     if r not in (2, 3):
         raise ValueError("oracle supports r = 2 or r = 3")
@@ -650,16 +655,13 @@ def oracle_blocks(k: int, r: int, bs, q_order: int, n: int) -> list[list[int]]:
         raise ValueError(f"oracle blocks take one or more b that differ only in b0, got {bs}")
     validate_window(q_order, n)
     top = max(bs)
-
-    def dims(spec, free):  # free: the variables of the family b0 bounds
-        if len(bs) == 1:
-            return [graded_dimension(spec)]
-        return _nested_dimensions(spec, [free - b[0] for b in bs])
-
     if r == 2:
-        return dims(vanishing_spec_r2(n, k, *top, q_order), n)
+        return _nested_dimensions(vanishing_spec_r2(n, k, *top, q_order), [n - b[0] for b in bs])
     sectors = [
-        dims(vanishing_spec_r3_pair(n - l2, l2, k, *top, (q_order - l2) // 2), n - l2)
+        _nested_dimensions(
+            vanishing_spec_r3_pair(n - l2, l2, k, *top, (q_order - l2) // 2),
+            [n - l2 - b[0] for b in bs],
+        )
         for l2 in range(min(n, q_order) + 1)
     ]
     return [regrade_pair_sectors(sector_dims, q_order) for sector_dims in zip(*sectors)]

@@ -9,7 +9,9 @@ total, the slow side of the fermionic walk and of
 configuration is ().  ``_basis`` and ``_condition_rows`` build the oracle's
 matrices column by column over the full basis, and ``_kept_basis`` drops the
 columns the t^0 terms of the conditions delete: the slow side of the block
-builder in ``graded_dimension``.  ``_substitute_monomial`` expands a monomial under a
+builder in ``graded_dimension``.  ``oracle_block_alone`` builds one oracle
+block at its own b, in build order, the slow side of the nesting in
+``oracle_blocks``.  ``_substitute_monomial`` expands a monomial under a
 pattern into a map (t exponent, free partition tuple) -> coefficient, the
 slow side of the integer-coded walk ``polyspaces._image_codes``; and
 ``_substitute_by_splits`` expands it under a signed pattern one (t, -t)
@@ -34,7 +36,15 @@ from itertools import groupby
 from math import comb, factorial
 
 from admissible.configurations import validate_b, validate_window
-from admissible.polyspaces import VanishingSpec, _signed_count, partitions_max_parts
+from admissible.polyspaces import (
+    VanishingSpec,
+    _signed_count,
+    graded_dimension,
+    partitions_max_parts,
+    regrade_pair_sectors,
+    vanishing_spec_r2,
+    vanishing_spec_r3_pair,
+)
 from admissible.vertexops import _closed_form_coefficients
 
 
@@ -229,6 +239,19 @@ def _condition_rows(spec: VanishingSpec, cond, basis) -> list[dict[int, int]]:
                     row = rows_by_key[sigma1, sigma2] = {}
                 row[ci] = c1 * c2
     return list(rows_by_key.values())
+
+
+def oracle_block_alone(k: int, r: int, b, q_order: int, n: int) -> list[int]:
+    """The z^n block of the rank-r oracle character at b, each space built
+    at b itself and ranked with its columns in build order
+    (graded_dimension): no column is cut by a b0 of another space."""
+    if r == 2:
+        return graded_dimension(vanishing_spec_r2(n, k, *b, q_order))
+    sectors = [
+        graded_dimension(vanishing_spec_r3_pair(n - l2, l2, k, *b, (q_order - l2) // 2))
+        for l2 in range(min(n, q_order) + 1)
+    ]
+    return regrade_pair_sectors(sectors, q_order)
 
 
 def _substitute_by_splits(rho, n, pattern):

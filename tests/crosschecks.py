@@ -166,18 +166,21 @@ def signed_blocks():
 
 
 def oracle_blocks_at_the_caps():
-    """Every b0 of one oracle_blocks call against each b0 alone, at the
-    largest sizes the caps allow: r2 with k <= 4, n <= 8 through q^16, and
-    r3 with k <= 3, n <= 6 through q^17, pair spaces to degree 8."""
+    """Every b0 of one oracle_blocks call against each b0 alone, built at
+    its own b0 (brute_force) and through oracle_block, at the largest sizes
+    the caps allow: r2 with k <= 4, n <= 8 through q^16, and r3 with
+    k <= 3, n <= 6 through q^17, pair spaces to degree 8."""
     from admissible.polyspaces import oracle_block, oracle_blocks
+    from brute_force import oracle_block_alone
 
     blocks = 0
     for r, kmax, nmax, q_order in ((2, 4, 8, 16), (3, 3, 6, 17)):
         for k in range(1, kmax + 1):
             bs = [(b0,) if r == 2 else (b0, k) for b0 in range(k + 1)]
             for n in range(nmax + 1):
-                want = [oracle_block(k, r, b, q_order, n) for b in bs]
+                want = [oracle_block_alone(k, r, b, q_order, n) for b in bs]
                 assert oracle_blocks(k, r, bs, q_order, n) == want, (r, k, n)
+                assert [oracle_block(k, r, b, q_order, n) for b in bs] == want, (r, k, n)
                 blocks += len(bs)
     assert blocks == 189, blocks
 

@@ -49,7 +49,6 @@ ALLOWED = {
     "series._unserializable": "an error path: dumps given an object JSON cannot hold",
     "cli._replay_lines": "runs only on a verify mismatch",
     "fermionic.gordon_data_r3": "public r3 Gordon data; the sums read the window-sized _data_r3",
-    "polyspaces.oracle_block": "the one-b library form of oracle_blocks, which the CLI calls",
     "configurations._Record.__setattr__": _RECORD,
     "configurations._Record.__delattr__": _RECORD,
     "configurations._Record.__repr__": _RECORD,

@@ -1041,7 +1041,12 @@ class TestVerify:
                     row[5] += 1
             return rows
 
+        def shifted_one(k, r, b, qmax, n):
+            return shifted(k, r, [b], qmax, n)[0]
+
+        # the verify cases read oracle_blocks, the replayed char oracle_block
         monkeypatch.setattr(cli, "oracle_blocks", shifted)
+        monkeypatch.setattr(cli, "oracle_block", shifted_one)
         code, out, err = run_cli(
             capsys, "verify", "oracle-r3", "--kmax", "1", "--nmax", "2", "--cap", "4"
         )

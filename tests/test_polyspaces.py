@@ -45,6 +45,7 @@ from brute_force import (
     _condition_rows,
     _substitute_by_splits,
     _substitute_monomial,
+    oracle_block_alone,
     partitions_by_recursion,
     weight_degree_by_pairs,
 )
@@ -719,7 +720,8 @@ class TestFiltrationTelescoping:
 
 class TestOracleBlocks:
     """oracle_blocks builds once at the largest b0 and reads every b0 off
-    one elimination; oracle_block, one b at a time, is its reference."""
+    one elimination; each block built at its own b0, in build order
+    (brute_force.oracle_block_alone), is its reference."""
 
     # r2 with k <= 4, n <= 7 through q^12; r3 with k <= 3, n <= 5 through
     # q^17, pair spaces to degree 8: 166 blocks
@@ -731,8 +733,9 @@ class TestOracleBlocks:
         blocks = 0
         for r, k, n, q_order in self.SWEEP:
             bs = [(b0,) if r == 2 else (b0, k) for b0 in range(k + 1)]
-            want = [oracle_block(k, r, b, q_order, n) for b in bs]
+            want = [oracle_block_alone(k, r, b, q_order, n) for b in bs]
             assert oracle_blocks(k, r, bs, q_order, n) == want, (r, k, n)
+            assert [oracle_block(k, r, b, q_order, n) for b in bs] == want, (r, k, n)
             blocks += len(bs)
         assert blocks == 166
 
@@ -745,7 +748,7 @@ class TestOracleBlocks:
         q_order = data.draw(st.integers(0, 12 if r == 2 else 17))
         b0s = data.draw(st.lists(st.integers(0, k), min_size=1, max_size=k + 2))
         bs = [(b0,) if r == 2 else (b0, k) for b0 in b0s]
-        want = [oracle_block(k, r, b, q_order, n) for b in bs]
+        want = [oracle_block_alone(k, r, b, q_order, n) for b in bs]
         assert oracle_blocks(k, r, bs, q_order, n) == want
 
     def test_conjectural_b1_below_k_nests_too(self):
@@ -753,19 +756,8 @@ class TestOracleBlocks:
         # condition still only raises the first family's part count
         for n in range(5):
             bs = [(b0, 2) for b0 in range(3)]
-            want = [oracle_block(3, 3, b, 13, n) for b in bs]
+            want = [oracle_block_alone(3, 3, b, 13, n) for b in bs]
             assert oracle_blocks(3, 3, bs, 13, n) == want, n
-
-    def test_one_b_keeps_the_build_order(self, monkeypatch):
-        def no_sort(*args):
-            raise AssertionError("one b sorted its columns")
-
-        monkeypatch.setattr(polyspaces, "_by_parts", no_sort)
-        for r, b, q_order in [(2, (1,), 10), (3, (1, 2), 11)]:
-            (block,) = oracle_blocks(2, r, [b], q_order, 4)
-            assert TruncatedSeries([block], q_order) == (
-                character_direct(2, r, b, q_order, 4).z_block(4)
-            ), r
 
     @pytest.mark.parametrize(
         "k, r, bs, q_order, n",
