@@ -24,7 +24,8 @@ before it allocates more than ``MAX_CELLS`` q-coefficients.
 
 from __future__ import annotations
 
-from .series import TruncatedSeries, _add_shifted, _divide, _is_int, _packed, _unpack
+from . import series
+from .series import TruncatedSeries, _add_shifted, _divide, _is_int, _unpack, _width
 
 # The most q-coefficients the direct recursion or a fermionic sum may
 # allocate; both count them before allocating any.
@@ -103,7 +104,7 @@ def validate_b(k: int, r: int, b) -> tuple[int, ...]:
     numbers, length r-1, monotone, within [0, k]; return b as a tuple of
     ints.  The one validator of every k, r, b input."""
     validate_k(k)
-    if not isinstance(r, int):
+    if not _is_int(r):
         raise ValueError(f"r must be an integer, got {r}")
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
@@ -150,10 +151,10 @@ def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeri
     kernel.  Block coefficients count configurations, so they are >= 0, as
     the kernel requires, and the coefficient of q^d z^n is at most the
     number of partitions of d into at most n parts: the packed width
-    chosen from the window (``series._width``) holds every block, and the
-    build runs once.  More than MAX_CELLS q-coefficients, counted first
-    for the requested blocks and then over the plan, raise CapacityError
-    before any block is allocated.
+    chosen from the window (``series._width``) holds every block.  More
+    than MAX_CELLS q-coefficients, counted first for the requested blocks
+    and then over the plan, raise CapacityError before any block is
+    allocated.
     """
     b = validate_b(k, r, b)
     validate_window(q_max, z_max)
@@ -162,7 +163,8 @@ def character_direct(k: int, r: int, b, q_max: int, z_max: int) -> TruncatedSeri
         (top + 1) * (q_max + 1), "the direct character's z-blocks need {} q-coefficients"
     )
     plan = _block_plan(k, b, top, q_max)
-    return TruncatedSeries(_packed(_build_blocks, q_max, z_max, b, top, plan), q_max, z_max)
+    packing = series._Packing(_width(q_max, z_max), q_max + 1)
+    return TruncatedSeries(_build_blocks(b, top, plan, packing), q_max, z_max)
 
 
 def _build_blocks(b, top, plan, packing) -> list[list[int]]:

@@ -33,8 +33,10 @@ partition, and again only when a vector at a smaller shift needs it
 longer.  No per-vector product is formed.  The rows and the inverses are
 packed q-lists of the one series kernel (``series._Packing``), all >= 0,
 so each term is one shifted add and each division one short run of
-shifted adds, in C, at the one width ``series._width`` picks from the
-window.
+shifted adds, in C, at one width proven before the walk starts: the one
+``series._width`` picks from the window for the data of a character
+(``_CharacterData``), and a wider one that holds every sum over any
+GordonData (``_sum_bits``) for data a caller builds.
 
 The sums are sized by the window, not by the level: coordinate a of a block
 has z-weight a, so one past z_max is never raised, and fermionic_r2,
@@ -51,13 +53,15 @@ smaller r2 windows, and the slow path the fold is tested against.
 
 from __future__ import annotations
 
+from math import comb
 from operator import add, sub
 
+from . import series
 from .configurations import _Record, _check_cells
 from .configurations import validate_b, validate_k, validate_window
 from .polyspaces import partitions_max_parts
-from .series import TruncatedSeries, _Overflow, _add_shifted, _divide, _is_int
-from .series import _packed, _unpack
+from .series import TruncatedSeries, _Overflow, _add_shifted, _divide, _fit, _is_int
+from .series import _partition_bits, _unpack, _width
 
 
 def _check_matrix(k: int, n: int) -> None:
@@ -145,12 +149,12 @@ class GordonData(_Record):
 
     def _validate(self):
         n = len(self.matrix)
-        if not all(isinstance(x, int) for row in self.matrix for x in row):
+        if not all(_is_int(x) for row in self.matrix for x in row):
             raise ValueError(f"matrix entries must be integers, got {self.matrix}")
-        if not isinstance(self.q_step, int):
+        if not _is_int(self.q_step):
             raise ValueError(f"q_step must be an integer, got {self.q_step}")
         for name in ("boundary", "z_weights", "extra_q_weights"):
-            if not all(isinstance(x, int) for x in getattr(self, name)):
+            if not all(_is_int(x) for x in getattr(self, name)):
                 raise ValueError(f"{name} entries must be integers, got {getattr(self, name)}")
         if list(zip(*self.matrix)) != list(map(tuple, self.matrix)):
             raise ValueError("matrix must be square and symmetric")
@@ -169,6 +173,14 @@ class GordonData(_Record):
             raise ValueError("z_weights entries must be at least 1")
 
 
+class _CharacterData(GordonData):
+    """The Gordon data of a character, as ``_data_r2``, ``_data_r3`` and
+    ``_data_r3_special`` build it: the coefficient of q^a z^n of its sum
+    counts admissible configurations, so the width ``series._width`` picks
+    from the window holds it.  It declares no ``__slots__``, so ``_Record``
+    reads GordonData's field names."""
+
+
 def _freeze(matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in matrix)
 
@@ -182,7 +194,7 @@ def _data_r2(k: int, b0: int, w: int) -> GordonData:
     """gordon_data_r2(k, b0) on its leading w coordinates, in O(w^2)."""
     _check_matrix(k, w)
     (b0,) = validate_b(k, 2, (b0,))
-    return GordonData(
+    return _CharacterData(
         matrix=_freeze(_a2_rows(w)),
         boundary=tuple(_c2_entries(b0, w)),
         q_step=1,
@@ -207,7 +219,7 @@ def _data_r3(k: int, b0: int, w: int) -> GordonData:
     (m_{1,1}, ..., m_{1,w}, m_{2,1}, ..., m_{2,w}), in O(w^2)."""
     _check_matrix(k, 2 * w)
     (b0,) = validate_b(k, 2, (b0,))
-    return GordonData(
+    return _CharacterData(
         matrix=_freeze([2 * x for x in row] for row in _a_rows(k, w)),
         boundary=tuple(2 * c for c in _c2_entries(b0, w)) + (0,) * w,
         q_step=2,
@@ -228,7 +240,7 @@ def gordon_data_r3_special(k: int) -> GordonData:
 def _data_r3_special(k: int, w: int) -> GordonData:
     """gordon_data_r3_special(k) on its leading w coordinates, in O(w^2)."""
     _check_matrix(k, w)
-    return GordonData(
+    return _CharacterData(
         matrix=_freeze(_b_rows(k, w)),
         boundary=tuple(_c2_entries((k + 1) // 2, w)),
         q_step=1,
@@ -280,18 +292,46 @@ def evaluate_gordon_sum(data: GordonData, q_max: int, z_max: int) -> TruncatedSe
     ``_walk`` call.  A vector's Pochhammer inverse depends only on the
     partition its entries form, so the sum keeps one memo of inverses,
     keyed by that partition (see ``_walk``).  The rows and the inverses are
-    packed q-lists at the width ``series._width`` picks from the window.
-    Every field is a partial sum of one coefficient of the window, so on
-    the data of a character, whose coefficient of q^a z^n is at most the
-    number of partitions of a into at most n parts, the walk runs once.
-    On other data a coefficient past the packed width restarts the walk
-    at twice the width (``series._packed``), which prices every vector
-    again.  data may cover only the coordinates a window can raise; the
-    fermionic_* functions that walk pass the leading min(k, z_max)
-    coordinates of each block.
+    packed q-lists, at one width proven before the walk: every field is a
+    partial sum of one coefficient of the window, so the data of a
+    character (``_CharacterData``), whose coefficient of q^a z^n is at most
+    the number of partitions of a into at most n parts, takes the width
+    ``series._width`` picks from the window, and any other data the wider
+    one that ``_sum_bits`` proves for every GordonData.  data may cover
+    only the coordinates a window can raise; the fermionic_* functions
+    that walk pass the leading min(k, z_max) coordinates of each block.
     """
     _check_sum_window(q_max, z_max)
-    return TruncatedSeries(_packed(_sum_rows, q_max, z_max, data, z_max), q_max, z_max)
+    if isinstance(data, _CharacterData):
+        width = _width(q_max, z_max)
+    else:
+        width = _fit(_sum_bits(data, q_max, z_max))
+    packing = series._Packing(width, q_max + 1)
+    return TruncatedSeries(_sum_rows(data, z_max, packing), q_max, z_max)
+
+
+def _sum_bits(data, q_max: int, z_max: int) -> int:
+    """An upper bound on the bits of every coefficient of the sum of any
+    GordonData in the window, from what GordonData enforces alone.
+
+    Every z-weight is >= 1, so at most V = C(z_max + n, n) of the n-entry
+    vectors m lie in the window, and each has M = sum(m) <= z_max.  Every
+    exponent is >= 0, so [q^a] of the term of m is at most [q^a] of
+    prod_j 1/(q^s; q^s)_(m_j), and for s >= 1 at most [q^a] of
+    prod_j 1/(q; q)_(m_j).  That counts the partitions of a in as many
+    colours as m has nonzero entries, at most c = min(n, z_max), which the
+    saddle-point argument behind Apostol's bound puts below
+    exp(pi sqrt(2 c a / 3)) (``series._partition_bits(c a)``).  It is also
+    at most C(a + M, M): each of the M factors 1/(1 - q^v) has v >= 1, so
+    the exponents of a solution of sum_i c_i v_i = a sum to at most a.  A
+    coefficient is a sum of at most V such terms, and every field the walk
+    packs is a partial sum of one coefficient's terms, so the least width
+    that holds these bits under a guard bit never overflows.
+    """
+    n = len(data.matrix)
+    vectors = comb(z_max + n, n).bit_length()
+    term = min(_partition_bits(min(n, z_max) * q_max), comb(q_max + z_max, z_max).bit_length())
+    return vectors + term
 
 
 def _check_sum_window(q_max: int, z_max: int) -> None:
@@ -433,7 +473,8 @@ def fermionic_r2(k: int, b0: int, q_max: int, z_max: int) -> TruncatedSeries:
     _check_matrix(k, w)
     (b0,) = validate_b(k, 2, (b0,))
     _check_sum_window(q_max, z_max)
-    return TruncatedSeries(_packed(_transfer_r2, q_max, z_max, w, b0, z_max), q_max, z_max)
+    packing = series._Packing(_width(q_max, z_max), q_max + 1)
+    return TruncatedSeries(_transfer_r2(w, b0, z_max, packing), q_max, z_max)
 
 
 def _transfer_r2(w, b0, z_max, packing) -> list[list[int]]:
@@ -465,7 +506,7 @@ def _transfer_r2(w, b0, z_max, packing) -> list[list[int]]:
     and every quotient is still tested for the guard (``_add_rows``,
     ``_divide``).
     """
-    length, width, guard = packing.length, packing.width, packing.guard
+    length, width = packing.length, packing.width
     states = [[1]]  # G_(w+1): at N = 0, the row z^0 holding the packed 1
     for i in range(w, 0, -1):
         lift, below = i > b0, max(0, i - 1 - b0)
@@ -486,25 +527,26 @@ def _transfer_r2(w, b0, z_max, packing) -> list[list[int]]:
                     rows = quotients[m] = [
                         _divide(x, n - m, need, packing) if x else 0 for x in rows[: top + 1]
                     ]
-                _add_rows(total, rows, guard)
+                _add_rows(total, rows, packing)
             nxt.append([0] * n + [x << shift * width for x in total])
             n += 1
         states = nxt
     rows = [0] * (z_max + 1)
     for state in states:
-        _add_rows(rows, state, guard)
+        _add_rows(rows, state, packing)
     return [_unpack(row, width) for row in rows]
 
 
-def _add_rows(total, rows, guard) -> None:
+def _add_rows(total, rows, packing) -> None:
     """total[z] += rows[z] for every nonzero packed row, rows no longer
     than total; each add of two clean values is tested for the guard, as
     ``series._add_shifted`` tests it."""
+    guard = packing.guard
     for z, x in enumerate(rows):
         if x:
             x += total[z]
             if x & guard:
-                raise _Overflow
+                raise _Overflow(packing.width)
             total[z] = x
 
 
@@ -525,11 +567,14 @@ def level_restricted_partitions(n: int, k: int):
     They are the conjugates of the partitions of n into at most k parts,
     ``partitions_max_parts(n, k)``: the conjugate of lam has
     lam_a - lam_(a+1) parts of size a, with lam padded with zeros to
-    length k + 1.  A negative n has none.
+    length k + 1.  A negative n has none.  Each tuple has k entries, so a
+    k past MAX_CELLS is refused with CapacityError before the first one is
+    built.
     """
     validate_k(k)
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError(f"n must be an integer, got {n}")
+    _check_cells(k, "each multiplicity tuple needs {} entries")
     for lam in partitions_max_parts(n, k):
         padded = lam + (0,) * (k + 1 - len(lam))
         yield tuple(map(sub, padded, padded[1:]))

@@ -592,7 +592,7 @@ def vanishing_spec_r3_pair(
     conjectural combined zero conditions (s x's and t y's zero, s + t = b1+1)
     are added as well."""
     b0, b1 = validate_b(k, 3, (b0, b1))
-    if not (isinstance(l1, int) and isinstance(l2, int)):
+    if not (_is_int(l1) and _is_int(l2)):
         raise ValueError(f"variable counts must be integers, got {(l1, l2)}")
     _check_vars(l1 + l2)
     conds = [
@@ -669,7 +669,7 @@ def oracle_blocks(k: int, r: int, bs, q_order: int, n: int) -> list[list[int]]:
 
 def pair_sector_dims(n: int, k: int, b0: int, b1: int, degree_cap: int) -> list[list[int]]:
     """Graded dimensions of the (n - l2, l2) pair spaces, indexed by l2 = 0..n."""
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError(f"variable counts must be integers, got {n}")
     if n < 0:
         raise ValueError("variable counts must be non-negative")

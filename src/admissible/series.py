@@ -11,13 +11,13 @@ q-series kernel: a q-list c_0, ..., c_(L-1) is the one integer
 sum_i c_i 2^(i W), with W-bit fields whose top bits are guard bits (see
 ``_Packing``), so a shifted add (``_add_shifted``) and a division by one
 factor (1 - q^s) (``_divide``) are a few big-integer operations in C.
-``_packed`` picks W once per route from the window (``_width``): a
-character's coefficient of q^a z^n is at most p(a, <= n parts), the
-partitions of a into at most n parts, so the least W whose fields hold
-the smaller of p(q_max) and a bound on p(q_max, <= z_max parts) under
-their guard bit never overflows on a character.  The guard bits stay as
-the exactness certificate, and a set one restarts the route at twice the
-width, which only sums over other data reach.
+Each route builds one ``_Packing``, at a width W it has proven before it
+starts.  A character route takes ``_width``: a character's coefficient
+of q^a z^n is at most p(a, <= n parts), the partitions of a into at most
+n parts, so the least W whose fields hold the smaller of p(q_max) and a
+bound on p(q_max, <= z_max parts) under their guard bit never overflows
+on a character.  The guard bits stay as the exactness certificate: a set
+one raises ``_Overflow``, an internal error, since it means a wrong bound.
 Each route unpacks its rows once, at the end (``_unpack``), and hands them
 to ``TruncatedSeries``, which only clips and copies them.  ``series_json``,
 ``terms`` and ``first_mismatch`` scan the rows in (dz, dq) order, so none of
@@ -176,9 +176,12 @@ def series_json(series: TruncatedSeries) -> str:
 
 
 class _Overflow(Exception):
-    """A packed field reached its guard bit: ``_packed`` restarts the route
-    at twice the width.  No character route raises it (see ``_width``); a
-    Gordon sum over other data may."""
+    """A packed field reached its guard bit.  Every route proves its width
+    before it starts, so this is an internal error, never bad input: it is
+    no ValueError, and a command reports it with its traceback."""
+
+    def __init__(self, width: int):
+        super().__init__(f"a packed field reached the guard bit of its {width}-bit field")
 
 
 class _Packing:
@@ -271,19 +274,6 @@ def _width(q_max: int, z_max: int) -> int:
     return width
 
 
-def _packed(build, q_max: int, z_max: int, *args):
-    """build(*args, packing) for q-lists of at most q_max + 1 fields and
-    z-rows through z^z_max, at ``_width(q_max, z_max)``, and again at twice
-    the width after every ``_Overflow``, which only data that is not a
-    character can raise."""
-    width = _width(q_max, z_max)
-    while True:
-        try:
-            return build(*args, _Packing(width, q_max + 1))
-        except _Overflow:
-            width *= 2
-
-
 def _add_shifted(row: int, x: int, shift: int, length: int, packing: _Packing) -> int:
     """row + q^shift x, truncated to its first length fields; row and x
     clean.  Carries run upwards only, so dropping the fields past length
@@ -293,7 +283,7 @@ def _add_shifted(row: int, x: int, shift: int, length: int, packing: _Packing) -
     if row.bit_length() > bits:
         row &= (1 << bits) - 1
     if row & packing.guard:
-        raise _Overflow
+        raise _Overflow(packing.width)
     return row
 
 
@@ -316,7 +306,7 @@ def _divide(x: int, stride: int, length: int, packing: _Packing) -> int:
         x = (x + (x << stride * width)) & mask
         stride *= 2
     if x & packing.guard:
-        raise _Overflow
+        raise _Overflow(width)
     return x
 
 

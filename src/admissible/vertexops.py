@@ -46,6 +46,7 @@ from __future__ import annotations
 from math import comb, gcd, lcm
 
 from .configurations import CapacityError, _Record, validate_b, validate_k
+from .series import _is_int
 
 # The most terms the pair functions of one request may sum, counted before
 # any family or pair function is built.  The count charges each pair
@@ -169,7 +170,7 @@ class PairFunction(_Record):
 
 
 def _check_order(trunc: int) -> None:
-    if not isinstance(trunc, int):
+    if not _is_int(trunc):
         raise ValueError(f"truncation order must be an integer, got {trunc}")
     if trunc < 0:
         raise ValueError(f"truncation order must be non-negative, got {trunc}")

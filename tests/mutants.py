@@ -39,6 +39,11 @@ ORACLE_BLOCKS = (
     "tests/test_polyspaces.py::TestOracleBlocks::test_every_b0_at_once_equals_each_b0_alone"
 )
 BOOLS = "tests/test_configurations.py::test_entry_points_refuse_a_bool"
+WIDTHS = "tests/test_series.py::TestWidthFromThePartitionBound::"
+GENERIC_BOUND = (
+    "tests/test_fermionic.py::TestEachRouteRunsOnceAtAProvenWidth::"
+    "test_the_generic_bound_holds_every_coefficient"
+)
 
 MUTANTS = [
     # refusal bounds, each off by one
@@ -152,7 +157,7 @@ MUTANTS = [
      "    if False:\n", ["tests/test_configurations.py"]),
     (PKG + "series.py", "        if not (_is_int(q_order) and _is_int(z_order)):\n",
      "        if False:\n", ["tests/test_configurations.py"]),
-    (PKG + "vertexops.py", "    if not isinstance(trunc, int):\n", "    if False:\n",
+    (PKG + "vertexops.py", "    if not _is_int(trunc):\n", "    if False:\n",
      ["tests/test_configurations.py"]),
     (PKG + "polyspaces.py", "        if not _is_int(self.degree_cap):\n",
      "        if False:\n", ["tests/test_configurations.py"]),
@@ -163,11 +168,11 @@ MUTANTS = [
     (PKG + "polyspaces.py",
      "        if not all(_is_int(n) for n in self.family_sizes):\n",
      "        if False:\n", ["tests/test_configurations.py"]),
-    (PKG + "polyspaces.py", "    if not (isinstance(l1, int) and isinstance(l2, int)):\n",
+    (PKG + "polyspaces.py", "    if not (_is_int(l1) and _is_int(l2)):\n",
      "    if False:\n", ["tests/test_configurations.py"]),
-    (PKG + "polyspaces.py", "    if not isinstance(n, int):\n", "    if False:\n",
+    (PKG + "polyspaces.py", "    if not _is_int(n):\n", "    if False:\n",
      ["tests/test_configurations.py"]),
-    (PKG + "fermionic.py", "    if not isinstance(n, int):\n", "    if False:\n",
+    (PKG + "fermionic.py", "    if not _is_int(n):\n", "    if False:\n",
      ["tests/test_configurations.py"]),
     # the other integer inputs without their int checks: a series exponent,
     # a Gordon data entry, a pattern count or r that is not an int read
@@ -177,17 +182,17 @@ MUTANTS = [
     (PKG + "series.py", "        if not _is_int(n):\n", "        if False:\n",
      ["tests/test_configurations.py"]),
     (PKG + "fermionic.py",
-     "        if not all(isinstance(x, int) for row in self.matrix for x in row):\n",
+     "        if not all(_is_int(x) for row in self.matrix for x in row):\n",
      "        if False:\n", ["tests/test_configurations.py"]),
-    (PKG + "fermionic.py", "        if not isinstance(self.q_step, int):\n",
+    (PKG + "fermionic.py", "        if not _is_int(self.q_step):\n",
      "        if False:\n", ["tests/test_configurations.py"]),
     (PKG + "fermionic.py",
-     "            if not all(isinstance(x, int) for x in getattr(self, name)):\n",
+     "            if not all(_is_int(x) for x in getattr(self, name)):\n",
      "            if False:\n", ["tests/test_configurations.py"]),
     (PKG + "polyspaces.py",
      "                if not (_is_int(p) and _is_int(m) and _is_int(z)):\n",
      "                if False:\n", ["tests/test_configurations.py"]),
-    (PKG + "configurations.py", "    if not isinstance(r, int):\n", "    if False:\n",
+    (PKG + "configurations.py", "    if not _is_int(r):\n", "    if False:\n",
      ["tests/test_configurations.py"]),
     # a bool let through as an int order or level, and a vanishing pattern
     # that is no triple let through to fail on unpacking
@@ -197,18 +202,33 @@ MUTANTS = [
      "                if not isinstance(pattern, (tuple, list)) or len(pattern) != 3:\n",
      "                if False:\n", ["tests/test_polyspaces.py"]),
     # the packed width: the q_max = 122 row given 32 bits, where p(122) has
-    # 32 bits and needs 33, and every route started one width narrower than
-    # the table says; each restarts, which the tests refuse.  The bound on
-    # partitions into at most z parts taken as the one into exactly z parts,
-    # below the exact count, and dropped, so that z_max = 0 with a long
-    # q-list takes p(q_max)'s width
-    (PKG + "series.py", "(121, 32)", "(122, 32)", ["tests/test_series.py"]),
-    (PKG + "series.py", "    width = _width(q_max, z_max)\n",
-     "    width = max(8, _width(q_max, z_max) // 2)\n", ["tests/test_series.py"]),
+    # 32 bits and needs 33, and every character route started one width
+    # narrower than the table says, where a route that reaches p(q_max)
+    # overflows.  The bound on partitions into at most z parts taken as the
+    # one into exactly z parts, below the exact count, and dropped, so that
+    # z_max = 0 with a long q-list takes p(q_max)'s width
+    (PKG + "series.py", "(121, 32)", "(122, 32)",
+     [WIDTHS + "test_each_row_is_the_last_q_max_its_width_holds"]),
+    (PKG + "series.py",
+     "        width = min(width, _fit(_parts_bound(q_max, z_max).bit_length()))\n"
+     "    return width\n",
+     "        width = min(width, _fit(_parts_bound(q_max, z_max).bit_length()))\n"
+     "    return max(8, width // 2)\n",
+     [WIDTHS + "test_direct_r2_reaching_p_of_q_max_takes_one_width"]),
     (PKG + "series.py", "n + z * (z + 1) // 2 - 1", "n + z * (z - 1) // 2 - 1",
-     ["tests/test_series.py"]),
+     [WIDTHS + "test_parts_bound_is_at_least_the_exact_count"]),
     (PKG + "series.py", "    if 3 * z_max < q_max:\n", "    if False:\n",
-     ["tests/test_series.py"]),
+     [WIDTHS + "test_a_small_z_max_narrows_the_width"]),
+    # the width of a sum over data a caller builds: the count of vectors in
+    # the window dropped, and the bound on one term's coefficients halved
+    (PKG + "fermionic.py", "    return vectors + term\n", "    return term\n",
+     [GENERIC_BOUND]),
+    (PKG + "fermionic.py", "    return vectors + term\n", "    return vectors + term // 2\n",
+     [GENERIC_BOUND]),
+    # the character builders' data given the generic width, which is wider
+    (PKG + "fermionic.py", "    if isinstance(data, _CharacterData):\n", "    if False:\n",
+     ["tests/test_fermionic.py::TestEachRouteRunsOnceAtAProvenWidth::"
+      "test_the_character_builders_carry_the_character_width"]),
     # a fermionic sum sized by the level, not the window: the outputs are
     # unchanged, but a large k with a small window is refused
     (PKG + "fermionic.py", "return min(k, z_max) if", "return k if", ["r2-k-1e5"]),
@@ -253,6 +273,10 @@ MUTANTS = [
      "(isinstance(dq, int) and isinstance(dz, int))", [BOOLS + "[coefficient]"]),
     (PKG + "series.py", "        if not _is_int(n):\n", "        if not isinstance(n, int):\n",
      [BOOLS + "[z_block]"]),
+    # a bool let through as a Gordon matrix entry
+    (PKG + "fermionic.py", "all(_is_int(x) for row in self.matrix for x in row)",
+     "all(isinstance(x, int) for row in self.matrix for x in row)",
+     [BOOLS + "[GordonData_matrix]"]),
 ]
 # A test run that takes longer than this is reported, not waited for.
 TIMEOUT_S = 600

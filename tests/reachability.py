@@ -49,6 +49,8 @@ ALLOWED = {
     "series._unserializable": "an error path: dumps given an object JSON cannot hold",
     "cli._replay_lines": "runs only on a verify mismatch",
     "fermionic.gordon_data_r3": "public r3 Gordon data; the sums read the window-sized _data_r3",
+    "fermionic._sum_bits": "the width of a sum over Gordon data no command builds",
+    "series._Overflow.__init__": "an internal error: every route proves its width first",
     "configurations._Record.__setattr__": _RECORD,
     "configurations._Record.__delattr__": _RECORD,
     "configurations._Record.__repr__": _RECORD,

@@ -425,10 +425,10 @@ def test_entry_points_share_the_validator(name, k, b0):
     assert str(got.value) == str(expected.value)
 
 
-def _pair_call(route):
+def _pair_call(route, trunc=2.5):
     family = build_family("r2", 2)
     spec = dict(family.specs)["gamma1"]
-    return lambda: route(spec, spec, family.table, 2.5)
+    return lambda: route(spec, spec, family.table, trunc)
 
 
 # Every entry point that takes a truncation order refuses one that is not an
@@ -504,6 +504,31 @@ _BOOLS = {
     "z_block": (
         lambda: TruncatedSeries([[1], [2]], 3, 2).z_block(True),
         "the z exponent must be an integer, got True",
+    ),
+    "GordonData_matrix": (
+        lambda: GordonData(((True,),), (0,), 1, (1,), (0,)),
+        "matrix entries must be integers, got ((True,),)",
+    ),
+    "GordonData_q_step": (
+        lambda: GordonData(((2,),), (0,), True, (1,), (0,)), "q_step must be an integer, got True"
+    ),
+    "GordonData_vectors": (
+        lambda: GordonData(((2,),), (0,), 1, (True,), (0,)),
+        "z_weights entries must be integers, got (True,)",
+    ),
+    "validate_b_r": (lambda: character_direct(2, True, (1,), 5, 2), "r must be an integer, got True"),
+    "level_restricted_partitions": (
+        lambda: list(level_restricted_partitions(True, 2)), "n must be an integer, got True"
+    ),
+    "vanishing_spec_r3_pair": (
+        lambda: vanishing_spec_r3_pair(True, 1, 2, 1, 2, 4),
+        "variable counts must be integers, got (True, 1)",
+    ),
+    "pair_sector_dims": (
+        lambda: pair_sector_dims(True, 1, 0, 1, 2), "variable counts must be integers, got True"
+    ),
+    "pair_function": (
+        _pair_call(pair_function, True), "truncation order must be an integer, got True"
     ),
 }
 

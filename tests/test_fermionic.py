@@ -1,8 +1,7 @@
-import gc
 import inspect
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admissible import fermionic, series
@@ -25,7 +24,7 @@ from admissible.fermionic import (
     level_restricted_partitions,
     quadratic_exponent,
 )
-from admissible.series import TruncatedSeries
+from admissible.series import TruncatedSeries, _Overflow
 from brute_force import _multiplicity_vectors, _pochhammer_inverse_coeffs, enumerate_configs
 
 
@@ -294,6 +293,14 @@ class TestPartitionEnumeration:
         # a level far above the size, and a negative size
         assert len(list(level_restricted_partitions(3, 5000))) == 3
         assert list(level_restricted_partitions(-1, 1)) == []
+
+    def test_a_level_whose_tuples_pass_max_cells_is_refused(self):
+        # each tuple has k entries: refused before the first one is built
+        with pytest.raises(
+            CapacityError,
+            match=r"^each multiplicity tuple needs 1000000000000 entries, over the limit of",
+        ):
+            next(level_restricted_partitions(4, 10**12))
 
 
 def partition_term(m, data, q_max):
@@ -715,8 +722,8 @@ class TestPochhammerMemo:
 def transfer_r2(k, b0, q_max, z_max):
     """The partial-sum fold of the r2 sum on the window's w = min(k, z_max)
     coordinates, whatever w is, at the width the window takes."""
-    w = min(k, z_max)
-    rows = series._packed(fermionic._transfer_r2, q_max, z_max, w, b0, z_max)
+    packing = series._Packing(series._width(q_max, z_max), q_max + 1)
+    rows = fermionic._transfer_r2(min(k, z_max), b0, z_max, packing)
     return TruncatedSeries(rows, q_max, z_max)
 
 
@@ -793,22 +800,6 @@ class TestTransferR2:
         assert type(folded.value) is type(walked.value)
         assert str(folded.value) == str(walked.value)
 
-    def test_restarts_from_a_narrow_width_stay_exact(self, monkeypatch):
-        want = evaluate_gordon_sum(gordon_data_r2(4, 1), 40, 20)
-        assert max(max(row, default=0) for row in want.rows) > 127  # past an 8-bit field
-        tried = []
-        packing = series._Packing
-
-        def spied(width, length):
-            tried.append(width)
-            return packing(width, length)
-
-        monkeypatch.setattr(series, "_WIDTHS", EIGHT_BITS)
-        monkeypatch.setattr(series, "_Packing", spied)
-        got = fermionic_r2(4, 1, 40, 20)
-        assert len(tried) > 1 and tried == [8 << i for i in range(len(tried))]
-        assert got == want
-
 
 def tally(k, r, b, q_max, z_max):
     """The character counted one enumerated configuration at a time."""
@@ -819,80 +810,130 @@ def tally(k, r, b, q_max, z_max):
 
 
 # A 4 x 4 sum with every matrix, boundary and extra entry 0 is no character:
-# its coefficients grow past p(q_max), and an 8-bit start overflows.
+# its coefficients grow past p(q_max).
 ZERO_DATA = GordonData(((0,) * 4,) * 4, (0,) * 4, 1, (1,) * 4, (0,) * 4)
 # A width table that gives every window here 8 bits.
 EIGHT_BITS = ((10**9, 8),)
 
 
-class TestRestartFromANarrowWidth:
-    """Started at 8 bits, each route overflows, restarts at twice the width
-    until its coefficients fit, and returns its reference character exactly;
-    the abandoned attempts leave no cyclic garbage.  The character routes
-    start there only when the width table is made to say 8 bits; a sum over
-    data that is no character starts there at its own width."""
+def spy_widths(monkeypatch) -> list:
+    """The list that the width of every ``series._Packing`` built from now
+    on is appended to."""
+    widths = []
+    packing = series._Packing
+
+    def spied(width, length):
+        widths.append(width)
+        return packing(width, length)
+
+    monkeypatch.setattr(series, "_Packing", spied)
+    return widths
+
+
+@st.composite
+def zero_heavy_sums(draw):
+    """Sum data of up to five coordinates, its entries mostly 0, whose
+    coefficients come nearest the generic bound, and a window."""
+    n = draw(st.integers(1, 5))
+    small = st.one_of(st.just(0), st.integers(0, 2))
+    upper = [[draw(small) for _ in range(n)] for _ in range(n)]
+    matrix = tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+
+    def vector(entry):
+        return tuple(draw(entry) for _ in range(n))
+
+    data = GordonData(
+        matrix=matrix,
+        boundary=vector(small),
+        q_step=draw(st.integers(1, 2)),
+        z_weights=vector(st.integers(1, 2)),
+        extra_q_weights=vector(small),
+    )
+    return data, draw(st.integers(0, 16)), draw(st.integers(0, 8))
+
+
+class TestEachRouteRunsOnceAtAProvenWidth:
+    """No route retries: each builds one packing, at a width it proved
+    before it started.  A character route takes ``series._width``, and a
+    sum over data a caller builds the wider ``fermionic._sum_bits``.  A
+    guard bit that is reached anyway raises ``_Overflow``, an internal
+    error that is no ValueError, and the route returns nothing."""
 
     @pytest.mark.parametrize(
-        "route, reference, widths",
+        "route, reference",
         [
             (
                 lambda: character_direct(3, 2, (1,), 22, 11),
                 lambda: tally(3, 2, (1,), 22, 11),
-                EIGHT_BITS,
             ),
             (
                 lambda: fermionic_r2(2, 1, 30, 15),
                 lambda: brute_force_sum(gordon_data_r2(2, 1), 30, 15),
-                EIGHT_BITS,
+            ),
+            (
+                lambda: fermionic_r2(4, 1, 40, 20),
+                lambda: character_direct(4, 2, (1,), 40, 20),
             ),
             (
                 lambda: fermionic_r3(2, 1, 30, 15),
                 lambda: brute_force_sum(gordon_data_r3(2, 1), 30, 15),
-                EIGHT_BITS,
             ),
             (
                 lambda: fermionic_r3_special(3, 22, 11),
                 lambda: brute_force_sum(gordon_data_r3_special(3), 22, 11),
-                EIGHT_BITS,
-            ),
-            (
-                lambda: evaluate_gordon_sum(ZERO_DATA, 6, 6),
-                lambda: brute_force_sum(ZERO_DATA, 6, 6),
-                series._WIDTHS,
             ),
         ],
-        ids=["direct", "fermionic-r2", "fermionic-r3", "fermionic-r3-special", "zero-matrix"],
+        ids=["direct", "fermionic-r2-walk", "fermionic-r2-fold", "fermionic-r3",
+             "fermionic-r3-special"],
     )
-    def test_restarts_stay_exact_and_leave_no_garbage(
-        self, monkeypatch, route, reference, widths
+    def test_a_character_route_started_too_narrow_raises(
+        self, monkeypatch, route, reference
     ):
         want = reference()
-        assert max(max(row) for row in want.rows) > 127  # past an 8-bit field
-        tried = []
-        packing = series._Packing
+        assert max(max(row, default=0) for row in want.rows) > 127  # past an 8-bit field
+        monkeypatch.setattr(series, "_WIDTHS", EIGHT_BITS)
+        widths = spy_widths(monkeypatch)
+        with pytest.raises(
+            _Overflow, match="^a packed field reached the guard bit of its 8-bit field$"
+        ) as err:
+            route()
+        assert widths == [8]
+        assert not isinstance(err.value, ValueError)
 
-        def spied(width, length):
-            tried.append(width)
-            return packing(width, length)
+    def test_data_that_is_no_character_runs_once_at_its_generic_width(self, monkeypatch):
+        # 8 bits of vectors and 10 of coefficients per vector: 32 bits,
+        # where the 8-bit width of a character at (6, 6) would overflow
+        widths = spy_widths(monkeypatch)
+        got = evaluate_gordon_sum(ZERO_DATA, 6, 6)
+        assert widths == [series._fit(fermionic._sum_bits(ZERO_DATA, 6, 6))] == [32]
+        assert series._width(6, 6) == 8
+        assert max(max(row) for row in got.rows) > 127
+        assert got == brute_force_sum(ZERO_DATA, 6, 6)
 
-        monkeypatch.setattr(series, "_WIDTHS", widths)
-        monkeypatch.setattr(series, "_Packing", spied)
-        gc.collect()
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            got = route()
-            assert gc.collect() == 0
-        finally:
-            if enabled:
-                gc.enable()
-        assert len(tried) > 1 and tried == [8 << i for i in range(len(tried))]
-        assert got == want
+    def test_the_character_builders_carry_the_character_width(self, monkeypatch):
+        widths = spy_widths(monkeypatch)
+        for data in (gordon_data_r2(3, 1), gordon_data_r3(2, 0), gordon_data_r3_special(3)):
+            evaluate_gordon_sum(data, 40, 20)
+            assert widths.pop() == series._width(40, 20) and not widths
+            # the same fields, under the subclass's name
+            plain = repr(GordonData(*data._values()))
+            assert repr(data) == "_CharacterData" + plain.removeprefix("GordonData")
+
+    @settings(max_examples=60, deadline=None)
+    @given(zero_heavy_sums())
+    @example((ZERO_DATA, 12, 6))
+    @example((ZERO_DATA, 4, 20))
+    def test_the_generic_bound_holds_every_coefficient(self, case):
+        data, q_max, z_max = case
+        want = brute_force_sum(data, q_max, z_max)
+        top = max((c for row in want.rows for c in row), default=0)
+        assert top.bit_length() <= fermionic._sum_bits(data, q_max, z_max)
+        assert evaluate_gordon_sum(data, q_max, z_max) == want
 
 
 def test_a_wide_window_prices_each_vector_once(monkeypatch):
-    # 77-bit coefficients: the walk starts at 128 bits and prices each
-    # vector once, where a restart from 64 bits would price 565
+    # 77-bit coefficients: the walk runs once, at 128 bits, and prices
+    # each vector once
     calls = []
     price = fermionic.quadratic_exponent
 

@@ -318,8 +318,8 @@ class TestWidthFromThePartitionBound:
     )
     def test_each_r2_route_past_four_coordinates_builds_one_packing(self, window):
         # the fermionic fold keeps each state truncated to what the window
-        # can still reach, so it never restarts; on both sides of the
-        # q_max = 405 row of the width table
+        # can still reach, so its fields fit the character width; on both
+        # sides of the q_max = 405 row of the width table
         k, b0, q_max, z_max = window
         want = series._width(q_max, z_max)
         folded_widths, folded = self._widths_of(lambda: fermionic_r2(*window))
