@@ -516,7 +516,9 @@ _BOOLS = {
         lambda: GordonData(((2,),), (0,), 1, (True,), (0,)),
         "z_weights entries must be integers, got (True,)",
     ),
-    "validate_b_r": (lambda: character_direct(2, True, (1,), 5, 2), "r must be an integer, got True"),
+    "validate_b_r": (
+        lambda: character_direct(2, True, (1,), 5, 2), "r must be an integer, got True"
+    ),
     "level_restricted_partitions": (
         lambda: list(level_restricted_partitions(True, 2)), "n must be an integer, got True"
     ),
